@@ -10,11 +10,13 @@ Two report shapes are understood, auto-detected from the files:
 google-benchmark reports (a top-level "benchmarks" array)
     Benchmarks are matched by name; only names present in BOTH reports are
     compared (new benchmarks can land without a baseline, removed ones do
-    not block). A benchmark regresses when its cpu_time grows by more than
-    `threshold` (default 25%) relative to the baseline. real_time is
-    reported for context but never gates: wall clock on shared CI runners
-    is too noisy, while cpu_time is stable enough to catch real algorithmic
-    regressions.
+    not block). A benchmark regresses when its gated time grows by more
+    than `threshold` (default 25%) relative to the baseline. The gated time
+    is cpu_time, which is stable enough on shared CI runners to catch real
+    algorithmic regressions, except for rows whose name ends in
+    "/real_time": google-benchmark adds that suffix under UseRealTime(),
+    which the pool-backed benchmarks use because their cpu_time counts only
+    the main thread, and those rows are gated on real_time.
 
 serve-load reports (schema "uniq-serve-load-v1", a "percentiles" object)
     The latency percentiles named by --percentile-keys (default: p99_ms)
@@ -42,6 +44,11 @@ def load_report(path):
         sys.exit(2)
 
 
+def gated_field(name):
+    """The timing a benchmark row is gated on (see the module docstring)."""
+    return "real_time" if name.endswith("/real_time") else "cpu_time"
+
+
 def extract_benchmarks(report, path):
     """Return {name: entry} for the aggregate-free benchmark entries."""
     out = {}
@@ -50,7 +57,7 @@ def extract_benchmarks(report, path):
         if entry.get("run_type") == "aggregate":
             continue
         name = entry.get("name")
-        if name and "cpu_time" in entry:
+        if name and gated_field(name) in entry:
             out[name] = entry
     if not out:
         print(f"error: no benchmark entries in {path}", file=sys.stderr)
@@ -76,19 +83,20 @@ def check_benchmarks(baseline, current, threshold):
 
     regressions = []
     print(f"comparing {len(common)} benchmark(s), threshold "
-          f"+{threshold:.0%} cpu_time")
+          f"+{threshold:.0%} cpu_time (real_time for */real_time rows)")
     for name in common:
-        base_cpu = baseline[name]["cpu_time"]
-        cur_cpu = current[name]["cpu_time"]
-        if base_cpu <= 0:
+        field = gated_field(name)
+        base_time = baseline[name][field]
+        cur_time = current[name][field]
+        if base_time <= 0:
             continue
-        ratio = cur_cpu / base_cpu
+        ratio = cur_time / base_time
         flag = ""
         if ratio > 1.0 + threshold:
             regressions.append((name, ratio))
             flag = "  << REGRESSION"
-        print(f"  {name}: {base_cpu:.1f} -> {cur_cpu:.1f} "
-              f"{baseline[name].get('time_unit', 'ns')} "
+        print(f"  {name}: {base_time:.1f} -> {cur_time:.1f} "
+              f"{baseline[name].get('time_unit', 'ns')} {field} "
               f"({ratio:.2f}x baseline){flag}")
     return regressions
 

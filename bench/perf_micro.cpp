@@ -1,6 +1,7 @@
 // Performance micro-benchmarks (google-benchmark) for the hot paths of the
-// UNIQ pipeline: FFT, convolution, deconvolution, diffraction path queries,
-// localization, the fusion objective, HRIR synthesis, and the observability
+// UNIQ pipeline: FFT, convolution, deconvolution, fractional delay,
+// diffraction path queries, localization, the fusion objective, the
+// near-field and near-far stages, HRIR synthesis, and the observability
 // primitives (spans, counters, histograms) themselves.
 #include <benchmark/benchmark.h>
 
@@ -10,12 +11,16 @@
 #include "common/constants.h"
 #include "common/thread_pool.h"
 #include "core/localizer.h"
+#include "core/near_far.h"
+#include "core/near_field_hrtf.h"
+#include "core/pipeline.h"
 #include "core/sensor_fusion.h"
 #include "core/table_io.h"
 #include "dsp/convolution.h"
 #include "dsp/deconvolution.h"
 #include "dsp/fft.h"
 #include "dsp/fft_plan.h"
+#include "dsp/fractional_delay.h"
 #include "dsp/signal_generators.h"
 #include "geometry/diffraction.h"
 #include "geometry/polar.h"
@@ -146,6 +151,21 @@ void BM_Deconvolve(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_Deconvolve);
+
+// One fractional shift at the default half-width: 192 samples is an HRIR
+// (the near-field and near-far stages' unit of work), 4096 a recording.
+void BM_FractionalShift(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  Pcg32 rng(10);
+  const auto signal = dsp::whiteNoise(n, rng);
+  for (auto _ : state) {
+    auto out = dsp::fractionalShift(signal, 3.37);
+    benchmark::DoNotOptimize(out);
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(n));
+}
+BENCHMARK(BM_FractionalShift)->Arg(192)->Arg(4096);
 
 void BM_NearFieldPath(benchmark::State& state) {
   const geo::HeadBoundary head(0.075, 0.103, 0.091,
@@ -297,9 +317,49 @@ serveCaptures() {
   return captures;
 }
 
+// The near-field stage alone: one capture's fused stops and extracted
+// channels in, the 181-degree near-field table out. Serial, so cpu_time is
+// the stage's whole cost.
+void BM_NearFieldBuild(benchmark::State& state) {
+  const auto& capture = *serveCaptures().front();
+  const core::CalibrationPipeline pipeline;
+  const auto channels = pipeline.extractChannels(capture);
+  const auto fusion = pipeline.run(capture).fusion;
+  std::vector<core::FusedStop> stops(capture.stops.size());
+  for (std::size_t i = 0; i < stops.size(); ++i) stops[i].sourceIndex = i;
+  for (const auto& s : fusion.stops) stops[s.sourceIndex] = s;
+  core::NearFieldBuilderOptions opts;
+  opts.numThreads = 1;
+  const core::NearFieldHrtfBuilder builder(opts);
+  for (auto _ : state) {
+    auto table = builder.build(stops, channels, fusion.headParams);
+    benchmark::DoNotOptimize(table);
+  }
+}
+BENCHMARK(BM_NearFieldBuild)->Unit(benchmark::kMillisecond);
+
+// The near-far stage alone on a fixed near-field table: one subject's
+// ground-truth near field at 0.35 m converted to the 181-degree far field.
+void BM_NearFarConvert(benchmark::State& state) {
+  head::Subject s;
+  s.headParams = {0.075, 0.103, 0.091};
+  s.pinnaSeed = 11;
+  const head::HrtfDatabase db(s);
+  const auto nearTable = core::nearTableFromDatabase(db, 0.35);
+  const core::NearFarConverter converter;
+  for (auto _ : state) {
+    auto far = converter.convert(nearTable);
+    benchmark::DoNotOptimize(far);
+  }
+}
+BENCHMARK(BM_NearFarConvert)->Unit(benchmark::kMillisecond);
+
 // Calibration throughput through the concurrent service (submit + drain).
 // Compare against BM_ServeSerialCalibration: on an N-core host the ratio is
 // the service's speedup; on a single core it measures scheduling overhead.
+// Pool-backed benchmarks (this one, BM_StreamingSession, BM_ServeBatchAoa)
+// use UseRealTime(): their cpu_time counts only the main thread, which
+// mostly waits, so wall time is the figure that means anything.
 void BM_ServeBatchCalibration(benchmark::State& state) {
   const auto& captures = serveCaptures();
   const auto users = static_cast<std::size_t>(state.range(0));
@@ -316,7 +376,10 @@ void BM_ServeBatchCalibration(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(users));
 }
-BENCHMARK(BM_ServeBatchCalibration)->Arg(4)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_ServeBatchCalibration)
+    ->Arg(4)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 // The pre-service baseline: the same captures, one pipeline run at a time.
 void BM_ServeSerialCalibration(benchmark::State& state) {
@@ -353,7 +416,7 @@ void BM_StreamingSession(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(capture.stops.size()));
 }
-BENCHMARK(BM_StreamingSession)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_StreamingSession)->Unit(benchmark::kMillisecond)->UseRealTime();
 
 // Batched known-source AoA against cached tables: the steady-state query
 // path (template-spectrum cache + FFT plan cache warm after iteration one).
@@ -383,7 +446,10 @@ void BM_ServeBatchAoa(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(queries));
 }
-BENCHMARK(BM_ServeBatchAoa)->Arg(16)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_ServeBatchAoa)
+    ->Arg(16)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 // Hit-path latency of the LRU table cache under a realistic key mix.
 void BM_TableCacheGet(benchmark::State& state) {

@@ -1,0 +1,69 @@
+#!/usr/bin/env python3
+"""Tests for check_bench_regression.py's google-benchmark gate.
+
+Runs the script on small synthetic reports and checks its exit code:
+rows named */real_time (google-benchmark's suffix under UseRealTime()) are
+gated on real_time, every other row on cpu_time.
+
+    python3 bench/test_check_bench_regression.py
+"""
+
+import json
+import os
+import subprocess
+import sys
+import tempfile
+import unittest
+
+SCRIPT = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                      "check_bench_regression.py")
+
+
+def row(name, real_time, cpu_time):
+    return {"name": name, "run_type": "iteration", "iterations": 1,
+            "real_time": real_time, "cpu_time": cpu_time,
+            "time_unit": "ms"}
+
+
+class GateTest(unittest.TestCase):
+    def run_gate(self, baseline_rows, current_rows):
+        with tempfile.TemporaryDirectory() as tmp:
+            paths = []
+            for label, rows in (("base", baseline_rows),
+                                ("cur", current_rows)):
+                path = os.path.join(tmp, label + ".json")
+                with open(path, "w", encoding="utf-8") as fh:
+                    json.dump({"benchmarks": rows}, fh)
+                paths.append(path)
+            return subprocess.run([sys.executable, SCRIPT] + paths,
+                                  capture_output=True, text=True)
+
+    def test_real_time_row_fails_on_doubled_wall_time(self):
+        # The threaded-bench case: main-thread cpu_time unchanged while the
+        # wall time doubles must fail the gate.
+        name = "BM_ServeBatchCalibration/4/real_time"
+        result = self.run_gate([row(name, 500.0, 1.0)],
+                               [row(name, 1000.0, 1.0)])
+        self.assertEqual(result.returncode, 1, result.stdout + result.stderr)
+        self.assertIn(name, result.stderr)
+
+    def test_real_time_row_ignores_main_thread_cpu_time(self):
+        name = "BM_StreamingSession/real_time"
+        result = self.run_gate([row(name, 500.0, 1.0)],
+                               [row(name, 500.0, 2.0)])
+        self.assertEqual(result.returncode, 0, result.stdout + result.stderr)
+
+    def test_plain_row_still_gated_on_cpu_time(self):
+        name = "BM_FractionalShift/192"
+        doubled_cpu = self.run_gate([row(name, 6.0, 6.0)],
+                                    [row(name, 6.0, 12.0)])
+        self.assertEqual(doubled_cpu.returncode, 1,
+                         doubled_cpu.stdout + doubled_cpu.stderr)
+        doubled_wall = self.run_gate([row(name, 6.0, 6.0)],
+                                     [row(name, 12.0, 6.0)])
+        self.assertEqual(doubled_wall.returncode, 0,
+                         doubled_wall.stdout + doubled_wall.stderr)
+
+
+if __name__ == "__main__":
+    unittest.main()

@@ -50,10 +50,20 @@ FarFieldTable NearFarConverter::convert(const NearFieldTable& nearTable) const {
   far.tapLeftSamples.resize(181);
   far.tapRightSamples.resize(181);
 
-  // Precompute measurement-circle positions for all near-table angles.
+  // Precompute measurement-circle positions for all near-table angles, and
+  // each ear's near-field attenuation there: neither depends on the
+  // far-field degree.
   std::vector<geo::Vec2> positions(181);
-  for (int psi = 0; psi <= 180; ++psi)
+  std::vector<double> ampNearLeft(181), ampNearRight(181);
+  for (int psi = 0; psi <= 180; ++psi) {
     positions[psi] = geo::pointFromPolarDeg(static_cast<double>(psi), radius);
+    for (geo::Ear ear : {geo::Ear::kLeft, geo::Ear::kRight}) {
+      const auto nearPath = geo::nearFieldPath(boundary, positions[psi], ear);
+      (ear == geo::Ear::kLeft ? ampNearLeft : ampNearRight)[psi] =
+          (1.0 / std::max(nearPath.length, 0.05)) *
+          std::exp(-opts_.arcAttenuationNepersPerMeter * nearPath.arcLength);
+    }
+  }
 
   for (int deg = 0; deg <= 180; ++deg) {
     const double theta = static_cast<double>(deg);
@@ -83,6 +93,8 @@ FarFieldTable NearFarConverter::convert(const NearFieldTable& nearTable) const {
       const auto& nearTaps = ear == geo::Ear::kLeft
                                  ? nearTable.tapLeftSamples
                                  : nearTable.tapRightSamples;
+      const auto& ampNear =
+          ear == geo::Ear::kLeft ? ampNearLeft : ampNearRight;
 
       // Impact-parameter band of rays feeding this ear: between the crown
       // ray and the ear's grazing/direct ray.
@@ -112,32 +124,21 @@ FarFieldTable NearFarConverter::convert(const NearFieldTable& nearTable) const {
         const double s = dot(p, e);
         if (s < sLo || s > sHi) continue;
         const double w = std::exp(-0.5 * square((s - sEar) / sigma));
-        const auto nearPath = geo::nearFieldPath(boundary, p, ear);
-        const double ampNear =
-            (1.0 / std::max(nearPath.length, 0.05)) *
-            std::exp(-opts_.arcAttenuationNepersPerMeter *
-                     nearPath.arcLength);
         const auto& src = ear == geo::Ear::kLeft
                               ? nearTable.byDegree[psi].left
                               : nearTable.byDegree[psi].right;
         accumulate(channel, src, nearTaps[psi], opts_.alignSample,
-                   w * ampFar / ampNear);
+                   w * ampFar / ampNear[psi]);
         weightSum += w;
       }
       if (weightSum < 1e-12) {
         // Sparse-coverage fallback: use the near-field response at the same
         // polar angle.
-        const auto nearPath =
-            geo::nearFieldPath(boundary, positions[deg], ear);
-        const double ampNear =
-            (1.0 / std::max(nearPath.length, 0.05)) *
-            std::exp(-opts_.arcAttenuationNepersPerMeter *
-                     nearPath.arcLength);
         const auto& src = ear == geo::Ear::kLeft
                               ? nearTable.byDegree[deg].left
                               : nearTable.byDegree[deg].right;
         accumulate(channel, src, nearTaps[deg], opts_.alignSample,
-                   ampFar / ampNear);
+                   ampFar / ampNear[deg]);
         weightSum = 1.0;
       }
       for (auto& v : channel) v /= weightSum;

@@ -45,19 +45,36 @@ void addFractionalTap(std::span<double> buffer, double delaySamples,
 
 std::vector<double> fractionalShift(std::span<const double> signal,
                                     double shiftSamples, int halfWidth) {
+  UNIQ_REQUIRE(halfWidth >= 1, "halfWidth must be >= 1");
+  const long n = static_cast<long>(signal.size());
   std::vector<double> out(signal.size(), 0.0);
-  // out[t] = signal(t - shift): interpolate the input at non-integer points.
-  for (std::size_t t = 0; t < out.size(); ++t) {
-    const double srcPos = static_cast<double>(t) - shiftSamples;
-    const long lo = static_cast<long>(std::ceil(srcPos)) - halfWidth;
-    const long hi = static_cast<long>(std::floor(srcPos)) + halfWidth;
+  // A non-finite shift, or one that moves every sample (and the kernel
+  // support around it) past the ends, leaves nothing in range. Decided
+  // before any integer cast, which would be undefined for such values.
+  if (!std::isfinite(shiftSamples) ||
+      std::fabs(shiftSamples) >= static_cast<double>(n + halfWidth))
+    return out;
+
+  // out[t] = signal(t - shift). With c0 = ceil(-shift), tap j of output t
+  // reads signal[t + c0 - halfWidth + j] at kernel offset
+  // frac + halfWidth - j, where frac = -shift - c0 in (-1, 0]: the same
+  // for every t, so the 2*halfWidth+1 weights are computed once.
+  const long c0 = static_cast<long>(std::ceil(-shiftSamples));
+  const double frac = -shiftSamples - static_cast<double>(c0);
+  const long taps = 2L * halfWidth + 1;
+  std::vector<double> weights(static_cast<std::size_t>(taps));
+  for (long j = 0; j < taps; ++j)
+    weights[static_cast<std::size_t>(j)] =
+        windowedSinc(frac + static_cast<double>(halfWidth - j), halfWidth);
+
+  for (long t = 0; t < n; ++t) {
+    const long k0 = t + c0 - halfWidth;
+    const long jHi = std::min(taps - 1, n - 1 - k0);
     double acc = 0.0;
-    for (long k = std::max(lo, 0L);
-         k <= std::min(hi, static_cast<long>(signal.size()) - 1); ++k) {
-      acc += signal[static_cast<std::size_t>(k)] *
-             windowedSinc(srcPos - static_cast<double>(k), halfWidth);
-    }
-    out[t] = acc;
+    for (long j = std::max(0L, -k0); j <= jHi; ++j)
+      acc += signal[static_cast<std::size_t>(k0 + j)] *
+             weights[static_cast<std::size_t>(j)];
+    out[static_cast<std::size_t>(t)] = acc;
   }
   return out;
 }

@@ -17,6 +17,10 @@ void addFractionalTap(std::span<double> buffer, double delaySamples,
 
 /// Shift a signal by a fractional number of samples (positive = delay).
 /// Output has the same length; content shifted beyond the ends is lost.
+/// The Blackman-sinc kernel depends only on the shift, so its
+/// 2*halfWidth+1 weights are computed once per call. A non-finite shift, or
+/// one with |shift| >= signal.size() + halfWidth, yields all zeros.
+/// Requires halfWidth >= 1.
 std::vector<double> fractionalShift(std::span<const double> signal,
                                     double shiftSamples, int halfWidth = 16);
 

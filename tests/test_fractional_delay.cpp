@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
+#include <vector>
 
+#include "common/constants.h"
 #include "common/error.h"
 #include "common/random.h"
 #include "dsp/signal_generators.h"
@@ -83,6 +87,90 @@ TEST(FractionalShift, ContentShiftedOutIsLost) {
   sig[30] = 1.0;
   const auto shifted = fractionalShift(sig, 10.0);
   EXPECT_LT(uniq::test::energy(shifted), 0.05);
+}
+
+TEST(FractionalShift, RejectsBadHalfWidth) {
+  const std::vector<double> sig(16, 1.0);
+  EXPECT_THROW(fractionalShift(sig, 2.0, 0), InvalidArgument);
+  EXPECT_THROW(fractionalShift(sig, 2.0, -3), InvalidArgument);
+  EXPECT_THROW(fractionalShift(std::vector<double>{}, 2.0, 0),
+               InvalidArgument);
+}
+
+TEST(FractionalShift, OutOfRangeShiftsGiveZeros) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const std::vector<double> sig(40, 1.0);
+  const int w = 4;
+  const double edge = static_cast<double>(sig.size() + w);
+  for (double shift : {std::numeric_limits<double>::quiet_NaN(), kInf, -kInf,
+                       edge, -edge, 1e300, -1e300, 1e19, -1e19}) {
+    const auto out = fractionalShift(sig, shift, w);
+    ASSERT_EQ(out.size(), sig.size()) << "shift " << shift;
+    for (double v : out) EXPECT_EQ(v, 0.0) << "shift " << shift;
+  }
+  // The kernel's tail still reaches the first sample from the last output
+  // while shift < size - 1 + halfWidth.
+  EXPECT_NE(fractionalShift(sig, edge - 1.5, w).back(), 0.0);
+  EXPECT_NE(fractionalShift(sig, -(edge - 1.5), w).front(), 0.0);
+  EXPECT_TRUE(fractionalShift(std::vector<double>{}, 3.0, w).empty());
+}
+
+/// The per-tap form the kernel is pinned against: evaluate the
+/// Blackman-windowed sinc afresh for every tap of every output sample.
+double referenceSinc(double x, int w) {
+  if (std::fabs(x) >= w) return 0.0;
+  double s;
+  if (std::fabs(x) < 1e-12) {
+    s = 1.0;
+  } else {
+    const double px = kPi * x;
+    s = std::sin(px) / px;
+  }
+  const double u = (x + w) / (2.0 * w);
+  const double win =
+      0.42 - 0.5 * std::cos(kTwoPi * u) + 0.08 * std::cos(2 * kTwoPi * u);
+  return s * win;
+}
+
+std::vector<double> referenceShift(const std::vector<double>& signal,
+                                   double shiftSamples, int halfWidth) {
+  std::vector<double> out(signal.size(), 0.0);
+  for (std::size_t t = 0; t < out.size(); ++t) {
+    const double srcPos = static_cast<double>(t) - shiftSamples;
+    const long lo = static_cast<long>(std::ceil(srcPos)) - halfWidth;
+    const long hi = static_cast<long>(std::floor(srcPos)) + halfWidth;
+    double acc = 0.0;
+    for (long k = std::max(lo, 0L);
+         k <= std::min(hi, static_cast<long>(signal.size()) - 1); ++k) {
+      acc += signal[static_cast<std::size_t>(k)] *
+             referenceSinc(srcPos - static_cast<double>(k), halfWidth);
+    }
+    out[t] = acc;
+  }
+  return out;
+}
+
+TEST(FractionalShift, MatchesPerTapReference) {
+  Pcg32 rng(29);
+  for (std::size_t n : {0u, 1u, 5u, 192u, 700u}) {
+    std::vector<double> sig(n);
+    for (auto& v : sig) v = rng.gaussian();
+    double peak = 0.0;
+    for (double v : sig) peak = std::max(peak, std::fabs(v));
+    for (int w : {1, 4, 16}) {
+      const double edge = static_cast<double>(n) + w - 0.5;
+      for (double shift : {0.0, 0.5, -0.5, 1.25, -4.5, 10.0, 31.999, 1e-13,
+                           edge, -edge}) {
+        const auto got = fractionalShift(sig, shift, w);
+        const auto want = referenceShift(sig, shift, w);
+        ASSERT_EQ(got.size(), want.size());
+        for (std::size_t t = 0; t < n; ++t)
+          ASSERT_NEAR(got[t], want[t], 1e-12 * peak)
+              << "n " << n << " halfWidth " << w << " shift " << shift
+              << " t " << t;
+      }
+    }
+  }
 }
 
 }  // namespace
