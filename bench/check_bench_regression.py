@@ -18,6 +18,14 @@ google-benchmark reports (a top-level "benchmarks" array)
     which the pool-backed benchmarks use because their cpu_time counts only
     the main thread, and those rows are gated on real_time.
 
+    Under --benchmark_repetitions a report holds one row per repetition
+    plus aggregate rows. A benchmark with a "median" aggregate row is gated
+    on that median, so one slow repetition cannot fail the gate on its own;
+    without one, on the median of its repetition rows. Each row's
+    coefficient of variation (the "cv" aggregate, else computed from the
+    repetitions) is printed next to it so a noisy row can be told apart
+    from a regression.
+
 serve-load reports (schema "uniq-serve-load-v1", a "percentiles" object)
     The latency percentiles named by --percentile-keys (default: p99_ms)
     are compared directly; a percentile regresses when it grows by more
@@ -32,6 +40,7 @@ regression, 2 bad input.
 
 import argparse
 import json
+import statistics
 import sys
 
 
@@ -50,19 +59,50 @@ def gated_field(name):
 
 
 def extract_benchmarks(report, path):
-    """Return {name: entry} for the aggregate-free benchmark entries."""
-    out = {}
+    """Return {name: (gated time, time unit, cv or None)} per benchmark.
+
+    The name is the run name (without any aggregate suffix); see the module
+    docstring for which row's time is gated and where the cv comes from.
+    """
+    repetitions = {}
+    aggregates = {}
     for entry in report.get("benchmarks", []):
-        # Skip aggregate rows (mean/median/stddev) from --benchmark_repetitions.
-        if entry.get("run_type") == "aggregate":
+        name = entry.get("run_name") or entry.get("name")
+        if not name or gated_field(name) not in entry:
             continue
-        name = entry.get("name")
-        if name and gated_field(name) in entry:
-            out[name] = entry
+        if entry.get("run_type") == "aggregate":
+            aggregates.setdefault(name, {})[entry.get("aggregate_name")] = entry
+        else:
+            repetitions.setdefault(name, []).append(entry)
+    out = {}
+    for name in sorted(set(repetitions) | set(aggregates)):
+        field = gated_field(name)
+        rows = repetitions.get(name, [])
+        aggs = aggregates.get(name, {})
+        times = [row[field] for row in rows]
+        if "median" in aggs:
+            gated = aggs["median"][field]
+            unit = aggs["median"].get("time_unit", "ns")
+        elif times:
+            gated = statistics.median(times)
+            unit = rows[0].get("time_unit", "ns")
+        else:
+            continue
+        if "cv" in aggs:
+            cv = aggs["cv"][field]
+        elif len(times) >= 2 and statistics.mean(times) > 0:
+            cv = statistics.stdev(times) / statistics.mean(times)
+        else:
+            cv = None
+        out[name] = (gated, unit, cv)
     if not out:
         print(f"error: no benchmark entries in {path}", file=sys.stderr)
         sys.exit(2)
     return out
+
+
+def format_cv(cv):
+    return "cv n/a" if cv is None else f"cv {cv:.1%}"
 
 
 def check_benchmarks(baseline, current, threshold):
@@ -83,11 +123,12 @@ def check_benchmarks(baseline, current, threshold):
 
     regressions = []
     print(f"comparing {len(common)} benchmark(s), threshold "
-          f"+{threshold:.0%} cpu_time (real_time for */real_time rows)")
+          f"+{threshold:.0%} cpu_time (real_time for */real_time rows), "
+          f"median over repetitions where present")
     for name in common:
         field = gated_field(name)
-        base_time = baseline[name][field]
-        cur_time = current[name][field]
+        base_time, unit, base_cv = baseline[name]
+        cur_time, _, cur_cv = current[name]
         if base_time <= 0:
             continue
         ratio = cur_time / base_time
@@ -95,8 +136,8 @@ def check_benchmarks(baseline, current, threshold):
         if ratio > 1.0 + threshold:
             regressions.append((name, ratio))
             flag = "  << REGRESSION"
-        print(f"  {name}: {base_time:.1f} -> {cur_time:.1f} "
-              f"{baseline[name].get('time_unit', 'ns')} {field} "
+        print(f"  {name}: {base_time:.1f} ({format_cv(base_cv)}) -> "
+              f"{cur_time:.1f} ({format_cv(cur_cv)}) {unit} {field} "
               f"({ratio:.2f}x baseline){flag}")
     return regressions
 

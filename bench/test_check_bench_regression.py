@@ -3,7 +3,8 @@
 
 Runs the script on small synthetic reports and checks its exit code:
 rows named */real_time (google-benchmark's suffix under UseRealTime()) are
-gated on real_time, every other row on cpu_time.
+gated on real_time, every other row on cpu_time; under repetitions the
+median aggregate row is gated, not any single repetition.
 
     python3 bench/test_check_bench_regression.py
 """
@@ -23,6 +24,20 @@ def row(name, real_time, cpu_time):
     return {"name": name, "run_type": "iteration", "iterations": 1,
             "real_time": real_time, "cpu_time": cpu_time,
             "time_unit": "ms"}
+
+
+def repeated(name, cpu_times):
+    """One row per repetition plus the aggregate rows google-benchmark
+    writes under --benchmark_repetitions (median computed here)."""
+    rows = [dict(row(name, t, t), run_name=name) for t in cpu_times]
+    ordered = sorted(cpu_times)
+    mid = ordered[len(ordered) // 2]
+    for aggregate, value in (("median", mid), ("cv", 0.0)):
+        rows.append({"name": f"{name}_{aggregate}", "run_name": name,
+                     "run_type": "aggregate", "aggregate_name": aggregate,
+                     "iterations": len(cpu_times), "real_time": value,
+                     "cpu_time": value, "time_unit": "ms"})
+    return rows
 
 
 class GateTest(unittest.TestCase):
@@ -63,6 +78,22 @@ class GateTest(unittest.TestCase):
                                      [row(name, 12.0, 6.0)])
         self.assertEqual(doubled_wall.returncode, 0,
                          doubled_wall.stdout + doubled_wall.stderr)
+
+    def test_repetitions_gate_on_the_median(self):
+        name = "BM_LocalizerLocate"
+        baseline = repeated(name, [10.0, 10.2, 9.9, 10.1, 10.0])
+        # One repetition 3x slower (a host hiccup), the median steady.
+        one_slow = self.run_gate(
+            baseline, repeated(name, [10.1, 9.8, 10.0, 10.2, 30.0]))
+        self.assertEqual(one_slow.returncode, 0,
+                         one_slow.stdout + one_slow.stderr)
+        self.assertIn("cv", one_slow.stdout)
+        # Every repetition 2x slower: the median regresses.
+        slow_median = self.run_gate(
+            baseline, repeated(name, [20.0, 20.3, 19.8, 20.1, 20.2]))
+        self.assertEqual(slow_median.returncode, 1,
+                         slow_median.stdout + slow_median.stderr)
+        self.assertIn(name, slow_median.stderr)
 
 
 if __name__ == "__main__":

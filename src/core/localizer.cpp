@@ -1,5 +1,6 @@
 #include "core/localizer.h"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 
@@ -18,6 +19,29 @@ double pathLength(const geo::HeadBoundary& head, geo::Vec2 p, geo::Ear ear) {
   return geo::nearFieldPath(head, p, ear).length;
 }
 
+/// True when the residual changes sign between two defined samples.
+bool signChange(double f0, double f1) {
+  return !std::isnan(f0) && !std::isnan(f1) && (f0 < 0) != (f1 < 0);
+}
+
+/// The coarse angle scan: `count` angles from -margin in `step` increments,
+/// the last one no farther than 180 + margin.
+struct ScanGrid {
+  explicit ScanGrid(const LocalizerOptions& opts)
+      : lo(-opts.angleMarginDeg),
+        step(opts.scanStepDeg),
+        count(static_cast<int>(std::floor(
+                  (180.0 + 2.0 * opts.angleMarginDeg + 1e-9) / step)) +
+              1) {}
+  double angle(int k) const { return lo + step * k; }
+  geo::Vec2 direction(int k) const {
+    return geo::directionFromAzimuthDeg(angle(k));
+  }
+  double lo;
+  double step;
+  int count;
+};
+
 }  // namespace
 
 Localizer::Localizer(const geo::HeadBoundary& head, Options opts)
@@ -26,6 +50,9 @@ Localizer::Localizer(const geo::HeadBoundary& head, Options opts)
                    opts_.minRadiusM > head.c(),
                "minRadius must clear the head");
   UNIQ_REQUIRE(opts_.maxRadiusM > opts_.minRadiusM, "bad radius range");
+  UNIQ_REQUIRE(opts_.scanStepDeg > 0 &&
+                   opts_.scanStepDeg <= 180.0 + 2.0 * opts_.angleMarginDeg,
+               "scan needs at least one bracket");
 }
 
 std::optional<double> Localizer::radiusForLeftPath(
@@ -72,64 +99,60 @@ double Localizer::rightPathResidual(geo::Vec2 dir, double targetLenLeft,
   return pathLength(head_, dir * *r, geo::Ear::kRight) - targetLenRight;
 }
 
+std::optional<PolarFix> Localizer::refineBracket(
+    double a, double b, double fa, double targetLenLeft, double targetLenRight,
+    std::optional<double>& warmRadius) const {
+  // Interval subdivision rather than Brent: the residual is only defined
+  // where the left-ear iso-delay curve exists, so Brent could step out of
+  // the domain.
+  for (int level = 0; level < 4; ++level) {
+    const int kSub = 8;
+    double x0 = a, f0 = fa;
+    bool found = false;
+    for (int s = 1; s <= kSub; ++s) {
+      const double x1 = a + (b - a) * s / kSub;
+      const double f1 = rightPathResidual(
+          geo::directionFromAzimuthDeg(s == kSub ? b : x1), targetLenLeft,
+          targetLenRight, &warmRadius);
+      if (signChange(f0, f1)) {
+        a = x0;
+        b = x1;
+        fa = f0;
+        found = true;
+        break;
+      }
+      x0 = x1;
+      f0 = f1;
+    }
+    if (!found) break;
+  }
+  const double angleRoot = 0.5 * (a + b);
+  const auto r = radiusForLeftPath(geo::directionFromAzimuthDeg(angleRoot),
+                                   targetLenLeft, warmRadius);
+  if (!r) return std::nullopt;
+  return PolarFix{angleRoot, *r};
+}
+
 std::vector<PolarFix> Localizer::locateAll(double delayLeftSec,
                                            double delayRightSec) const {
   UNIQ_REQUIRE(delayLeftSec > 0 && delayRightSec > 0, "delays must be > 0");
   const double dL = delayLeftSec * kSpeedOfSound;
   const double dR = delayRightSec * kSpeedOfSound;
-
-  const double lo = -opts_.angleMarginDeg;
-  const double hi = 180.0 + opts_.angleMarginDeg;
+  const ScanGrid grid(opts_);
 
   std::vector<PolarFix> fixes;
-  // Coarse scan for sign changes of the right-ear residual, then refine by
-  // interval subdivision (the residual is only defined where the left-ear
-  // iso-delay curve exists, so plain Brent could step out of the domain).
-  double prevAngle = lo;
-  // The left-path radius solve is warm-started with the previous angle's
-  // root (it moves slowly along the scan).
+  // Coarse scan for sign changes of the right-ear residual, each refined in
+  // place. The left-path radius solve is warm-started with the previous
+  // angle's root (it moves slowly along the scan).
   std::optional<double> warm;
-  double prevRes =
-      rightPathResidual(geo::directionFromAzimuthDeg(lo), dL, dR, &warm);
-  for (double ang = lo + opts_.scanStepDeg; ang <= hi + 1e-9;
-       ang += opts_.scanStepDeg) {
-    const double res =
-        rightPathResidual(geo::directionFromAzimuthDeg(ang), dL, dR, &warm);
-    if (!std::isnan(prevRes) && !std::isnan(res) &&
-        (prevRes < 0) != (res < 0)) {
-      // Refine within [prevAngle, ang] by repeated subdivision.
-      double a = prevAngle, b = ang;
-      double fa = prevRes;
-      for (int level = 0; level < 4; ++level) {
-        const int kSub = 8;
-        double bestA = a, bestB = b, bestFa = fa;
-        double x0 = a, f0 = fa;
-        bool found = false;
-        for (int s = 1; s <= kSub; ++s) {
-          const double x1 = a + (b - a) * s / kSub;
-          const double f1 = rightPathResidual(
-              geo::directionFromAzimuthDeg(s == kSub ? b : x1), dL, dR, &warm);
-          if (!std::isnan(f0) && !std::isnan(f1) && (f0 < 0) != (f1 < 0)) {
-            bestA = x0;
-            bestB = x1;
-            bestFa = f0;
-            found = true;
-            break;
-          }
-          x0 = x1;
-          f0 = f1;
-        }
-        if (!found) break;
-        a = bestA;
-        b = bestB;
-        fa = bestFa;
-      }
-      const double angleRoot = 0.5 * (a + b);
-      const auto r =
-          radiusForLeftPath(geo::directionFromAzimuthDeg(angleRoot), dL, warm);
-      if (r) fixes.push_back({angleRoot, *r});
+  double prevRes = rightPathResidual(grid.direction(0), dL, dR, &warm);
+  for (int k = 1; k < grid.count; ++k) {
+    const double res = rightPathResidual(grid.direction(k), dL, dR, &warm);
+    if (signChange(prevRes, res)) {
+      if (const auto fix = refineBracket(grid.angle(k - 1), grid.angle(k),
+                                         prevRes, dL, dR, warm))
+        fixes.push_back(*fix);
     }
-    prevAngle = ang;
     prevRes = res;
   }
   return fixes;
@@ -138,24 +161,66 @@ std::vector<PolarFix> Localizer::locateAll(double delayLeftSec,
 std::optional<PolarFix> Localizer::locate(double delayLeftSec,
                                           double delayRightSec,
                                           double imuAngleDeg) const {
-  const auto fixes = locateAll(delayLeftSec, delayRightSec);
-  if (!fixes.empty()) {
-    const PolarFix* best = nullptr;
-    double bestErr = std::numeric_limits<double>::infinity();
-    for (const auto& fix : fixes) {
-      const double err = std::fabs(fix.angleDeg - imuAngleDeg);
-      if (err < bestErr) {
-        bestErr = err;
-        best = &fix;
-      }
+  UNIQ_REQUIRE(delayLeftSec > 0 && delayRightSec > 0, "delays must be > 0");
+  const double dL = delayLeftSec * kSpeedOfSound;
+  const double dR = delayRightSec * kSpeedOfSound;
+  const ScanGrid grid(opts_);
+
+  // The fix nearest the IMU angle among locateAll's, found by walking the
+  // scan grid outward from the bracket holding the IMU angle: a root lies
+  // strictly inside its bracket, so once both unvisited edges are farther
+  // from the IMU angle than the best root, nothing left can beat it. Ties
+  // go to the lower angle, as in a full ascending scan. Each walk carries
+  // its own warm radius; a bracket is refined from its upper edge's radius,
+  // as in locateAll.
+  const int last = grid.count - 1;
+  const double pos = (imuAngleDeg - grid.lo) / grid.step;
+  int down = pos >= last - 1 ? last - 1 : pos > 0 ? static_cast<int>(pos) : 0;
+  int up = down + 1;
+  std::optional<double> warmDown;
+  double resDown = rightPathResidual(grid.direction(down), dL, dR, &warmDown);
+  std::optional<double> warmUp = warmDown;
+  double resUp = rightPathResidual(grid.direction(up), dL, dR, &warmUp);
+
+  std::optional<PolarFix> best;
+  double bestErr = std::numeric_limits<double>::infinity();
+  const auto consider = [&](int k, double fLo, double fHi,
+                            std::optional<double>& warm) {
+    if (!signChange(fLo, fHi)) return;
+    const auto fix =
+        refineBracket(grid.angle(k), grid.angle(k + 1), fLo, dL, dR, warm);
+    if (!fix) return;
+    const double err = std::fabs(fix->angleDeg - imuAngleDeg);
+    if (!best || err < bestErr ||
+        (err == bestErr && fix->angleDeg < best->angleDeg)) {
+      bestErr = err;
+      best = fix;
     }
-    return *best;
+  };
+  consider(down, resDown, resUp, warmUp);
+  while (down > 0 || up < last) {
+    const double downGap = imuAngleDeg - grid.angle(down);
+    const double upGap = grid.angle(up) - imuAngleDeg;
+    const bool goDown = up == last || (down > 0 && downGap <= upGap);
+    // Negated so a NaN IMU angle ends the walk.
+    if (!((goDown ? downGap : upGap) <= bestErr)) break;
+    if (goDown) {
+      std::optional<double> warmHi = warmDown;
+      const double res =
+          rightPathResidual(grid.direction(--down), dL, dR, &warmDown);
+      consider(down, res, resDown, warmHi);
+      resDown = res;
+    } else {
+      const double res =
+          rightPathResidual(grid.direction(++up), dL, dR, &warmUp);
+      consider(up - 1, resUp, res, warmUp);
+      resUp = res;
+    }
   }
+  if (best) return best;
 
   // No exact intersection (slight model mismatch): fall back to the angle
   // of closest approach between the two iso-delay curves.
-  const double dL = delayLeftSec * kSpeedOfSound;
-  const double dR = delayRightSec * kSpeedOfSound;
   const double lo = -opts_.angleMarginDeg;
   const double hi = 180.0 + opts_.angleMarginDeg;
   double bestAngle = 0.0;

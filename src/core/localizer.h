@@ -17,7 +17,7 @@ struct PolarFix {
 struct LocalizerOptions {
   double minRadiusM = 0.13;
   double maxRadiusM = 1.2;
-  /// Scan step for the exhaustive angle sweep (degrees).
+  /// Step of the coarse angle scan grid (degrees).
   double scanStepDeg = 3.0;
   /// Allow angles slightly outside [0, 180] (gesture overshoot).
   double angleMarginDeg = 25.0;
@@ -45,8 +45,10 @@ class Localizer {
   std::vector<PolarFix> locateAll(double delayLeftSec,
                                   double delayRightSec) const;
 
-  /// The intersection closest to the IMU angle estimate, or nullopt when no
-  /// intersection exists (inconsistent delays for this head candidate).
+  /// The intersection closest to the IMU angle estimate (the one locateAll
+  /// would rank first, found by scanning outward from the IMU angle), the
+  /// closest-approach point when no intersection exists but the curves
+  /// nearly meet, or nullopt (inconsistent delays for this head candidate).
   std::optional<PolarFix> locate(double delayLeftSec, double delayRightSec,
                                  double imuAngleDeg) const;
 
@@ -69,6 +71,14 @@ class Localizer {
   double rightPathResidual(geo::Vec2 dir, double targetLenLeft,
                            double targetLenRight,
                            std::optional<double>* warmRadius = nullptr) const;
+  /// Refines a sign change of the right-ear residual across the scan
+  /// bracket [a, b] (residual `fa` at a) by four levels of 8-way
+  /// subdivision, and returns the fix at the final sub-bracket's midpoint,
+  /// or nullopt when the radius solve there fails. `warmRadius` is threaded
+  /// through every solve as in rightPathResidual.
+  std::optional<PolarFix> refineBracket(
+      double a, double b, double fa, double targetLenLeft,
+      double targetLenRight, std::optional<double>& warmRadius) const;
 
   const geo::HeadBoundary& head_;
   Options opts_;

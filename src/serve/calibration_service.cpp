@@ -300,10 +300,12 @@ std::uint64_t CalibrationService::submit(std::string userId,
 
 void CalibrationService::pumpLocked(Shard& shard) {
   // One drainer task can feed one worker; spawn up to the pool width per
-  // shard. A drainer finding its queue already empty exits immediately, so
-  // a spare one is cheap, but a missing one would strand queued work.
+  // shard. Only drainers not busy running a job can take queued work, so
+  // spawn until the idle ones cover the queue. A drainer finding its queue
+  // already empty exits immediately, so a spare one is cheap, but a missing
+  // one would strand queued work behind a running job.
   while (shard.drainersInFlight < pool_.threadCount() &&
-         shard.drainersInFlight < shard.queued.size()) {
+         shard.drainersInFlight - shard.running < shard.queued.size()) {
     ++shard.drainersInFlight;
     pool_.submit([this, &shard] { drainQueue(shard); });
   }

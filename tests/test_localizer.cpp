@@ -2,12 +2,19 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <optional>
+#include <vector>
 
 #include "common/constants.h"
 #include "common/error.h"
+#include "common/random.h"
 #include "geometry/diffraction.h"
 #include "geometry/polar.h"
+#include "head/head_parameters.h"
+#include "head/subject.h"
 
 namespace uniq::core {
 namespace {
@@ -106,6 +113,86 @@ TEST_F(LocalizerTest, GrossMismatchReturnsNothing) {
 TEST_F(LocalizerTest, RejectsNonPositiveDelays) {
   EXPECT_THROW(localizer_.locateAll(-1e-3, 1e-3), InvalidArgument);
   EXPECT_THROW(localizer_.locateAll(1e-3, 0.0), InvalidArgument);
+  EXPECT_THROW(localizer_.locate(-1e-3, 1e-3, 60.0), InvalidArgument);
+  EXPECT_THROW(localizer_.locate(1e-3, 0.0, 60.0), InvalidArgument);
+}
+
+bool sameBits(double a, double b) { return std::memcmp(&a, &b, sizeof a) == 0; }
+
+/// The full-scan reference for locate: every locateAll fix, ranked by
+/// distance to the IMU angle, the lower angle first on a tie.
+std::optional<PolarFix> nearestOfAll(const std::vector<PolarFix>& fixes,
+                                     double imuAngleDeg) {
+  std::optional<PolarFix> best;
+  for (const auto& fix : fixes)
+    if (!best || std::fabs(fix.angleDeg - imuAngleDeg) <
+                     std::fabs(best->angleDeg - imuAngleDeg))
+      best = fix;
+  return best;
+}
+
+TEST(LocalizerSearch, MatchesNearestFullScanFixBitForBit) {
+  // Seeded heads at both boundary resolutions plus one perturbed (real-
+  // head-like) outline. Delays come from the localizer's own head or, for
+  // model mismatch, from a perturbed twin, with and without timing noise;
+  // IMU angles stray up to 60 degrees and past both ends of the scan.
+  Pcg32 rng(1405);
+  std::vector<geo::HeadBoundary> heads;
+  for (int i = 0; i < 6; ++i) {
+    const auto p = head::HeadParameters::sample(rng);
+    heads.emplace_back(p.a, p.b, p.c, i % 2 == 0 ? 128 : 256);
+  }
+  const auto perturbedParams = head::HeadParameters::sample(rng);
+  heads.emplace_back(perturbedParams.a, perturbedParams.b, perturbedParams.c,
+                     head::sampleShapeHarmonics(rng), 256);
+
+  int nearest = 0, closestApproach = 0, none = 0;
+  for (const auto& head : heads) {
+    const geo::HeadBoundary twin(head.a(), head.b(), head.c(),
+                                 head::sampleShapeHarmonics(rng), head.size());
+    const Localizer localizer(head);
+    for (int i = 0; i < 120; ++i) {
+      const double angleDeg = rng.uniform(-10.0, 190.0);
+      const geo::Vec2 pos =
+          geo::pointFromPolarDeg(angleDeg, rng.uniform(0.14, 1.0));
+      const geo::HeadBoundary& source = i % 2 == 0 ? head : twin;
+      double tL =
+          geo::nearFieldPath(source, pos, geo::Ear::kLeft).length /
+          kSpeedOfSound;
+      double tR =
+          geo::nearFieldPath(source, pos, geo::Ear::kRight).length /
+          kSpeedOfSound;
+      const double noiseSec = i % 3 == 0 ? 0.0 : i % 3 == 1 ? 2e-5 : 4e-4;
+      tL = std::max(1e-5, tL + rng.uniform(-noiseSec, noiseSec));
+      tR = std::max(1e-5, tR + rng.uniform(-noiseSec, noiseSec));
+      double imuDeg = angleDeg + rng.uniform(-60.0, 60.0);
+      if (i % 10 == 3) imuDeg = rng.uniform(-80.0, -25.5);
+      if (i % 10 == 7) imuDeg = rng.uniform(205.5, 260.0);
+
+      const auto fix = localizer.locate(tL, tR, imuDeg);
+      const auto fixes = localizer.locateAll(tL, tR);
+      if (!fixes.empty()) {
+        ++nearest;
+        const auto want = nearestOfAll(fixes, imuDeg);
+        ASSERT_TRUE(fix.has_value());
+        EXPECT_TRUE(sameBits(fix->angleDeg, want->angleDeg) &&
+                    sameBits(fix->radiusM, want->radiusM))
+            << "imu " << imuDeg << ": got (" << fix->angleDeg << ", "
+            << fix->radiusM << "), full scan (" << want->angleDeg << ", "
+            << want->radiusM << ")";
+      } else if (fix) {
+        ++closestApproach;
+        EXPECT_GE(fix->angleDeg, -25.0);
+        EXPECT_LE(fix->angleDeg, 205.0);
+      } else {
+        ++none;
+      }
+    }
+  }
+  // Every branch of locate was exercised.
+  EXPECT_GT(nearest, 0);
+  EXPECT_GT(closestApproach, 0);
+  EXPECT_GT(none, 0);
 }
 
 TEST_F(LocalizerTest, RejectsBadOptions) {
@@ -115,6 +202,9 @@ TEST_F(LocalizerTest, RejectsBadOptions) {
   LocalizerOptions opts2;
   opts2.maxRadiusM = opts2.minRadiusM;
   EXPECT_THROW(Localizer(head_, opts2), InvalidArgument);
+  LocalizerOptions opts3;
+  opts3.scanStepDeg = 0.0;
+  EXPECT_THROW(Localizer(head_, opts3), InvalidArgument);
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -344,6 +345,42 @@ TEST(CalibrationService, ShardedRunMatchesSerialBitwise) {
   }
   for (std::size_t i = 0; i < kCaptures; ++i)
     EXPECT_TRUE(service.cache().contains("user" + std::to_string(i)));
+}
+
+TEST(CalibrationService, QueuedJobStartsOnIdleWorkerWhileAnotherRuns) {
+  // One shard, two workers: a job queued behind a running one must start
+  // on the idle worker, not wait for the busy one to finish its job.
+  serve::CalibrationServiceOptions opts;
+  opts.workers = 2;
+  serve::CalibrationService service(opts);
+  const auto longCapture = std::make_shared<const sim::CalibrationCapture>(
+      makeCapture(14, 36));
+  const auto queuedCapture = std::make_shared<const sim::CalibrationCapture>(
+      makeCapture(15));
+
+  const auto first = service.submit("long", longCapture);
+  ASSERT_NE(first, serve::kInvalidJobId);
+  std::atomic<bool> firstDone{false};
+  std::thread waiter([&] {
+    service.wait(first);
+    firstDone = true;
+  });
+  // Picked up = running (both happen under the shard lock).
+  while (service.queuedCount() != 0) std::this_thread::yield();
+  const auto second = service.submit("queued", queuedCapture);
+  ASSERT_NE(second, serve::kInvalidJobId);
+  bool overlapped = false;
+  while (!overlapped && !firstDone) {
+    overlapped = service.runningCount() == 2;
+    std::this_thread::sleep_for(std::chrono::microseconds(100));
+  }
+  waiter.join();
+  EXPECT_TRUE(overlapped) << "queued job waited for the running one";
+  EXPECT_EQ(service.wait(second).state, serve::JobState::kDone);
+  const auto results = service.drain();
+  ASSERT_EQ(results.size(), 2u);
+  EXPECT_EQ(results[0].id, first);
+  EXPECT_EQ(results[1].id, second);
 }
 
 TEST(CalibrationService, RejectsNonPowerOfTwoShardCount) {
