@@ -579,21 +579,6 @@ void BM_TableLoadQuantizedMmap(benchmark::State& state) {
 }
 BENCHMARK(BM_TableLoadQuantizedMmap)->Unit(benchmark::kMillisecond);
 
-// Same decode through a buffered stream: the delta against the mmap path is
-// the read-buffer copy the zero-copy view avoids.
-void BM_TableLoadQuantizedBuffered(benchmark::State& state) {
-  const auto path = benchTablePath(".uniqq");
-  core::saveHrtfTableQuantized(path, benchTable());
-  for (auto _ : state) {
-    auto table = core::loadHrtfTableBuffered(path);
-    benchmark::DoNotOptimize(table);
-  }
-  state.SetBytesProcessed(
-      static_cast<int64_t>(state.iterations()) *
-      static_cast<int64_t>(std::filesystem::file_size(path)));
-}
-BENCHMARK(BM_TableLoadQuantizedBuffered)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
 // Hand-rolled main (instead of BENCHMARK_MAIN) so a run can be asked for

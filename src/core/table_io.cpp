@@ -1,24 +1,20 @@
 #include "core/table_io.h"
 
+#include <fcntl.h>
+#include <sys/mman.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <fstream>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "common/error.h"
 #include "obs/metrics.h"
-
-#if defined(__unix__) || defined(__APPLE__)
-#define UNIQ_TABLE_IO_HAS_MMAP 1
-#include <fcntl.h>
-#include <sys/mman.h>
-#include <sys/stat.h>
-#include <unistd.h>
-#endif
 
 namespace uniq::core {
 
@@ -43,6 +39,19 @@ void writePod(std::ostream& os, const T& v) {
   writeBytes(os, &v, sizeof(T));
 }
 
+/// Magic, version, head parameters, median radius and sample rate — the
+/// header both containers share.
+void writeHeader(std::ostream& os, const char (&magic)[8],
+                 std::uint32_t version, const NearFieldTable& nearTable) {
+  writeBytes(os, magic, sizeof(magic));
+  writePod(os, version);
+  writePod(os, nearTable.headParams.a);
+  writePod(os, nearTable.headParams.b);
+  writePod(os, nearTable.headParams.c);
+  writePod(os, nearTable.medianRadiusM);
+  writePod(os, nearTable.sampleRate);
+}
+
 void writeVector(std::ostream& os, const std::vector<double>& v) {
   writePod<std::uint64_t>(os, v.size());
   writeBytes(os, v.data(), v.size() * sizeof(double));
@@ -55,89 +64,6 @@ void writeHrirs(std::ostream& os, const std::vector<head::Hrir>& hrirs) {
     writeVector(os, hrir.left);
     writeVector(os, hrir.right);
   }
-}
-
-/// Byte-offset-tracking reader: every validation failure says WHERE the
-/// file went bad, so a truncated download is distinguishable from a
-/// flipped bit in the middle ("at byte 524371" vs "at byte 16").
-class Reader {
- public:
-  explicit Reader(std::istream& is) : is_(is) {}
-
-  std::size_t offset() const { return offset_; }
-
-  [[noreturn]] void fail(const std::string& what, std::size_t at) const {
-    throw InvalidArgument("corrupt HRTF table: " + what + " at byte offset " +
-                          std::to_string(at));
-  }
-
-  void bytes(void* data, std::size_t n, const char* what) {
-    is_.read(static_cast<char*>(data), static_cast<std::streamsize>(n));
-    if (!is_.good()) fail(std::string("unexpected end of file in ") + what,
-                          offset_);
-    offset_ += n;
-  }
-
-  template <typename T>
-  T pod(const char* what) {
-    T v{};
-    bytes(&v, sizeof(T), what);
-    return v;
-  }
-
-  /// Length-prefixed vector of doubles; rejects absurd lengths and any
-  /// non-finite payload (NaN/inf samples render as silence at best and
-  /// full-scale noise at worst — never let them into a playback path).
-  std::vector<double> vec(std::size_t maxLen, const char* what) {
-    const std::size_t at = offset_;
-    const auto n = pod<std::uint64_t>(what);
-    if (n > maxLen)
-      fail(std::string(what) + " length " + std::to_string(n) +
-               " exceeds sane bounds",
-           at);
-    std::vector<double> v(static_cast<std::size_t>(n));
-    if (n > 0) bytes(v.data(), v.size() * sizeof(double), what);
-    for (double x : v)
-      if (!std::isfinite(x))
-        fail(std::string("non-finite sample in ") + what, at);
-    return v;
-  }
-
- private:
-  std::istream& is_;
-  std::size_t offset_ = 0;
-};
-
-std::vector<head::Hrir> readHrirs(Reader& r, const char* what,
-                                  double expectedSampleRate) {
-  const std::size_t at = r.offset();
-  const auto count = r.pod<std::uint64_t>(what);
-  if (count != 181)
-    r.fail(std::string(what) + " must contain 181 per-degree entries, found " +
-               std::to_string(count),
-           at);
-  std::vector<head::Hrir> hrirs(count);
-  for (auto& hrir : hrirs) {
-    const std::size_t entryAt = r.offset();
-    hrir.sampleRate = r.pod<double>(what);
-    if (hrir.sampleRate != expectedSampleRate)
-      r.fail(std::string("per-entry sample rate disagrees with header in ") +
-                 what,
-             entryAt);
-    hrir.left = r.vec(1 << 20, what);
-    hrir.right = r.vec(1 << 20, what);
-  }
-  return hrirs;
-}
-
-std::vector<double> readTaps(Reader& r, const char* what) {
-  const std::size_t at = r.offset();
-  auto taps = r.vec(1024, what);
-  if (taps.size() != 181)
-    r.fail(std::string(what) + " must have 181 entries, found " +
-               std::to_string(taps.size()),
-           at);
-  return taps;
 }
 
 // --- Quantized writer ----------------------------------------------------
@@ -196,13 +122,14 @@ void writeQuantizedHrirs(std::ostream& os,
   }
 }
 
-// --- Quantized reader (over a whole-file memory view) --------------------
+// --- Reader (over a whole-file memory view) ------------------------------
 
-/// Reader twin for in-memory (mmap-ed or buffered) file views; identical
-/// byte-offset error contract so both load paths produce the same messages.
-class MemReader {
+/// Bounds-checked, byte-offset-tracking reader: every validation failure
+/// says WHERE the file went bad, so a truncated download is distinguishable
+/// from a flipped bit in the middle ("at byte 524371" vs "at byte 16").
+class Reader {
  public:
-  MemReader(const unsigned char* data, std::size_t size)
+  Reader(const unsigned char* data, std::size_t size)
       : data_(data), size_(size) {}
 
   std::size_t offset() const { return offset_; }
@@ -213,9 +140,8 @@ class MemReader {
                           std::to_string(at));
   }
 
-  /// Borrow `n` bytes in place (no copy — this is what makes the mmap path
-  /// zero-copy: int16 payloads are dequantized straight out of the page
-  /// cache).
+  /// Borrow `n` bytes in place (no copy: payloads are decoded straight out
+  /// of the mapped page cache).
   const unsigned char* view(std::size_t n, const char* what) {
     if (n > remaining())
       fail(std::string("unexpected end of file in ") + what, offset_);
@@ -231,13 +157,69 @@ class MemReader {
     return v;
   }
 
+  /// Length-prefixed vector of doubles; rejects absurd lengths and any
+  /// non-finite payload (NaN/inf samples render as silence at best and
+  /// full-scale noise at worst — never let them into a playback path).
+  std::vector<double> vec(std::size_t maxLen, const char* what) {
+    const std::size_t at = offset_;
+    const auto n = pod<std::uint64_t>(what);
+    if (n > maxLen)
+      fail(std::string(what) + " length " + std::to_string(n) +
+               " exceeds sane bounds",
+           at);
+    std::vector<double> v(static_cast<std::size_t>(n));
+    if (n > 0)
+      std::memcpy(v.data(), view(v.size() * sizeof(double), what),
+                  v.size() * sizeof(double));
+    for (double x : v)
+      if (!std::isfinite(x))
+        fail(std::string("non-finite sample in ") + what, at);
+    return v;
+  }
+
  private:
   const unsigned char* data_;
   std::size_t size_;
   std::size_t offset_ = 0;
 };
 
-std::vector<head::Hrir> readQuantizedHrirs(MemReader& r, const char* what,
+// --- Float64 body --------------------------------------------------------
+
+std::vector<head::Hrir> readHrirs(Reader& r, const char* what,
+                                  double expectedSampleRate) {
+  const std::size_t at = r.offset();
+  const auto count = r.pod<std::uint64_t>(what);
+  if (count != 181)
+    r.fail(std::string(what) + " must contain 181 per-degree entries, found " +
+               std::to_string(count),
+           at);
+  std::vector<head::Hrir> hrirs(count);
+  for (auto& hrir : hrirs) {
+    const std::size_t entryAt = r.offset();
+    hrir.sampleRate = r.pod<double>(what);
+    if (hrir.sampleRate != expectedSampleRate)
+      r.fail(std::string("per-entry sample rate disagrees with header in ") +
+                 what,
+             entryAt);
+    hrir.left = r.vec(1 << 20, what);
+    hrir.right = r.vec(1 << 20, what);
+  }
+  return hrirs;
+}
+
+std::vector<double> readTaps(Reader& r, const char* what) {
+  const std::size_t at = r.offset();
+  auto taps = r.vec(1024, what);
+  if (taps.size() != 181)
+    r.fail(std::string(what) + " must have 181 entries, found " +
+               std::to_string(taps.size()),
+           at);
+  return taps;
+}
+
+// --- Quantized body ------------------------------------------------------
+
+std::vector<head::Hrir> readQuantizedHrirs(Reader& r, const char* what,
                                            double sampleRate) {
   const std::size_t at = r.offset();
   const auto count = r.pod<std::uint32_t>(what);
@@ -277,7 +259,7 @@ std::vector<head::Hrir> readQuantizedHrirs(MemReader& r, const char* what,
   return hrirs;
 }
 
-std::vector<double> readQuantizedTaps(MemReader& r, const char* what) {
+std::vector<double> readQuantizedTaps(Reader& r, const char* what) {
   std::vector<double> taps(181);
   const auto* q = reinterpret_cast<const std::int16_t*>(
       r.view(taps.size() * sizeof(std::int16_t), what));
@@ -289,128 +271,54 @@ std::vector<double> readQuantizedTaps(MemReader& r, const char* what) {
   return taps;
 }
 
-HrtfTable loadQuantizedFromMemory(const unsigned char* data, std::size_t size,
-                                  const std::string& path) {
-  MemReader r(data, size);
-  char magic[8];
-  std::memcpy(magic, r.view(sizeof(magic), "magic"), sizeof(magic));
-  if (std::memcmp(magic, kMagicQuant, sizeof(kMagicQuant)) != 0)
-    throw InvalidArgument("not a UNIQ quantized HRTF table file: " + path);
-  const auto version = r.pod<std::uint32_t>("version");
-  if (version != kQuantVersion)
-    throw InvalidArgument("unsupported quantized table version " +
-                          std::to_string(version) + " in " + path);
+// --- Whole-file view and decode ------------------------------------------
 
-  NearFieldTable nearTable;
-  const std::size_t headAt = r.offset();
-  nearTable.headParams.a = r.pod<double>("head parameter a");
-  nearTable.headParams.b = r.pod<double>("head parameter b");
-  nearTable.headParams.c = r.pod<double>("head parameter c");
-  if (!std::isfinite(nearTable.headParams.a) ||
-      !std::isfinite(nearTable.headParams.b) ||
-      !std::isfinite(nearTable.headParams.c) ||
-      !nearTable.headParams.isPlausible())
-    r.fail("head parameters outside anthropometric bounds", headAt);
-
-  const std::size_t radiusAt = r.offset();
-  nearTable.medianRadiusM = r.pod<double>("median radius");
-  if (!std::isfinite(nearTable.medianRadiusM) ||
-      nearTable.medianRadiusM <= 0.0 || nearTable.medianRadiusM > 10.0)
-    r.fail("implausible median radius", radiusAt);
-
-  const std::size_t rateAt = r.offset();
-  nearTable.sampleRate = r.pod<double>("sample rate");
-  if (!std::isfinite(nearTable.sampleRate) ||
-      nearTable.sampleRate <= 8000.0 || nearTable.sampleRate > 1e6)
-    r.fail("implausible sample rate", rateAt);
-
-  nearTable.byDegree =
-      readQuantizedHrirs(r, "near-field HRIRs", nearTable.sampleRate);
-  nearTable.tapLeftSamples = readQuantizedTaps(r, "near-field left taps");
-  nearTable.tapRightSamples = readQuantizedTaps(r, "near-field right taps");
-
-  FarFieldTable farTable;
-  farTable.headParams = nearTable.headParams;
-  farTable.sampleRate = nearTable.sampleRate;
-  farTable.byDegree =
-      readQuantizedHrirs(r, "far-field HRIRs", nearTable.sampleRate);
-  farTable.tapLeftSamples = readQuantizedTaps(r, "far-field left taps");
-  farTable.tapRightSamples = readQuantizedTaps(r, "far-field right taps");
-
-  if (r.remaining() != 0)
-    r.fail(std::to_string(r.remaining()) + " trailing bytes after the table",
-           r.offset());
-  return HrtfTable(std::move(nearTable), std::move(farTable));
-}
-
-// --- Whole-file views ----------------------------------------------------
-
-/// Read-only view of a whole file: an mmap-ed region when the platform
-/// supports it (zero-copy — decode straight from the page cache), else a
-/// buffered read into an owned vector.
+/// Read-only mapped view of a whole file: the decoders parse its bytes in
+/// place from the page cache, with no intermediate read buffer. mmap cannot
+/// map zero bytes, so an empty file is an empty view, which then fails to
+/// decode like any other truncated table.
 class FileView {
  public:
-  FileView() = default;
+  explicit FileView(const std::string& path) {
+    const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+    UNIQ_REQUIRE(fd >= 0, "cannot open input file: " + path);
+    struct stat st{};
+    if (::fstat(fd, &st) != 0 || !S_ISREG(st.st_mode)) {
+      ::close(fd);
+      throw InvalidArgument("not a regular file: " + path);
+    }
+    size_ = static_cast<std::size_t>(st.st_size);
+    if (size_ > 0) {
+      void* base = ::mmap(nullptr, size_, PROT_READ, MAP_PRIVATE, fd, 0);
+      ::close(fd);  // the mapping keeps the pages alive
+      UNIQ_REQUIRE(base != MAP_FAILED, "cannot map input file: " + path);
+      data_ = static_cast<const unsigned char*>(base);
+    } else {
+      ::close(fd);
+    }
+  }
   FileView(const FileView&) = delete;
   FileView& operator=(const FileView&) = delete;
   ~FileView() {
-#ifdef UNIQ_TABLE_IO_HAS_MMAP
-    if (mapped_ && mapBase_ != nullptr) ::munmap(mapBase_, mapSize_);
-#endif
+    if (data_ != nullptr)
+      ::munmap(const_cast<unsigned char*>(data_), size_);
   }
 
   const unsigned char* data() const { return data_; }
   std::size_t size() const { return size_; }
-  bool mapped() const { return mapped_; }
-
-  /// mmap when available and the file is mappable, buffered read otherwise.
-  static std::unique_ptr<FileView> open(const std::string& path,
-                                        bool preferMmap) {
-#ifdef UNIQ_TABLE_IO_HAS_MMAP
-    if (preferMmap) {
-      const int fd = ::open(path.c_str(), O_RDONLY);
-      if (fd >= 0) {
-        struct stat st{};
-        if (::fstat(fd, &st) == 0 && st.st_size > 0) {
-          void* base = ::mmap(nullptr, static_cast<std::size_t>(st.st_size),
-                              PROT_READ, MAP_PRIVATE, fd, 0);
-          ::close(fd);  // the mapping keeps the pages alive
-          if (base != MAP_FAILED) {
-            auto view = std::make_unique<FileView>();
-            view->mapBase_ = base;
-            view->mapSize_ = static_cast<std::size_t>(st.st_size);
-            view->data_ = static_cast<const unsigned char*>(base);
-            view->size_ = view->mapSize_;
-            view->mapped_ = true;
-            return view;
-          }
-        } else {
-          ::close(fd);
-        }
-      }
-      // Fall through to the buffered read; it produces the real error.
-    }
-#else
-    (void)preferMmap;
-#endif
-    std::ifstream is(path, std::ios::binary);
-    UNIQ_REQUIRE(is.good(), "cannot open input file: " + path);
-    auto view = std::make_unique<FileView>();
-    view->buffer_.assign(std::istreambuf_iterator<char>(is),
-                         std::istreambuf_iterator<char>());
-    view->data_ = reinterpret_cast<const unsigned char*>(view->buffer_.data());
-    view->size_ = view->buffer_.size();
-    return view;
-  }
 
  private:
-  std::vector<char> buffer_;
-  void* mapBase_ = nullptr;
-  std::size_t mapSize_ = 0;
   const unsigned char* data_ = nullptr;
   std::size_t size_ = 0;
-  bool mapped_ = false;
 };
+
+std::optional<TableFormat> formatOfMagic(const unsigned char* magic) {
+  if (std::memcmp(magic, kMagic, sizeof(kMagic)) == 0)
+    return TableFormat::kFloat64;
+  if (std::memcmp(magic, kMagicQuant, sizeof(kMagicQuant)) == 0)
+    return TableFormat::kQuantized;
+  return std::nullopt;
+}
 
 obs::Counter& loadCounter(TableFormat format) {
   static obs::Counter& f64 =
@@ -420,26 +328,16 @@ obs::Counter& loadCounter(TableFormat format) {
   return format == TableFormat::kQuantized ? quant : f64;
 }
 
-HrtfTable loadImpl(const std::string& path, bool preferMmap) {
-  std::ifstream is(path, std::ios::binary);
-  UNIQ_REQUIRE(is.good(), "cannot open input file: " + path);
-  Reader r(is);
-
-  char magic[8];
-  r.bytes(magic, sizeof(magic), "magic");
-  if (std::memcmp(magic, kMagicQuant, sizeof(kMagicQuant)) == 0) {
-    is.close();
-    const auto view = FileView::open(path, preferMmap);
-    if (view->mapped())
-      obs::registry().counter("table_io.load.quantized_mmap").inc();
-    loadCounter(TableFormat::kQuantized).inc();
-    return loadQuantizedFromMemory(view->data(), view->size(), path);
-  }
-  if (std::memcmp(magic, kMagic, sizeof(kMagic)) != 0)
-    throw InvalidArgument("not a UNIQ HRTF table file: " + path);
+/// Decode a whole container: the shared header once, then the body through
+/// the decoders the magic selects, then the end-of-table check.
+HrtfTable decodeTable(Reader& r, const std::string& path) {
+  const auto format = formatOfMagic(r.view(sizeof(kMagic), "magic"));
+  if (!format) throw InvalidArgument("not a UNIQ HRTF table file: " + path);
+  const bool quantized = *format == TableFormat::kQuantized;
   const auto version = r.pod<std::uint32_t>("version");
-  if (version != kVersion)
-    throw InvalidArgument("unsupported table version " +
+  if (version != (quantized ? kQuantVersion : kVersion))
+    throw InvalidArgument(std::string("unsupported ") +
+                          tableFormatName(*format) + " table version " +
                           std::to_string(version) + " in " + path);
 
   NearFieldTable nearTable;
@@ -465,18 +363,23 @@ HrtfTable loadImpl(const std::string& path, bool preferMmap) {
       nearTable.sampleRate <= 8000.0 || nearTable.sampleRate > 1e6)
     r.fail("implausible sample rate", rateAt);
 
-  nearTable.byDegree = readHrirs(r, "near-field HRIRs", nearTable.sampleRate);
-  nearTable.tapLeftSamples = readTaps(r, "near-field left taps");
-  nearTable.tapRightSamples = readTaps(r, "near-field right taps");
+  const auto hrirsOf = quantized ? readQuantizedHrirs : readHrirs;
+  const auto tapsOf = quantized ? readQuantizedTaps : readTaps;
+  nearTable.byDegree = hrirsOf(r, "near-field HRIRs", nearTable.sampleRate);
+  nearTable.tapLeftSamples = tapsOf(r, "near-field left taps");
+  nearTable.tapRightSamples = tapsOf(r, "near-field right taps");
 
   FarFieldTable farTable;
   farTable.headParams = nearTable.headParams;
   farTable.sampleRate = nearTable.sampleRate;
-  farTable.byDegree = readHrirs(r, "far-field HRIRs", nearTable.sampleRate);
-  farTable.tapLeftSamples = readTaps(r, "far-field left taps");
-  farTable.tapRightSamples = readTaps(r, "far-field right taps");
+  farTable.byDegree = hrirsOf(r, "far-field HRIRs", nearTable.sampleRate);
+  farTable.tapLeftSamples = tapsOf(r, "far-field left taps");
+  farTable.tapRightSamples = tapsOf(r, "far-field right taps");
 
-  loadCounter(TableFormat::kFloat64).inc();
+  if (r.remaining() != 0)
+    r.fail(std::to_string(r.remaining()) + " trailing bytes after the table",
+           r.offset());
+  loadCounter(*format).inc();
   return HrtfTable(std::move(nearTable), std::move(farTable));
 }
 
@@ -495,17 +398,9 @@ const char* tableFormatName(TableFormat format) {
 void saveHrtfTable(const std::string& path, const HrtfTable& table) {
   std::ofstream os(path, std::ios::binary);
   UNIQ_REQUIRE(os.good(), "cannot open output file: " + path);
-  writeBytes(os, kMagic, sizeof(kMagic));
-  writePod(os, kVersion);
-
   const auto& nearTable = table.nearTable();
   const auto& farTable = table.farTable();
-  writePod(os, nearTable.headParams.a);
-  writePod(os, nearTable.headParams.b);
-  writePod(os, nearTable.headParams.c);
-  writePod(os, nearTable.medianRadiusM);
-  writePod(os, nearTable.sampleRate);
-
+  writeHeader(os, kMagic, kVersion, nearTable);
   writeHrirs(os, nearTable.byDegree);
   writeVector(os, nearTable.tapLeftSamples);
   writeVector(os, nearTable.tapRightSamples);
@@ -518,17 +413,9 @@ void saveHrtfTable(const std::string& path, const HrtfTable& table) {
 void saveHrtfTableQuantized(const std::string& path, const HrtfTable& table) {
   std::ofstream os(path, std::ios::binary);
   UNIQ_REQUIRE(os.good(), "cannot open output file: " + path);
-  writeBytes(os, kMagicQuant, sizeof(kMagicQuant));
-  writePod(os, kQuantVersion);
-
   const auto& nearTable = table.nearTable();
   const auto& farTable = table.farTable();
-  writePod(os, nearTable.headParams.a);
-  writePod(os, nearTable.headParams.b);
-  writePod(os, nearTable.headParams.c);
-  writePod(os, nearTable.medianRadiusM);
-  writePod(os, nearTable.sampleRate);
-
+  writeHeader(os, kMagicQuant, kQuantVersion, nearTable);
   writeQuantizedHrirs(os, nearTable.byDegree, nearTable.sampleRate,
                       "near-field HRIRs");
   writeQuantizedTaps(os, nearTable.tapLeftSamples, "near-field left taps");
@@ -541,11 +428,9 @@ void saveHrtfTableQuantized(const std::string& path, const HrtfTable& table) {
 }
 
 HrtfTable loadHrtfTable(const std::string& path) {
-  return loadImpl(path, /*preferMmap=*/true);
-}
-
-HrtfTable loadHrtfTableBuffered(const std::string& path) {
-  return loadImpl(path, /*preferMmap=*/false);
+  const FileView view(path);
+  Reader r(view.data(), view.size());
+  return decodeTable(r, path);
 }
 
 std::optional<HrtfTable> tryLoadHrtfTable(const std::string& path,
@@ -560,22 +445,17 @@ std::optional<HrtfTable> tryLoadHrtfTable(const std::string& path,
 
 std::optional<TableFormat> probeTableFormat(const std::string& path,
                                             std::string* error) {
-  std::ifstream is(path, std::ios::binary);
-  if (!is.good()) {
-    if (error) *error = "cannot open input file: " + path;
-    return std::nullopt;
+  try {
+    const FileView view(path);
+    if (view.size() < sizeof(kMagic)) {
+      if (error) *error = "file shorter than the 8-byte magic: " + path;
+      return std::nullopt;
+    }
+    if (const auto format = formatOfMagic(view.data())) return format;
+    if (error) *error = "not a UNIQ HRTF table file: " + path;
+  } catch (const Error& e) {
+    if (error) *error = e.what();
   }
-  char magic[8] = {};
-  is.read(magic, sizeof(magic));
-  if (!is.good()) {
-    if (error) *error = "file shorter than the 8-byte magic: " + path;
-    return std::nullopt;
-  }
-  if (std::memcmp(magic, kMagic, sizeof(kMagic)) == 0)
-    return TableFormat::kFloat64;
-  if (std::memcmp(magic, kMagicQuant, sizeof(kMagicQuant)) == 0)
-    return TableFormat::kQuantized;
-  if (error) *error = "not a UNIQ HRTF table file: " + path;
   return std::nullopt;
 }
 

@@ -10,17 +10,19 @@ namespace uniq::core {
 /// Serialization of the exported HRTF lookup table (paper Section 4.4:
 /// "the near and far-field HRTFs estimated by UNIQ can now be exported to
 /// earphone applications as a lookup table"). Two little-endian binary
-/// containers share the load path and are told apart by their magic:
+/// containers share one header (magic, version, head parameters, median
+/// radius, sample rate) and one read path, and are told apart by their
+/// magic:
 ///
-///   UNIQHRTF (kFloat64)   — header, head parameters, then per-degree
-///                           near/far HRIR pairs and tap anchors as raw
-///                           IEEE doubles. Version history: 1 — initial.
+///   UNIQHRTF (kFloat64)   — header, then per-degree near/far HRIR pairs
+///                           and tap anchors as raw IEEE doubles. Version
+///                           history: 1 — initial.
 ///   UNIQHRTQ (kQuantized) — same logical content, compact: HRIR samples
 ///                           are int16 against one float32 scale per
 ///                           degree (max-abs over both ears), taps are
 ///                           Q8.8 fixed-point int16. ~4x smaller, sized
 ///                           for population-scale storage (the serving
-///                           layer's disk tier prefers it; see
+///                           layer's disk tier writes only this format; see
 ///                           docs/CAPACITY.md for the error budget and
 ///                           sizing model). Version history: 1 — initial.
 enum class TableFormat {
@@ -51,21 +53,16 @@ void saveHrtfTable(const std::string& path, const HrtfTable& table);
 void saveHrtfTableQuantized(const std::string& path, const HrtfTable& table);
 
 /// Read a table previously written by saveHrtfTable or
-/// saveHrtfTableQuantized (the magic selects the decoder). Validates the
-/// magic, version, row counts, sample-rate consistency, anthropometric
-/// plausibility of the head parameters, and that every sample is finite
-/// (no NaN/inf ever reaches a playback path); throws InvalidArgument
-/// naming the byte offset of anything malformed. Quantized files are
-/// decoded from an mmap-ed view when the platform supports it — the file
-/// bytes are parsed in place from the page cache, with no intermediate
-/// read buffer — and fall back to a buffered read otherwise.
+/// saveHrtfTableQuantized. This is the only read path for both containers:
+/// the file is opened once as a read-only mmap-ed view and parsed in place
+/// from the page cache, with no intermediate read buffer; the magic selects
+/// the body decoder. Validates the magic, version, row counts, sample-rate
+/// consistency, anthropometric plausibility of the head parameters, that
+/// every sample is finite (no NaN/inf ever reaches a playback path), and
+/// that no bytes follow the table; throws InvalidArgument naming the byte
+/// offset of anything malformed. Empty files fail as truncated at byte
+/// offset 0; directories and other non-regular files are rejected.
 HrtfTable loadHrtfTable(const std::string& path);
-
-/// loadHrtfTable without the mmap fast path: the file is read through a
-/// plain buffered stream. Same validation, same messages, and bitwise the
-/// same table — tests pin mmap/buffered equality with it, and it is the
-/// fallback loadHrtfTable itself uses when mapping fails.
-HrtfTable loadHrtfTableBuffered(const std::string& path);
 
 /// Non-throwing variant of loadHrtfTable for speculative reads (the serving
 /// layer's table cache probes disk on every cold miss, and a missing or

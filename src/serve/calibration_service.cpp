@@ -171,8 +171,7 @@ CalibrationService::CalibrationService(Options opts)
           std::max<std::size_t>(opts_.cacheCapacity, 1), opts_.persistDir,
           opts_.cacheShards == 0
               ? (isPowerOfTwo(opts_.shards) ? opts_.shards : 1)
-              : opts_.cacheShards,
-          true}),
+              : opts_.cacheShards}),
       pipeline_(opts_.pipeline),
       pool_(resolveWorkers(opts_.workers)) {
   UNIQ_REQUIRE(isPowerOfTwo(opts_.shards),

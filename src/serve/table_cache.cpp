@@ -82,7 +82,7 @@ TableCache::TableCache(Options opts) : opts_(std::move(opts)) {
 }
 
 TableCache::TableCache(std::size_t capacity, std::string persistDir)
-    : TableCache(Options{capacity, std::move(persistDir), 1, true}) {}
+    : TableCache(Options{capacity, std::move(persistDir), 1}) {}
 
 std::size_t TableCache::shardFor(const std::string& userId) const {
   // Power-of-two shard count makes the modulo a mask; std::hash spreads
@@ -90,10 +90,8 @@ std::size_t TableCache::shardFor(const std::string& userId) const {
   return std::hash<std::string>{}(userId) & (shards_.size() - 1);
 }
 
-std::string TableCache::tablePath(const std::string& userId,
-                                  bool quantized) const {
-  return opts_.persistDir + "/" + sanitizeForFilename(userId) +
-         (quantized ? ".uniqq" : ".uniq");
+std::string TableCache::tablePath(const std::string& userId) const {
+  return opts_.persistDir + "/" + sanitizeForFilename(userId) + ".uniqq";
 }
 
 std::shared_ptr<const core::HrtfTable> TableCache::get(
@@ -116,14 +114,11 @@ std::shared_ptr<const core::HrtfTable> TableCache::get(
   if (opts_.persistDir.empty()) return nullptr;
 
   // Cold miss with persistence configured: probe disk outside the lock (a
-  // load takes milliseconds; concurrent hits must not wait on it). The
-  // quantized path is preferred — it is what put() writes — with the
-  // legacy float64 path as a fallback for pre-quantization directories.
-  // Two threads may race to load the same file — both succeed, the second
+  // load takes milliseconds; concurrent hits must not wait on it). Two
+  // threads may race to load the same file — both succeed, the second
   // insert wins, and the table contents are identical.
   UNIQ_SPAN("serve.cache.disk_load");
-  auto loaded = core::tryLoadHrtfTable(tablePath(userId, true));
-  if (!loaded) loaded = core::tryLoadHrtfTable(tablePath(userId, false));
+  auto loaded = core::tryLoadHrtfTable(tablePath(userId));
   if (!loaded) return nullptr;
   auto table =
       std::make_shared<const core::HrtfTable>(std::move(*loaded));
@@ -158,10 +153,7 @@ void TableCache::put(const std::string& userId,
   }
   if (!opts_.persistDir.empty()) {
     UNIQ_SPAN("serve.cache.persist");
-    if (opts_.quantizedDisk)
-      core::saveHrtfTableQuantized(tablePath(userId, true), *table);
-    else
-      core::saveHrtfTable(tablePath(userId, false), *table);
+    core::saveHrtfTableQuantized(tablePath(userId), *table);
   }
 }
 

@@ -39,12 +39,6 @@ struct TableCacheOptions {
   /// serializing on one global mutex. 1 reproduces the pre-sharding cache
   /// exactly (single lock, single LRU — bitwise the same behavior).
   std::size_t shards = 1;
-  /// Disk-tier format: when true (default) put() persists the compact
-  /// quantized container (~4x smaller, see core::saveHrtfTableQuantized and
-  /// docs/CAPACITY.md); false keeps the bit-exact float64 container. Reads
-  /// probe the quantized path first, then the legacy one, so either format
-  /// on disk is always loadable.
-  bool quantizedDisk = true;
 };
 
 /// Thread-safe sharded LRU cache of personalized HrtfTables keyed by user
@@ -52,9 +46,10 @@ struct TableCacheOptions {
 /// time". Three tiers back a lookup:
 ///
 ///   1. memory — the per-shard LRU maps (hit),
-///   2. disk   — `<persistDir>/<user>.uniqq` (quantized) or `<user>.uniq`
-///               written by put() and probed on a cold miss (disk hit; the
-///               table is promoted into memory),
+///   2. disk   — `<persistDir>/<user>.uniqq`, the compact quantized
+///               container (~4x smaller, see core::saveHrtfTableQuantized
+///               and docs/CAPACITY.md) written by put() and probed on a
+///               cold miss (disk hit; the table is promoted into memory),
 ///   3. model  — the population-average template (fallback; shared across
 ///               users and never counted as that user's table).
 ///
@@ -81,7 +76,7 @@ class TableCache {
 
   explicit TableCache(Options opts);
   /// Pre-sharding constructor shape: capacity + optional persist dir, one
-  /// shard, quantized disk tier.
+  /// shard.
   explicit TableCache(std::size_t capacity, std::string persistDir = "");
 
   /// The user's table from memory or disk, or nullptr when neither has it.
@@ -140,7 +135,7 @@ class TableCache {
   /// end while the shared budget is exceeded.
   void insertLocked(Shard& shard, const std::string& userId,
                     std::shared_ptr<const core::HrtfTable> table);
-  std::string tablePath(const std::string& userId, bool quantized) const;
+  std::string tablePath(const std::string& userId) const;
 
   const Options opts_;
   std::vector<std::unique_ptr<Shard>> shards_;

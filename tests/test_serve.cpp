@@ -138,8 +138,8 @@ TEST(TableCache, DiskTierSurvivesEviction) {
   // A fresh cache over the same directory is warm from disk too.
   serve::TableCache second(4, dir);
   EXPECT_NE(second.get("bob"), nullptr);
-  std::remove((dir + "/alice.uniq").c_str());
-  std::remove((dir + "/bob.uniq").c_str());
+  std::remove((dir + "/alice.uniqq").c_str());
+  std::remove((dir + "/bob.uniqq").c_str());
 }
 
 TEST(TableCache, ShardedCacheSharesOneCapacityBudget) {
@@ -164,7 +164,7 @@ TEST(TableCache, RejectsNonPowerOfTwoShardCount) {
   EXPECT_THROW(serve::TableCache cache(opts), InvalidArgument);
 }
 
-TEST(TableCache, DiskTierWritesQuantizedAndStillReadsLegacy) {
+TEST(TableCache, DiskTierWritesAndReadsQuantized) {
   const std::string dir = ::testing::TempDir();
   serve::TableCacheOptions opts;
   opts.capacity = 1;
@@ -194,15 +194,9 @@ TEST(TableCache, DiskTierWritesQuantizedAndStillReadsLegacy) {
   for (std::size_t i = 0; i < a.left.size(); ++i)
     EXPECT_NEAR(a.left[i], b.left[i], core::kQuantSampleError * peak);
 
-  // A pre-quantization directory (bare .uniq) still serves disk hits.
-  core::saveHrtfTable(dir + "/legacy.uniq", *table);
-  tier = serve::CacheTier::kMiss;
-  EXPECT_NE(cache.get("legacy", &tier), nullptr);
-  EXPECT_EQ(tier, serve::CacheTier::kDisk);
-
   // Lookup attribution covers the remaining tiers too.
   tier = serve::CacheTier::kMiss;
-  cache.get("legacy", &tier);
+  cache.get("quser", &tier);
   EXPECT_EQ(tier, serve::CacheTier::kMemory);
   tier = serve::CacheTier::kMemory;
   EXPECT_EQ(cache.get("nobody", &tier), nullptr);
@@ -213,7 +207,6 @@ TEST(TableCache, DiskTierWritesQuantizedAndStillReadsLegacy) {
 
   std::remove((dir + "/quser.uniqq").c_str());
   std::remove((dir + "/other.uniqq").c_str());
-  std::remove((dir + "/legacy.uniq").c_str());
 }
 
 // --- CalibrationService -------------------------------------------------

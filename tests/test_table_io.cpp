@@ -6,6 +6,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <limits>
 
@@ -13,6 +14,7 @@
 #include "core/near_field_hrtf.h"
 #include "eval/metrics.h"
 #include "head/hrtf_database.h"
+#include "serve/table_cache.h"
 
 namespace uniq::core {
 namespace {
@@ -177,6 +179,63 @@ TEST(TableIo, RejectsNaNSample) {
   std::remove(path.c_str());
 }
 
+TEST(TableIo, RejectsTrailingGarbage) {
+  const auto table = makeTable();
+  const auto path = tempPath("trailing.uniq");
+  saveHrtfTable(path, table);
+  const auto size = std::filesystem::file_size(path);
+  {
+    std::ofstream os(path, std::ios::binary | std::ios::app);
+    os << 'x';
+  }
+  try {
+    loadHrtfTable(path);
+    FAIL() << "float64 table with a trailing byte must not load";
+  } catch (const InvalidArgument& e) {
+    EXPECT_NE(std::string(e.what()).find("trailing bytes after the table at "
+                                         "byte offset " +
+                                         std::to_string(size)),
+              std::string::npos)
+        << e.what();
+  }
+  std::remove(path.c_str());
+}
+
+TEST(TableIo, RejectsEmptyFileAndDirectory) {
+  // mmap cannot map an empty file and refuses a directory; both must still
+  // fail as malformed input, through every entry point that reads tables.
+  const auto empty = tempPath("empty.uniqq");
+  { std::ofstream os(empty, std::ios::binary | std::ios::trunc); }
+  const auto dir = tempPath("table_dir");
+  std::filesystem::create_directories(dir);
+  for (const auto& path : {empty, dir}) {
+    EXPECT_THROW(loadHrtfTable(path), InvalidArgument) << path;
+    std::string error;
+    EXPECT_FALSE(tryLoadHrtfTable(path, &error).has_value()) << path;
+    EXPECT_FALSE(error.empty()) << path;
+  }
+  try {
+    loadHrtfTable(empty);
+    FAIL() << "empty table file must not load";
+  } catch (const InvalidArgument& e) {
+    EXPECT_NE(std::string(e.what()).find("magic at byte offset 0"),
+              std::string::npos)
+        << e.what();
+  }
+
+  // A directory squatting on a user's disk-tier path is a plain miss.
+  const auto persistDir = tempPath("table_cache_dir");
+  std::filesystem::create_directories(persistDir + "/squatter.uniqq");
+  serve::TableCache cache(1, persistDir);
+  serve::CacheTier tier = serve::CacheTier::kDisk;
+  EXPECT_EQ(cache.get("squatter", &tier), nullptr);
+  EXPECT_EQ(tier, serve::CacheTier::kMiss);
+
+  std::remove(empty.c_str());
+  std::filesystem::remove_all(dir);
+  std::filesystem::remove_all(persistDir);
+}
+
 // ---------------------------------------------------------------------------
 // Quantized container (UNIQHRTQ)
 // ---------------------------------------------------------------------------
@@ -245,34 +304,6 @@ TEST(TableIoQuantized, AtLeastFourTimesSmallerThanFloat64) {
       << " bytes, quantized " << sizeQ << " bytes)";
   std::remove(pathF.c_str());
   std::remove(pathQ.c_str());
-}
-
-TEST(TableIoQuantized, MmapPathBitwiseEqualsBufferedLoader) {
-  const auto table = makeTable();
-  const auto path = tempPath("mmap_eq.uniqq");
-  saveHrtfTableQuantized(path, table);
-  const auto viaMmap = loadHrtfTable(path);
-  const auto viaBuffer = loadHrtfTableBuffered(path);
-  ASSERT_EQ(viaMmap.farTable().byDegree.size(),
-            viaBuffer.farTable().byDegree.size());
-  for (int deg = 0; deg <= 180; ++deg) {
-    const auto& a = viaMmap.farAt(deg);
-    const auto& b = viaBuffer.farAt(deg);
-    ASSERT_EQ(a.left.size(), b.left.size());
-    // Exact equality, not near: both paths decode the same bytes through
-    // the same arithmetic, so any difference is a decoder divergence.
-    for (std::size_t i = 0; i < a.left.size(); ++i) {
-      EXPECT_EQ(a.left[i], b.left[i]);
-      EXPECT_EQ(a.right[i], b.right[i]);
-    }
-    const auto& na = viaMmap.nearAt(deg);
-    const auto& nb = viaBuffer.nearAt(deg);
-    for (std::size_t i = 0; i < na.left.size(); ++i)
-      EXPECT_EQ(na.left[i], nb.left[i]);
-    EXPECT_EQ(viaMmap.farTable().tapLeftSamples[deg],
-              viaBuffer.farTable().tapLeftSamples[deg]);
-  }
-  std::remove(path.c_str());
 }
 
 TEST(TableIoQuantized, ProbeAndTryLoadAutoDetectBothFormats) {
