@@ -10,8 +10,11 @@ Two report shapes are understood, auto-detected from the files:
 google-benchmark reports (a top-level "benchmarks" array)
     Benchmarks are matched by name; only names present in BOTH reports are
     compared (new benchmarks can land without a baseline, removed ones do
-    not block). A benchmark regresses when its gated time grows by more
-    than `threshold` (default 25%) relative to the baseline. The gated time
+    not block). Every name found in only one report is listed, baseline-
+    only and current-only separately, so a renamed benchmark shows up as a
+    gate that went away rather than vanishing silently. A benchmark
+    regresses when its gated time grows by more than `threshold` (default
+    25%) relative to the baseline. The gated time
     is cpu_time, which is stable enough on shared CI runners to catch real
     algorithmic regressions, except for rows whose name ends in
     "/real_time": google-benchmark adds that suffix under UseRealTime(),
@@ -112,14 +115,15 @@ def check_benchmarks(baseline, current, threshold):
               file=sys.stderr)
         sys.exit(2)
 
-    only_baseline = sorted(set(baseline) - set(current))
-    only_current = sorted(set(current) - set(baseline))
-    if only_baseline:
-        print(f"note: {len(only_baseline)} benchmark(s) only in baseline "
-              f"(skipped): {', '.join(only_baseline[:5])}...")
-    if only_current:
-        print(f"note: {len(only_current)} new benchmark(s) without a "
-              f"baseline (skipped): {', '.join(only_current[:5])}...")
+    for names, what in (
+            (sorted(set(baseline) - set(current)),
+             "only in baseline (gate dropped)"),
+            (sorted(set(current) - set(baseline)),
+             "only in current (no baseline, not gated)")):
+        if names:
+            print(f"note: {len(names)} benchmark(s) {what}:")
+            for name in names:
+                print(f"  {name}")
 
     regressions = []
     print(f"comparing {len(common)} benchmark(s), threshold "

@@ -10,9 +10,11 @@
 // 1. Tracing = per-span cost x the pipeline's real span density.
 //    - Per-span cost: a tight loop of spans, traced minus untraced, timed
 //      in the thread's own CPU time, minimum over interleaved trials.
-//    - Span density: one serial (numThreads = 1) 36-stop calibration of a
-//      study subject records N spans when traced and takes C seconds of
-//      process CPU untraced (minimum of two runs). Density = N / C.
+//    - Span density: one serial 36-stop calibration of a study subject
+//      records N spans when traced and takes C seconds of process CPU
+//      untraced (minimum of two runs). Density = N / C. The calibration
+//      runs nested inside a one-index parallelFor, as on a serve worker, so
+//      every stage runs inline on this thread.
 //    Their product is the fraction of the pipeline's CPU time that
 //    recording its spans costs: the overhead the budget is about, measured
 //    on the real instrumentation instead of a synthetic stand-in.
@@ -44,6 +46,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/thread_pool.h"
 #include "core/pipeline.h"
 #include "head/subject.h"
 #include "obs/metrics.h"
@@ -128,19 +131,21 @@ int main() {
   const auto subject = uniq::head::makePopulation(1, 2021).front();
   const auto capture =
       uniq::sim::MeasurementSession().run(subject, uniq::sim::defaultGesture());
-  uniq::core::CalibrationPipelineOptions popts;
-  popts.numThreads = 1;
-  const uniq::core::CalibrationPipeline pipeline(popts);
+  const uniq::core::CalibrationPipeline pipeline;
+  const auto runSerial = [&] {
+    uniq::common::parallelFor(0, 1,
+                              [&](std::size_t) { pipeline.run(capture); });
+  };
   uniq::obs::setTraceEnabled(false);
   double calibCpuS = 1e300;
   for (int run = 0; run < 2; ++run) {
     const double t0 = processCpu();
-    const auto result = pipeline.run(capture);
+    runSerial();
     calibCpuS = std::min(calibCpuS, processCpu() - t0);
   }
   uniq::obs::setTraceEnabled(true);
   uniq::obs::clearTrace();
-  pipeline.run(capture);
+  runSerial();
   const std::size_t calibSpans = uniq::obs::collectSpans().size();
   uniq::obs::clearTrace();
 

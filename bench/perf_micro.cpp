@@ -211,17 +211,17 @@ void BM_FusionObjective(benchmark::State& state) {
         kSpeedOfSound;
     measurements.push_back(m);
   }
-  core::SensorFusionOptions opts;
-  opts.numThreads = static_cast<std::size_t>(state.range(0));
-  const core::SensorFusion fusion(opts);
-  for (auto _ : state) {
-    const double cost = fusion.objective(truth, measurements);
-    benchmark::DoNotOptimize(cost);
-  }
+  const core::SensorFusion fusion;
+  // Timed nested, as on a serve worker: the objective's localization loop
+  // runs inline, so this is the serial per-evaluation CPU a job pays.
+  common::parallelFor(0, 1, [&](std::size_t) {
+    for (auto _ : state) {
+      const double cost = fusion.objective(truth, measurements);
+      benchmark::DoNotOptimize(cost);
+    }
+  });
 }
-// Arg = thread cap (1 = serial baseline, 0 = full global pool). Outputs are
-// bitwise identical; only the wall clock moves.
-BENCHMARK(BM_FusionObjective)->Arg(1)->Arg(0);
+BENCHMARK(BM_FusionObjective);
 
 void BM_GroundTruthHrir(benchmark::State& state) {
   head::Subject s;
@@ -318,8 +318,9 @@ serveCaptures() {
 }
 
 // The near-field stage alone: one capture's fused stops and extracted
-// channels in, the 181-degree near-field table out. Serial, so cpu_time is
-// the stage's whole cost.
+// channels in, the 181-degree near-field table out. Timed nested, as on a
+// serve worker, so the per-degree loop runs inline and cpu_time is the
+// stage's whole cost.
 void BM_NearFieldBuild(benchmark::State& state) {
   const auto& capture = *serveCaptures().front();
   const core::CalibrationPipeline pipeline;
@@ -328,13 +329,13 @@ void BM_NearFieldBuild(benchmark::State& state) {
   std::vector<core::FusedStop> stops(capture.stops.size());
   for (std::size_t i = 0; i < stops.size(); ++i) stops[i].sourceIndex = i;
   for (const auto& s : fusion.stops) stops[s.sourceIndex] = s;
-  core::NearFieldBuilderOptions opts;
-  opts.numThreads = 1;
-  const core::NearFieldHrtfBuilder builder(opts);
-  for (auto _ : state) {
-    auto table = builder.build(stops, channels, fusion.headParams);
-    benchmark::DoNotOptimize(table);
-  }
+  const core::NearFieldHrtfBuilder builder;
+  common::parallelFor(0, 1, [&](std::size_t) {
+    for (auto _ : state) {
+      auto table = builder.build(stops, channels, fusion.headParams);
+      benchmark::DoNotOptimize(table);
+    }
+  });
 }
 BENCHMARK(BM_NearFieldBuild)->Unit(benchmark::kMillisecond);
 

@@ -4,7 +4,8 @@
 Runs the script on small synthetic reports and checks its exit code:
 rows named */real_time (google-benchmark's suffix under UseRealTime()) are
 gated on real_time, every other row on cpu_time; under repetitions the
-median aggregate row is gated, not any single repetition.
+median aggregate row is gated, not any single repetition; names found in
+only one report are listed, not gated.
 
     python3 bench/test_check_bench_regression.py
 """
@@ -94,6 +95,24 @@ class GateTest(unittest.TestCase):
         self.assertEqual(slow_median.returncode, 1,
                          slow_median.stdout + slow_median.stderr)
         self.assertIn(name, slow_median.stderr)
+
+    def test_names_in_one_report_are_listed_not_gated(self):
+        # A rename (BM_FusionObjective/0, /1 -> BM_FusionObjective) must show
+        # the dropped and the new names in full; only shared names gate.
+        shared = "BM_FftPow2/1024"
+        dropped = [f"BM_Old/{i}" for i in range(7)]
+        added = ["BM_New"]
+        result = self.run_gate(
+            [row(shared, 1.0, 1.0)] + [row(n, 1.0, 1.0) for n in dropped],
+            [row(shared, 1.0, 1.1)] + [row(n, 9.0, 9.0) for n in added])
+        self.assertEqual(result.returncode, 0, result.stdout + result.stderr)
+        out = result.stdout
+        base_at = out.index("7 benchmark(s) only in baseline")
+        cur_at = out.index("1 benchmark(s) only in current")
+        for name in dropped:
+            self.assertIn(f"  {name}\n", out[base_at:cur_at])
+        self.assertIn("  BM_New\n", out[cur_at:])
+        self.assertIn("comparing 1 benchmark(s)", out)
 
 
 if __name__ == "__main__":

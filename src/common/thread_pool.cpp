@@ -14,8 +14,7 @@ namespace uniq::common {
 
 namespace {
 
-// Pool counters live in the process-wide metrics registry (poolStats()
-// reads them back for the legacy struct API).
+// Pool counters live in the process-wide metrics registry.
 obs::Counter& tasksCounter() {
   static obs::Counter& c = obs::registry().counter("pool.tasks");
   return c;
@@ -25,9 +24,24 @@ obs::Gauge& maxQueueDepthGauge() {
   return g;
 }
 
-// True on threads owned by a pool; parallelFor uses it to degrade to the
-// inline path instead of fanning out recursively.
-thread_local bool tlInsidePool = false;
+// True while this thread runs inside a parallelFor, and always on pool
+// workers (every task runs under some outer fan-out or submit). A
+// parallelFor that finds it set runs inline: only the outermost call fans
+// out.
+thread_local bool tlNested = false;
+
+// Marks the calling thread as nested for one parallelFor and restores the
+// previous value on exit, exceptions included.
+class NestedScope {
+ public:
+  NestedScope() : previous_(tlNested) { tlNested = true; }
+  ~NestedScope() { tlNested = previous_; }
+  NestedScope(const NestedScope&) = delete;
+  NestedScope& operator=(const NestedScope&) = delete;
+
+ private:
+  bool previous_;
+};
 
 void noteQueueDepth(std::size_t depth) {
   maxQueueDepthGauge().setMax(static_cast<double>(depth));
@@ -51,7 +65,7 @@ ThreadPool::~ThreadPool() {
 }
 
 void ThreadPool::workerLoop() {
-  tlInsidePool = true;
+  tlNested = true;
   for (;;) {
     std::function<void()> task;
     {
@@ -64,11 +78,6 @@ void ThreadPool::workerLoop() {
     task();
     tasksCounter().inc();
   }
-}
-
-std::size_t ThreadPool::queueDepth() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return queue_.size();
 }
 
 void ThreadPool::submit(std::function<void()> task) {
@@ -97,10 +106,11 @@ void ThreadPool::parallelFor(std::size_t begin, std::size_t end,
                              std::size_t maxThreads) {
   if (end <= begin) return;
   const std::size_t count = end - begin;
-  std::size_t helpers = workers_.size();
+  std::size_t helpers = tlNested ? 0 : workers_.size();
   if (maxThreads > 0) helpers = std::min(helpers, maxThreads - 1);
   helpers = std::min(helpers, count - 1);
-  if (helpers == 0 || tlInsidePool) {
+  const NestedScope nested;
+  if (helpers == 0) {
     for (std::size_t i = begin; i < end; ++i) fn(i);
     return;
   }
@@ -181,15 +191,6 @@ void parallelFor(std::size_t begin, std::size_t end,
                  const std::function<void(std::size_t)>& fn,
                  std::size_t maxThreads) {
   globalPool().parallelFor(begin, end, fn, maxThreads);
-}
-
-PoolStats poolStats() {
-  PoolStats s;
-  s.threads = globalPool().threadCount();
-  s.tasksExecuted = tasksCounter().value();
-  s.maxQueueDepth =
-      static_cast<std::uint64_t>(maxQueueDepthGauge().value());
-  return s;
 }
 
 }  // namespace uniq::common

@@ -1,7 +1,6 @@
 #pragma once
 
 #include <condition_variable>
-#include <cstdint>
 #include <deque>
 #include <functional>
 #include <mutex>
@@ -9,13 +8,6 @@
 #include <vector>
 
 namespace uniq::common {
-
-/// Snapshot of the process-wide pool counters (see poolStats()).
-struct PoolStats {
-  std::size_t threads = 0;          ///< worker threads in the global pool
-  std::uint64_t tasksExecuted = 0;  ///< tasks drained since process start
-  std::uint64_t maxQueueDepth = 0;  ///< high-water mark of the task queue
-};
 
 /// A small fixed-size thread pool with no external dependencies.
 ///
@@ -28,8 +20,12 @@ struct PoolStats {
 ///    to per-index state: the set of calls is identical for any thread
 ///    count, only the interleaving differs.
 ///
-/// parallelFor called from inside a pool worker runs inline (no nested
-/// fan-out), which keeps composed parallel stages deadlock-free.
+/// One fan-out rule: only the outermost parallelFor on a thread fans out.
+/// A parallelFor called while another one is running on the same thread
+/// (in the caller's own share of the outer loop, or in any task on a pool
+/// worker) runs inline. Composed parallel stages therefore never queue
+/// helpers behind busy workers and never deadlock; a stage fans out when it
+/// runs alone and runs serially under an outer fan-out.
 class ThreadPool {
  public:
   /// Spawns `threads` workers (0 is allowed; everything then runs inline on
@@ -42,11 +38,6 @@ class ThreadPool {
 
   std::size_t threadCount() const { return workers_.size(); }
 
-  /// Tasks currently waiting in the queue (not yet picked up by a worker).
-  /// Snapshot only — the depth can change the moment the lock is released;
-  /// use for observability, not for scheduling decisions.
-  std::size_t queueDepth() const;
-
   /// Enqueue a background task. The submitter's trace context
   /// (obs::currentTraceId) is captured and restored around the task on the
   /// worker, so spans the task records attribute to the submitting job.
@@ -56,7 +47,7 @@ class ThreadPool {
   /// `maxThreads` caps the number of executing threads for this call
   /// (0 = use every worker plus the caller; 1 = run serially inline). The
   /// first exception thrown by fn is rethrown on the calling thread after
-  /// the loop drains.
+  /// the loop drains. Nested calls run inline (see the class comment).
   void parallelFor(std::size_t begin, std::size_t end,
                    const std::function<void(std::size_t)>& fn,
                    std::size_t maxThreads = 0);
@@ -66,7 +57,7 @@ class ThreadPool {
 
   std::vector<std::thread> workers_;
   std::deque<std::function<void()>> queue_;
-  mutable std::mutex mutex_;
+  std::mutex mutex_;
   std::condition_variable cv_;
   bool stop_ = false;
 };
@@ -83,8 +74,5 @@ ThreadPool& globalPool();
 void parallelFor(std::size_t begin, std::size_t end,
                  const std::function<void(std::size_t)>& fn,
                  std::size_t maxThreads = 0);
-
-/// Current global-pool counters (observability; logged by the CLI).
-PoolStats poolStats();
 
 }  // namespace uniq::common

@@ -233,8 +233,7 @@ AoaEstimate AoaEstimator::estimateKnown(
         alignedL.resize(table_.byDegree[idx].left.size(), 0.0);
         alignedR.resize(table_.byDegree[idx].right.size(), 0.0);
         scores[c] = knownSourceObjective(theta, t0, alignedL, alignedR);
-      },
-      opts_.numThreads);
+      });
 
   return pickBest(thetas, scores, "aoa.known.margin");
 }
@@ -390,8 +389,7 @@ AoaEstimate AoaEstimator::estimateUnknown(
           score += den > 1e-30 ? num / den : 2.0;
         }
         scores[c] = score / static_cast<double>(framesL.size());
-      },
-      opts_.numThreads);
+      });
 
   return pickBest(candidates, scores, "aoa.unknown.margin");
 }

@@ -54,9 +54,6 @@ struct AoaEstimatorOptions {
   /// Aggregate the Eq. 11 residual over short frames instead of one
   /// whole-signal spectrum (helps tonal sources; ablation knob).
   bool frameAggregation = true;
-  /// Threads used for the per-candidate template matching (0 = use the
-  /// global pool, 1 = serial). Results are identical for any value.
-  std::size_t numThreads = 0;
   /// Cache the per-angle template half-spectra the unknown-source residual
   /// (Eq. 11) needs, keyed by FFT size, inside the estimator. Off by
   /// default: a one-shot estimate would pay two extra spectra per candidate

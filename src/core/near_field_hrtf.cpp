@@ -181,7 +181,7 @@ NearFieldTable NearFieldHrtfBuilder::build(
     table.tapRightSamples[deg] = opts_.modelCorrection ? tapR
                                                        : opts_.alignSample;
     table.byDegree[deg] = std::move(hrir);
-  }, opts_.numThreads);
+  });
   return table;
 }
 

@@ -41,10 +41,6 @@ struct NearFieldBuilderOptions {
   /// in between blends in the log-amplitude domain.
   double amplitudeBlend = 0.5;
   std::size_t boundaryResolution = 256;
-  /// Threads used for the per-degree interpolation/tap-correction loop
-  /// (0 = use the global pool, 1 = serial). Results are identical for any
-  /// value: each degree writes only its own table entry.
-  std::size_t numThreads = 0;
 };
 
 /// Builds the interpolated near-field HRTF from fused stops and their

@@ -117,8 +117,7 @@ std::vector<BinauralChannel> CalibrationPipeline::extractChannels(
         channels[i] = extractor.extract(capture.stops[i].recording.left,
                                         capture.stops[i].recording.right,
                                         capture.sourceSignal);
-      },
-      opts_.numThreads);
+      });
   return channels;
 }
 
@@ -275,16 +274,10 @@ PersonalHrtf CalibrationPipeline::runFromChannels(
 
     if (abortedHere("fusion")) return abortResult();
 
-    // The pipeline-level thread knob flows into stages that did not set
-    // their own.
     SensorFusionOptions fusionOpts = opts_.fusion;
-    if (fusionOpts.numThreads == 0) fusionOpts.numThreads = opts_.numThreads;
     fusionOpts.minMeasurements =
         std::max(std::size_t{4}, std::min(fusionOpts.minMeasurements,
                                           opts_.minUsableStops));
-    NearFieldBuilderOptions nearFieldOpts = opts_.nearField;
-    if (nearFieldOpts.numThreads == 0)
-      nearFieldOpts.numThreads = opts_.numThreads;
 
     obs::StageTimer fusionTimer(report, "fusion");
     const SensorFusion fusion(fusionOpts);
@@ -366,7 +359,7 @@ PersonalHrtf CalibrationPipeline::runFromChannels(
     if (abortedHere("nearfield")) return abortResult();
 
     obs::StageTimer nearTimer(report, "nearfield");
-    const NearFieldHrtfBuilder nearBuilder(nearFieldOpts);
+    const NearFieldHrtfBuilder nearBuilder(opts_.nearField);
     auto nearTable =
         nearBuilder.build(fullStops, channels, fusionResult.headParams);
     if (auto* stage = nearTimer.stage()) {

@@ -90,13 +90,6 @@ struct CalibrationPipelineOptions {
   NearFieldBuilderOptions nearField{};
   NearFarConverterOptions nearFar{};
   GestureValidatorOptions gesture{};
-  /// Threads used by the pipeline's parallel stages: the per-stop channel
-  /// extraction batch, the sensor-fusion localization loop, and the
-  /// per-angle near-field interpolation (0 = size from the global pool,
-  /// which honors UNIQ_NUM_THREADS; 1 = fully serial). Stage-specific
-  /// values in `fusion`/`nearField` win when set. Every stage is
-  /// deterministic, so this knob trades latency only.
-  std::size_t numThreads = 0;
   /// Fewest quality-gated stops the pipeline will attempt to personalize
   /// from; below this the run fails over to the population-average table.
   std::size_t minUsableStops = 6;

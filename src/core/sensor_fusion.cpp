@@ -101,8 +101,7 @@ double SensorFusion::objective(
             localizer.locate(m.delayLeftSec, m.delayRightSec, m.imuAngleDeg);
         costs[i] = fix ? square(m.imuAngleDeg - fix->angleDeg)
                        : opts_.unlocalizedPenalty;
-      },
-      opts_.numThreads);
+      });
   double cost = 0.0;
   for (const double c : costs) cost += c;
   cost /= static_cast<double>(measurements.size());

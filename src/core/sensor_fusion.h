@@ -74,11 +74,6 @@ struct SensorFusionOptions {
   /// default) reproduces the single-start behaviour exactly. Each restart
   /// is wrapped in a "dsf.restart" trace span.
   std::size_t restarts = 1;
-  /// Threads used for the per-measurement localization loop inside the
-  /// objective (0 = use the global pool, 1 = serial). The result is bitwise
-  /// identical for any value: per-measurement costs land in per-index slots
-  /// and are reduced in measurement order.
-  std::size_t numThreads = 0;
   LocalizerOptions localizer{};
 
   // --- solveRobust (degraded-capture) knobs ---

@@ -12,10 +12,7 @@ namespace uniq::serve {
 BatchAoaEngine::BatchAoaEngine(TableCache& cache,
                                core::AoaEstimatorOptions opts)
     : cache_(cache), opts_(opts) {
-  // The engine owns the parallelism (query-level fan-out); per-query
-  // parallelism would only fight it for the same pool. Template-spectrum
-  // caching is the whole point of batching.
-  opts_.numThreads = 1;
+  // Template-spectrum caching is the whole point of batching.
   opts_.cacheTemplateSpectra = true;
 }
 

@@ -36,8 +36,7 @@ struct AoaBatchItem {
 class BatchAoaEngine {
  public:
   /// `cache` must outlive the engine. `opts` applies to every query;
-  /// numThreads there is forced to 1 because the engine parallelizes across
-  /// queries, not within one, and cacheTemplateSpectra is forced on.
+  /// cacheTemplateSpectra is forced on.
   explicit BatchAoaEngine(TableCache& cache,
                           core::AoaEstimatorOptions opts = {});
 

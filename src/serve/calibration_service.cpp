@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdlib>
 #include <functional>
-#include <thread>
 #include <utility>
 
 #include "common/error.h"
@@ -66,17 +64,11 @@ const obs::HistogramOptions kLatencyBins{0.1, 2.0, 24};
 
 std::size_t resolveWorkers(std::size_t requested) {
   if (requested > 0) return requested;
-  // Default sizing mirrors common::globalPool(): UNIQ_NUM_THREADS when set,
-  // else hardware concurrency, clamped to [1, 16]. Unlike the global pool
-  // the service keeps the full count — its workers run whole jobs while the
-  // submitting thread waits, so there is no caller to subtract.
-  std::size_t n = 0;
-  if (const char* env = std::getenv("UNIQ_NUM_THREADS")) {
-    const long parsed = std::strtol(env, nullptr, 10);
-    if (parsed > 0) n = static_cast<std::size_t>(parsed);
-  }
-  if (n == 0) n = std::max<std::size_t>(std::thread::hardware_concurrency(), 1);
-  return std::clamp<std::size_t>(n, 1, 16);
+  // Default to the global pool's executing-thread count (UNIQ_NUM_THREADS
+  // or hardware concurrency). The global pool subtracts the parallelFor
+  // caller; the service's workers run whole jobs while the submitting thread
+  // waits, so it keeps the full count.
+  return common::globalPool().threadCount() + 1;
 }
 
 bool isPowerOfTwo(std::size_t n) { return n > 0 && (n & (n - 1)) == 0; }

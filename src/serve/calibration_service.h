@@ -78,10 +78,11 @@ struct JobResult {
 
 struct CalibrationServiceOptions {
   /// Concurrent calibration jobs (service-owned common::ThreadPool worker
-  /// threads). 0 sizes like the global pool: total hardware threads,
-  /// clamped to [1, 16]. Each job runs its pipeline stages inline on its
-  /// worker (the pool suppresses nested fan-out), so `workers` is the whole
-  /// parallelism story — jobs scale across users, not within one user.
+  /// threads). 0 sizes like the global pool: UNIQ_NUM_THREADS or the
+  /// hardware threads, clamped to [1, 16]. Each job runs its pipeline
+  /// stages inline on its worker (only the outermost parallelFor on a
+  /// thread fans out), so `workers` is the whole parallelism story — jobs
+  /// scale across users, not within one user.
   std::size_t workers = 0;
   /// Admission control: jobs allowed to wait in the queues (excluding the
   /// ones actively running). The budget is split evenly across shards

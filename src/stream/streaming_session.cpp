@@ -39,13 +39,9 @@ StreamingSession::StreamingSession(CaptureHeader header, Options opts)
                                           : obs::newTraceId()),
       extractor_(header_.hardwareResponseEstimate, header_.sampleRate,
                  opts_.pipeline.extractor),
-      fusion_([&] {
-        // Incremental solves reuse the batch fusion configuration so the
-        // live estimate tracks what the final solve will see.
-        core::SensorFusionOptions f = opts_.pipeline.fusion;
-        if (f.numThreads == 0) f.numThreads = opts_.pipeline.numThreads;
-        return f;
-      }()),
+      // Incremental solves reuse the batch fusion configuration so the
+      // live estimate tracks what the final solve will see.
+      fusion_(opts_.pipeline.fusion),
       pipeline_(opts_.pipeline),
       ingestQueue_(opts_.queueCapacity, "ingest"),
       fusedQueue_(opts_.queueCapacity, "fused"),

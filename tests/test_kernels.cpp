@@ -335,7 +335,6 @@ TEST_F(KernelTiers, SolveRobustEndToEndTiersMatch) {
   core::SensorFusionOptions opts;
   opts.maxIterations = 60;
   opts.restarts = 1;
-  opts.numThreads = 1;
   const auto solveUnder = [&](kn::Isa isa) {
     return under(isa, [&] {
       const core::SensorFusion fusion(opts);

@@ -6,8 +6,10 @@
 #include <chrono>
 #include <cmath>
 #include <condition_variable>
+#include <cstdint>
 #include <mutex>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "common/constants.h"
@@ -15,6 +17,7 @@
 #include "core/sensor_fusion.h"
 #include "geometry/diffraction.h"
 #include "geometry/polar.h"
+#include "obs/metrics.h"
 
 namespace uniq::common {
 namespace {
@@ -96,6 +99,38 @@ TEST(ThreadPool, NestedParallelForRunsInlineWithoutDeadlock) {
       EXPECT_EQ(rows[r][c], static_cast<double>(r * 100 + c));
 }
 
+TEST(ThreadPool, NestedCallInCallersShareDoesNotWaitForBusyWorkers) {
+  // The caller's own share of an outer loop is nested too. A parallelFor
+  // there must run inline, not queue helpers behind workers that are busy
+  // with sibling indices and wait for it.
+  ThreadPool pool(2);
+  const auto caller = std::this_thread::get_id();
+  const auto timeout = std::chrono::seconds(10);
+  std::mutex m;
+  std::condition_variable cv;
+  int workersBusy = 0;
+  bool nestedDone = false;
+  int workerTimeouts = 0;
+  pool.parallelFor(0, 3, [&](std::size_t) {
+    std::unique_lock<std::mutex> lock(m);
+    if (std::this_thread::get_id() != caller) {
+      ++workersBusy;
+      cv.notify_all();
+      if (!cv.wait_for(lock, timeout, [&] { return nestedDone; }))
+        ++workerTimeouts;
+      return;
+    }
+    // Hold this index until both workers hold theirs.
+    cv.wait_for(lock, timeout, [&] { return workersBusy == 2; });
+    lock.unlock();
+    pool.parallelFor(0, 4, [](std::size_t) {});
+    lock.lock();
+    nestedDone = true;
+    cv.notify_all();
+  });
+  EXPECT_EQ(workerTimeouts, 0);
+}
+
 TEST(ThreadPool, SubmitRunsTask) {
   ThreadPool pool(1);
   std::mutex m;
@@ -112,17 +147,18 @@ TEST(ThreadPool, SubmitRunsTask) {
 }
 
 TEST(ThreadPool, GlobalPoolStatsAdvance) {
-  const auto before = poolStats();
+  const obs::Counter& tasks = obs::registry().counter("pool.tasks");
+  const std::uint64_t before = tasks.value();
   parallelFor(0, 64, [](std::size_t) {});
-  const auto after = poolStats();
-  EXPECT_GE(after.tasksExecuted, before.tasksExecuted);
-  EXPECT_EQ(after.threads, globalPool().threadCount());
+  EXPECT_GE(tasks.value(), before);
+  EXPECT_EQ(obs::registry().gauge("pool.threads").value(),
+            static_cast<double>(globalPool().threadCount()));
 }
 
 TEST(ThreadPool, SensorFusionSolveBitwiseIdenticalSerialVsParallel) {
   // End-to-end determinism: the full Nelder-Mead solve must produce the
-  // exact same head parameters no matter how many threads evaluate the
-  // objective.
+  // exact same head parameters whether its objective runs serially or fans
+  // out across the global pool.
   const head::HeadParameters truth{0.071, 0.104, 0.089};
   const geo::HeadBoundary head(truth.a, truth.b, truth.c, 256);
   std::vector<core::FusionMeasurement> measurements;
@@ -140,14 +176,15 @@ TEST(ThreadPool, SensorFusionSolveBitwiseIdenticalSerialVsParallel) {
     measurements.push_back(m);
   }
 
-  core::SensorFusionOptions serialOpts;
-  serialOpts.numThreads = 1;
-  serialOpts.maxIterations = 60;
-  core::SensorFusionOptions parallelOpts = serialOpts;
-  parallelOpts.numThreads = 4;
+  core::SensorFusionOptions opts;
+  opts.maxIterations = 60;
+  const core::SensorFusion fusion(opts);
 
-  const auto serial = core::SensorFusion(serialOpts).solve(measurements);
-  const auto parallel = core::SensorFusion(parallelOpts).solve(measurements);
+  // Nested inside another parallelFor the objective runs inline (serial);
+  // on this thread it is the outermost call and fans out.
+  core::SensorFusionResult serial;
+  parallelFor(0, 1, [&](std::size_t) { serial = fusion.solve(measurements); });
+  const auto parallel = fusion.solve(measurements);
 
   EXPECT_EQ(serial.headParams.a, parallel.headParams.a);
   EXPECT_EQ(serial.headParams.b, parallel.headParams.b);
