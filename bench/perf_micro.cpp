@@ -9,7 +9,9 @@
 #include <string>
 
 #include "common/constants.h"
+#include "common/random.h"
 #include "common/thread_pool.h"
+#include "core/aoa.h"
 #include "core/localizer.h"
 #include "core/near_far.h"
 #include "core/near_field_hrtf.h"
@@ -420,7 +422,7 @@ void BM_StreamingSession(benchmark::State& state) {
 BENCHMARK(BM_StreamingSession)->Unit(benchmark::kMillisecond)->UseRealTime();
 
 // Batched known-source AoA against cached tables: the steady-state query
-// path (template-spectrum cache + FFT plan cache warm after iteration one).
+// path (FFT plan cache warm after iteration one).
 void BM_ServeBatchAoa(benchmark::State& state) {
   const auto queries = static_cast<std::size_t>(state.range(0));
   static serve::TableCache cache(4);
@@ -451,6 +453,46 @@ BENCHMARK(BM_ServeBatchAoa)
     ->Arg(16)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
+
+// One AoA query against one estimator on the population-average table,
+// timed nested inside a one-index parallelFor: the serial path a query
+// client takes, with the candidate sweeps inline. Recordings match the
+// query workload's: the phone's 50 ms probe chirp (known source) and
+// 100 ms of white noise (unknown source), rendered at 60 degrees.
+void BM_AoaEstimateKnown(benchmark::State& state) {
+  const auto table = serve::TableCache::populationAverageTable(48000.0);
+  const double fs = table->sampleRate();
+  const auto samples = static_cast<std::size_t>(0.05 * fs);
+  const auto chirp = dsp::linearChirp(100.0, 0.42 * fs, samples, fs);
+  const auto rec = table->renderFar(60.0, chirp);
+  const core::AoaEstimator estimator(table->farTable());
+  common::parallelFor(0, 1, [&](std::size_t) {
+    for (auto _ : state) {
+      auto est = estimator.estimateKnown(rec.left, rec.right, chirp);
+      benchmark::DoNotOptimize(est);
+    }
+  });
+}
+BENCHMARK(BM_AoaEstimateKnown)->Unit(benchmark::kMillisecond);
+
+// The estimator lives across iterations, so this is the warm-cache cost;
+// the first query of a batch also pays its templates' transforms.
+void BM_AoaEstimateUnknown(benchmark::State& state) {
+  const auto table = serve::TableCache::populationAverageTable(48000.0);
+  const double fs = table->sampleRate();
+  const auto samples = static_cast<std::size_t>(0.1 * fs);
+  Pcg32 rng(17);
+  const auto noise = dsp::whiteNoise(samples, rng, 0.25);
+  const auto rec = table->renderFar(60.0, noise);
+  const core::AoaEstimator estimator(table->farTable());
+  common::parallelFor(0, 1, [&](std::size_t) {
+    for (auto _ : state) {
+      auto est = estimator.estimateUnknown(rec.left, rec.right);
+      benchmark::DoNotOptimize(est);
+    }
+  });
+}
+BENCHMARK(BM_AoaEstimateUnknown)->Unit(benchmark::kMillisecond);
 
 // Hit-path latency of the LRU table cache under a realistic key mix.
 void BM_TableCacheGet(benchmark::State& state) {

@@ -10,6 +10,7 @@
 #include "common/thread_pool.h"
 #include "dsp/correlation.h"
 #include "dsp/deconvolution.h"
+#include "dsp/fft.h"
 #include "dsp/fft_plan.h"
 #include "dsp/fractional_delay.h"
 #include "dsp/peak_picking.h"
@@ -52,80 +53,77 @@ AoaEstimate pickBest(const std::vector<double>& angles,
   return best;
 }
 
+/// |z| over bins [bLo, bHi] of a half spectrum (empty when bHi < bLo).
+std::vector<double> bandMagnitudes(const std::vector<dsp::Complex>& spectrum,
+                                   std::size_t bLo, std::size_t bHi) {
+  std::vector<double> out;
+  if (bHi < bLo) return out;
+  out.reserve(bHi - bLo + 1);
+  for (std::size_t k = bLo; k <= bHi; ++k)
+    out.push_back(std::sqrt(std::norm(spectrum[k])));
+  return out;
+}
+
 }  // namespace
 
 AoaEstimator::AoaEstimator(const FarFieldTable& table, Options opts)
     : table_(table), opts_(opts) {
   UNIQ_REQUIRE(table_.byDegree.size() == 181, "table must cover 0..180");
   UNIQ_REQUIRE(opts_.lambdaPerSecond >= 0, "lambda must be >= 0");
+  UNIQ_REQUIRE(opts_.shapeMaxLagSamples >= 1.0,
+               "shapeMaxLagSamples must be >= 1");
+  normLeft_.reserve(table_.byDegree.size());
+  normRight_.reserve(table_.byDegree.size());
+  for (const auto& tmpl : table_.byDegree) {
+    normLeft_.push_back(dsp::l2Norm(tmpl.left));
+    normRight_.push_back(dsp::l2Norm(tmpl.right));
+  }
 }
 
-std::shared_ptr<const AoaEstimator::TemplateSpectra>
-AoaEstimator::cachedTemplateSpectra(std::size_t degreeIndex,
-                                    std::size_t n) const {
-  std::lock_guard<std::mutex> lock(specMutex_);
-  if (specN_ != n) {
-    specN_ = n;
-    spec_.assign(table_.byDegree.size(), nullptr);
-  }
-  auto& slot = spec_[degreeIndex];
-  if (!slot) {
-    static obs::Counter& fills =
-        obs::registry().counter("aoa.template_cache.fills");
-    fills.inc();
-    const auto plan = dsp::fftPlan(n);
-    auto spectra = std::make_shared<TemplateSpectra>();
-    const auto& tmpl = table_.byDegree[degreeIndex];
-    std::vector<double> padded(n, 0.0);
-    std::copy(tmpl.left.begin(), tmpl.left.end(), padded.begin());
-    spectra->left = plan->rfft(padded);
-    std::fill(padded.begin(), padded.end(), 0.0);
-    std::copy(tmpl.right.begin(), tmpl.right.end(), padded.begin());
-    spectra->right = plan->rfft(padded);
-    slot = std::move(spectra);
-  } else {
-    static obs::Counter& hits =
-        obs::registry().counter("aoa.template_cache.hits");
-    hits.inc();
-  }
-  return slot;
-}
-
-void AoaEstimator::prefillTemplateSpectra(
-    const std::vector<std::size_t>& degreeIndices, std::size_t n) const {
-  if (!opts_.cacheTemplateSpectra) return;
-  std::lock_guard<std::mutex> lock(specMutex_);
-  if (specN_ != n) {
-    specN_ = n;
-    spec_.assign(table_.byDegree.size(), nullptr);
+std::vector<std::shared_ptr<const AoaEstimator::TemplateMagnitudes>>
+AoaEstimator::templateMagnitudes(const std::vector<std::size_t>& degreeIndices,
+                                 std::size_t n, std::size_t bLo,
+                                 std::size_t bHi) const {
+  std::lock_guard<std::mutex> lock(magMutex_);
+  if (magN_ != n) {
+    magN_ = n;
+    mag_.assign(table_.byDegree.size(), nullptr);
   }
   std::vector<std::size_t> missing;
   for (std::size_t idx : degreeIndices)
-    if (!spec_[idx]) missing.push_back(idx);
-  if (missing.empty()) return;
+    if (!mag_[idx]) missing.push_back(idx);
   std::sort(missing.begin(), missing.end());
   missing.erase(std::unique(missing.begin(), missing.end()), missing.end());
-
-  // One batched pass over every missing left/right template pair.
-  std::vector<std::vector<double>> padded(
-      2 * missing.size(), std::vector<double>(n, 0.0));
-  for (std::size_t m = 0; m < missing.size(); ++m) {
-    const auto& tmpl = table_.byDegree[missing[m]];
-    std::copy(tmpl.left.begin(), tmpl.left.end(), padded[2 * m].begin());
-    std::copy(tmpl.right.begin(), tmpl.right.end(),
-              padded[2 * m + 1].begin());
-  }
-  const auto plan = dsp::fftPlan(n);
-  auto spectra = plan->rfftBatch(padded);
   static obs::Counter& fills =
       obs::registry().counter("aoa.template_cache.fills");
+  static obs::Counter& hits =
+      obs::registry().counter("aoa.template_cache.hits");
   fills.inc(missing.size());
-  for (std::size_t m = 0; m < missing.size(); ++m) {
-    auto entry = std::make_shared<TemplateSpectra>();
-    entry->left = std::move(spectra[2 * m]);
-    entry->right = std::move(spectra[2 * m + 1]);
-    spec_[missing[m]] = std::move(entry);
+  hits.inc(degreeIndices.size() - missing.size());
+
+  if (!missing.empty()) {
+    // One batched pass over every missing left/right template pair; only
+    // the band bins are kept.
+    std::vector<std::vector<double>> padded(
+        2 * missing.size(), std::vector<double>(n, 0.0));
+    for (std::size_t m = 0; m < missing.size(); ++m) {
+      const auto& tmpl = table_.byDegree[missing[m]];
+      std::copy(tmpl.left.begin(), tmpl.left.end(), padded[2 * m].begin());
+      std::copy(tmpl.right.begin(), tmpl.right.end(),
+                padded[2 * m + 1].begin());
+    }
+    const auto spectra = dsp::fftPlan(n)->rfftBatch(padded);
+    for (std::size_t m = 0; m < missing.size(); ++m) {
+      auto entry = std::make_shared<TemplateMagnitudes>();
+      entry->left = bandMagnitudes(spectra[2 * m], bLo, bHi);
+      entry->right = bandMagnitudes(spectra[2 * m + 1], bLo, bHi);
+      mag_[missing[m]] = std::move(entry);
+    }
   }
+  std::vector<std::shared_ptr<const TemplateMagnitudes>> out;
+  out.reserve(degreeIndices.size());
+  for (std::size_t idx : degreeIndices) out.push_back(mag_[idx]);
+  return out;
 }
 
 double AoaEstimator::templateDelaySec(double thetaDeg) const {
@@ -169,14 +167,14 @@ ExtractedChannel extractChannel(const std::vector<double>& recording,
 }  // namespace
 
 double AoaEstimator::knownSourceObjective(
-    double thetaDeg, double t0Sec, const std::vector<double>& hLeft,
+    std::size_t degreeIndex, double t0Sec, const std::vector<double>& hLeft,
     const std::vector<double>& hRight) const {
-  const auto& tmpl = table_.at(thetaDeg);
-  const double tTheta = templateDelaySec(thetaDeg);
-  const auto cL = dsp::normalizedCorrelationPeak(hLeft, tmpl.left,
-                                                 opts_.shapeMaxLagSamples);
-  const auto cR = dsp::normalizedCorrelationPeak(hRight, tmpl.right,
-                                                 opts_.shapeMaxLagSamples);
+  const auto& tmpl = table_.byDegree[degreeIndex];
+  const double tTheta = templateDelaySec(static_cast<double>(degreeIndex));
+  const auto cL = dsp::boundedNormalizedCorrelationPeak(
+      hLeft, tmpl.left, normLeft_[degreeIndex], opts_.shapeMaxLagSamples);
+  const auto cR = dsp::boundedNormalizedCorrelationPeak(
+      hRight, tmpl.right, normRight_[degreeIndex], opts_.shapeMaxLagSamples);
   return opts_.lambdaPerSecond * std::fabs(t0Sec - tTheta) +
          (1.0 - cL.value) + (1.0 - cR.value);
 }
@@ -213,7 +211,8 @@ AoaEstimate AoaEstimator::estimateKnown(
 
   // Pre-align each measured channel to the template anchor so the shape
   // correlation compares like with like: shift the channel so its first tap
-  // lands at that angle's template tap position, per candidate angle. Each
+  // lands at that angle's template tap position, per candidate angle, and
+  // compute only the template-length prefix the correlation reads. Each
   // angle scores independently, so the sweep fans out across the pool; the
   // argmin below scans in grid order, giving thread-count-independent
   // results.
@@ -224,15 +223,15 @@ AoaEstimate AoaEstimator::estimateKnown(
   common::parallelFor(
       0, thetas.size(),
       [&](std::size_t c) {
-        const double theta = thetas[c];
-        const auto idx = static_cast<std::size_t>(std::lround(theta));
-        auto alignedL = dsp::fractionalShift(
-            chL.h, table_.tapLeftSamples[idx] - chL.tapSec * fs);
-        auto alignedR = dsp::fractionalShift(
-            chR.h, table_.tapRightSamples[idx] - chR.tapSec * fs);
-        alignedL.resize(table_.byDegree[idx].left.size(), 0.0);
-        alignedR.resize(table_.byDegree[idx].right.size(), 0.0);
-        scores[c] = knownSourceObjective(theta, t0, alignedL, alignedR);
+        const auto idx = static_cast<std::size_t>(std::lround(thetas[c]));
+        const auto& tmpl = table_.byDegree[idx];
+        const auto alignedL = dsp::fractionalShift(
+            chL.h, table_.tapLeftSamples[idx] - chL.tapSec * fs,
+            dsp::kDefaultSincHalfWidth, tmpl.left.size());
+        const auto alignedR = dsp::fractionalShift(
+            chR.h, table_.tapRightSamples[idx] - chR.tapSec * fs,
+            dsp::kDefaultSincHalfWidth, tmpl.right.size());
+        scores[c] = knownSourceObjective(idx, t0, alignedL, alignedR);
       });
 
   return pickBest(thetas, scores, "aoa.known.margin");
@@ -294,6 +293,8 @@ AoaEstimate AoaEstimator::estimateUnknown(
   //  - Magnitude form: the interaural delay already selected the
   //    candidates, so the residual compares level spectra only. Phase at
   //    several kHz rotates wildly per sample of template timing error.
+  //    As |L * H_R| = |L| * |H_R|, magnitudes are taken once per frame and
+  //    once per cached template, and scoring is multiply-adds.
   //  - Frame aggregation: tonal sources (music, speech) excite different
   //    sparse harmonic sets over time; summing per-frame residuals pools
   //    quasi-independent evidence instead of betting on one spectrum.
@@ -316,10 +317,9 @@ AoaEstimate AoaEstimator::estimateUnknown(
   const std::size_t bHi =
       std::min(dsp::frequencyToBin(opts_.bandHiHz, n, fs), n / 2);
 
-  // Per-frame half spectra of both ears (real signals; bins above n/2 are
-  // redundant and the Eq. 11 band never reaches them). All frames of both
-  // ears go through one batched-FFT pass.
-  const auto plan = dsp::fftPlan(n);
+  // Per-frame band magnitudes of both ears (real signals; bins above n/2
+  // are redundant and the Eq. 11 band never reaches them). All frames of
+  // both ears go through one batched-FFT pass.
   std::vector<std::vector<double>> frames(2 * frameStarts.size(),
                                           std::vector<double>(n, 0.0));
   for (std::size_t f = 0; f < frameStarts.size(); ++f) {
@@ -330,24 +330,22 @@ AoaEstimate AoaEstimator::estimateUnknown(
       frames[2 * f + 1][i] = rightRecording[start + i];
     }
   }
-  auto frameSpectra = plan->rfftBatch(frames);
-  std::vector<std::vector<dsp::Complex>> framesL, framesR;
+  const auto frameSpectra = dsp::fftPlan(n)->rfftBatch(frames);
+  std::vector<std::vector<double>> magL, magR;
   for (std::size_t f = 0; f < frameStarts.size(); ++f) {
-    framesL.push_back(std::move(frameSpectra[2 * f]));
-    framesR.push_back(std::move(frameSpectra[2 * f + 1]));
+    magL.push_back(bandMagnitudes(frameSpectra[2 * f], bLo, bHi));
+    magR.push_back(bandMagnitudes(frameSpectra[2 * f + 1], bLo, bHi));
   }
 
-  // Batched serving: compute every candidate's template spectra in one
-  // batched pass up front, so the scoring loop below is all cache hits.
-  if (opts_.cacheTemplateSpectra) {
-    std::vector<std::size_t> indices;
-    indices.reserve(candidates.size());
-    for (double theta : candidates)
-      indices.push_back(static_cast<std::size_t>(clamp(
-          std::lround(theta), 0.0,
-          static_cast<double>(table_.byDegree.size() - 1))));
-    prefillTemplateSpectra(indices, n);
-  }
+  // Every candidate's template magnitudes, from the estimator's cache
+  // (filled in one batched pass for the angles it has not seen at size n).
+  std::vector<std::size_t> indices;
+  indices.reserve(candidates.size());
+  for (double theta : candidates)
+    indices.push_back(static_cast<std::size_t>(
+        clamp(std::lround(theta), 0.0,
+              static_cast<double>(table_.byDegree.size() - 1))));
+  const auto templates = templateMagnitudes(indices, n, bLo, bHi);
 
   // Score every candidate independently across the pool, then argmin in
   // candidate order (deterministic for any thread count).
@@ -355,40 +353,22 @@ AoaEstimate AoaEstimator::estimateUnknown(
   common::parallelFor(
       0, candidates.size(),
       [&](std::size_t c) {
-        const double theta = candidates[c];
-        const auto idx = static_cast<std::size_t>(clamp(
-            std::lround(theta), 0.0,
-            static_cast<double>(table_.byDegree.size() - 1)));
-        // Template spectra: either from the per-estimator cache (batched
-        // serving; one rfft pair per angle per batch) or computed fresh
-        // (one-shot estimate). Same inputs, bitwise-identical spectra.
-        std::shared_ptr<const TemplateSpectra> cached;
-        std::vector<dsp::Complex> freshL, freshR;
-        if (opts_.cacheTemplateSpectra) {
-          cached = cachedTemplateSpectra(idx, n);
-        } else {
-          const auto& tmpl = table_.byDegree[idx];
-          std::vector<double> padded(n, 0.0);
-          std::copy(tmpl.left.begin(), tmpl.left.end(), padded.begin());
-          freshL = plan->rfft(padded);
-          std::fill(padded.begin(), padded.end(), 0.0);
-          std::copy(tmpl.right.begin(), tmpl.right.end(), padded.begin());
-          freshR = plan->rfft(padded);
-        }
-        const auto& hl = cached ? cached->left : freshL;
-        const auto& hr = cached ? cached->right : freshR;
+        const auto& hl = templates[c]->left;
+        const auto& hr = templates[c]->right;
         double score = 0.0;
-        for (std::size_t f = 0; f < framesL.size(); ++f) {
+        for (std::size_t f = 0; f < magL.size(); ++f) {
+          const auto& l = magL[f];
+          const auto& r = magR[f];
           double num = 0.0, den = 0.0;
-          for (std::size_t k = bLo; k <= bHi; ++k) {
-            const double lhs = std::abs(framesL[f][k] * hr[k]);
-            const double rhs = std::abs(framesR[f][k] * hl[k]);
+          for (std::size_t k = 0; k < l.size(); ++k) {
+            const double lhs = l[k] * hr[k];
+            const double rhs = r[k] * hl[k];
             num += square(lhs - rhs);
             den += square(lhs) + square(rhs);
           }
           score += den > 1e-30 ? num / den : 2.0;
         }
-        scores[c] = score / static_cast<double>(framesL.size());
+        scores[c] = score / static_cast<double>(magL.size());
       });
 
   return pickBest(candidates, scores, "aoa.unknown.margin");

@@ -1,11 +1,11 @@
 #pragma once
 
+#include <cstddef>
 #include <memory>
 #include <mutex>
 #include <vector>
 
 #include "core/near_far.h"
-#include "dsp/fft.h"
 
 namespace uniq::core {
 
@@ -40,7 +40,9 @@ struct AoaEstimatorOptions {
   double lambdaPerSecond = 3000.0;
   /// Angle grid step for the known-source search (degrees).
   double searchStepDeg = 1.0;
-  /// Max correlation lag when matching channel shapes (samples).
+  /// Max correlation lag when matching channel shapes (samples). Must be
+  /// >= 1: the channels are pre-aligned, so the shape match computes only
+  /// these lags (plus one neighbour each side) as direct dot products.
   double shapeMaxLagSamples = 8.0;
   /// Deconvolution regularization for known-source channel extraction.
   double relativeRegularization = 1e-3;
@@ -54,14 +56,6 @@ struct AoaEstimatorOptions {
   /// Aggregate the Eq. 11 residual over short frames instead of one
   /// whole-signal spectrum (helps tonal sources; ablation knob).
   bool frameAggregation = true;
-  /// Cache the per-angle template half-spectra the unknown-source residual
-  /// (Eq. 11) needs, keyed by FFT size, inside the estimator. Off by
-  /// default: a one-shot estimate would pay two extra spectra per candidate
-  /// for nothing. The serving layer's BatchAoaEngine turns it on so a batch
-  /// of queries against the same personalized table computes each template
-  /// spectrum once instead of once per query. Scores are bitwise identical
-  /// either way.
-  bool cacheTemplateSpectra = false;
 };
 
 /// HRTF-aware binaural AoA estimation (paper Section 4.5). Classical array
@@ -91,7 +85,10 @@ class AoaEstimator {
   /// channel between the ears propose candidate AoAs (a front/back pair per
   /// delay); the multiplicative-form residual
   ///   || L x HRTF_R(theta) - R x HRTF_L(theta) ||
-  /// picks the true one.
+  /// picks the true one. The residual compares band magnitudes
+  /// (|L||H_R| against |R||H_L| over [bandLoHz, bandHiHz]); the template
+  /// magnitudes are cached in the estimator per FFT size, so later queries
+  /// of the same recording length against one estimator reuse them.
   AoaEstimate estimateUnknown(const std::vector<double>& leftRecording,
                               const std::vector<double>& rightRecording) const;
 
@@ -100,38 +97,39 @@ class AoaEstimator {
   double templateDelaySec(double thetaDeg) const;
 
  private:
-  double knownSourceObjective(double thetaDeg, double t0Sec,
+  /// Eq. 9 objective at table entry `degreeIndex`, given the measured
+  /// channels already aligned to that entry's template taps and cut to the
+  /// template lengths.
+  double knownSourceObjective(std::size_t degreeIndex, double t0Sec,
                               const std::vector<double>& hLeft,
                               const std::vector<double>& hRight) const;
   std::vector<double> candidateAnglesForDelay(double deltaSec) const;
 
-  /// Left/right template half-spectra for one table angle at one FFT size.
-  struct TemplateSpectra {
-    std::vector<dsp::Complex> left;
-    std::vector<dsp::Complex> right;
+  /// Left/right template magnitudes |H_L|, |H_R| for one table angle at one
+  /// FFT size, over the Eq. 11 band bins [bLo, bHi] only.
+  struct TemplateMagnitudes {
+    std::vector<double> left;
+    std::vector<double> right;
   };
-  /// Spectra for table entry `degreeIndex` zero-padded to `n`, computed on
-  /// first use and shared afterwards (only when
-  /// Options::cacheTemplateSpectra is set; callers then hold a shared_ptr
-  /// so a concurrent cache reset cannot pull the data out from under a
-  /// running score). A size change drops the previous generation — batches
-  /// have one recording length, so thrash is not a concern.
-  std::shared_ptr<const TemplateSpectra> cachedTemplateSpectra(
-      std::size_t degreeIndex, std::size_t n) const;
-  /// Batch-fill the template-spectrum cache for every listed degree index
-  /// not yet cached at size `n`, using one batched-FFT pass over all the
-  /// missing left/right templates. The batched cascade applies the same
-  /// operation sequence per member as a single transform, so the cached
-  /// spectra stay bitwise identical to cachedTemplateSpectra's. No-op when
-  /// Options::cacheTemplateSpectra is off.
-  void prefillTemplateSpectra(const std::vector<std::size_t>& degreeIndices,
-                              std::size_t n) const;
+  /// Band magnitudes of table entries `degreeIndices` zero-padded to `n`,
+  /// in the same order. Entries not yet cached at size `n` are computed in
+  /// one batched-rfft pass and kept for later calls, so every estimator
+  /// pays each template's transform once per FFT size. A size change drops
+  /// the previous generation: a batch has one recording length, so thrash
+  /// is not a concern. Entries are shared_ptrs, so a concurrent size change
+  /// cannot pull the data out from under a running score. Thread-safe.
+  std::vector<std::shared_ptr<const TemplateMagnitudes>> templateMagnitudes(
+      const std::vector<std::size_t>& degreeIndices, std::size_t n,
+      std::size_t bLo, std::size_t bHi) const;
 
   const FarFieldTable& table_;
   Options opts_;
-  mutable std::mutex specMutex_;
-  mutable std::size_t specN_ = 0;
-  mutable std::vector<std::shared_ptr<const TemplateSpectra>> spec_;
+  /// dsp::l2Norm of each template channel, per degree (Eq. 9 shape match).
+  std::vector<double> normLeft_;
+  std::vector<double> normRight_;
+  mutable std::mutex magMutex_;
+  mutable std::size_t magN_ = 0;
+  mutable std::vector<std::shared_ptr<const TemplateMagnitudes>> mag_;
 };
 
 /// Train the Eq. 9 lambda weight on labelled far-field recordings

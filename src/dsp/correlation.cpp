@@ -12,10 +12,6 @@ namespace uniq::dsp {
 
 namespace {
 
-double l2Norm(std::span<const double> x) {
-  return std::sqrt(kernels::sumSquares(x.data(), x.size()));
-}
-
 /// Parabolic interpolation around a discrete argmax. Returns the refined
 /// offset in [-0.5, 0.5] and the interpolated peak value.
 struct ParabolicFit {
@@ -32,10 +28,13 @@ ParabolicFit parabolicRefine(double ym1, double y0, double yp1) {
   return {d, value};
 }
 
-CorrelationPeak peakSearch(const std::vector<double>& c, std::size_t bSize,
+/// Argmax of c over |lag| <= maxLagSamples (every lag when it is <= 0),
+/// where c[k] holds lag firstLag + k, refined parabolically when both
+/// neighbours are in c. First maximum in lag order wins.
+CorrelationPeak peakSearch(const std::vector<double>& c, double firstLag,
                            double maxLagSamples) {
   const auto lagOf = [&](std::size_t k) {
-    return static_cast<double>(k) - static_cast<double>(bSize - 1);
+    return static_cast<double>(k) + firstLag;
   };
   std::size_t best = 0;
   bool found = false;
@@ -59,7 +58,16 @@ CorrelationPeak peakSearch(const std::vector<double>& c, std::size_t bSize,
   return peak;
 }
 
+/// Lag of crossCorrelate(a, b)[0].
+double crossCorrelateFirstLag(std::size_t bSize) {
+  return -static_cast<double>(bSize - 1);
+}
+
 }  // namespace
+
+double l2Norm(std::span<const double> x) {
+  return std::sqrt(kernels::sumSquares(x.data(), x.size()));
+}
 
 std::vector<double> crossCorrelate(std::span<const double> a,
                                    std::span<const double> b) {
@@ -113,7 +121,41 @@ CorrelationPeak normalizedCorrelationPeak(std::span<const double> a,
   auto c = crossCorrelate(a, b);
   const double scale = 1.0 / (na * nb);
   for (auto& v : c) v *= scale;
-  return peakSearch(c, b.size(), maxLagSamples);
+  return peakSearch(c, crossCorrelateFirstLag(b.size()), maxLagSamples);
+}
+
+CorrelationPeak boundedNormalizedCorrelationPeak(std::span<const double> a,
+                                                 std::span<const double> b,
+                                                 double bNorm,
+                                                 double maxLagSamples) {
+  UNIQ_REQUIRE(maxLagSamples > 0.0,
+               "bounded correlation needs maxLagSamples > 0");
+  const double na = l2Norm(a);
+  if (na < 1e-30 || bNorm < 1e-30) return {0.0, 0.0};
+  // crossCorrelate lays out lags [-(b.size()-1), a.size()-1]; keep the
+  // window plus one neighbour each side, clipped to that layout, so
+  // peakSearch sees the same neighbours (and the same edges) it would there.
+  const long la = static_cast<long>(a.size());
+  const long lb = static_cast<long>(b.size());
+  const long reach =
+      static_cast<long>(std::min(std::floor(maxLagSamples),
+                                 static_cast<double>(la + lb))) +
+      1;
+  const long lo = std::max(-(lb - 1), -reach);
+  const long hi = std::min(la - 1, reach);
+  const double scale = 1.0 / (na * bNorm);
+  std::vector<double> c(static_cast<std::size_t>(hi - lo + 1));
+  for (long lag = lo; lag <= hi; ++lag) {
+    // c[lag] = sum_t a[t] * b[t + lag]; zero where no t has both in range.
+    const long t0 = std::max(0L, -lag);
+    const long t1 = std::min(la, lb - lag);
+    const double v =
+        t1 > t0 ? kernels::dotProduct(a.data() + t0, b.data() + t0 + lag,
+                                      static_cast<std::size_t>(t1 - t0))
+                : 0.0;
+    c[static_cast<std::size_t>(lag - lo)] = v * scale;
+  }
+  return peakSearch(c, static_cast<double>(lo), maxLagSamples);
 }
 
 double pearson(std::span<const double> a, std::span<const double> b) {
@@ -169,7 +211,8 @@ double estimateDelayGccPhat(std::span<const double> a,
                             std::span<const double> b,
                             double maxLagSamples) {
   auto c = gccPhat(a, b);
-  const auto peak = peakSearch(c, b.size(), maxLagSamples);
+  const auto peak =
+      peakSearch(c, crossCorrelateFirstLag(b.size()), maxLagSamples);
   // xcorr(a,b) peaks at lag d when a[t] ~= b[t + d]; b lags a by d.
   return peak.lag;
 }

@@ -31,6 +31,22 @@ CorrelationPeak normalizedCorrelationPeak(std::span<const double> a,
                                           std::span<const double> b,
                                           double maxLagSamples);
 
+/// Euclidean norm sqrt(sum x^2), as the normalized peaks above compute it.
+double l2Norm(std::span<const double> x);
+
+/// normalizedCorrelationPeak(a, b, maxLagSamples) without the FFT: computes
+/// only the lags |lag| <= floor(maxLagSamples) + 1 (the window plus the
+/// neighbours the parabolic refine reads) as direct dot products, then
+/// applies the same argmax rule, lag window and refine. Costs
+/// O(maxLag * length) instead of three transforms of the padded length, and
+/// agrees with the FFT path to rounding (~1e-15 relative). `bNorm` must be
+/// l2Norm(b); callers that score many signals against one fixed `b` compute
+/// it once. Requires maxLagSamples > 0.
+CorrelationPeak boundedNormalizedCorrelationPeak(std::span<const double> a,
+                                                 std::span<const double> b,
+                                                 double bNorm,
+                                                 double maxLagSamples);
+
 /// Pearson correlation of two equal-length signals at zero lag.
 double pearson(std::span<const double> a, std::span<const double> b);
 

@@ -45,9 +45,15 @@ void addFractionalTap(std::span<double> buffer, double delaySamples,
 
 std::vector<double> fractionalShift(std::span<const double> signal,
                                     double shiftSamples, int halfWidth) {
+  return fractionalShift(signal, shiftSamples, halfWidth, signal.size());
+}
+
+std::vector<double> fractionalShift(std::span<const double> signal,
+                                    double shiftSamples, int halfWidth,
+                                    std::size_t outputLength) {
   UNIQ_REQUIRE(halfWidth >= 1, "halfWidth must be >= 1");
   const long n = static_cast<long>(signal.size());
-  std::vector<double> out(signal.size(), 0.0);
+  std::vector<double> out(outputLength, 0.0);
   // A non-finite shift, or one that moves every sample (and the kernel
   // support around it) past the ends, leaves nothing in range. Decided
   // before any integer cast, which would be undefined for such values.
@@ -67,7 +73,8 @@ std::vector<double> fractionalShift(std::span<const double> signal,
     weights[static_cast<std::size_t>(j)] =
         windowedSinc(frac + static_cast<double>(halfWidth - j), halfWidth);
 
-  for (long t = 0; t < n; ++t) {
+  const long computed = std::min(n, static_cast<long>(out.size()));
+  for (long t = 0; t < computed; ++t) {
     const long k0 = t + c0 - halfWidth;
     const long jHi = std::min(taps - 1, n - 1 - k0);
     double acc = 0.0;

@@ -1,9 +1,13 @@
 #pragma once
 
+#include <cstddef>
 #include <span>
 #include <vector>
 
 namespace uniq::dsp {
+
+/// Default half-width (samples) of the Blackman-sinc kernels below.
+inline constexpr int kDefaultSincHalfWidth = 16;
 
 /// Add a scaled, fractionally-delayed unit impulse into `buffer`:
 /// buffer[t] += amplitude * sinc_window(t - delaySamples).
@@ -13,7 +17,7 @@ namespace uniq::dsp {
 /// kernel is a Blackman-windowed sinc of half-width `halfWidth` samples.
 /// Taps whose kernel support falls outside the buffer are clipped.
 void addFractionalTap(std::span<double> buffer, double delaySamples,
-                      double amplitude, int halfWidth = 16);
+                      double amplitude, int halfWidth = kDefaultSincHalfWidth);
 
 /// Shift a signal by a fractional number of samples (positive = delay).
 /// Output has the same length; content shifted beyond the ends is lost.
@@ -22,6 +26,14 @@ void addFractionalTap(std::span<double> buffer, double delaySamples,
 /// one with |shift| >= signal.size() + halfWidth, yields all zeros.
 /// Requires halfWidth >= 1.
 std::vector<double> fractionalShift(std::span<const double> signal,
-                                    double shiftSamples, int halfWidth = 16);
+                                    double shiftSamples,
+                                    int halfWidth = kDefaultSincHalfWidth);
+
+/// fractionalShift with `outputLength` samples out, bitwise equal to the
+/// same-length shift resized to it: samples past the input's length are
+/// zero, and samples past `outputLength` are never computed.
+std::vector<double> fractionalShift(std::span<const double> signal,
+                                    double shiftSamples, int halfWidth,
+                                    std::size_t outputLength);
 
 }  // namespace uniq::dsp

@@ -3,6 +3,7 @@
 #include <map>
 #include <memory>
 
+#include "common/constants.h"
 #include "common/thread_pool.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -11,10 +12,7 @@ namespace uniq::serve {
 
 BatchAoaEngine::BatchAoaEngine(TableCache& cache,
                                core::AoaEstimatorOptions opts)
-    : cache_(cache), opts_(opts) {
-  // Template-spectrum caching is the whole point of batching.
-  opts_.cacheTemplateSpectra = true;
-}
+    : cache_(cache), opts_(opts) {}
 
 std::vector<AoaBatchItem> BatchAoaEngine::run(
     const std::vector<AoaQuery>& queries, std::size_t numThreads) const {
@@ -38,8 +36,11 @@ std::vector<AoaBatchItem> BatchAoaEngine::run(
     byUser[queries[i].userId].push_back(i);
 
   for (const auto& [userId, indices] : byUser) {
-    const auto table = cache_.getOrFallback(userId);
-    const bool personalized = cache_.contains(userId);
+    // The flag comes from the lookup that served the table: a second
+    // lookup could see a concurrent eviction or put the first did not.
+    CacheTier tier = CacheTier::kMiss;
+    const auto table = cache_.getOrFallback(userId, kDefaultSampleRate, &tier);
+    const bool personalized = tier != CacheTier::kFallback;
     if (!personalized) fallbackQueries.inc(indices.size());
     const core::AoaEstimator estimator(table->farTable(), opts_);
     common::parallelFor(

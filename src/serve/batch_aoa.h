@@ -30,13 +30,12 @@ struct AoaBatchItem {
 /// Batched AoA evaluation over the serving layer's TableCache: queries are
 /// grouped by user so each user's table is fetched once (one cache lookup,
 /// one AoaEstimator), queries fan out across the global thread pool, and
-/// the estimator's template-spectrum cache plus the process FFT plan cache
+/// the estimator's template-magnitude cache plus the process FFT plan cache
 /// amortize all transform setup across the batch. Estimates are identical
 /// to calling AoaEstimator once per query.
 class BatchAoaEngine {
  public:
-  /// `cache` must outlive the engine. `opts` applies to every query;
-  /// cacheTemplateSpectra is forced on.
+  /// `cache` must outlive the engine. `opts` applies to every query.
   explicit BatchAoaEngine(TableCache& cache,
                           core::AoaEstimatorOptions opts = {});
 

@@ -3,12 +3,15 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <thread>
+#include <vector>
 
 #include "common/error.h"
 #include "common/math_util.h"
 #include "dsp/signal_generators.h"
 #include "eval/experiments.h"
 #include "head/hrtf_database.h"
+#include "obs/metrics.h"
 #include "sim/recorder.h"
 
 namespace uniq::core {
@@ -188,6 +191,81 @@ TEST_F(AoaTest, EstimatorRejectsBadTable) {
   FarFieldTable bad = *table_;
   bad.byDegree.resize(10);
   EXPECT_THROW(AoaEstimator{bad}, InvalidArgument);
+}
+
+TEST_F(AoaTest, EstimatorRejectsShapeLagBelowOne) {
+  // The shape match computes only the lags it reads, so "every lag"
+  // (0) and sub-sample windows are not options.
+  for (const double lag : {0.0, 0.5, -1.0}) {
+    AoaEstimatorOptions opts;
+    opts.shapeMaxLagSamples = lag;
+    EXPECT_THROW((AoaEstimator{*table_, opts}), InvalidArgument) << lag;
+  }
+}
+
+// The template-magnitude cache is on for every estimator, and candidate
+// scoring reads it from pool threads: parallel estimateUnknown calls
+// sharing one estimator must give the serial answers. Two recording
+// lengths (two FFT sizes) make the calls drop and refill the cache under
+// each other.
+class AoaTemplateCache : public AoaTest {};
+
+TEST_F(AoaTemplateCache, ParallelUnknownEstimatesMatchSerial) {
+  std::vector<sim::BinauralRecording> recs;
+  for (const double truth : {20.0, 70.0, 115.0, 160.0}) {
+    const auto seed = static_cast<std::uint64_t>(truth);
+    for (const std::size_t samples : {6000, 12000}) {
+      Pcg32 sigRng(seed + samples);
+      const auto noise = dsp::whiteNoise(samples, sigRng, 0.25);
+      recs.push_back(record(truth, noise, false, 25.0, seed + 5));
+    }
+  }
+  std::vector<AoaEstimate> serial;
+  {
+    const AoaEstimator est(*table_);
+    for (const auto& r : recs)
+      serial.push_back(est.estimateUnknown(r.left, r.right));
+  }
+
+  const AoaEstimator shared(*table_);
+  constexpr std::size_t kThreads = 4;
+  constexpr std::size_t kRounds = 3;
+  std::vector<std::vector<AoaEstimate>> got(
+      kThreads, std::vector<AoaEstimate>(kRounds * recs.size()));
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      // Each thread walks the recordings from its own offset.
+      for (std::size_t i = 0; i < kRounds * recs.size(); ++i) {
+        const auto& r = recs[(i + t) % recs.size()];
+        got[t][i] = shared.estimateUnknown(r.left, r.right);
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    for (std::size_t i = 0; i < kRounds * recs.size(); ++i) {
+      const auto& want = serial[(i + t) % recs.size()];
+      EXPECT_EQ(got[t][i].angleDeg, want.angleDeg) << t << "/" << i;
+      EXPECT_EQ(got[t][i].score, want.score) << t << "/" << i;
+    }
+  }
+}
+
+TEST_F(AoaTemplateCache, RepeatQueryRecomputesNoTemplate) {
+  Pcg32 sigRng(3);
+  const auto noise = dsp::whiteNoise(12000, sigRng, 0.25);
+  const auto rec = record(50.0, noise, false, 25.0, 9);
+  const AoaEstimator est(*table_);
+  auto& fills = obs::registry().counter("aoa.template_cache.fills");
+  const auto before = fills.value();
+  const auto first = est.estimateUnknown(rec.left, rec.right);
+  const auto filled = fills.value() - before;
+  EXPECT_GT(filled, 0u);
+  const auto second = est.estimateUnknown(rec.left, rec.right);
+  EXPECT_EQ(fills.value() - before, filled);
+  EXPECT_EQ(second.angleDeg, first.angleDeg);
+  EXPECT_EQ(second.score, first.score);
 }
 
 }  // namespace

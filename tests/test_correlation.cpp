@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "common/error.h"
+#include "common/math_util.h"
 #include "common/random.h"
 #include "dsp/fractional_delay.h"
 #include "dsp/signal_generators.h"
@@ -100,6 +102,123 @@ TEST(NormalizedPeak, LagRestrictionExcludesTrueLag) {
   const auto restricted = normalizedCorrelationPeak(a, b, 5.0);
   EXPECT_LE(std::fabs(restricted.lag), 5.0);
   EXPECT_LT(restricted.value, unrestricted.value);
+}
+
+// --- boundedNormalizedCorrelationPeak ----------------------------------
+
+/// The direct bounded-lag peak agrees with the FFT path in lag and value.
+void expectBoundedMatchesFft(const std::vector<double>& a,
+                             const std::vector<double>& b, double maxLag) {
+  SCOPED_TRACE(::testing::Message() << "maxLag " << maxLag);
+  const auto want = normalizedCorrelationPeak(a, b, maxLag);
+  const auto got = boundedNormalizedCorrelationPeak(a, b, l2Norm(b), maxLag);
+  EXPECT_NEAR(got.lag, want.lag, 1e-12);
+  EXPECT_NEAR(got.value, want.value, 1e-12);
+}
+
+TEST(BoundedCorrelationPeak, MatchesFftPathOnRandomSignals) {
+  Pcg32 rng(11);
+  for (auto [na, nb] : {std::pair<std::size_t, std::size_t>{256, 256},
+                        {200, 256},
+                        {256, 180},
+                        {31, 17},
+                        {5, 64}}) {
+    for (int trial = 0; trial < 4; ++trial) {
+      std::vector<double> a(na), b(nb);
+      for (auto& v : a) v = rng.gaussian();
+      for (auto& v : b) v = rng.gaussian();
+      SCOPED_TRACE(::testing::Message() << na << "x" << nb);
+      for (const double maxLag : {1.0, 2.5, 8.0, 8.75, 20.0})
+        expectBoundedMatchesFft(a, b, maxLag);
+    }
+  }
+}
+
+TEST(BoundedCorrelationPeak, MatchesFftPathOnPreAlignedHrirLikeSignals) {
+  // Decaying tap trains aligned to a common first tap, as the known-source
+  // AoA compares them: the measured channel is the template moved by a
+  // residual sub-window shift plus noise.
+  Pcg32 rng(12);
+  std::vector<double> tmpl(256, 0.0);
+  double amp = 1.0;
+  for (double pos = 32.0; pos < 200.0; pos += rng.uniform(7.3, 12.3)) {
+    const double sign = rng.uniform(0.0, 1.0) < 0.5 ? -1.0 : 1.0;
+    addFractionalTap(tmpl, pos, sign * amp);
+    amp *= 0.8;
+  }
+  for (const double shift : {-3.3, -0.5, 0.0, 0.25, 2.7, 7.9}) {
+    auto measured = fractionalShift(tmpl, shift);
+    for (auto& v : measured) v += 0.01 * rng.gaussian();
+    SCOPED_TRACE(::testing::Message() << "shift " << shift);
+    for (const double maxLag : {8.0, 3.5})
+      expectBoundedMatchesFft(measured, tmpl, maxLag);
+  }
+}
+
+TEST(BoundedCorrelationPeak, PeakOnWindowEdgeRefinesWithOutsideNeighbour) {
+  // A broad pulse has a correlation rising monotonically toward the true
+  // lag (+-12), which lies outside the window: the windowed argmax sits on
+  // +-maxLag and the parabolic refine reads the lag just past it.
+  std::vector<double> a(256);
+  for (std::size_t t = 0; t < a.size(); ++t)
+    a[t] = std::exp(-square((static_cast<double>(t) - 128.0) / 20.0));
+  for (const double delay : {12.0, -12.0}) {
+    const auto b = fractionalShift(a, delay);
+    SCOPED_TRACE(::testing::Message() << "delay " << delay);
+    for (const double maxLag : {8.0, 8.5}) {
+      const auto want = normalizedCorrelationPeak(a, b, maxLag);
+      ASSERT_NEAR(std::fabs(want.lag), 8.0, 0.6);
+      ASSERT_NE(std::fabs(want.lag), 8.0) << "edge peak was not refined";
+      expectBoundedMatchesFft(a, b, maxLag);
+    }
+  }
+}
+
+TEST(BoundedCorrelationPeak, MaxLagBeyondSignalLengthCoversEveryLag) {
+  Pcg32 rng(13);
+  std::vector<double> a(16), b(24);
+  for (auto& v : a) v = rng.gaussian();
+  for (auto& v : b) v = rng.gaussian();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double maxLag : {23.0, 40.0, 1e6, inf})
+    expectBoundedMatchesFft(a, b, maxLag);
+  // A window that covers every lag agrees with the unrestricted search.
+  const auto all = normalizedCorrelationPeak(a, b);
+  const auto bounded = boundedNormalizedCorrelationPeak(a, b, l2Norm(b), 1e6);
+  EXPECT_NEAR(bounded.lag, all.lag, 1e-12);
+  EXPECT_NEAR(bounded.value, all.value, 1e-12);
+
+  // Peak on the first lag of crossCorrelate's layout: no left neighbour,
+  // so neither path refines it.
+  std::vector<double> last(8, 0.0), first(8, 0.0);
+  last.back() = 1.0;
+  first.front() = 1.0;
+  const auto edge =
+      boundedNormalizedCorrelationPeak(last, first, l2Norm(first), 50.0);
+  EXPECT_EQ(edge.lag, -7.0);
+  EXPECT_EQ(edge.value, 1.0);
+  expectBoundedMatchesFft(last, first, 50.0);
+}
+
+/// A silent operand gives the zero peak on both paths.
+void expectSilentPeak(const std::vector<double>& a,
+                      const std::vector<double>& b) {
+  const auto peak = boundedNormalizedCorrelationPeak(a, b, l2Norm(b), 8.0);
+  EXPECT_EQ(peak.lag, 0.0);
+  EXPECT_EQ(peak.value, 0.0);
+  expectBoundedMatchesFft(a, b, 8.0);
+}
+
+TEST(BoundedCorrelationPeak, SilenceGivesZeroAndBadWindowThrows) {
+  const std::vector<double> zeros(64, 0.0);
+  const std::vector<double> ones(64, 1.0);
+  expectSilentPeak(zeros, ones);
+  expectSilentPeak(ones, zeros);
+  expectSilentPeak({}, ones);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const double bad : {0.0, -1.0, nan})
+    EXPECT_THROW(boundedNormalizedCorrelationPeak(ones, ones, 8.0, bad),
+                 InvalidArgument);
 }
 
 TEST(Pearson, PerfectCorrelationAndAnticorrelation) {

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <vector>
 
@@ -168,6 +169,31 @@ TEST(FractionalShift, MatchesPerTapReference) {
           ASSERT_NEAR(got[t], want[t], 1e-12 * peak)
               << "n " << n << " halfWidth " << w << " shift " << shift
               << " t " << t;
+      }
+    }
+  }
+}
+
+/// Same length and the same bits in every sample.
+bool bitwiseEqual(const std::vector<double>& x, const std::vector<double>& y) {
+  if (x.size() != y.size()) return false;
+  if (x.empty()) return true;
+  return std::memcmp(x.data(), y.data(), x.size() * sizeof(double)) == 0;
+}
+
+TEST(FractionalShift, OutputLengthIsBitwiseShiftThenResize) {
+  Pcg32 rng(5);
+  std::vector<double> sig(300);
+  for (auto& v : sig) v = rng.gaussian();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const double shift : {0.0, 3.37, -2.5, 17.0, -40.25, 299.5, 1e9, nan}) {
+    for (const int w : {4, 16}) {
+      const auto full = fractionalShift(sig, shift, w);
+      for (const std::size_t len : {0, 1, 64, 255, 300, 301, 512}) {
+        auto want = full;
+        want.resize(len, 0.0);
+        EXPECT_TRUE(bitwiseEqual(fractionalShift(sig, shift, w, len), want))
+            << "shift " << shift << " halfWidth " << w << " length " << len;
       }
     }
   }

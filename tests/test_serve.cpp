@@ -605,7 +605,7 @@ TEST(BatchAoaEngine, MatchesSingleEstimatorBitForBit) {
     const auto want = reference.estimateKnown(queries[i].left,
                                               queries[i].right,
                                               queries[i].source);
-    // The template-spectrum cache must be a pure speedup.
+    // The template cache must be a pure speedup.
     EXPECT_EQ(batch[i].estimate.angleDeg, want.angleDeg) << angles[i];
     EXPECT_LT(angularDistanceDeg(batch[i].estimate.angleDeg,
                                          angles[i]),
@@ -669,6 +669,83 @@ TEST(BatchAoaEngine, UnknownSourceQueriesAreGroupedPerUser) {
               25.0)
         << "query " << i;
   }
+}
+
+/// A short unknown-source query for `userId` rendered from `table`.
+serve::AoaQuery shortUnknownQuery(const std::string& userId,
+                                  const core::HrtfTable& table, double angle) {
+  Pcg32 rng(static_cast<std::uint64_t>(angle) + 1);
+  const auto noise = dsp::whiteNoise(4096, rng, 0.25);
+  const auto rendered = table.renderFar(angle, noise);
+  serve::AoaQuery q;
+  q.userId = userId;
+  q.left = rendered.left;
+  q.right = rendered.right;
+  return q;
+}
+
+TEST(BatchAoaEngine, DiskOnlyUserIsPersonalized) {
+  const std::string dir = ::testing::TempDir();
+  serve::TableCacheOptions opts;
+  opts.capacity = 1;
+  opts.persistDir = dir;
+  serve::TableCache cache(opts);
+  const auto table = serve::TableCache::populationAverageTable(48000.0);
+  cache.put("aoa-disk-user", table);
+  cache.put("aoa-disk-other", table);  // memory now holds only the other
+  ASSERT_FALSE(cache.contains("aoa-disk-user"));
+
+  std::vector<serve::AoaQuery> queries;
+  queries.push_back(shortUnknownQuery("aoa-disk-user", *table, 60.0));
+  queries.push_back(shortUnknownQuery("aoa-disk-stranger", *table, 60.0));
+  const serve::BatchAoaEngine engine(cache);
+  const auto batch = engine.run(queries);
+  ASSERT_EQ(batch.size(), 2u);
+  EXPECT_TRUE(batch[0].personalized);
+  EXPECT_FALSE(batch[1].personalized);
+  std::remove((dir + "/aoa-disk-user.uniqq").c_str());
+  std::remove((dir + "/aoa-disk-other.uniqq").c_str());
+}
+
+TEST(BatchAoaEngine, ConcurrentEvictionKeepsPersonalizedFlag) {
+  // One thread runs batches for a user whose table is on disk while two
+  // others keep promoting other users' tables from disk into a one-entry
+  // cache, evicting it between (and during) lookups. The user always has a
+  // personal table, so every answer must say so, whichever tier served it.
+  const std::string dir = ::testing::TempDir();
+  serve::TableCacheOptions opts;
+  opts.capacity = 1;
+  opts.persistDir = dir;
+  serve::TableCache cache(opts);
+  const auto table = serve::TableCache::populationAverageTable(48000.0);
+  const std::vector<std::string> evictors = {"aoa-e0", "aoa-e1", "aoa-e2"};
+  for (const auto& id : evictors) cache.put(id, table);
+  cache.put("aoa-evict-user", table);
+
+  const serve::BatchAoaEngine engine(cache);
+  const auto query = shortUnknownQuery("aoa-evict-user", *table, 45.0);
+  std::atomic<bool> done{false};
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < 2; ++t) {
+    threads.emplace_back([&, t] {
+      for (std::size_t i = t; !done.load(); ++i)
+        cache.get(evictors[i % evictors.size()]);
+    });
+  }
+  const std::size_t batches = 200 * stressMultiplier();
+  std::size_t unflagged = 0;
+  for (std::size_t b = 0; b < batches; ++b) {
+    const auto items = engine.run({query});
+    for (const auto& item : items)
+      if (!item.personalized) ++unflagged;
+  }
+  done.store(true);
+  for (auto& th : threads) th.join();
+  EXPECT_EQ(unflagged, 0u) << "of " << batches << " batches";
+  EXPECT_GT(cache.stats().evictions, batches);
+  std::remove((dir + "/aoa-evict-user.uniqq").c_str());
+  for (const auto& id : evictors)
+    std::remove((dir + "/" + id + ".uniqq").c_str());
 }
 
 }  // namespace
