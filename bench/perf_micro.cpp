@@ -12,6 +12,7 @@
 #include "common/random.h"
 #include "common/thread_pool.h"
 #include "core/aoa.h"
+#include "core/channel_extractor.h"
 #include "core/localizer.h"
 #include "core/near_far.h"
 #include "core/near_field_hrtf.h"
@@ -319,6 +320,25 @@ serveCaptures() {
   return captures;
 }
 
+// One stop through the extract stage: both ears deconvolved against the
+// capture's chirp (hardware-compensated), quality evidence, first taps and
+// room-reflection windowing. The extractor lives across iterations, as it
+// does across a calibration's stops, so the source spectrum is computed
+// once up front.
+void BM_ExtractStop(benchmark::State& state) {
+  const auto& capture = *serveCaptures().front();
+  const core::ChannelExtractor extractor(capture.hardwareResponseEstimate,
+                                         capture.sampleRate);
+  const auto& stop = capture.stops.front();
+  for (auto _ : state) {
+    auto channel = extractor.extract(stop.recording.left,
+                                     stop.recording.right,
+                                     capture.sourceSignal);
+    benchmark::DoNotOptimize(channel);
+  }
+}
+BENCHMARK(BM_ExtractStop)->Unit(benchmark::kMillisecond);
+
 // The near-field stage alone: one capture's fused stops and extracted
 // channels in, the 181-degree near-field table out. Timed nested, as on a
 // serve worker, so the per-degree loop runs inline and cpu_time is the
@@ -493,6 +513,26 @@ void BM_AoaEstimateUnknown(benchmark::State& state) {
   });
 }
 BENCHMARK(BM_AoaEstimateUnknown)->Unit(benchmark::kMillisecond);
+
+// As BM_AoaEstimateUnknown, but with a fresh estimator per iteration, as
+// BatchAoaEngine builds one per user per batch: every query also pays the
+// template transforms of its candidate angles.
+void BM_AoaEstimateUnknownCold(benchmark::State& state) {
+  const auto table = serve::TableCache::populationAverageTable(48000.0);
+  const double fs = table->sampleRate();
+  const auto samples = static_cast<std::size_t>(0.1 * fs);
+  Pcg32 rng(17);
+  const auto noise = dsp::whiteNoise(samples, rng, 0.25);
+  const auto rec = table->renderFar(60.0, noise);
+  common::parallelFor(0, 1, [&](std::size_t) {
+    for (auto _ : state) {
+      const core::AoaEstimator estimator(table->farTable());
+      auto est = estimator.estimateUnknown(rec.left, rec.right);
+      benchmark::DoNotOptimize(est);
+    }
+  });
+}
+BENCHMARK(BM_AoaEstimateUnknownCold)->Unit(benchmark::kMillisecond);
 
 // Hit-path latency of the LRU table cache under a realistic key mix.
 void BM_TableCacheGet(benchmark::State& state) {

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <span>
 
 #include "common/constants.h"
 #include "common/error.h"
@@ -101,24 +102,16 @@ AoaEstimator::templateMagnitudes(const std::vector<std::size_t>& degreeIndices,
   fills.inc(missing.size());
   hits.inc(degreeIndices.size() - missing.size());
 
-  if (!missing.empty()) {
-    // One batched pass over every missing left/right template pair; only
-    // the band bins are kept.
-    std::vector<std::vector<double>> padded(
-        2 * missing.size(), std::vector<double>(n, 0.0));
-    for (std::size_t m = 0; m < missing.size(); ++m) {
-      const auto& tmpl = table_.byDegree[missing[m]];
-      std::copy(tmpl.left.begin(), tmpl.left.end(), padded[2 * m].begin());
-      std::copy(tmpl.right.begin(), tmpl.right.end(),
-                padded[2 * m + 1].begin());
-    }
-    const auto spectra = dsp::fftPlan(n)->rfftBatch(padded);
-    for (std::size_t m = 0; m < missing.size(); ++m) {
-      auto entry = std::make_shared<TemplateMagnitudes>();
-      entry->left = bandMagnitudes(spectra[2 * m], bLo, bHi);
-      entry->right = bandMagnitudes(spectra[2 * m + 1], bLo, bHi);
-      mag_[missing[m]] = std::move(entry);
-    }
+  // The templates are far shorter than n; rfft treats the rest as zeros
+  // and skips the stages that would only transform them. Only the band
+  // bins are kept.
+  const auto plan = dsp::fftPlan(n);
+  for (std::size_t idx : missing) {
+    const auto& tmpl = table_.byDegree[idx];
+    auto entry = std::make_shared<TemplateMagnitudes>();
+    entry->left = bandMagnitudes(plan->rfft(tmpl.left), bLo, bHi);
+    entry->right = bandMagnitudes(plan->rfft(tmpl.right), bLo, bHi);
+    mag_[idx] = std::move(entry);
   }
   std::vector<std::shared_ptr<const TemplateMagnitudes>> out;
   out.reserve(degreeIndices.size());
@@ -318,27 +311,21 @@ AoaEstimate AoaEstimator::estimateUnknown(
       std::min(dsp::frequencyToBin(opts_.bandHiHz, n, fs), n / 2);
 
   // Per-frame band magnitudes of both ears (real signals; bins above n/2
-  // are redundant and the Eq. 11 band never reaches them). All frames of
-  // both ears go through one batched-FFT pass.
-  std::vector<std::vector<double>> frames(2 * frameStarts.size(),
-                                          std::vector<double>(n, 0.0));
-  for (std::size_t f = 0; f < frameStarts.size(); ++f) {
-    const std::size_t start = frameStarts[f];
-    const std::size_t len = std::min(frameLen, total - start);
-    for (std::size_t i = 0; i < len; ++i) {
-      frames[2 * f][i] = leftRecording[start + i];
-      frames[2 * f + 1][i] = rightRecording[start + i];
-    }
-  }
-  const auto frameSpectra = dsp::fftPlan(n)->rfftBatch(frames);
+  // are redundant and the Eq. 11 band never reaches them). Each frame is a
+  // span of the recording, which rfft zero-pads to n.
+  const auto plan = dsp::fftPlan(n);
+  const std::span<const double> left(leftRecording), right(rightRecording);
   std::vector<std::vector<double>> magL, magR;
-  for (std::size_t f = 0; f < frameStarts.size(); ++f) {
-    magL.push_back(bandMagnitudes(frameSpectra[2 * f], bLo, bHi));
-    magR.push_back(bandMagnitudes(frameSpectra[2 * f + 1], bLo, bHi));
+  for (std::size_t start : frameStarts) {
+    const std::size_t len = std::min(frameLen, total - start);
+    magL.push_back(
+        bandMagnitudes(plan->rfft(left.subspan(start, len)), bLo, bHi));
+    magR.push_back(
+        bandMagnitudes(plan->rfft(right.subspan(start, len)), bLo, bHi));
   }
 
   // Every candidate's template magnitudes, from the estimator's cache
-  // (filled in one batched pass for the angles it has not seen at size n).
+  // (filled for the angles it has not seen at size n).
   std::vector<std::size_t> indices;
   indices.reserve(candidates.size());
   for (double theta : candidates)

@@ -112,12 +112,13 @@ class AoaEstimator {
     std::vector<double> right;
   };
   /// Band magnitudes of table entries `degreeIndices` zero-padded to `n`,
-  /// in the same order. Entries not yet cached at size `n` are computed in
-  /// one batched-rfft pass and kept for later calls, so every estimator
-  /// pays each template's transform once per FFT size. A size change drops
-  /// the previous generation: a batch has one recording length, so thrash
-  /// is not a concern. Entries are shared_ptrs, so a concurrent size change
-  /// cannot pull the data out from under a running score. Thread-safe.
+  /// in the same order. Entries not yet cached at size `n` are computed
+  /// (one rfft per ear of the unpadded template) and kept for later calls,
+  /// so every estimator pays each template's transform once per FFT size.
+  /// A size change drops the previous generation: a batch has one
+  /// recording length, so thrash is not a concern. Entries are shared_ptrs,
+  /// so a concurrent size change cannot pull the data out from under a
+  /// running score. Thread-safe.
   std::vector<std::shared_ptr<const TemplateMagnitudes>> templateMagnitudes(
       const std::vector<std::size_t>& degreeIndices, std::size_t n,
       std::size_t bLo, std::size_t bHi) const;

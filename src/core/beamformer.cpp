@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <span>
 
 #include "common/error.h"
 #include "common/math_util.h"
@@ -15,14 +16,12 @@ namespace {
 
 using Cx = dsp::Complex;
 
-/// Zero-padded half-spectrum FFT of a real signal at length n (bins 0..n/2).
+/// Half-spectrum FFT (bins 0..n/2) of the first n samples of a real
+/// signal, zero-padded to n.
 std::vector<Cx> paddedRfft(const dsp::FftPlan& plan,
                            const std::vector<double>& x) {
-  std::vector<double> padded(plan.size(), 0.0);
-  const std::size_t len = std::min(x.size(), plan.size());
-  std::copy(x.begin(), x.begin() + static_cast<std::ptrdiff_t>(len),
-            padded.begin());
-  return plan.rfft(padded);
+  return plan.rfft(
+      std::span<const double>(x).first(std::min(x.size(), plan.size())));
 }
 
 /// Solve the 2x2 Hermitian system (R + dI) w = h.

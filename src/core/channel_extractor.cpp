@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "common/error.h"
 #include "dsp/deconvolution.h"
@@ -56,21 +57,17 @@ ChannelExtractor::ChannelExtractor(
   UNIQ_REQUIRE(opts_.channelLength >= 64, "channel length too short");
 }
 
-std::vector<double> ChannelExtractor::extractEar(
-    const std::vector<double>& recording,
-    const std::vector<double>& source) const {
-  UNIQ_REQUIRE(!recording.empty() && !source.empty(), "empty input");
-  const std::size_t n =
-      dsp::nextPowerOfTwo(recording.size() + source.size());
-  const auto plan = dsp::fftPlan(n);
-  // Real inputs: half-spectrum transforms (bins 0..n/2) carry everything.
-  std::vector<double> py(n, 0.0);
-  std::vector<double> px(n, 0.0);
-  std::copy(recording.begin(), recording.end(), py.begin());
-  std::copy(source.begin(), source.end(), px.begin());
-  const auto fy = plan->rfft(py);
-  auto fx = plan->rfft(px);
-
+std::shared_ptr<const std::vector<dsp::Complex>>
+ChannelExtractor::sourceSpectrum(const std::vector<double>& source,
+                                 std::size_t n) const {
+  std::lock_guard<std::mutex> lock(sourceMutex_);
+  if (source != source_) {
+    source_ = source;
+    sourceSpectra_.clear();
+  }
+  auto& kept = sourceSpectra_[n];
+  if (kept) return kept;
+  auto fx = dsp::fftPlan(n)->rfft(source);
   // Fold the estimated hardware response into the known transmit chain so
   // the spectral division compensates it in one step.
   if (opts_.compensateHardware && !hardwareEstimate_.empty()) {
@@ -83,59 +80,26 @@ std::vector<double> ChannelExtractor::extractEar(
       fx[k] *= hardwareEstimate_[rk];
     }
   }
+  kept = std::make_shared<const std::vector<dsp::Complex>>(std::move(fx));
+  return kept;
+}
 
-  const auto fh =
-      dsp::regularizedSpectralDivide(fy, fx, opts_.relativeRegularization);
+std::vector<double> ChannelExtractor::extractEar(
+    const std::vector<double>& recording,
+    const std::vector<double>& source) const {
+  // Real inputs: half-spectrum transforms (bins 0..n/2) carry everything,
+  // and rfft zero-pads both signals to n itself.
+  const std::size_t n =
+      dsp::nextPowerOfTwo(recording.size() + source.size());
+  const auto plan = dsp::fftPlan(n);
+  const auto fx = sourceSpectrum(source, n);
+  const auto fh = dsp::regularizedSpectralDivide(
+      plan->rfft(recording), *fx, opts_.relativeRegularization);
   const auto time = plan->irfft(fh);
   std::vector<double> h(opts_.channelLength, 0.0);
   const std::size_t keep = std::min<std::size_t>(opts_.channelLength, n);
-  for (std::size_t i = 0; i < keep; ++i) h[i] = time[i];
+  std::copy_n(time.begin(), keep, h.begin());
   return h;
-}
-
-std::pair<std::vector<double>, std::vector<double>>
-ChannelExtractor::extractEars(const std::vector<double>& leftRecording,
-                              const std::vector<double>& rightRecording,
-                              const std::vector<double>& source) const {
-  const std::size_t n =
-      dsp::nextPowerOfTwo(leftRecording.size() + source.size());
-  const auto plan = dsp::fftPlan(n);
-  std::vector<std::vector<double>> pads(2, std::vector<double>(n, 0.0));
-  std::copy(leftRecording.begin(), leftRecording.end(), pads[0].begin());
-  std::copy(rightRecording.begin(), rightRecording.end(), pads[1].begin());
-  const auto fys = plan->rfftBatch(pads);
-
-  std::vector<double> px(n, 0.0);
-  std::copy(source.begin(), source.end(), px.begin());
-  auto fx = plan->rfft(px);
-  // Hardware compensation applies to the transmit chain only, so the
-  // compensated source spectrum is shared by both ears.
-  if (opts_.compensateHardware && !hardwareEstimate_.empty()) {
-    const std::size_t rn = hardwareEstimate_.size();
-    for (std::size_t k = 0; k <= n / 2; ++k) {
-      const double frac = static_cast<double>(k) / static_cast<double>(n);
-      const auto rk = static_cast<std::size_t>(std::min<double>(
-          std::lround(frac * static_cast<double>(rn)),
-          static_cast<double>(rn / 2)));
-      fx[k] *= hardwareEstimate_[rk];
-    }
-  }
-
-  std::vector<std::vector<dsp::Complex>> fhs(2);
-  for (int e = 0; e < 2; ++e)
-    fhs[static_cast<std::size_t>(e)] = dsp::regularizedSpectralDivide(
-        fys[static_cast<std::size_t>(e)], fx, opts_.relativeRegularization);
-  const auto times = plan->irfftBatch(fhs);
-
-  std::pair<std::vector<double>, std::vector<double>> out;
-  const std::size_t keep = std::min<std::size_t>(opts_.channelLength, n);
-  for (int e = 0; e < 2; ++e) {
-    auto& h = e == 0 ? out.first : out.second;
-    h.assign(opts_.channelLength, 0.0);
-    const auto& time = times[static_cast<std::size_t>(e)];
-    for (std::size_t i = 0; i < keep; ++i) h[i] = time[i];
-  }
-  return out;
 }
 
 BinauralChannel ChannelExtractor::extract(
@@ -153,16 +117,8 @@ BinauralChannel ChannelExtractor::extract(
   UNIQ_REQUIRE(!leftRecording.empty() && !rightRecording.empty() &&
                    !source.empty(),
                "empty input");
-  if (leftRecording.size() == rightRecording.size()) {
-    auto ears = extractEars(leftRecording, rightRecording, source);
-    out.left = std::move(ears.first);
-    out.right = std::move(ears.second);
-  } else {
-    // Unequal capture lengths pick different FFT sizes per ear; keep the
-    // single-ear path for that case.
-    out.left = extractEar(leftRecording, source);
-    out.right = extractEar(rightRecording, source);
-  }
+  out.left = extractEar(leftRecording, source);
+  out.right = extractEar(rightRecording, source);
 
   out.quality.clipFractionLeft = clipFraction(leftRecording);
   out.quality.clipFractionRight = clipFraction(rightRecording);

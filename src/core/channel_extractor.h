@@ -1,7 +1,9 @@
 #pragma once
 
+#include <map>
+#include <memory>
+#include <mutex>
 #include <optional>
-#include <utility>
 #include <vector>
 
 #include "dsp/fft.h"
@@ -89,20 +91,26 @@ class ChannelExtractor {
   const Options& options() const { return opts_; }
 
  private:
+  /// One ear's deconvolved channel (channelLength samples).
   std::vector<double> extractEar(const std::vector<double>& recording,
                                  const std::vector<double>& source) const;
-  /// Both ears in one pass when the recordings have equal length (the
-  /// normal capture case): the two forward transforms run through the
-  /// batched FFT and the source spectrum (plus its hardware compensation)
-  /// is computed once and shared.
-  std::pair<std::vector<double>, std::vector<double>> extractEars(
-      const std::vector<double>& leftRecording,
-      const std::vector<double>& rightRecording,
-      const std::vector<double>& source) const;
+  /// Half spectrum of `source` at FFT size `n`, times the hardware response
+  /// estimate when compensation is on (the compensation applies to the
+  /// transmit chain only, so every ear and stop shares it). Computed once
+  /// per FFT size for a given source and kept; a different source replaces
+  /// the kept spectra. Thread-safe.
+  std::shared_ptr<const std::vector<dsp::Complex>> sourceSpectrum(
+      const std::vector<double>& source, std::size_t n) const;
 
   std::vector<dsp::Complex> hardwareEstimate_;
   double sampleRate_;
   Options opts_;
+  mutable std::mutex sourceMutex_;
+  /// The source the kept spectra belong to, and the spectra by FFT size.
+  mutable std::vector<double> source_;
+  mutable std::map<std::size_t,
+                   std::shared_ptr<const std::vector<dsp::Complex>>>
+      sourceSpectra_;
 };
 
 }  // namespace uniq::core

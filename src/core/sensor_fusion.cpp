@@ -221,9 +221,7 @@ SensorFusionResult SensorFusion::solveWith(
           : opts_.unlocalizedPenalty;
 
   const auto fftAfter = dsp::fftStats();
-  const std::uint64_t fftDelta =
-      (fftAfter.transforms + fftAfter.batchedTransforms) -
-      (fftBefore.transforms + fftBefore.batchedTransforms);
+  const std::uint64_t fftDelta = fftAfter.transforms - fftBefore.transforms;
   const std::uint64_t evalDelta = evalCounter.value() - evalsBefore;
   fftCounter.inc(fftDelta);
   fftPerEval.set(evalDelta > 0 ? static_cast<double>(fftDelta) /

@@ -27,14 +27,11 @@ std::vector<double> convolveFft(std::span<const double> a,
   const std::size_t outLen = a.size() + b.size() - 1;
   const std::size_t n = nextPowerOfTwo(outLen);
   const auto plan = fftPlan(n);
-  // Both inputs are real: two half-spectrum transforms and one inverse
-  // replace the three full complex FFTs of the naive approach.
-  std::vector<double> pa(n, 0.0);
-  std::vector<double> pb(n, 0.0);
-  std::copy(a.begin(), a.end(), pa.begin());
-  std::copy(b.begin(), b.end(), pb.begin());
-  auto fa = plan->rfft(pa);
-  const auto fb = plan->rfft(pb);
+  // Both inputs are real: two half-spectrum transforms (rfft zero-pads them
+  // to n) and one inverse replace the three full complex FFTs of the naive
+  // approach.
+  auto fa = plan->rfft(a);
+  const auto fb = plan->rfft(b);
   kernels::cmulInterleaved(fa.data(), fb.data(), fa.size());
   auto full = plan->irfft(fa);
   full.resize(outLen);
@@ -51,20 +48,14 @@ std::vector<double> convolveOverlapAdd(std::span<const double> signal,
   const std::size_t fftLen = nextPowerOfTwo(blockSize + kernel.size() - 1);
   const auto plan = fftPlan(fftLen);
 
-  // Pre-transform the kernel once.
-  std::vector<double> pk(fftLen, 0.0);
-  std::copy(kernel.begin(), kernel.end(), pk.begin());
-  const auto fk = plan->rfft(pk);
+  // Pre-transform the kernel once; rfft zero-pads it and each block to
+  // fftLen.
+  const auto fk = plan->rfft(kernel);
 
   std::vector<double> out(outLen, 0.0);
-  std::vector<double> block(fftLen);
   for (std::size_t start = 0; start < signal.size(); start += blockSize) {
     const std::size_t len = std::min(blockSize, signal.size() - start);
-    std::fill(block.begin(), block.end(), 0.0);
-    std::copy(signal.begin() + static_cast<std::ptrdiff_t>(start),
-              signal.begin() + static_cast<std::ptrdiff_t>(start + len),
-              block.begin());
-    auto fb = plan->rfft(block);
+    auto fb = plan->rfft(signal.subspan(start, len));
     kernels::cmulInterleaved(fb.data(), fk.data(), fb.size());
     const auto time = plan->irfft(fb);
     const std::size_t tail = std::min(len + kernel.size() - 1, outLen - start);

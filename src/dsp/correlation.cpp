@@ -76,12 +76,8 @@ std::vector<double> crossCorrelate(std::span<const double> a,
   const std::size_t outLen = a.size() + b.size() - 1;
   const std::size_t n = nextPowerOfTwo(outLen);
   const auto plan = fftPlan(n);
-  std::vector<double> pa(n, 0.0);
-  std::vector<double> pb(n, 0.0);
-  std::copy(a.begin(), a.end(), pa.begin());
-  std::copy(b.begin(), b.end(), pb.begin());
-  auto fa = plan->rfft(pa);
-  const auto fb = plan->rfft(pb);
+  auto fa = plan->rfft(a);  // both zero-padded to n
+  const auto fb = plan->rfft(b);
   kernels::cmulConjInterleaved(fa.data(), fb.data(), fa.size());
   const auto r = plan->irfft(fa);
   // IFFT of A*conj(B) yields r[p] = sum_t a[t+p]*b[t] = c[-p] under the
@@ -177,12 +173,8 @@ std::vector<double> gccPhat(std::span<const double> a,
   const std::size_t outLen = a.size() + b.size() - 1;
   const std::size_t n = nextPowerOfTwo(outLen);
   const auto plan = fftPlan(n);
-  std::vector<double> pa(n, 0.0);
-  std::vector<double> pb(n, 0.0);
-  std::copy(a.begin(), a.end(), pa.begin());
-  std::copy(b.begin(), b.end(), pb.begin());
-  auto fa = plan->rfft(pa);
-  const auto fb = plan->rfft(pb);
+  auto fa = plan->rfft(a);  // both zero-padded to n
+  const auto fb = plan->rfft(b);
   for (std::size_t i = 0; i < fa.size(); ++i) {
     const Complex cross = fa[i] * std::conj(fb[i]);
     const double mag = std::abs(cross);

@@ -32,15 +32,12 @@ std::vector<double> deconvolve(std::span<const double> received,
                "deconvolve of empty signal");
   const std::size_t n = nextPowerOfTwo(received.size() + source.size());
   const auto plan = fftPlan(n);
-  // Both inputs are real: divide the half spectra only. The regularization
-  // floor is unchanged because |X(f)|^2 attains its maximum inside the half
-  // spectrum of a conjugate-symmetric transform.
-  std::vector<double> py(n, 0.0);
-  std::vector<double> px(n, 0.0);
-  std::copy(received.begin(), received.end(), py.begin());
-  std::copy(source.begin(), source.end(), px.begin());
-  const auto fy = plan->rfft(py);
-  const auto fx = plan->rfft(px);
+  // Both inputs are real (rfft zero-pads them to n): divide the half
+  // spectra only. The regularization floor is unchanged because |X(f)|^2
+  // attains its maximum inside the half spectrum of a conjugate-symmetric
+  // transform.
+  const auto fy = plan->rfft(received);
+  const auto fx = plan->rfft(source);
   const auto fh =
       regularizedSpectralDivide(fy, fx, opts.relativeRegularization);
   const auto time = plan->irfft(fh);

@@ -43,16 +43,11 @@ obs::Gauge& cachedPlansGauge() {
   static obs::Gauge& g = obs::registry().gauge("fft.plan.cached");
   return g;
 }
-// Executed-transform counters: every user-visible transform (a Bluestein
-// transform counts once, not per inner convolution FFT), batch members
-// individually. The fusion stage reads deltas of these to report FFT work
-// per objective evaluation.
+// Executed-transform counter: every user-visible transform (a Bluestein
+// transform counts once, not per inner convolution FFT). The fusion stage
+// reads deltas of it to report FFT work per objective evaluation.
 obs::Counter& transformCounter() {
   static obs::Counter& c = obs::registry().counter("fft.transforms");
-  return c;
-}
-obs::Counter& batchedCounter() {
-  static obs::Counter& c = obs::registry().counter("fft.transforms.batched");
   return c;
 }
 
@@ -60,16 +55,6 @@ obs::Counter& batchedCounter() {
 // the cache so a pathological caller sweeping many distinct lengths cannot
 // grow it without bound.
 constexpr std::size_t kMaxCachedPlans = 128;
-
-// Batched transforms run in chunks of at most this many members: wide
-// enough that every butterfly is a full AVX2 vector (and twiddle broadcasts
-// amortize), narrow enough that a chunk's working set stays in L1/L2.
-constexpr std::size_t kBatchWidth = 8;
-
-/// Row stride (in doubles) for a batch chunk of `w` members: the smallest
-/// multiple of 4 holding `w`, so the vector kernels never need a scalar
-/// tail in the batch dimension.
-std::size_t batchStride(std::size_t w) { return w <= 4 ? 4 : kBatchWidth; }
 
 }  // namespace
 
@@ -87,9 +72,9 @@ FftPlan::FftPlan(std::size_t n) : n_(n), pow2_(isPowerOfTwo(n)) {
       bitrev_[i] = static_cast<std::uint32_t>(j);
     }
     if (n >= 2) {
-      // Packed per-stage twiddles, batch layout: stage len at offset
-      // len/2 - 1, entries exp(-2*pi*i*k/len) for k < len/2. The offsets
-      // telescope (1 + 2 + ... + len/4 == len/2 - 1), n - 1 entries total.
+      // Packed per-stage twiddles: stage len at offset len/2 - 1, entries
+      // exp(-2*pi*i*k/len) for k < len/2. The offsets telescope
+      // (1 + 2 + ... + len/4 == len/2 - 1), n - 1 entries total.
       twRe_.resizeDiscard(n - 1);
       twIm_.resizeDiscard(n - 1);
       invTwIm_.resizeDiscard(n - 1);
@@ -168,7 +153,7 @@ void FftPlan::transformPow2(std::span<Complex> data, bool inverse) const {
   double* re = arena.allocDoubles(2 * lane);
   double* im = re + lane;
   gatherSplit(data.data(), re, im);
-  kernels::ditStagesFrom4(re, im, n, stageTwRe(), stageTwIm(inverse));
+  kernels::ditStagesFrom(re, im, n, stageTwRe(), stageTwIm(inverse), 4);
   auto* d = reinterpret_cast<double*>(data.data());
   if (inverse) {
     const double s = 1.0 / static_cast<double>(n);
@@ -258,38 +243,67 @@ std::vector<Complex> FftPlan::inverse(std::span<const Complex> input) const {
 
 std::vector<Complex> FftPlan::rfft(std::span<const double> input) const {
   UNIQ_REQUIRE(pow2_, "rfft needs a power-of-two plan");
-  UNIQ_REQUIRE(input.size() == n_, "input length does not match plan");
+  const std::size_t len = input.size();
+  UNIQ_REQUIRE(len >= 1 && len <= n_, "rfft input must hold 1..n samples");
   transformCounter().inc();
   const std::size_t n = n_;
   if (n == 1) return {Complex(input[0], 0)};
 
-  // Pack even/odd samples into one complex signal of length n/2, transform,
-  // then split: X[k] = E[k] + exp(-2*pi*i*k/n) * O[k]. The pack gathers in
-  // the half plan's bit-reversed order with its len == 2 stage fused, like
-  // gatherSplit().
+  // Pack even/odd samples into one complex signal z of length h = n/2,
+  // transform, then split: X[k] = E[k] + exp(-2*pi*i*k/n) * O[k]. Samples
+  // past `len` are zeros.
   const std::size_t h = n / 2;
   auto& arena = common::simdScratch();
   common::ArenaScope scope(arena);
   const std::size_t lane = common::alignedCount(h, sizeof(double));
   double* zRe = arena.allocDoubles(2 * lane);
   double* zIm = zRe + lane;
-  if (h == 1) {
-    zRe[0] = input[0];
-    zIm[0] = input[1];
-  } else {
-    const auto& rev = halfPlan_->bitrev_;
-    for (std::size_t t = 0; t < h / 2; ++t) {
-      const std::size_t j = rev[2 * t];
-      const double ur = input[2 * j], ui = input[2 * j + 1];
-      const double vr = input[2 * (j + h / 2)];
-      const double vi = input[2 * (j + h / 2) + 1];
-      zRe[2 * t] = ur + vr;
-      zIm[2 * t] = ui + vi;
-      zRe[2 * t + 1] = ur - vr;
-      zIm[2 * t + 1] = ui - vi;
+  const auto& rev = halfPlan_->bitrev_;
+  // z has its nonzeros in [0, nz). In bit-reversed order, each length-block
+  // sub-transform then holds one nonzero, z[rev[b]], at its start, so its
+  // transform is that sample repeated: fill the blocks and start the
+  // cascade at stage 2 * block. The skipped stages would only have added
+  // and multiplied zeros, so every bin equals the padded transform's.
+  const std::size_t nz = (len + 1) / 2;
+  const std::size_t block = h / nextPowerOfTwo(nz);
+  if (block >= 4) {
+    for (std::size_t b = 0; b < h; b += block) {
+      const std::size_t j = rev[b];
+      const double vr = 2 * j < len ? input[2 * j] : 0.0;
+      const double vi = 2 * j + 1 < len ? input[2 * j + 1] : 0.0;
+      std::fill(zRe + b, zRe + b + block, vr);
+      std::fill(zIm + b, zIm + b + block, vi);
     }
-    kernels::ditStagesFrom4(zRe, zIm, h, halfPlan_->stageTwRe(),
-                            halfPlan_->stageTwIm(false));
+    kernels::ditStagesFrom(zRe, zIm, h, halfPlan_->stageTwRe(),
+                           halfPlan_->stageTwIm(false), 2 * block);
+  } else {
+    // Too few stages to skip: gather the full padded signal.
+    const double* x = input.data();
+    if (len < n) {
+      double* padded = arena.allocDoubles(n);
+      std::copy(input.begin(), input.end(), padded);
+      std::fill(padded + len, padded + n, 0.0);
+      x = padded;
+    }
+    if (h == 1) {
+      zRe[0] = x[0];
+      zIm[0] = x[1];
+    } else {
+      // Gather in the half plan's bit-reversed order with its len == 2
+      // stage fused, like gatherSplit().
+      for (std::size_t t = 0; t < h / 2; ++t) {
+        const std::size_t j = rev[2 * t];
+        const double ur = x[2 * j], ui = x[2 * j + 1];
+        const double vr = x[2 * (j + h / 2)];
+        const double vi = x[2 * (j + h / 2) + 1];
+        zRe[2 * t] = ur + vr;
+        zIm[2 * t] = ui + vi;
+        zRe[2 * t + 1] = ur - vr;
+        zIm[2 * t + 1] = ui - vi;
+      }
+      kernels::ditStagesFrom(zRe, zIm, h, halfPlan_->stageTwRe(),
+                             halfPlan_->stageTwIm(false), 4);
+    }
   }
 
   // Split twiddles exp(-2*pi*i*k/n) are exactly the len == n stage slice.
@@ -355,8 +369,8 @@ std::vector<double> FftPlan::irfft(std::span<const Complex> halfSpectrum) const 
       zRe[2 * t + 1] = ur - vr;
       zIm[2 * t + 1] = ui - vi;
     }
-    kernels::ditStagesFrom4(zRe, zIm, h, halfPlan_->stageTwRe(),
-                            halfPlan_->stageTwIm(true));
+    kernels::ditStagesFrom(zRe, zIm, h, halfPlan_->stageTwRe(),
+                           halfPlan_->stageTwIm(true), 4);
   }
 
   const double s = 1.0 / static_cast<double>(h);
@@ -364,168 +378,6 @@ std::vector<double> FftPlan::irfft(std::span<const Complex> halfSpectrum) const 
   for (std::size_t j = 0; j < h; ++j) {
     out[2 * j] = zRe[j] * s;
     out[2 * j + 1] = zIm[j] * s;
-  }
-  return out;
-}
-
-std::vector<std::vector<Complex>> FftPlan::forwardBatch(
-    std::span<const std::vector<Complex>> inputs) const {
-  UNIQ_REQUIRE(pow2_, "forwardBatch needs a power-of-two plan");
-  const std::size_t n = n_;
-  std::vector<std::vector<Complex>> out(inputs.size());
-  auto& arena = common::simdScratch();
-  for (std::size_t c = 0; c < inputs.size(); c += kBatchWidth) {
-    const std::size_t w = std::min(kBatchWidth, inputs.size() - c);
-    const std::size_t stride = batchStride(w);
-    common::ArenaScope scope(arena);
-    double* re = arena.allocDoubles(2 * n * stride);
-    double* im = re + n * stride;
-    if (w < stride) std::fill(re, re + 2 * n * stride, 0.0);
-    for (std::size_t j = 0; j < w; ++j) {
-      UNIQ_REQUIRE(inputs[c + j].size() == n,
-                   "batch input length does not match plan");
-      const auto* src = inputs[c + j].data();
-      for (std::size_t k = 0; k < n; ++k) {
-        const Complex x = src[bitrev_[k]];
-        re[k * stride + j] = x.real();
-        im[k * stride + j] = x.imag();
-      }
-    }
-    kernels::batchDitStages(re, im, stride, n, twRe_.data(), twIm_.data());
-    for (std::size_t j = 0; j < w; ++j) {
-      auto& dst = out[c + j];
-      dst.resize(n);
-      for (std::size_t k = 0; k < n; ++k)
-        dst[k] = Complex(re[k * stride + j], im[k * stride + j]);
-    }
-    transformCounter().inc(w);
-    batchedCounter().inc(w);
-  }
-  return out;
-}
-
-std::vector<std::vector<Complex>> FftPlan::rfftBatch(
-    std::span<const std::vector<double>> inputs) const {
-  UNIQ_REQUIRE(pow2_, "rfftBatch needs a power-of-two plan");
-  const std::size_t n = n_;
-  std::vector<std::vector<Complex>> out(inputs.size());
-  if (n == 1) {
-    for (std::size_t j = 0; j < inputs.size(); ++j) {
-      UNIQ_REQUIRE(inputs[j].size() == 1,
-                   "batch input length does not match plan");
-      out[j] = {Complex(inputs[j][0], 0)};
-    }
-    transformCounter().inc(inputs.size());
-    batchedCounter().inc(inputs.size());
-    return out;
-  }
-  const std::size_t h = n / 2;
-  const double* wr = twRe_.data() + (h - 1);
-  const double* wi = twIm_.data() + (h - 1);
-  auto& arena = common::simdScratch();
-  for (std::size_t c = 0; c < inputs.size(); c += kBatchWidth) {
-    const std::size_t w = std::min(kBatchWidth, inputs.size() - c);
-    const std::size_t stride = batchStride(w);
-    common::ArenaScope scope(arena);
-    double* zRe = arena.allocDoubles(2 * h * stride);
-    double* zIm = zRe + h * stride;
-    if (w < stride) std::fill(zRe, zRe + 2 * h * stride, 0.0);
-    const auto& rev = halfPlan_->bitrev_;
-    for (std::size_t j = 0; j < w; ++j) {
-      UNIQ_REQUIRE(inputs[c + j].size() == n,
-                   "batch input length does not match plan");
-      const auto* src = inputs[c + j].data();
-      // Even/odd pack straight into the half plan's bit-reversed order.
-      for (std::size_t k = 0; k < h; ++k) {
-        const std::size_t jj = rev[k];
-        zRe[k * stride + j] = src[2 * jj];
-        zIm[k * stride + j] = src[2 * jj + 1];
-      }
-    }
-    kernels::batchDitStages(zRe, zIm, stride, h, halfPlan_->twRe_.data(),
-                            halfPlan_->twIm_.data());
-    for (std::size_t j = 0; j < w; ++j) {
-      auto& dst = out[c + j];
-      dst.resize(h + 1);
-      const double z0r = zRe[j], z0i = zIm[j];
-      dst[0] = Complex(z0r + z0i, 0.0);
-      dst[h] = Complex(z0r - z0i, 0.0);
-      for (std::size_t k = 1; k < h; ++k) {
-        const double zkr = zRe[k * stride + j], zki = zIm[k * stride + j];
-        const double znr = zRe[(h - k) * stride + j];
-        const double zni = zIm[(h - k) * stride + j];
-        const double er = 0.5 * (zkr + znr);
-        const double ei = 0.5 * (zki - zni);
-        const double odr = 0.5 * (zki + zni);
-        const double odi = -0.5 * (zkr - znr);
-        dst[k] = Complex(er + odr * wr[k] - odi * wi[k],
-                         ei + odr * wi[k] + odi * wr[k]);
-      }
-    }
-    transformCounter().inc(w);
-    batchedCounter().inc(w);
-  }
-  return out;
-}
-
-std::vector<std::vector<double>> FftPlan::irfftBatch(
-    std::span<const std::vector<Complex>> halfSpectra) const {
-  UNIQ_REQUIRE(pow2_, "irfftBatch needs a power-of-two plan");
-  const std::size_t n = n_;
-  std::vector<std::vector<double>> out(halfSpectra.size());
-  if (n == 1) {
-    for (std::size_t j = 0; j < halfSpectra.size(); ++j) {
-      UNIQ_REQUIRE(halfSpectra[j].size() == 1,
-                   "batch half spectrum length does not match plan");
-      out[j] = {halfSpectra[j][0].real()};
-    }
-    transformCounter().inc(halfSpectra.size());
-    batchedCounter().inc(halfSpectra.size());
-    return out;
-  }
-  const std::size_t h = n / 2;
-  const double* wr = twRe_.data() + (h - 1);
-  const double* wi = invTwIm_.data() + (h - 1);
-  auto& arena = common::simdScratch();
-  for (std::size_t c = 0; c < halfSpectra.size(); c += kBatchWidth) {
-    const std::size_t w = std::min(kBatchWidth, halfSpectra.size() - c);
-    const std::size_t stride = batchStride(w);
-    common::ArenaScope scope(arena);
-    double* zRe = arena.allocDoubles(2 * h * stride);
-    double* zIm = zRe + h * stride;
-    if (w < stride) std::fill(zRe, zRe + 2 * h * stride, 0.0);
-    const auto& rev = halfPlan_->bitrev_;
-    for (std::size_t j = 0; j < w; ++j) {
-      UNIQ_REQUIRE(halfSpectra[c + j].size() == h + 1,
-                   "batch half spectrum length does not match plan");
-      const auto* src = halfSpectra[c + j].data();
-      // Natural-order z value for index k scatters to its bit-reversed row
-      // (bit reversal is an involution).
-      for (std::size_t k = 0; k < h; ++k) {
-        const std::size_t nk = h - k;
-        const double xkr = src[k].real(), xki = src[k].imag();
-        const double xnr = src[nk].real(), xni = -src[nk].imag();
-        const double er = 0.5 * (xkr + xnr), ei = 0.5 * (xki + xni);
-        const double dr = 0.5 * (xkr - xnr), di = 0.5 * (xki - xni);
-        const double odr = dr * wr[k] - di * wi[k];
-        const double odi = dr * wi[k] + di * wr[k];
-        zRe[rev[k] * stride + j] = er - odi;
-        zIm[rev[k] * stride + j] = ei + odr;
-      }
-    }
-    kernels::batchDitStages(zRe, zIm, stride, h, halfPlan_->twRe_.data(),
-                            halfPlan_->invTwIm_.data());
-    const double s = 1.0 / static_cast<double>(h);
-    for (std::size_t j = 0; j < w; ++j) {
-      auto& dst = out[c + j];
-      dst.resize(n);
-      for (std::size_t k = 0; k < h; ++k) {
-        dst[2 * k] = zRe[k * stride + j] * s;
-        dst[2 * k + 1] = zIm[k * stride + j] * s;
-      }
-    }
-    transformCounter().inc(w);
-    batchedCounter().inc(w);
   }
   return out;
 }
@@ -558,7 +410,6 @@ FftStats fftStats() {
   s.planHits = planHitCounter().value();
   s.planMisses = planMissCounter().value();
   s.transforms = transformCounter().value();
-  s.batchedTransforms = batchedCounter().value();
   std::lock_guard<std::mutex> lock(cacheMutex());
   s.cachedPlans = planCache().size();
   return s;
@@ -568,7 +419,6 @@ void resetFftStats() {
   planHitCounter().reset();
   planMissCounter().reset();
   transformCounter().reset();
-  batchedCounter().reset();
 }
 
 std::vector<Complex> rfft(std::span<const double> input) {

@@ -13,13 +13,11 @@ namespace uniq::dsp {
 /// Snapshot of the process-wide FFT plan cache counters (cheap atomics; see
 /// fftStats()). `planHits`/`planMisses` count fftPlan() lookups; a miss
 /// builds and caches a new plan. `transforms` counts every executed
-/// transform (batch members included); `batchedTransforms` counts the
-/// subset that ran through the batched entry points.
+/// transform.
 struct FftStats {
   std::uint64_t planHits = 0;
   std::uint64_t planMisses = 0;
   std::uint64_t transforms = 0;
-  std::uint64_t batchedTransforms = 0;
   std::size_t cachedPlans = 0;
 };
 
@@ -34,12 +32,6 @@ struct FftStats {
 /// against the pre-permuted kernel spectrum, and a decimation-in-time
 /// inverse transform restores natural order — no bit-reversal passes at
 /// transform time.
-///
-/// Batched entry points (forwardBatch / rfftBatch / irfftBatch) transform
-/// same-length buffers together in a batch-interleaved layout where every
-/// butterfly is a full-width vector op with contiguous loads, amortizing
-/// twiddle traffic across the batch. They are the fast path for template
-/// banks (AoA spectra) and multi-channel extraction.
 ///
 /// Plans are immutable after construction and safe to share across threads;
 /// transform scratch comes from the per-thread arena (common/aligned.h).
@@ -61,10 +53,15 @@ class FftPlan {
   std::vector<Complex> forward(std::span<const Complex> input) const;
   std::vector<Complex> inverse(std::span<const Complex> input) const;
 
-  /// Real-input fast path (power-of-two plans only): transforms length-n
-  /// real input via one complex FFT of length n/2 and returns the
-  /// non-redundant half spectrum X[0..n/2] (size n/2 + 1). The remaining
-  /// bins are the conjugate mirror X[n-k] = conj(X[k]).
+  /// Real-input fast path (power-of-two plans only): transforms real input
+  /// via one complex FFT of length n/2 and returns the non-redundant half
+  /// spectrum X[0..n/2] (size n/2 + 1). The remaining bins are the
+  /// conjugate mirror X[n-k] = conj(X[k]). `input` may hold 1..n samples;
+  /// the missing tail counts as zeros, so callers never build padded
+  /// copies. Every bin == the transform of the explicitly padded signal
+  /// (only the sign of an exact zero may differ), and a short input skips
+  /// the butterfly stages that would only move zeros: with at most n/2^s
+  /// samples (s >= 2), the first s of the half plan's log2(n/2) stages.
   std::vector<Complex> rfft(std::span<const double> input) const;
 
   /// Inverse of rfft(): takes the half spectrum (size n/2 + 1, assumed to
@@ -72,26 +69,10 @@ class FftPlan {
   /// real signal, including the 1/N scaling.
   std::vector<double> irfft(std::span<const Complex> halfSpectrum) const;
 
-  /// Batched forward transforms (power-of-two plans only): every input must
-  /// have length n. Results match forward() per member to rounding; inputs
-  /// are processed in cache-friendly interleaved chunks.
-  std::vector<std::vector<Complex>> forwardBatch(
-      std::span<const std::vector<Complex>> inputs) const;
-
-  /// Batched rfft: every input is a length-n real signal; each output is
-  /// the size n/2 + 1 half spectrum, matching rfft() per member.
-  std::vector<std::vector<Complex>> rfftBatch(
-      std::span<const std::vector<double>> inputs) const;
-
-  /// Batched irfft: every input is a size n/2 + 1 half spectrum; each
-  /// output is the length-n real signal, matching irfft() per member.
-  std::vector<std::vector<double>> irfftBatch(
-      std::span<const std::vector<Complex>> halfSpectra) const;
-
  private:
   void transformPow2(std::span<Complex> data, bool inverse) const;
   /// Deinterleave `input` into split re/im lanes in bit-reversed order with
-  /// the len == 2 butterfly fused, ready for the ditStagesFrom4 kernel.
+  /// the len == 2 butterfly fused, ready for ditStagesFrom(..., 4).
   void gatherSplit(const Complex* input, double* re, double* im) const;
   std::vector<Complex> forwardBluestein(std::span<const Complex> input) const;
 
@@ -111,12 +92,13 @@ class FftPlan {
 
   // Power-of-two tables.
   std::vector<std::uint32_t> bitrev_;
-  /// Packed per-stage twiddles in batch layout (stages len = 2..n, stage
-  /// offset len/2 - 1, n - 1 entries): exp(-2*pi*i*k/len) split into re and
-  /// im lanes. The single-transform kernels use the same storage shifted by
-  /// one entry (stageTwRe/stageTwIm); the rfft split twiddles are the
-  /// len == n stage slice at offset n/2 - 1. `invTwIm_` is the negated im
-  /// lane (conjugate tables) for inverse transforms.
+  /// Packed per-stage twiddles (stages len = 2..n, stage offset
+  /// len/2 - 1, n - 1 entries): exp(-2*pi*i*k/len) split into re and im
+  /// lanes. The kernels, which handle the twiddle-free len == 2 stage
+  /// themselves, take the storage shifted by one entry
+  /// (stageTwRe/stageTwIm); the rfft split twiddles are the len == n stage
+  /// slice at offset n/2 - 1. `invTwIm_` is the negated im lane (conjugate
+  /// tables) for inverse transforms.
   common::AlignedBuffer<double> twRe_;
   common::AlignedBuffer<double> twIm_;
   common::AlignedBuffer<double> invTwIm_;

@@ -92,22 +92,18 @@ const KernelTable& table() { return *dispatch().table; }
 
 void ditStages(double* re, double* im, std::size_t n, const double* stageTwRe,
                const double* stageTwIm) {
-  detail::table().ditStages(re, im, n, stageTwRe, stageTwIm, false);
+  detail::table().ditStages(re, im, n, stageTwRe, stageTwIm, 2);
 }
 
-void ditStagesFrom4(double* re, double* im, std::size_t n,
-                    const double* stageTwRe, const double* stageTwIm) {
-  detail::table().ditStages(re, im, n, stageTwRe, stageTwIm, true);
+void ditStagesFrom(double* re, double* im, std::size_t n,
+                   const double* stageTwRe, const double* stageTwIm,
+                   std::size_t firstLen) {
+  detail::table().ditStages(re, im, n, stageTwRe, stageTwIm, firstLen);
 }
 
 void difStages(double* re, double* im, std::size_t n, const double* stageTwRe,
                const double* stageTwIm) {
   detail::table().difStages(re, im, n, stageTwRe, stageTwIm);
-}
-
-void batchDitStages(double* re, double* im, std::size_t stride, std::size_t n,
-                    const double* stageTwRe, const double* stageTwIm) {
-  detail::table().batchDitStages(re, im, stride, n, stageTwRe, stageTwIm);
 }
 
 void scaleInPlace(double* x, std::size_t n, double s) {

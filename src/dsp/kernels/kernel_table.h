@@ -12,11 +12,9 @@ namespace uniq::dsp::kernels::detail {
 /// kernels.h jump through it.
 struct KernelTable {
   void (*ditStages)(double*, double*, std::size_t, const double*,
-                    const double*, bool firstStageDone);
+                    const double*, std::size_t firstLen);
   void (*difStages)(double*, double*, std::size_t, const double*,
                     const double*);
-  void (*batchDitStages)(double*, double*, std::size_t, std::size_t,
-                         const double*, const double*);
   void (*scaleInPlace)(double*, std::size_t, double);
   void (*cmulSplit)(double*, double*, const double*, const double*,
                     std::size_t);

@@ -53,10 +53,14 @@ bool setIsaOverride(Isa isa);
 void ditStages(double* re, double* im, std::size_t n, const double* stageTwRe,
                const double* stageTwIm);
 
-/// As ditStages but skipping the len == 2 stage (the caller fused it into
-/// its gather/permutation pass).
-void ditStagesFrom4(double* re, double* im, std::size_t n,
-                    const double* stageTwRe, const double* stageTwIm);
+/// As ditStages but starting at stage `firstLen` (a power of two >= 2):
+/// the caller has already produced every length-firstLen/2 sub-transform,
+/// either by fusing the len == 2 stage into its gather (firstLen == 4) or
+/// because each sub-block holds a single nonzero sample, whose transform is
+/// that sample repeated. Runs no stage when firstLen > n.
+void ditStagesFrom(double* re, double* im, std::size_t n,
+                   const double* stageTwRe, const double* stageTwIm,
+                   std::size_t firstLen);
 
 /// Decimation-in-frequency cascade: natural-order input, bit-reversed
 /// output. Same packed tables as ditStages (stages run n..8, then 4, 2).
@@ -64,17 +68,6 @@ void ditStagesFrom4(double* re, double* im, std::size_t n,
 /// DIF forward -> pointwise multiply in bit-reversed order -> DIT inverse.
 void difStages(double* re, double* im, std::size_t n, const double* stageTwRe,
                const double* stageTwIm);
-
-/// Batched butterfly cascade over batch-interleaved split lanes: element k
-/// of batch member j lives at [k * stride + j], stride >= batch width and a
-/// multiple of 8. Twiddles broadcast across the batch, so every butterfly
-/// is a full-width vector op with contiguous loads. Packed tables here
-/// include ALL stages len = 2..n (len/2 entries each, stage offset
-/// len/2 - 1, n - 1 entries total), because the batch dimension vectorizes
-/// the twiddle-free stages too. Input bit-reversed per batch member,
-/// output natural.
-void batchDitStages(double* re, double* im, std::size_t stride, std::size_t n,
-                    const double* stageTwRe, const double* stageTwIm);
 
 /// Multiply every element by `s` (inverse-FFT 1/n scaling).
 void scaleInPlace(double* x, std::size_t n, double s);

@@ -97,11 +97,12 @@ inline void stage4Dif(double* re, double* im, std::size_t n,
 }
 
 void ditStagesImpl(double* re, double* im, std::size_t n, const double* twRe,
-                   const double* twIm, bool firstStageDone) {
+                   const double* twIm, std::size_t firstLen) {
   if (n < 2) return;
-  if (!firstStageDone) stage2(re, im, n);
-  if (n >= 4) stage4Dit(re, im, n, twRe, twIm);
-  for (std::size_t len = 8; len <= n; len <<= 1) {
+  if (firstLen <= 2) stage2(re, im, n);
+  if (n >= 4 && firstLen <= 4) stage4Dit(re, im, n, twRe, twIm);
+  for (std::size_t len = std::max<std::size_t>(firstLen, 8); len <= n;
+       len <<= 1) {
     const std::size_t half = len / 2;  // >= 4: full 256-bit butterflies
     const double* wr = twRe + (half - 2);
     const double* wi = twIm + (half - 2);
@@ -152,41 +153,6 @@ void difStagesImpl(double* re, double* im, std::size_t n, const double* twRe,
   }
   if (n >= 4) stage4Dif(re, im, n, twRe, twIm);
   stage2(re, im, n);
-}
-
-void batchDitStagesImpl(double* re, double* im, std::size_t stride,
-                        std::size_t n, const double* twRe,
-                        const double* twIm) {
-  // Batch-interleaved layout: the inner j loop is contiguous and the
-  // twiddle broadcasts, so every stage (including len == 2 and 4) runs as
-  // full-width FMA with zero shuffles.
-  for (std::size_t len = 2; len <= n; len <<= 1) {
-    const std::size_t half = len / 2;
-    const double* wrs = twRe + (half - 1);
-    const double* wis = twIm + (half - 1);
-    for (std::size_t i = 0; i < n; i += len) {
-      for (std::size_t k = 0; k < half; ++k) {
-        const __m256d wr = _mm256_set1_pd(wrs[k]);
-        const __m256d wi = _mm256_set1_pd(wis[k]);
-        double* ur = re + (i + k) * stride;
-        double* ui = im + (i + k) * stride;
-        double* vr = re + (i + k + half) * stride;
-        double* vi = im + (i + k + half) * stride;
-        for (std::size_t j = 0; j < stride; j += 4) {
-          const __m256d br = _mm256_loadu_pd(vr + j);
-          const __m256d bi = _mm256_loadu_pd(vi + j);
-          const __m256d xr = _mm256_fnmadd_pd(bi, wi, _mm256_mul_pd(br, wr));
-          const __m256d xi = _mm256_fmadd_pd(bi, wr, _mm256_mul_pd(br, wi));
-          const __m256d ar = _mm256_loadu_pd(ur + j);
-          const __m256d ai = _mm256_loadu_pd(ui + j);
-          _mm256_storeu_pd(ur + j, _mm256_add_pd(ar, xr));
-          _mm256_storeu_pd(ui + j, _mm256_add_pd(ai, xi));
-          _mm256_storeu_pd(vr + j, _mm256_sub_pd(ar, xr));
-          _mm256_storeu_pd(vi + j, _mm256_sub_pd(ai, xi));
-        }
-      }
-    }
-  }
 }
 
 void scaleInPlaceImpl(double* x, std::size_t n, double s) {
@@ -474,7 +440,6 @@ const KernelTable& avx2Table() {
   static const KernelTable t = {
       &ditStagesImpl,
       &difStagesImpl,
-      &batchDitStagesImpl,
       &scaleInPlaceImpl,
       &cmulSplitImpl,
       &cmulInterleavedImpl,

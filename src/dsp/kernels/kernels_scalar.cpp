@@ -19,10 +19,12 @@ using Complex = std::complex<double>;
 
 // --- FFT butterfly cascades over split re/im lanes ------------------------
 
-/// Stages len = 4, 8, ..., n from the packed tables (offset len/2 - 2).
+/// Stages len = firstLen, 2 * firstLen, ..., n (firstLen >= 4) from the
+/// packed tables (offset len/2 - 2).
 void multiplyingStagesDit(double* re, double* im, std::size_t n,
-                          const double* twRe, const double* twIm) {
-  for (std::size_t len = 4; len <= n; len <<= 1) {
+                          const double* twRe, const double* twIm,
+                          std::size_t firstLen) {
+  for (std::size_t len = firstLen; len <= n; len <<= 1) {
     const std::size_t half = len / 2;
     const double* wr = twRe + (half - 2);
     const double* wi = twIm + (half - 2);
@@ -55,10 +57,11 @@ void stage2Dit(double* re, double* im, std::size_t n) {
 }
 
 void ditStagesImpl(double* re, double* im, std::size_t n, const double* twRe,
-                   const double* twIm, bool firstStageDone) {
+                   const double* twIm, std::size_t firstLen) {
   if (n < 2) return;
-  if (!firstStageDone) stage2Dit(re, im, n);
-  multiplyingStagesDit(re, im, n, twRe, twIm);
+  if (firstLen <= 2) stage2Dit(re, im, n);
+  multiplyingStagesDit(re, im, n, twRe, twIm,
+                       std::max<std::size_t>(firstLen, 4));
 }
 
 void difStagesImpl(double* re, double* im, std::size_t n, const double* twRe,
@@ -85,38 +88,6 @@ void difStagesImpl(double* re, double* im, std::size_t n, const double* twRe,
     }
   }
   stage2Dit(re, im, n);  // len == 2: same add/sub butterfly both directions
-}
-
-void batchDitStagesImpl(double* re, double* im, std::size_t stride,
-                        std::size_t n, const double* twRe,
-                        const double* twIm) {
-  for (std::size_t len = 2; len <= n; len <<= 1) {
-    const std::size_t half = len / 2;
-    const double* wrs = twRe + (half - 1);
-    const double* wis = twIm + (half - 1);
-    for (std::size_t i = 0; i < n; i += len) {
-      for (std::size_t k = 0; k < half; ++k) {
-        const double wr = wrs[k];
-        const double wi = wis[k];
-        double* ur = re + (i + k) * stride;
-        double* ui = im + (i + k) * stride;
-        double* vr = re + (i + k + half) * stride;
-        double* vi = im + (i + k + half) * stride;
-        for (std::size_t j = 0; j < stride; ++j) {
-          const double br = vr[j];
-          const double bi = vi[j];
-          const double xr = br * wr - bi * wi;
-          const double xi = br * wi + bi * wr;
-          const double ar = ur[j];
-          const double ai = ui[j];
-          ur[j] = ar + xr;
-          ui[j] = ai + xi;
-          vr[j] = ar - xr;
-          vi[j] = ai - xi;
-        }
-      }
-    }
-  }
 }
 
 void scaleInPlaceImpl(double* x, std::size_t n, double s) {
@@ -251,7 +222,6 @@ const KernelTable& scalarTable() {
   static const KernelTable t = {
       &ditStagesImpl,
       &difStagesImpl,
-      &batchDitStagesImpl,
       &scaleInPlaceImpl,
       &cmulSplitImpl,
       &cmulInterleavedImpl,

@@ -60,9 +60,7 @@ std::vector<double> applyFrequencyResponse(std::span<const double> signal,
   const std::size_t outLen = signal.size() + tailSamples;
   const std::size_t n = nextPowerOfTwo(outLen);
   const auto plan = fftPlan(n);
-  std::vector<double> padded(n, 0.0);
-  std::copy(signal.begin(), signal.end(), padded.begin());
-  auto fx = plan->rfft(padded);
+  auto fx = plan->rfft(signal);  // zero-padded to n
   // Map each FFT bin to the nearest bin of `response` (which is assumed to
   // cover the same sample-rate axis with its own resolution). Working on
   // the half spectrum keeps the output real by construction.

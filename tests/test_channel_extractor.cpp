@@ -3,10 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <thread>
+#include <vector>
 
 #include "common/constants.h"
 #include "common/error.h"
 #include "dsp/convolution.h"
+#include "dsp/fft.h"
 #include "dsp/signal_generators.h"
 #include "eval/metrics.h"
 #include "geometry/polar.h"
@@ -144,6 +147,81 @@ TEST_F(ChannelExtractorTest, RejectsBadConstruction) {
   ChannelExtractorOptions opts;
   opts.channelLength = 8;
   EXPECT_THROW(ChannelExtractor({}, kFs, opts), InvalidArgument);
+}
+
+/// Both ears' channels and taps equal, bit for bit.
+void expectSameChannel(const BinauralChannel& got,
+                       const BinauralChannel& want) {
+  EXPECT_EQ(got.left, want.left);
+  EXPECT_EQ(got.right, want.right);
+  EXPECT_EQ(got.firstTapLeftSec, want.firstTapLeftSec);
+  EXPECT_EQ(got.firstTapRightSec, want.firstTapRightSec);
+}
+
+TEST_F(ChannelExtractorTest, KeptSourceSpectrumFollowsSourceAndFftSize) {
+  // One extractor keeps the compensated source spectrum across calls; a
+  // changed source, or an ear whose length picks another FFT size, must
+  // still give what a fresh extractor gives.
+  sim::BinauralRecorder::Options recOpts;
+  recOpts.snrDb = 30.0;
+  const sim::BinauralRecorder recorder(db_, hardware_, room_, recOpts);
+  Pcg32 rng(9);
+  const auto rec = recorder.recordNearField(
+      geo::pointFromPolarDeg(80.0, 0.35), chirp_, rng);
+  Pcg32 hwRng(10);
+  const auto hwEstimate = hardware_.estimateResponse(35.0, hwRng);
+  const auto otherChirp = dsp::linearChirp(200.0, 16000.0, 720, kFs);
+  // A right ear long enough to double its FFT size.
+  auto longRight = rec.right;
+  longRight.resize(dsp::nextPowerOfTwo(rec.left.size() + chirp_.size()), 0.0);
+
+  const ChannelExtractor reused(hwEstimate, kFs);
+  using Signal = const std::vector<double>*;
+  for (Signal source :
+       {Signal{&chirp_}, Signal{&otherChirp}, Signal{&chirp_}}) {
+    for (Signal right : {Signal{&rec.right}, Signal{&longRight}}) {
+      const ChannelExtractor fresh(hwEstimate, kFs);
+      expectSameChannel(reused.extract(rec.left, *right, *source),
+                        fresh.extract(rec.left, *right, *source));
+    }
+  }
+}
+
+TEST(ChannelExtractorConcurrency, ParallelStopsMatchSerial) {
+  // Several threads extract through one extractor whose source spectrum is
+  // not yet kept, as the pipeline's per-stop fan-out does.
+  const head::HrtfDatabase db(head::Subject{});
+  const sim::HardwareModel hardware;
+  const sim::RoomModel room;
+  const sim::BinauralRecorder recorder(db, hardware, room, {});
+  const auto chirp = dsp::linearChirp(100.0, 20000.0, 960, kFs);
+  std::vector<sim::BinauralRecording> recs;
+  Pcg32 rng(11);
+  for (double theta : {10.0, 55.0, 100.0, 145.0})
+    recs.push_back(recorder.recordNearField(
+        geo::pointFromPolarDeg(theta, 0.3), chirp, rng));
+  Pcg32 hwRng(12);
+  const auto hwEstimate = hardware.estimateResponse(35.0, hwRng);
+
+  const ChannelExtractor serial(hwEstimate, kFs);
+  std::vector<BinauralChannel> want;
+  for (const auto& rec : recs)
+    want.push_back(serial.extract(rec.left, rec.right, chirp));
+
+  const ChannelExtractor shared(hwEstimate, kFs);
+  std::vector<std::vector<BinauralChannel>> got(recs.size());
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < recs.size(); ++t)
+    threads.emplace_back([&, t] {
+      for (std::size_t i = 0; i < recs.size(); ++i) {
+        const auto& rec = recs[(t + i) % recs.size()];
+        got[t].push_back(shared.extract(rec.left, rec.right, chirp));
+      }
+    });
+  for (auto& th : threads) th.join();
+  for (std::size_t t = 0; t < recs.size(); ++t)
+    for (std::size_t i = 0; i < recs.size(); ++i)
+      expectSameChannel(got[t][i], want[(t + i) % recs.size()]);
 }
 
 }  // namespace

@@ -259,5 +259,33 @@ TEST_P(GccPhatDelay, RecoversDelayOnNoisySignals) {
 INSTANTIATE_TEST_SUITE_P(Lags, GccPhatDelay,
                          ::testing::Values(0.0, 3.0, 10.5, 24.25, -0.0));
 
+TEST(GccPhat, ShortInputEqualsExplicitlyPaddedInput) {
+  // The short side is transformed unpadded (rfft skips its zero stages);
+  // padding it with zeros up to the same FFT size must change no lag in the
+  // short input's support. Both orientations: short a, then short b.
+  Pcg32 rng(11);
+  const auto longSig = whiteNoise(600, rng);
+  const auto shortSig = whiteNoise(40, rng);
+  std::vector<double> shortPadded(shortSig);
+  shortPadded.resize(425, 0.0);  // 600 + 425 - 1 == 1024: same FFT size
+  for (const bool shortFirst : {true, false}) {
+    const auto& a = shortFirst ? shortSig : longSig;
+    const auto& b = shortFirst ? longSig : shortSig;
+    const auto& pa = shortFirst ? shortPadded : longSig;
+    const auto& pb = shortFirst ? longSig : shortPadded;
+    const auto got = gccPhat(a, b);
+    const auto want = gccPhat(pa, pb);
+    // gccPhat lays out lags [-(b-1), a-1] and zeroes those outside
+    // [-(a-1), b-1], so the short input's size bounds the compared lags.
+    const long reach = static_cast<long>(shortSig.size()) - 1;
+    const long lb = static_cast<long>(b.size());
+    const long lpb = static_cast<long>(pb.size());
+    for (long lag = -reach; lag <= reach; ++lag)
+      EXPECT_EQ(got[static_cast<std::size_t>(lag + lb - 1)],
+                want[static_cast<std::size_t>(lag + lpb - 1)])
+          << "lag " << lag << (shortFirst ? " (short a)" : " (short b)");
+  }
+}
+
 }  // namespace
 }  // namespace uniq::dsp

@@ -101,5 +101,32 @@ TEST(Deconvolve, RejectsEmpty) {
   EXPECT_THROW(deconvolve(a, empty), InvalidArgument);
 }
 
+TEST(Deconvolve, ShortInputEqualsExplicitlyPaddedInput) {
+  // Each case has one input short enough that rfft skips its zero stages,
+  // and pads it with zeros to where the transform size (2048) is unchanged.
+  const double fs = 48000.0;
+  Pcg32 rng(5);
+  const auto chirp = linearChirp(100.0, 20000.0, 960, fs);
+  const auto burst = whiteNoise(64, rng);
+  const auto shortRecording = whiteNoise(100, rng);
+  const auto longRecording = whiteNoise(1500, rng);
+  DeconvolutionOptions opts;
+  opts.responseLength = 256;
+  const auto padded = [](std::vector<double> x, std::size_t len) {
+    x.resize(len, 0.0);
+    return x;
+  };
+  const auto shortReceived = deconvolve(shortRecording, chirp, opts);
+  const auto paddedReceived =
+      deconvolve(padded(shortRecording, 2048 - 960), chirp, opts);
+  const auto shortSource = deconvolve(longRecording, burst, opts);
+  const auto paddedSource =
+      deconvolve(longRecording, padded(burst, 2048 - 1500), opts);
+  for (std::size_t i = 0; i < opts.responseLength; ++i) {
+    EXPECT_EQ(shortReceived[i], paddedReceived[i]) << "i=" << i;
+    EXPECT_EQ(shortSource[i], paddedSource[i]) << "i=" << i;
+  }
+}
+
 }  // namespace
 }  // namespace uniq::dsp

@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
+#include <set>
+#include <span>
 #include <thread>
 #include <vector>
 
@@ -11,6 +14,7 @@
 #include "common/error.h"
 #include "common/random.h"
 #include "dsp/fft.h"
+#include "dsp/kernels/kernels.h"
 
 namespace uniq::dsp {
 namespace {
@@ -104,6 +108,58 @@ TEST(FftPlan, RfftIrfftRoundTripIsIdentity) {
     for (std::size_t i = 0; i < n; ++i)
       EXPECT_NEAR(back[i], signal[i], 1e-9) << "n=" << n << " i=" << i;
   }
+}
+
+/// Input lengths that reach every rfft path at plan size n: the shortest
+/// inputs, odd lengths (a half-filled last packed sample), both sides of
+/// each n/2^s boundary where one more skipped stage begins, and full length.
+std::set<std::size_t> prefixLengths(std::size_t n) {
+  std::set<std::size_t> lens{1, 2, 3, 5, 7, 193, n - 1, n};
+  for (std::size_t m = n; m >= 2; m >>= 1)
+    lens.insert({m - 1, m, m + 1});
+  std::erase_if(lens, [n](std::size_t len) { return len < 1 || len > n; });
+  return lens;
+}
+
+TEST(FftPlan, PrefixRfftEqualsPadded) {
+  namespace kn = kernels;
+  const kn::Isa natural = kn::activeIsa();
+  const auto checkTier = [] {
+    for (std::size_t n = 2; n <= 65536; n <<= 1) {
+      const auto plan = fftPlan(n);
+      Pcg32 rng(50 + n);
+      std::vector<double> signal(n);
+      for (auto& s : signal) s = rng.gaussian();
+      for (const std::size_t len : prefixLengths(n)) {
+        std::vector<double> padded(n, 0.0);
+        std::copy_n(signal.begin(), len, padded.begin());
+        const auto want = plan->rfft(padded);
+        const auto got =
+            plan->rfft(std::span<const double>(signal).first(len));
+        ASSERT_EQ(got.size(), want.size());
+        std::size_t mismatches = 0;
+        for (std::size_t k = 0; k < want.size(); ++k)
+          if (!(got[k].real() == want[k].real() &&
+                got[k].imag() == want[k].imag()))
+            ++mismatches;
+        EXPECT_EQ(mismatches, 0u) << "n=" << n << " len=" << len;
+      }
+    }
+  };
+  ASSERT_TRUE(kn::setIsaOverride(kn::Isa::kScalar));
+  checkTier();
+  const bool haveAvx2 = kn::setIsaOverride(kn::Isa::kAvx2);
+  if (haveAvx2) checkTier();
+  kn::setIsaOverride(natural);
+  if (!haveAvx2) GTEST_SKIP() << "AVX2 tier unavailable; scalar tier checked";
+}
+
+TEST(FftPlan, RfftRejectsEmptyAndOverlongInput) {
+  const auto plan = fftPlan(16);
+  EXPECT_THROW(plan->rfft(std::span<const double>()), InvalidArgument);
+  EXPECT_THROW(plan->rfft(std::vector<double>(17, 1.0)), InvalidArgument);
+  EXPECT_THROW(fftPlan(1)->rfft(std::vector<double>(2, 1.0)),
+               InvalidArgument);
 }
 
 TEST(FftPlan, CacheCountsHitsAndMisses) {

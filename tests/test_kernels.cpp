@@ -6,10 +6,10 @@
 //    stage cascade can drift a few ulps per bin. Budget: 8 eps relative to
 //    the spectrum's max magnitude (64 eps for Bluestein, whose chirp
 //    pre/post multiplies and length-m convolution triple the op count).
-//  - Batched vs single transforms: the batched cascade applies the exact
-//    same operation sequence per batch member as the single-transform
-//    kernels (same stage tables, same FMA idioms), so results are asserted
-//    BITWISE equal, per tier.
+//  - ditStagesFrom vs ditStages: starting the cascade at stage firstLen
+//    after transforming each length-firstLen/2 block on its own runs the
+//    same operation sequence as the full cascade (same stage tables, same
+//    FMA idioms), so results are asserted BITWISE equal, per tier.
 //  - Pointwise complex kernels: one FMA contraction per element. Budget:
 //    4 eps relative to the element magnitude.
 //  - Reductions (dot/sumSquares/sum/pearson): the AVX2 tier reorders the
@@ -163,40 +163,43 @@ TEST_F(KernelTiers, BluesteinTiersMatch) {
   }
 }
 
-TEST_F(KernelTiers, BatchedTransformsBitwiseMatchSingle) {
+TEST_F(KernelTiers, DitStagesFromResumesTheFullCascadeBitwise) {
   std::vector<kn::Isa> tiers{kn::Isa::kScalar};
   if (haveAvx2_) tiers.push_back(kn::Isa::kAvx2);
   for (const kn::Isa isa : tiers) {
-    for (std::size_t n : {8ul, 256ul}) {
-      for (std::size_t width : {1ul, 3ul, 8ul}) {
-        const auto plan = dsp::fftPlan(n);
-        std::vector<std::vector<double>> reals;
-        std::vector<std::vector<dsp::Complex>> complexes;
-        for (std::size_t j = 0; j < width; ++j) {
-          reals.push_back(testSignal(n, static_cast<int>(j)));
-          complexes.push_back(testSpectrum(n, static_cast<int>(j)));
+    for (std::size_t n = 2; n <= 1024; n <<= 1) {
+      // Packed stage tables for len = 4..n (stage len at offset len/2 - 2);
+      // a block of length m < n reads the len <= m prefix of the same table.
+      std::vector<double> twRe, twIm;
+      for (std::size_t len = 4; len <= n; len <<= 1) {
+        for (std::size_t k = 0; k < len / 2; ++k) {
+          const double ang =
+              -kTwoPi * static_cast<double>(k) / static_cast<double>(len);
+          twRe.push_back(std::cos(ang));
+          twIm.push_back(std::sin(ang));
         }
+      }
+      const auto z = testSpectrum(n, static_cast<int>(n));
+      std::vector<double> re0(n), im0(n);
+      for (std::size_t i = 0; i < n; ++i) {
+        re0[i] = z[i].real();
+        im0[i] = z[i].imag();
+      }
+      for (std::size_t firstLen = 2; firstLen <= 2 * n; firstLen <<= 1) {
         under(isa, [&] {
-          const auto fwdBatch = plan->forwardBatch(complexes);
-          const auto rfftBatch = plan->rfftBatch(reals);
-          std::vector<std::vector<dsp::Complex>> halves;
-          for (std::size_t j = 0; j < width; ++j)
-            halves.push_back(plan->rfft(reals[j]));
-          const auto irfftBatch = plan->irfftBatch(halves);
-          for (std::size_t j = 0; j < width; ++j) {
-            const auto fwd = plan->forward(complexes[j]);
-            for (std::size_t k = 0; k < n; ++k) {
-              EXPECT_EQ(fwd[k].real(), fwdBatch[j][k].real());
-              EXPECT_EQ(fwd[k].imag(), fwdBatch[j][k].imag());
-            }
-            const auto half = plan->rfft(reals[j]);
-            for (std::size_t k = 0; k < half.size(); ++k) {
-              EXPECT_EQ(half[k].real(), rfftBatch[j][k].real());
-              EXPECT_EQ(half[k].imag(), rfftBatch[j][k].imag());
-            }
-            const auto back = plan->irfft(halves[j]);
-            for (std::size_t k = 0; k < n; ++k)
-              EXPECT_EQ(back[k], irfftBatch[j][k]);
+          auto fullRe = re0, fullIm = im0;
+          kn::ditStages(fullRe.data(), fullIm.data(), n, twRe.data(),
+                        twIm.data());
+          auto re = re0, im = im0;
+          const std::size_t block = firstLen / 2;
+          for (std::size_t b = 0; b < n; b += block)
+            kn::ditStages(re.data() + b, im.data() + b, block, twRe.data(),
+                          twIm.data());
+          kn::ditStagesFrom(re.data(), im.data(), n, twRe.data(),
+                            twIm.data(), firstLen);
+          for (std::size_t i = 0; i < n; ++i) {
+            EXPECT_EQ(fullRe[i], re[i]) << "n=" << n << " from " << firstLen;
+            EXPECT_EQ(fullIm[i], im[i]) << "n=" << n << " from " << firstLen;
           }
           return 0;
         });
