@@ -69,7 +69,7 @@
 #include "dsp/signal_generators.h"
 #include "head/subject.h"
 #include "obs/export.h"
-#include "obs/json_check.h"
+#include "obs/json.h"
 #include "obs/metrics.h"
 #include "obs/report.h"
 #include "obs/trace.h"
@@ -121,13 +121,13 @@ std::string optional(const Args& args, const std::string& key,
   return it == args.end() ? fallback : it->second;
 }
 
-/// Serialize, validate, and write one observability JSON export. The CLI
-/// checks its own output so a malformed exporter fails the run (and the CI
-/// smoke test) instead of producing a file chrome://tracing rejects.
+/// Parse-check and write one observability JSON export. The CLI parses
+/// its own output so a malformed exporter fails the run (and the CI smoke
+/// test) instead of producing a file chrome://tracing rejects.
 int writeValidatedJson(const std::string& path, const std::string& json,
                        const char* what) {
   std::string error;
-  if (!obs::validateJson(json, &error)) {
+  if (!obs::parseJson(json, &error)) {
     std::cerr << "error: generated " << what << " JSON is malformed: " << error
               << "\n";
     return 1;
@@ -235,8 +235,8 @@ int cmdCalibrate(const Args& args) {
         traceOut, obs::traceEventJson(obs::collectSpans()), "trace");
     if (rc != 0) return rc;
     if (!obs::traceEnabled()) {
-      std::cout << "note: tracing is disabled (UNIQ_OBSERVABILITY=0 or an "
-                   "observability-off build); the trace is empty\n";
+      std::cout << "note: tracing is disabled (UNIQ_OBSERVABILITY=0); "
+                   "the trace is empty\n";
     }
   }
   if (!metricsOut.empty()) {
@@ -1016,6 +1016,27 @@ int cmdServeLoad(const Args& args) {
   const double histP50 = lookupHist.quantile(0.50);
   const double histP99 = lookupHist.quantile(0.99);
 
+  // Per-stage split of the calibrations this run served, from the
+  // pipeline.stage.<name>.ms histograms every StageTimer feeds.
+  struct StageQuantiles {
+    std::string stage;
+    std::uint64_t count;
+    double p50, p99;
+  };
+  std::vector<StageQuantiles> stageQuantiles;
+  for (const auto& h : obs::registry().snapshot().histograms) {
+    const std::string prefix = "pipeline.stage.", suffix = ".ms";
+    if (h.name.size() <= prefix.size() + suffix.size() ||
+        h.name.rfind(prefix, 0) != 0 ||
+        h.name.compare(h.name.size() - suffix.size(), suffix.size(),
+                       suffix) != 0)
+      continue;
+    stageQuantiles.push_back(
+        {h.name.substr(prefix.size(),
+                       h.name.size() - prefix.size() - suffix.size()),
+         h.count, h.quantile(0.50), h.quantile(0.99)});
+  }
+
   std::cout << std::setprecision(4) << "load run: " << wallS << " s wall, "
             << opsTotal << " ops (" << throughput << " ops/s, peak "
             << saturation << " ops/s)\n"
@@ -1034,6 +1055,9 @@ int cmdServeLoad(const Args& args) {
             << reservoirP99 << " ms / hist p99 " << histP99 << " ms\n"
             << "  telemetry: " << sampler.windowCount() << " window(s) at "
             << sampleIntervalMs << " ms\n";
+  for (const auto& st : stageQuantiles)
+    std::cout << "  stage " << st.stage << ": p50 " << st.p50 << " ms, p99 "
+              << st.p99 << " ms (" << st.count << " runs)\n";
   if (slo) {
     for (const auto& st : slo->status()) {
       std::cout << "  slo " << st.rule.name << ": "
@@ -1086,6 +1110,14 @@ int cmdServeLoad(const Args& args) {
          << ", \"histogram_p50_ms\": " << histP50
          << ", \"reservoir_p99_ms\": " << reservoirP99
          << ", \"histogram_p99_ms\": " << histP99 << "},\n";
+    json << "  \"stages\": {";
+    for (std::size_t i = 0; i < stageQuantiles.size(); ++i) {
+      const auto& st = stageQuantiles[i];
+      json << (i > 0 ? ", " : "") << "\"" << obs::jsonEscape(st.stage)
+           << "\": {\"count\": " << st.count << ", \"p50_ms\": " << st.p50
+           << ", \"p99_ms\": " << st.p99 << "}";
+    }
+    json << "},\n";
     json << "  \"telemetry\": {\"windows\": " << sampler.windowCount()
          << ", \"interval_ms\": " << sampleIntervalMs << "},\n";
     json << "  \"slo\": {\"enabled\": " << (slo ? "true" : "false")

@@ -159,9 +159,6 @@ int main() {
               budget * calibCpuS /
                   static_cast<double>(std::max<std::size_t>(calibSpans, 1)) *
                   1e9);
-#if !UNIQ_OBSERVABILITY_ENABLED
-  std::printf("observability compiled out; spans are no-ops by construction\n");
-#endif
   if (traceFraction > budget) {
     std::printf("FAIL: tracing overhead exceeds budget\n");
     return 1;

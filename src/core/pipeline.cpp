@@ -140,16 +140,6 @@ std::vector<FusionMeasurement> CalibrationPipeline::toFusionMeasurements(
   return measurements;
 }
 
-PersonalHrtf CalibrationPipeline::run(
-    const sim::CalibrationCapture& capture) const {
-  return run(capture, nullptr);
-}
-
-PersonalHrtf CalibrationPipeline::run(const sim::CalibrationCapture& capture,
-                                      obs::RunReport* report) const {
-  return run(capture, report, nullptr);
-}
-
 PersonalHrtf CalibrationPipeline::run(const sim::CalibrationCapture& capture,
                                       obs::RunReport* report,
                                       const RunAbortToken* abort) const {
@@ -158,7 +148,7 @@ PersonalHrtf CalibrationPipeline::run(const sim::CalibrationCapture& capture,
 
   std::vector<obs::Diagnostic> diagnostics;
   if (abortBoundary(abort, "extract", diagnostics)) {
-    auto out = fallbackResult(capture, std::move(diagnostics), report);
+    auto out = populationFallback(capture, std::move(diagnostics), report);
     out.aborted = true;
     return out;
   }
@@ -172,7 +162,7 @@ PersonalHrtf CalibrationPipeline::run(const sim::CalibrationCapture& capture,
     diagnostics.push_back(obs::Diagnostic{
         "pipeline", obs::Severity::kError,
         std::string("stage failed: ") + e.what(), {}});
-    return fallbackResult(capture, std::move(diagnostics), report);
+    return populationFallback(capture, std::move(diagnostics), report);
   }
 }
 
@@ -200,7 +190,7 @@ PersonalHrtf CalibrationPipeline::runFromChannels(
     return abortBoundary(abort, boundary, diagnostics);
   };
   const auto abortResult = [&]() {
-    auto out = fallbackResult(capture, std::move(diagnostics), report);
+    auto out = populationFallback(capture, std::move(diagnostics), report);
     out.aborted = true;
     return out;
   };
@@ -228,8 +218,8 @@ PersonalHrtf CalibrationPipeline::runFromChannels(
         measurements.end());
 
     if (report) {
-      // Values land on the "extract" stage the caller's timer created (the
-      // batch path, or the streaming session's accumulated per-stop timer).
+      // Values land on the "extract" stage the caller recorded (run()'s
+      // StageTimer, or the streaming session's per-stop total).
       auto& stage = report->stage("extract");
       stage.set("stops", static_cast<double>(capture.stops.size()));
       stage.set("tapsDetected", static_cast<double>(tapsDetected));
@@ -269,7 +259,7 @@ PersonalHrtf CalibrationPipeline::runFromChannels(
          << " usable stop(s) after quality gating (need >= " << minUsable
          << ") — cannot personalize";
       diagnose("fusion", obs::Severity::kError, os.str());
-      return fallbackResult(capture, std::move(diagnostics), report);
+      return populationFallback(capture, std::move(diagnostics), report);
     }
 
     if (abortedHere("fusion")) return abortResult();
@@ -301,7 +291,7 @@ PersonalHrtf CalibrationPipeline::runFromChannels(
     if (!fusionResult.usable) {
       diagnose("fusion", obs::Severity::kError,
                "sensor fusion could not produce a usable solve");
-      return fallbackResult(capture, std::move(diagnostics), report);
+      return populationFallback(capture, std::move(diagnostics), report);
     }
     if (!fusionResult.rejectedSourceIndices.empty()) {
       // Trimming a stop or two is a robust estimator doing its job (clean
@@ -353,7 +343,7 @@ PersonalHrtf CalibrationPipeline::runFromChannels(
       os << "only " << usableForNear
          << " localized stop(s) with taps (need >= 4 for interpolation)";
       diagnose("nearfield", obs::Severity::kError, os.str());
-      return fallbackResult(capture, std::move(diagnostics), report);
+      return populationFallback(capture, std::move(diagnostics), report);
     }
 
     if (abortedHere("nearfield")) return abortResult();
@@ -431,17 +421,11 @@ PersonalHrtf CalibrationPipeline::runFromChannels(
     // into a failed-but-alive run, not an escaped exception.
     diagnose("pipeline", obs::Severity::kError,
              std::string("stage failed: ") + e.what());
-    return fallbackResult(capture, std::move(diagnostics), report);
+    return populationFallback(capture, std::move(diagnostics), report);
   }
 }
 
 PersonalHrtf CalibrationPipeline::populationFallback(
-    const sim::CalibrationCapture& capture,
-    std::vector<obs::Diagnostic> diagnostics, obs::RunReport* report) const {
-  return fallbackResult(capture, std::move(diagnostics), report);
-}
-
-PersonalHrtf CalibrationPipeline::fallbackResult(
     const sim::CalibrationCapture& capture,
     std::vector<obs::Diagnostic> diagnostics, obs::RunReport* report) const {
   UNIQ_SPAN("pipeline.fallback");

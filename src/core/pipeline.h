@@ -112,11 +112,9 @@ class CalibrationPipeline {
   /// empty capture (no stops at all); every data-quality failure —
   /// clipping, dropouts, too few usable stops, non-converging fusion — is
   /// absorbed into the returned status/diagnostics instead of an exception.
-  PersonalHrtf run(const sim::CalibrationCapture& capture) const;
-
-  /// Instrumented run: identical output to run(capture), but additionally
-  /// fills `report` (when non-null) with one StageReport per pipeline
-  /// stage, in execution order:
+  ///
+  /// `report` (when non-null) receives one StageReport per pipeline stage,
+  /// in execution order:
   ///
   ///   - "extract"   — wallMs; `stops` (capture stops processed),
   ///                   `tapsDetected` (stops with a first tap in both ears)
@@ -132,19 +130,17 @@ class CalibrationPipeline {
   ///   - "nearfar"   — wallMs; `entries` (far-field table angles)
   ///   - "gesture"   — wallMs; `ok` (0/1), `issues` (flag count)
   ///
-  /// Timings come from a dedicated steady-clock timer, so the report works
-  /// even when the build compiles trace spans out.
+  /// Each stage is timed by an obs::StageTimer, which also feeds the
+  /// `pipeline.stage.<name>.ms` histogram whether or not a report is
+  /// attached. The output is the same with or without a report.
+  ///
+  /// `abort` (when non-null) is polled at every stage boundary. Once the
+  /// token is due — cancelled or past its deadline — the pipeline stops
+  /// doing work and returns the population-average fallback with status
+  /// kFailed, aborted = true, and a diagnostic naming the abort.
   PersonalHrtf run(const sim::CalibrationCapture& capture,
-                   obs::RunReport* report) const;
-
-  /// Abortable run: identical to run(capture, report), but additionally
-  /// polls `abort` (when non-null) at every stage boundary. Once the token
-  /// is due — cancelled or past its deadline — the pipeline stops doing
-  /// work and returns the population-average fallback with status kFailed,
-  /// aborted = true, and a diagnostic naming the abort. Null behaves
-  /// exactly like the two-argument overload.
-  PersonalHrtf run(const sim::CalibrationCapture& capture,
-                   obs::RunReport* report, const RunAbortToken* abort) const;
+                   obs::RunReport* report = nullptr,
+                   const RunAbortToken* abort = nullptr) const;
 
   /// Post-extraction pipeline: quality gating, fusion, near-field,
   /// near-far, and gesture validation over already-extracted per-stop
@@ -161,10 +157,10 @@ class CalibrationPipeline {
                                obs::RunReport* report = nullptr,
                                const RunAbortToken* abort = nullptr) const;
 
-  /// Public entry to the terminal fallback: the population-average table
-  /// with status kFailed and the given diagnostics attached. For callers
-  /// that never assembled a usable capture at all (a cancelled or empty
-  /// streaming session); batch runs reach the same code internally.
+  /// Terminal fallback: the population-average table with status kFailed
+  /// and the given diagnostics attached. run() ends here when the capture
+  /// cannot support personalization; a cancelled or empty streaming session
+  /// calls it directly.
   PersonalHrtf populationFallback(const sim::CalibrationCapture& capture,
                                   std::vector<obs::Diagnostic> diagnostics,
                                   obs::RunReport* report = nullptr) const;
@@ -179,12 +175,6 @@ class CalibrationPipeline {
       const std::vector<BinauralChannel>& channels);
 
  private:
-  /// Terminal fallback: population-average table, status kFailed. Used when
-  /// the capture cannot support personalization at all.
-  PersonalHrtf fallbackResult(const sim::CalibrationCapture& capture,
-                              std::vector<obs::Diagnostic> diagnostics,
-                              obs::RunReport* report) const;
-
   Options opts_;
 };
 

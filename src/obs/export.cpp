@@ -6,6 +6,8 @@
 #include <fstream>
 #include <sstream>
 
+#include "obs/json.h"
+
 namespace uniq::obs {
 
 namespace {
@@ -23,40 +25,6 @@ void appendNumber(std::ostringstream& os, double v) {
 }
 
 }  // namespace
-
-std::string jsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (const char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
 
 std::string traceEventJson(const std::vector<SpanRecord>& spans) {
   std::ostringstream os;

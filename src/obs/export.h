@@ -27,8 +27,4 @@ std::string metricsJson(const MetricsSnapshot& snapshot);
 bool writeTextFile(const std::string& path, const std::string& content,
                    std::string* error = nullptr);
 
-/// Escape a string for inclusion inside a JSON string literal (quotes,
-/// backslashes, control characters).
-std::string jsonEscape(const std::string& s);
-
 }  // namespace uniq::obs

@@ -1,9 +1,12 @@
 #include "obs/report.h"
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <map>
+#include <mutex>
 #include <sstream>
 
 #include "obs/export.h"
@@ -24,6 +27,29 @@ std::string formatValue(double v) {
     std::snprintf(buf, sizeof(buf), "%.4g", v);
   }
   return buf;
+}
+
+/// Per-stage instruments, made once per stage name and never freed: spans
+/// keep a pointer to their name until they are collected.
+struct StageInstruments {
+  std::string spanName;  ///< "pipeline.stage.<name>"
+  Histogram* histogram;  ///< "pipeline.stage.<name>.ms"
+};
+
+const StageInstruments& stageInstruments(const char* name) {
+  static std::mutex mutex;
+  static auto* byName = new std::map<std::string, StageInstruments>();
+  std::lock_guard<std::mutex> lock(mutex);
+  auto it = byName->find(name);
+  if (it == byName->end()) {
+    const std::string spanName = std::string("pipeline.stage.") + name;
+    // 1 us (gesture) to ~17 s in doubling buckets, few enough that the five
+    // stage histograms add little to each telemetry tick and scrape.
+    Histogram& histogram = registry().histogram(
+        spanName + ".ms", HistogramOptions{1e-3, 2.0, 24});
+    it = byName->emplace(name, StageInstruments{spanName, &histogram}).first;
+  }
+  return it->second;
 }
 
 }  // namespace
@@ -153,17 +179,28 @@ std::string RunReport::summaryTable() const {
   return os.str();
 }
 
+double steadyMs() {
+  return std::chrono::duration<double, std::milli>(
+             std::chrono::steady_clock::now().time_since_epoch())
+      .count();
+}
+
+void recordStage(RunReport* report, const char* name, double wallMs) {
+  if (report) report->stage(name).wallMs = wallMs;
+  stageInstruments(name).histogram->observe(wallMs);
+}
+
 StageTimer::StageTimer(RunReport* report, const char* name)
     : report_(report), name_(name) {
-  if (!report_) return;
-  running_ = true;
-  startUs_ = nowUs();
+  span_.emplace(stageInstruments(name).spanName.c_str());
+  startMs_ = steadyMs();
 }
 
 void StageTimer::stop() {
-  if (!running_) return;
-  running_ = false;
-  report_->stage(name_).wallMs = (nowUs() - startUs_) / 1000.0;
+  if (!span_) return;
+  const double wallMs = steadyMs() - startMs_;
+  span_.reset();
+  recordStage(report_, name_, wallMs);
 }
 
 StageTimer::~StageTimer() { stop(); }

@@ -1,9 +1,11 @@
 #pragma once
 
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "obs/metrics.h"
+#include "obs/trace.h"
 
 namespace uniq::obs {
 
@@ -83,20 +85,35 @@ struct RunReport {
   std::string summaryTable() const;
 };
 
-/// Scoped stage timer: measures wall time from construction to destruction
-/// (or stop()) and writes it into `report.stage(name).wallMs`. When
-/// `report` is null the timer does nothing, which lets instrumented code
-/// accept an optional RunReport without branching at every stage.
+/// Milliseconds on the steady clock. Its epoch is fixed, unlike the trace
+/// epoch behind nowUs() that clearTrace() restarts, so an interval timed
+/// with it survives a trace reset. The one clock for pipeline stages and
+/// for the serving layer's queue, run, and job times.
+double steadyMs();
+
+/// Record one finished stage: sets `report->stage(name).wallMs` when a
+/// report is attached, and observes `wallMs` in the process-wide
+/// `pipeline.stage.<name>.ms` histogram either way. StageTimer::stop()
+/// lands here; a stage timed in slices (the streaming session extracts
+/// stop by stop) records its total once.
+void recordStage(RunReport* report, const char* name, double wallMs);
+
+/// Scoped stage timer, the one way a pipeline stage is timed. One start
+/// (construction) and one stop (stop() or destruction) feed the report
+/// entry and the histogram through recordStage(), and a
+/// `pipeline.stage.<name>` trace span covers the same interval when
+/// tracing is on.
 class StageTimer {
  public:
+  /// `name` is a stage name such as "fusion"; `report` may be null.
   StageTimer(RunReport* report, const char* name);
   ~StageTimer();
 
   /// Stop early and record the elapsed time; the destructor then no-ops.
   void stop();
 
-  /// The stage being timed, or nullptr when reporting is off. Valid until
-  /// another stage is appended to the report.
+  /// The stage being timed, or nullptr when no report is attached. Valid
+  /// until another stage is appended to the report.
   StageReport* stage() const;
 
   StageTimer(const StageTimer&) = delete;
@@ -105,8 +122,8 @@ class StageTimer {
  private:
   RunReport* report_;
   const char* name_;
-  double startUs_ = 0.0;
-  bool running_ = false;
+  std::optional<Span> span_;
+  double startMs_;
 };
 
 /// Plain-text lines for the counters/gauges whose names start with one of

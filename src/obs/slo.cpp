@@ -1,180 +1,14 @@
 #include "obs/slo.h"
 
 #include <algorithm>
-#include <cctype>
 #include <cmath>
-#include <cstdlib>
 #include <utility>
 
-#include "obs/json_check.h"
+#include "obs/json.h"
 
 namespace uniq::obs {
 
 namespace {
-
-/// Minimal JSON DOM for the SLO rules file. json_check.h deliberately
-/// builds no DOM, and the rules schema is tiny, so a small recursive
-/// parser here beats pulling in a dependency. Input is syntax-checked with
-/// validateJson() first, so this parser only needs to extract values.
-struct JsonValue {
-  enum class Type { kNull, kBool, kNumber, kString, kArray, kObject };
-  Type type = Type::kNull;
-  bool boolean = false;
-  double number = 0.0;
-  std::string str;
-  std::vector<JsonValue> items;                            // kArray
-  std::vector<std::pair<std::string, JsonValue>> members;  // kObject
-
-  const JsonValue* find(const std::string& key) const {
-    for (const auto& [k, v] : members)
-      if (k == key) return &v;
-    return nullptr;
-  }
-};
-
-class JsonParser {
- public:
-  explicit JsonParser(std::string_view text) : text_(text) {}
-
-  bool parse(JsonValue* out) {
-    skipWs();
-    if (!parseValue(out)) return false;
-    skipWs();
-    return pos_ == text_.size();
-  }
-
- private:
-  void skipWs() {
-    while (pos_ < text_.size() &&
-           std::isspace(static_cast<unsigned char>(text_[pos_])))
-      ++pos_;
-  }
-
-  bool consume(char c) {
-    if (pos_ < text_.size() && text_[pos_] == c) {
-      ++pos_;
-      return true;
-    }
-    return false;
-  }
-
-  bool parseValue(JsonValue* out) {
-    if (pos_ >= text_.size()) return false;
-    switch (text_[pos_]) {
-      case '{':
-        return parseObject(out);
-      case '[':
-        return parseArray(out);
-      case '"':
-        out->type = JsonValue::Type::kString;
-        return parseString(&out->str);
-      case 't':
-        out->type = JsonValue::Type::kBool;
-        out->boolean = true;
-        return literal("true");
-      case 'f':
-        out->type = JsonValue::Type::kBool;
-        out->boolean = false;
-        return literal("false");
-      case 'n':
-        out->type = JsonValue::Type::kNull;
-        return literal("null");
-      default:
-        return parseNumber(out);
-    }
-  }
-
-  bool literal(std::string_view word) {
-    if (text_.substr(pos_, word.size()) != word) return false;
-    pos_ += word.size();
-    return true;
-  }
-
-  bool parseNumber(JsonValue* out) {
-    const char* begin = text_.data() + pos_;
-    char* end = nullptr;
-    out->type = JsonValue::Type::kNumber;
-    out->number = std::strtod(begin, &end);
-    if (end == begin) return false;
-    pos_ += static_cast<std::size_t>(end - begin);
-    return true;
-  }
-
-  bool parseString(std::string* out) {
-    if (!consume('"')) return false;
-    out->clear();
-    while (pos_ < text_.size()) {
-      const char c = text_[pos_++];
-      if (c == '"') return true;
-      if (c == '\\') {
-        if (pos_ >= text_.size()) return false;
-        const char esc = text_[pos_++];
-        switch (esc) {
-          case '"': *out += '"'; break;
-          case '\\': *out += '\\'; break;
-          case '/': *out += '/'; break;
-          case 'b': *out += '\b'; break;
-          case 'f': *out += '\f'; break;
-          case 'n': *out += '\n'; break;
-          case 'r': *out += '\r'; break;
-          case 't': *out += '\t'; break;
-          case 'u':
-            // Rule names/metrics are ASCII; keep \u escapes literal rather
-            // than decoding UTF-16 surrogates nobody writes in a config.
-            if (pos_ + 4 > text_.size()) return false;
-            *out += "\\u";
-            *out += text_.substr(pos_, 4);
-            pos_ += 4;
-            break;
-          default: return false;
-        }
-      } else {
-        *out += c;
-      }
-    }
-    return false;
-  }
-
-  bool parseArray(JsonValue* out) {
-    out->type = JsonValue::Type::kArray;
-    if (!consume('[')) return false;
-    skipWs();
-    if (consume(']')) return true;
-    while (true) {
-      JsonValue item;
-      skipWs();
-      if (!parseValue(&item)) return false;
-      out->items.push_back(std::move(item));
-      skipWs();
-      if (consume(']')) return true;
-      if (!consume(',')) return false;
-    }
-  }
-
-  bool parseObject(JsonValue* out) {
-    out->type = JsonValue::Type::kObject;
-    if (!consume('{')) return false;
-    skipWs();
-    if (consume('}')) return true;
-    while (true) {
-      std::string key;
-      skipWs();
-      if (!parseString(&key)) return false;
-      skipWs();
-      if (!consume(':')) return false;
-      skipWs();
-      JsonValue value;
-      if (!parseValue(&value)) return false;
-      out->members.emplace_back(std::move(key), std::move(value));
-      skipWs();
-      if (consume('}')) return true;
-      if (!consume(',')) return false;
-    }
-  }
-
-  std::string_view text_;
-  std::size_t pos_ = 0;
-};
 
 bool fail(std::string* error, const std::string& message) {
   if (error) *error = message;
@@ -213,13 +47,11 @@ bool SloEvaluator::parseRules(const std::string& json,
                               std::string* error) {
   rules->clear();
   std::string syntaxError;
-  if (!validateJson(json, &syntaxError))
-    return fail(error, "slo rules: " + syntaxError);
-  JsonValue root;
-  if (!JsonParser(json).parse(&root) ||
-      root.type != JsonValue::Type::kObject)
+  const auto root = parseJson(json, &syntaxError);
+  if (!root) return fail(error, "slo rules: " + syntaxError);
+  if (root->type != JsonValue::Type::kObject)
     return fail(error, "slo rules: top level must be a JSON object");
-  const JsonValue* list = root.find("rules");
+  const JsonValue* list = root->find("rules");
   if (list == nullptr || list->type != JsonValue::Type::kArray)
     return fail(error, "slo rules: missing \"rules\" array");
   for (std::size_t i = 0; i < list->items.size(); ++i) {

@@ -4,15 +4,6 @@
 #include <string>
 #include <vector>
 
-/// Compile-time gate for the tracing macros. The build defines
-/// UNIQ_OBSERVABILITY_ENABLED=0 when configured with
-/// -DUNIQ_OBSERVABILITY=OFF; spans then compile to nothing and the library
-/// carries zero tracing overhead. Default is ON (spans compiled in, runtime
-/// toggleable — see uniq::obs::setTraceEnabled).
-#ifndef UNIQ_OBSERVABILITY_ENABLED
-#define UNIQ_OBSERVABILITY_ENABLED 1
-#endif
-
 namespace uniq::obs {
 
 /// 64-bit trace-context id: one per logical job/request, carried across
@@ -94,8 +85,7 @@ std::vector<SpanRecord> collectSpans();
 /// cost a few nanoseconds when tracing is runtime-disabled and roughly a
 /// hundred nanoseconds when enabled (one uncontended per-thread lock).
 ///
-/// Use via the UNIQ_SPAN macro so the whole thing compiles out when the
-/// build disables observability:
+/// Use via the UNIQ_SPAN macro:
 ///
 ///     void SensorFusion::solve(...) {
 ///       UNIQ_SPAN("dsf.solve");
@@ -129,10 +119,6 @@ double nowUs();
 #define UNIQ_OBS_CONCAT_INNER(a, b) a##b
 #define UNIQ_OBS_CONCAT(a, b) UNIQ_OBS_CONCAT_INNER(a, b)
 
-#if UNIQ_OBSERVABILITY_ENABLED
 /// Opens an RAII trace span covering the rest of the enclosing scope.
 #define UNIQ_SPAN(name) \
   ::uniq::obs::Span UNIQ_OBS_CONCAT(uniqObsSpan_, __LINE__)(name)
-#else
-#define UNIQ_SPAN(name) ((void)0)
-#endif

@@ -7,18 +7,13 @@
 
 #include "common/error.h"
 #include "obs/metrics.h"
+#include "obs/report.h"
 #include "obs/trace.h"
 #include "stream/streaming_session.h"
 
 namespace uniq::serve {
 
 namespace {
-
-double nowMs() {
-  return std::chrono::duration<double, std::milli>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
 
 obs::Gauge& queueDepthGauge() {
   static obs::Gauge& g = obs::registry().gauge("serve.queue.depth");
@@ -199,7 +194,7 @@ CalibrationService::~CalibrationService() {
     for (const auto& job : shard.queued) {
       job->token.requestCancel();
       job->state = JobState::kCancelled;
-      job->queueMs = nowMs() - job->submitMs;
+      job->queueMs = obs::steadyMs() - job->submitMs;
       stateCounter(JobState::kCancelled).inc();
       queueDepthGauge().add(-1.0);
       shard.depthGauge->add(-1.0);
@@ -256,7 +251,7 @@ std::uint64_t CalibrationService::submit(
   // Every job gets its own trace context at admission; the worker installs
   // it around the run so all spans (on any pool thread) attribute to it.
   job->traceId = obs::newTraceId();
-  job->submitMs = nowMs();
+  job->submitMs = obs::steadyMs();
   if (jobOpts.deadlineMs > 0.0) {
     job->token.setDeadline(
         std::chrono::steady_clock::now() +
@@ -317,7 +312,7 @@ void CalibrationService::drainQueue(Shard& shard) {
       queueDepthGauge().add(-1.0);
       shard.depthGauge->add(-1.0);
       queuedTotal_.fetch_sub(1, std::memory_order_relaxed);
-      job->queueMs = nowMs() - job->submitMs;
+      job->queueMs = obs::steadyMs() - job->submitMs;
       // A deadline that passed while the job waited expires it here — the
       // caller's budget is wall time from submission, not run time.
       if (job->token.due()) {
@@ -326,7 +321,7 @@ void CalibrationService::drainQueue(Shard& shard) {
       } else {
         job->state = JobState::kRunning;
         ++shard.running;
-        job->startMs = nowMs();
+        job->startMs = obs::steadyMs();
       }
     }
     if (job->state == JobState::kRunning) {
@@ -414,7 +409,7 @@ void CalibrationService::finishJob(const std::shared_ptr<Job>& job,
   {
     std::lock_guard<std::mutex> lock(shard.mutex);
     job->state = state;
-    job->runMs = job->startMs > 0.0 ? nowMs() - job->startMs : 0.0;
+    job->runMs = job->startMs > 0.0 ? obs::steadyMs() - job->startMs : 0.0;
   }
   stateCounter(state).inc();
   if (state == JobState::kDone &&
@@ -449,7 +444,7 @@ bool CalibrationService::cancel(std::uint64_t id) {
       queuedTotal_.fetch_sub(1, std::memory_order_relaxed);
     }
     job->state = JobState::kCancelled;
-    job->queueMs = nowMs() - job->submitMs;
+    job->queueMs = obs::steadyMs() - job->submitMs;
     stateCounter(JobState::kCancelled).inc();
     shard.cv.notify_all();
   }

@@ -1,24 +1,18 @@
 #include "stream/streaming_session.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <condition_variable>
 #include <sstream>
 #include <utility>
 
 #include "obs/metrics.h"
+#include "obs/report.h"
 #include "obs/trace.h"
 
 namespace uniq::stream {
 
 namespace {
-
-double nowMs() {
-  return std::chrono::duration<double, std::milli>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
 
 /// Human name for the arc containing `angleDeg` (the sweep conventions:
 /// 0 = nose, 90 = left ear, 180 = back of head).
@@ -83,7 +77,7 @@ bool StreamingSession::push(sim::CalibrationStop stop,
     if (finalized_ || cancelled_) return false;
     s = seq ? *seq : nextArrivalSeq_;
     nextArrivalSeq_ = std::max(nextArrivalSeq_, s + 1);
-    if (firstPushMs_ == 0.0) firstPushMs_ = nowMs();
+    if (firstPushMs_ == 0.0) firstPushMs_ = obs::steadyMs();
     ++snapshot_.stopsIngested;
   }
   static obs::Counter& ingested =
@@ -115,11 +109,11 @@ void StreamingSession::extractLoop() {
   IngestedStop in;
   while (ingestQueue_.pop(in)) {
     UNIQ_SPAN("stream.extract.stop");
-    const double t0 = nowMs();
+    const double t0 = obs::steadyMs();
     auto channel =
         extractor_.extract(in.stop.recording.left, in.stop.recording.right,
                            header_.sourceSignal);
-    const double elapsedMs = nowMs() - t0;
+    const double elapsedMs = obs::steadyMs() - t0;
     ExtractedStop out;
     out.seq = in.seq;
     out.imuAngleDeg = in.stop.imuAngleDeg;
@@ -214,7 +208,7 @@ void StreamingSession::absorbStop(ExtractedStop&& stop) {
       snapshot_.coveredFraction >= opts_.minCoverageForConverge &&
       stableStreak_ >= opts_.convergeStreak) {
     snapshot_.converged = true;
-    timeToConvergeMs_ = nowMs() - firstPushMs_;
+    timeToConvergeMs_ = obs::steadyMs() - firstPushMs_;
     snapshot_.hint = "table converged — you can stop sweeping";
     obs::registry().gauge("stream.time_to_converge_ms").set(timeToConvergeMs_);
     obs::registry().counter("stream.sessions.converged").inc();
@@ -337,6 +331,11 @@ StreamingResult StreamingSession::finalize(obs::RunReport* report) {
                            timeToConvergeMs};
   };
 
+  // Extraction ran stop by stop on the extract node; record its total as
+  // the one "extract" stage of this run.
+  if (!capture.stops.empty())
+    obs::recordStage(report, "extract", extractWallMs_);
+
   if (wasCancelled || capture.stops.empty()) {
     std::vector<obs::Diagnostic> diagnostics;
     diagnostics.push_back(obs::Diagnostic{
@@ -350,7 +349,6 @@ StreamingResult StreamingSession::finalize(obs::RunReport* report) {
     return wrap(std::move(personal));
   }
 
-  if (report) report->stage("extract").wallMs = extractWallMs_;
   return wrap(pipeline_.runFromChannels(capture, channels, report));
 }
 

@@ -2,20 +2,23 @@
 // registry, the exporters, and the pipeline RunReport integration.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cmath>
 #include <limits>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/thread_pool.h"
 #include "core/pipeline.h"
 #include "head/subject.h"
 #include "obs/export.h"
-#include "obs/json_check.h"
+#include "obs/json.h"
 #include "obs/metrics.h"
 #include "obs/report.h"
 #include "obs/trace.h"
 #include "sim/measurement_session.h"
+#include "test_util.h"
 
 namespace uniq {
 namespace {
@@ -188,7 +191,7 @@ TEST(ObsExport, TraceAndMetricsJsonAreWellFormed) {
   }
   const auto traceJson = obs::traceEventJson(obs::collectSpans());
   std::string error;
-  EXPECT_TRUE(obs::validateJson(traceJson, &error)) << error;
+  EXPECT_TRUE(obs::parseJson(traceJson, &error).has_value()) << error;
   EXPECT_NE(traceJson.find("\"traceEvents\""), std::string::npos);
   EXPECT_NE(traceJson.find("json.outer"), std::string::npos);
 
@@ -197,35 +200,149 @@ TEST(ObsExport, TraceAndMetricsJsonAreWellFormed) {
   reg.gauge("inf.gauge").set(std::numeric_limits<double>::infinity());
   reg.histogram("h", obs::HistogramOptions{0.5, 4.0, 3}).observe(2.0);
   const auto metricsJson = obs::metricsJson(reg.snapshot());
-  EXPECT_TRUE(obs::validateJson(metricsJson, &error)) << error;
+  EXPECT_TRUE(obs::parseJson(metricsJson, &error).has_value()) << error;
   EXPECT_NE(metricsJson.find("\"counters\""), std::string::npos);
   EXPECT_NE(metricsJson.find("\"histograms\""), std::string::npos);
 
   // Empty inputs still serialize to valid documents.
-  EXPECT_TRUE(obs::validateJson(obs::traceEventJson({}), &error)) << error;
-  EXPECT_TRUE(obs::validateJson(obs::metricsJson(obs::MetricsSnapshot{}),
-                                &error))
+  EXPECT_TRUE(obs::parseJson(obs::traceEventJson({}), &error).has_value())
+      << error;
+  EXPECT_TRUE(
+      obs::parseJson(obs::metricsJson(obs::MetricsSnapshot{}), &error)
+          .has_value())
       << error;
 }
 
-TEST(ObsExport, ValidatorRejectsMalformedJson) {
+TEST(ObsJson, RejectsMalformedJson) {
+  const auto rejects = [](const std::string& text) {
+    std::string error;
+    EXPECT_FALSE(obs::parseJson(text, &error).has_value()) << text;
+    EXPECT_EQ(error.rfind("invalid JSON at byte ", 0), 0u) << error;
+  };
+  rejects("");
+  rejects("{");
+  rejects("{\"a\":1,}");
+  rejects("[1 2]");
+  rejects("{\"a\":01}");
+  rejects("\"unterminated");
+  rejects("nul");
+  rejects("[1] trailing");
+  rejects("\"\\x\"");
+  rejects("\"tab\there\"");
+  rejects("[.5]");
+  rejects("[1.]");
+  rejects("[1e]");
+  rejects("\"\\u12G4\"");
   std::string error;
-  EXPECT_FALSE(obs::validateJson("", &error));
-  EXPECT_FALSE(obs::validateJson("{", &error));
-  EXPECT_FALSE(obs::validateJson("{\"a\":1,}", &error));
-  EXPECT_FALSE(obs::validateJson("[1 2]", &error));
-  EXPECT_FALSE(obs::validateJson("{\"a\":01}", &error));
-  EXPECT_FALSE(obs::validateJson("\"unterminated", &error));
-  EXPECT_FALSE(obs::validateJson("nul", &error));
-  EXPECT_FALSE(obs::validateJson("[1] trailing", &error));
-  EXPECT_TRUE(obs::validateJson("[1,2,{\"k\":null},true,-1.5e3]", &error))
+  EXPECT_TRUE(
+      obs::parseJson("[1,2,{\"k\":null},true,-1.5e3]", &error).has_value())
       << error;
+  EXPECT_FALSE(obs::parseJson("[1] x", &error).has_value());
+  EXPECT_EQ(error, "invalid JSON at byte 4: trailing characters after "
+                   "top-level value");
 }
 
-TEST(ObsReport, StageTimerIsANoOpWithoutAReport) {
-  obs::StageTimer timer(nullptr, "ignored");
-  EXPECT_EQ(timer.stage(), nullptr);
-  timer.stop();  // must not crash
+TEST(ObsJson, BuildsTheValueTree) {
+  std::string error;
+  const auto v = obs::parseJson(
+      " {\"a\": [1, -0, 1e-3, 2.5E+2, \"s\"], \"b\": {\"c\": true, \"d\": "
+      "false, \"e\": null}, \"a\": 7}\n",
+      &error);
+  ASSERT_TRUE(v.has_value()) << error;
+  ASSERT_EQ(v->type, obs::JsonValue::Type::kObject);
+  ASSERT_EQ(v->members.size(), 3u);
+  // Document order is kept, and find() returns the first duplicate.
+  EXPECT_EQ(v->members[2].first, "a");
+  const auto* a = v->find("a");
+  ASSERT_NE(a, nullptr);
+  ASSERT_EQ(a->type, obs::JsonValue::Type::kArray);
+  ASSERT_EQ(a->items.size(), 5u);
+  EXPECT_EQ(a->items[0].number, 1.0);
+  EXPECT_EQ(a->items[1].type, obs::JsonValue::Type::kNumber);
+  EXPECT_EQ(a->items[1].number, 0.0);
+  EXPECT_TRUE(std::signbit(a->items[1].number));
+  EXPECT_EQ(a->items[2].number, 1e-3);
+  EXPECT_EQ(a->items[3].number, 250.0);
+  EXPECT_EQ(a->items[4].type, obs::JsonValue::Type::kString);
+  EXPECT_EQ(a->items[4].str, "s");
+  const auto* b = v->find("b");
+  ASSERT_NE(b, nullptr);
+  EXPECT_EQ(b->find("c")->type, obs::JsonValue::Type::kBool);
+  EXPECT_TRUE(b->find("c")->boolean);
+  EXPECT_FALSE(b->find("d")->boolean);
+  EXPECT_EQ(b->find("e")->type, obs::JsonValue::Type::kNull);
+  EXPECT_EQ(b->find("missing"), nullptr);
+  EXPECT_EQ(a->find("a"), nullptr);  // find() on a non-object
+}
+
+TEST(ObsJson, NestingLimitIs64Values) {
+  const auto nested = [](int depth) {
+    return std::string(static_cast<std::size_t>(depth), '[') +
+           std::string(static_cast<std::size_t>(depth), ']');
+  };
+  std::string error;
+  EXPECT_TRUE(obs::parseJson(nested(64), &error).has_value()) << error;
+  EXPECT_FALSE(obs::parseJson(nested(65), &error).has_value());
+  EXPECT_NE(error.find("nesting too deep"), std::string::npos) << error;
+  // A scalar inside 64 arrays is the 65th value.
+  const std::string scalarAt65 =
+      std::string(64, '[') + "1" + std::string(64, ']');
+  EXPECT_FALSE(obs::parseJson(scalarAt65).has_value());
+}
+
+TEST(ObsJson, DecodesEveryEscape) {
+  std::string error;
+  const auto v = obs::parseJson(
+      R"("q\" b\\ s\/ \b\f\n\r\t A\u0041 e\u00e9 euro\u20ac clef\ud834\udd1e")",
+      &error);
+  ASSERT_TRUE(v.has_value()) << error;
+  EXPECT_EQ(v->str,
+            "q\" b\\ s/ \b\f\n\r\t AA e\xC3\xA9 euro\xE2\x82\xAC "
+            "clef\xF0\x9D\x84\x9E");
+  // \u0000 decodes to a NUL byte inside the string.
+  const auto nul = obs::parseJson(R"("a\u0000b")");
+  ASSERT_TRUE(nul.has_value());
+  EXPECT_EQ(nul->str, std::string("a\0b", 3));
+  // Lone surrogates are rejected: a high one without its low half, a high
+  // one followed by a non-surrogate, and a low one on its own.
+  for (const char* lone :
+       {R"("\ud834")", R"("\ud834x")", R"("\ud834\u0041")", R"("\udd1e")"}) {
+    EXPECT_FALSE(obs::parseJson(lone, &error).has_value()) << lone;
+    EXPECT_NE(error.find("lone surrogate"), std::string::npos) << error;
+  }
+}
+
+TEST(ObsJson, EscapeRoundTripsEveryAsciiByte) {
+  for (int c = 0x01; c <= 0x7f; ++c) {
+    const std::string s = std::string("<") + static_cast<char>(c) + ">";
+    std::string error;
+    const auto v = obs::parseJson('"' + obs::jsonEscape(s) + '"', &error);
+    ASSERT_TRUE(v.has_value()) << "byte " << c << ": " << error;
+    EXPECT_EQ(v->str, s) << "byte " << c;
+  }
+}
+
+TEST(ObsReport, StageTimerWithoutAReportStillCountsTheHistogram) {
+  const std::uint64_t before = test::stageHistogram("bare").count;
+  {
+    obs::StageTimer timer(nullptr, "bare");
+    EXPECT_EQ(timer.stage(), nullptr);
+    timer.stop();
+    timer.stop();  // a second stop records nothing
+  }  // nor does the destructor after stop()
+  EXPECT_EQ(test::stageHistogram("bare").count, before + 1);
+}
+
+TEST(ObsReport, StageTimerStraddlingClearTraceKeepsItsTime) {
+  obs::RunReport report;
+  {
+    obs::StageTimer timer(&report, "straddle");
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    obs::clearTrace();  // restarts the trace epoch, not the stage clock
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  ASSERT_NE(report.find("straddle"), nullptr);
+  EXPECT_GE(report.find("straddle")->wallMs, 25.0);
 }
 
 TEST(ObsReport, SummaryTableListsStagesInOrder) {
@@ -311,14 +428,24 @@ TEST(ObsPipelineIntegration, CalibrateRunReportsAllStages) {
   const sim::MeasurementSession session;
   const auto capture = session.run(subject, gesture);
 
+  std::vector<obs::MetricsSnapshot::HistogramEntry> before;
+  for (const auto& stage : test::pipelineStages())
+    before.push_back(test::stageHistogram(stage));
+
   const core::CalibrationPipeline pipeline;
   obs::RunReport report;
   const auto personal = pipeline.run(capture, &report);
 
-  EXPECT_EQ(report.stageNames(),
-            (std::vector<std::string>{"extract", "fusion", "nearfield",
-                                      "nearfar", "gesture"}));
+  EXPECT_EQ(report.stageNames(), test::pipelineStages());
   for (const auto& stage : report.stages) EXPECT_GE(stage.wallMs, 0.0);
+
+  // Each stage's timer fed its histogram once, with the reported time.
+  for (std::size_t i = 0; i < report.stages.size(); ++i) {
+    const auto after = test::stageHistogram(report.stages[i].name);
+    EXPECT_EQ(after.count, before[i].count + 1) << report.stages[i].name;
+    EXPECT_NEAR(after.sum - before[i].sum, report.stages[i].wallMs, 1e-9)
+        << report.stages[i].name;
+  }
 
   const auto* extract = report.find("extract");
   ASSERT_NE(extract, nullptr);
@@ -347,12 +474,23 @@ TEST(ObsPipelineIntegration, CalibrateRunReportsAllStages) {
   const auto plain = pipeline.run(capture);
   EXPECT_EQ(plain.fusion.iterations, personal.fusion.iterations);
   EXPECT_DOUBLE_EQ(plain.headParams.a, personal.headParams.a);
+  // Without a report the histograms still count the run.
+  for (std::size_t i = 0; i < before.size(); ++i)
+    EXPECT_EQ(test::stageHistogram(test::pipelineStages()[i]).count,
+              before[i].count + 2);
 
   const auto spans = obs::collectSpans();
   for (const char* name :
        {"pipeline.run", "pipeline.extract_channels", "dsf.solve_robust",
         "dsf.restart", "nearfield.build", "nearfar.convert"}) {
     EXPECT_NE(findSpan(spans, name), nullptr) << "missing span: " << name;
+  }
+  // The first run's stage spans bracket its reported stage times: a span
+  // opens just before its timer starts and closes just after it stops.
+  for (const auto& stage : report.stages) {
+    const auto* span = findSpan(spans, "pipeline.stage." + stage.name);
+    ASSERT_NE(span, nullptr) << stage.name;
+    EXPECT_GE(span->durUs / 1000.0 + 1e-3, stage.wallMs) << stage.name;
   }
   const auto* run = findSpan(spans, "pipeline.run");
   const auto* solve = findSpan(spans, "dsf.solve_robust");
@@ -361,7 +499,8 @@ TEST(ObsPipelineIntegration, CalibrateRunReportsAllStages) {
 
   // The span set exports as valid Chrome trace JSON.
   std::string error;
-  EXPECT_TRUE(obs::validateJson(obs::traceEventJson(spans), &error)) << error;
+  EXPECT_TRUE(obs::parseJson(obs::traceEventJson(spans), &error).has_value())
+      << error;
 }
 
 }  // namespace

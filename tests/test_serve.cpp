@@ -31,6 +31,7 @@
 #include "serve/calibration_service.h"
 #include "serve/table_cache.h"
 #include "sim/measurement_session.h"
+#include "test_util.h"
 
 namespace uniq {
 namespace {
@@ -338,6 +339,45 @@ TEST(CalibrationService, ShardedRunMatchesSerialBitwise) {
   }
   for (std::size_t i = 0; i < kCaptures; ++i)
     EXPECT_TRUE(service.cache().contains("user" + std::to_string(i)));
+}
+
+TEST(CalibrationService, ConcurrentJobsAllLandInStageHistograms) {
+  // Batch and streaming jobs racing on two workers each add one
+  // observation per stage to the pipeline.stage.<name>.ms histograms, and
+  // the histograms' sums are the sums of the jobs' reported stage times.
+  const auto& stages = test::pipelineStages();
+  std::vector<obs::MetricsSnapshot::HistogramEntry> before;
+  for (const auto& stage : stages) before.push_back(test::stageHistogram(stage));
+
+  constexpr std::size_t kJobs = 4;
+  serve::CalibrationServiceOptions opts;
+  opts.workers = 2;
+  opts.maxQueued = kJobs;
+  serve::CalibrationService service(opts);
+  for (std::size_t j = 0; j < kJobs; ++j) {
+    serve::JobOptions jobOpts;
+    jobOpts.streaming = j % 2 == 1;
+    ASSERT_NE(service.submit("user" + std::to_string(j), makeCapture(120 + j),
+                             jobOpts),
+              serve::kInvalidJobId);
+  }
+  const auto results = service.drain();
+  ASSERT_EQ(results.size(), kJobs);
+
+  for (std::size_t i = 0; i < stages.size(); ++i) {
+    double reportedMs = 0.0;
+    for (const auto& r : results) {
+      ASSERT_EQ(r.state, serve::JobState::kDone);
+      const auto* stage = r.report.find(stages[i]);
+      ASSERT_NE(stage, nullptr) << stages[i];
+      reportedMs += stage->wallMs;
+    }
+    const auto after = test::stageHistogram(stages[i]);
+    EXPECT_EQ(after.count, before[i].count + kJobs) << stages[i];
+    EXPECT_NEAR(after.sum - before[i].sum, reportedMs,
+                1e-9 * std::max(1.0, after.sum))
+        << stages[i];
+  }
 }
 
 TEST(CalibrationService, QueuedJobStartsOnIdleWorkerWhileAnotherRuns) {

@@ -8,6 +8,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -18,6 +19,7 @@
 #include "sim/measurement_session.h"
 #include "stream/bounded_queue.h"
 #include "stream/streaming_session.h"
+#include "test_util.h"
 
 namespace uniq {
 namespace {
@@ -275,6 +277,32 @@ TEST(StreamingSession, ConvergenceEarlyStopIsDegradedAtWorst) {
   EXPECT_GT(out.timeToConvergeMs, 0.0);
   EXPECT_NE(out.personal.status, core::PipelineStatus::kFailed);
   EXPECT_GE(out.incrementalSolves, opts.convergeStreak);
+}
+
+TEST(StreamingSession, FinalizeObservesEachStageOnce) {
+  // A streaming run counts in the same per-stage histograms as a batch
+  // run: one observation per stage, extraction as the per-stop total.
+  const auto& stages = test::pipelineStages();
+  std::vector<obs::MetricsSnapshot::HistogramEntry> before;
+  for (const auto& stage : stages) before.push_back(test::stageHistogram(stage));
+
+  const auto capture = makeCapture(28, 8);
+  stream::StreamingSession session(
+      stream::CaptureHeader::fromCapture(capture));
+  for (std::size_t i = 0; i < capture.stops.size(); ++i)
+    ASSERT_TRUE(session.push(capture.stops[i], i));
+  obs::RunReport report;
+  const auto out = session.finalize(&report);
+  ASSERT_NE(out.personal.status, core::PipelineStatus::kFailed);
+
+  for (std::size_t i = 0; i < stages.size(); ++i) {
+    const auto after = test::stageHistogram(stages[i]);
+    EXPECT_EQ(after.count, before[i].count + 1) << stages[i];
+    ASSERT_NE(report.find(stages[i]), nullptr) << stages[i];
+    EXPECT_NEAR(after.sum - before[i].sum, report.find(stages[i])->wallMs,
+                1e-9)
+        << stages[i];
+  }
 }
 
 TEST(StreamingSession, ExportsStreamMetrics) {

@@ -18,7 +18,7 @@
 #include "common/thread_pool.h"
 #include "head/subject.h"
 #include "obs/export.h"
-#include "obs/json_check.h"
+#include "obs/json.h"
 #include "obs/metrics.h"
 #include "obs/scrape.h"
 #include "obs/slo.h"
@@ -264,6 +264,22 @@ TEST(SloEvaluator, RejectsMalformedRules) {
   rejects(
       R"({"rules": [{"name": "a", "metric": "m", "threshold": 1},
                     {"name": "a", "metric": "m", "threshold": 1}]})");
+  // A syntax error names its byte offset.
+  rejects(R"({"rules": [{"name": "a",}]})");
+  EXPECT_NE(error.find("invalid JSON at byte 24"), std::string::npos)
+      << error;
+}
+
+TEST(SloEvaluator, DecodesUnicodeEscapesInRuleNames) {
+  std::vector<obs::SloRule> rules;
+  std::string error;
+  ASSERT_TRUE(obs::SloEvaluator::parseRules(
+      R"({"rules": [{"name": "lookup\u002dp99", "metric": "m",
+                     "threshold": 1}]})",
+      &rules, &error))
+      << error;
+  ASSERT_EQ(rules.size(), 1u);
+  EXPECT_EQ(rules[0].name, "lookup-p99");
 }
 
 TEST(SloEvaluator, QuantileRuleBreachesEdgeTriggeredAndRecovers) {
@@ -556,7 +572,7 @@ TEST(TraceContext, ConcurrentServeJobsAttributeWorkerSpans) {
   // Chrome-trace export groups by trace id: pid = traceId, with a
   // process_name metadata row per job.
   const std::string json = obs::traceEventJson(spans);
-  EXPECT_TRUE(obs::validateJson(json));
+  EXPECT_TRUE(obs::parseJson(json).has_value());
   for (const auto& r : results) {
     EXPECT_NE(json.find("\"pid\":" + std::to_string(r.traceId)),
               std::string::npos);
@@ -594,7 +610,7 @@ TEST(ExportEdgeCases, MetricsJsonOnEmptyRegistryIsValid) {
   obs::Registry reg;
   const std::string json = obs::metricsJson(reg.snapshot());
   std::string error;
-  EXPECT_TRUE(obs::validateJson(json, &error)) << error;
+  EXPECT_TRUE(obs::parseJson(json, &error).has_value()) << error;
   EXPECT_EQ(json, "{\"counters\":{},\"gauges\":{},\"histograms\":{}}");
 }
 
@@ -604,7 +620,14 @@ TEST(ExportEdgeCases, MetricNamesNeedingEscapingStayValidJson) {
   reg.gauge("gauge\"quoted\"").set(1.5);
   const std::string json = obs::metricsJson(reg.snapshot());
   std::string error;
-  EXPECT_TRUE(obs::validateJson(json, &error)) << error << "\n" << json;
+  const auto parsed = obs::parseJson(json, &error);
+  ASSERT_TRUE(parsed.has_value()) << error << "\n" << json;
+  // The escaped names decode back to the registry's names.
+  ASSERT_NE(parsed->find("counters"), nullptr);
+  EXPECT_NE(parsed->find("counters")->find("weird\"name\\with\ncontrol\tchars"),
+            nullptr);
+  ASSERT_NE(parsed->find("gauges"), nullptr);
+  EXPECT_NE(parsed->find("gauges")->find("gauge\"quoted\""), nullptr);
   // And the exposition sanitizer neutralizes the same names.
   const std::string text = obs::prometheusText(reg.snapshot());
   for (const char c : std::string("\"\n\t\\"))

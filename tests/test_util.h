@@ -1,9 +1,11 @@
 #pragma once
 
 #include <cmath>
+#include <string>
 #include <vector>
 
 #include "head/hrir.h"
+#include "obs/metrics.h"
 
 namespace uniq::test {
 
@@ -23,6 +25,23 @@ inline double energy(const std::vector<double>& v) {
   double e = 0.0;
   for (double x : v) e += x * x;
   return e;
+}
+
+/// The five calibration stages, in pipeline order.
+inline const std::vector<std::string>& pipelineStages() {
+  static const std::vector<std::string> stages{"extract", "fusion",
+                                               "nearfield", "nearfar",
+                                               "gesture"};
+  return stages;
+}
+
+/// The `pipeline.stage.<stage>.ms` histogram as the process-wide registry
+/// holds it now (an empty entry before the stage first ran).
+inline obs::MetricsSnapshot::HistogramEntry stageHistogram(
+    const std::string& stage) {
+  for (const auto& h : obs::registry().snapshot().histograms)
+    if (h.name == "pipeline.stage." + stage + ".ms") return h;
+  return {};
 }
 
 }  // namespace uniq::test

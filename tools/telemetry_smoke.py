@@ -12,7 +12,7 @@ Run 1 — live scrape:
     buckets, +Inf == _count),
   - runs `uniq monitor` once against the live endpoint,
   - asserts exit 0, validates the --exposition-out file, and checks the
-    load-report JSON for the telemetry/estimator_check/slo sections.
+    load-report JSON for the telemetry/estimator_check/slo/stages sections.
 
 Run 2 — SLO gate:
   - same load with a rules file whose quantile threshold is impossibly
@@ -165,9 +165,15 @@ def run_live_scrape(uniq: str, workdir: pathlib.Path) -> None:
     validate(exposition_path.read_text(encoding="utf-8"), "exposition-out")
 
     report = json.loads(report_path.read_text(encoding="utf-8"))
-    for key in ("telemetry", "estimator_check", "slo"):
+    for key in ("telemetry", "estimator_check", "slo", "stages"):
         if key not in report:
             fail(f"load report is missing the {key!r} section")
+    # The warm-phase calibration alone runs every stage once.
+    for stage in ("extract", "fusion", "nearfield", "nearfar", "gesture"):
+        entry = report["stages"].get(stage)
+        if not entry or entry["count"] < 1 or "p99_ms" not in entry:
+            fail(f"load report's stages section lacks {stage!r}: "
+                 f"{report['stages']}")
     if report["telemetry"]["windows"] < 2:
         fail("sampler produced fewer than 2 windows over a 2 s run")
     est = report["estimator_check"]
