@@ -98,14 +98,22 @@ Args parseArgs(int argc, char** argv, int firstArg) {
     if (key.rfind("--", 0) != 0) {
       throw uniq::InvalidArgument("expected --flag, got: " + key);
     }
-    key = key.substr(2);
-    if (i + 1 < argc && std::string(argv[i + 1]).rfind("--", 0) != 0) {
-      args[key] = argv[++i];
-    } else {
-      args[key] = "1";  // boolean flag
-    }
+    const std::string next = i + 1 < argc ? argv[i + 1] : "--";
+    const bool hasValue = next.rfind("--", 0) != 0;
+    // A flag without a value is a boolean flag.
+    args.insert_or_assign(key.substr(2), hasValue ? next : "1");
+    if (hasValue) ++i;
   }
   return args;
+}
+
+/// "u<rank>", the user id serve-load gives a Zipf rank. Built by insert
+/// rather than `"u" + std::to_string(rank)`: GCC 12 at -O3 reports a false
+/// -Wrestrict overlap for that concatenation.
+std::string loadUserId(std::size_t rank) {
+  std::string id = std::to_string(rank);
+  id.insert(id.begin(), 'u');
+  return id;
 }
 
 std::string require(const Args& args, const std::string& key) {
@@ -781,7 +789,7 @@ int cmdServeLoad(const Args& args) {
   // the persist dir, when set, holds quantized spill for the overflow).
   std::cout << "warming " << warm << " hottest users...\n";
   for (std::size_t r = 0; r < warm && r < users; ++r)
-    service.cache().put("u" + std::to_string(r), warmTable);
+    service.cache().put(loadUserId(r), warmTable);
 
   const ZipfSampler zipf(users, skew);
   const serve::BatchAoaEngine engine(service.cache());
@@ -877,7 +885,7 @@ int cmdServeLoad(const Args& args) {
       const auto sec = std::min<std::size_t>(
           static_cast<std::size_t>(elapsedMs / 1000.0), secBuckets - 1);
       const std::size_t rank = zipf.sample(rng);
-      const std::string userId = "u" + std::to_string(rank);
+      const std::string userId = loadUserId(rank);
 
       if (calibIntervalMs > 0.0 && elapsedMs >= nextCalibMs) {
         nextCalibMs += calibIntervalMs;
@@ -1205,61 +1213,8 @@ int cmdMonitor(const Args& args) {
       return 0;
     }
 
-    // Flatten the exposition into name{labels} -> value.
-    std::map<std::string, double> samples;
-    std::istringstream lines(body);
-    std::string line;
-    while (std::getline(lines, line)) {
-      if (line.empty() || line[0] == '#') continue;
-      const auto space = line.rfind(' ');
-      if (space == std::string::npos) continue;
-      try {
-        samples[line.substr(0, space)] = std::stod(line.substr(space + 1));
-      } catch (const std::exception&) {
-      }
-    }
-
     std::cout << "--- scrape " << iter << " (127.0.0.1:" << port
-              << ") ---\n" << std::setprecision(4);
-    std::cout << "rates (events/s):\n";
-    for (const auto& [key, value] : samples) {
-      if (key.size() > 5 && key.compare(key.size() - 5, 5, "_rate") == 0 &&
-          value > 0.0)
-        std::cout << "  " << key << " " << value << "\n";
-    }
-    std::cout << "window quantiles (p50/p90/p99):\n";
-    for (const auto& [key, value] : samples) {
-      const auto tag = key.find("_window_q{q=\"0.5\"}");
-      if (tag == std::string::npos) continue;
-      const std::string base = key.substr(0, tag);
-      const auto p90 = samples.find(base + "_window_q{q=\"0.9\"}");
-      const auto p99 = samples.find(base + "_window_q{q=\"0.99\"}");
-      std::cout << "  " << base << " " << value << " / "
-                << (p90 != samples.end() ? p90->second : 0.0) << " / "
-                << (p99 != samples.end() ? p99->second : 0.0) << "\n";
-    }
-    bool anyShard = false;
-    for (const auto& [key, value] : samples) {
-      if (key.rfind("uniq_serve_shard_", 0) != 0) continue;
-      if (!anyShard) std::cout << "shards:\n";
-      anyShard = true;
-      std::cout << "  " << key << " " << value << "\n";
-    }
-    bool anySlo = false;
-    for (const auto& [key, value] : samples) {
-      if (key.rfind("uniq_slo_breached{", 0) != 0) continue;
-      if (!anySlo) std::cout << "slo:\n";
-      anySlo = true;
-      const std::string rule =
-          key.substr(sizeof("uniq_slo_breached{rule=\"") - 1,
-                     key.size() - sizeof("uniq_slo_breached{rule=\"") - 1);
-      const auto v = samples.find("uniq_slo_value{rule=\"" + rule + "\"}");
-      const auto l = samples.find("uniq_slo_limit{rule=\"" + rule + "\"}");
-      std::cout << "  " << rule << ": "
-                << (value != 0.0 ? "BREACHED" : "ok") << " (value "
-                << (v != samples.end() ? v->second : 0.0) << ", limit "
-                << (l != samples.end() ? l->second : 0.0) << ")\n";
-    }
+              << ") ---\n" << obs::monitorView(body);
     std::cout.flush();
   }
   return 0;

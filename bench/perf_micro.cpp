@@ -28,6 +28,7 @@
 #include "geometry/diffraction.h"
 #include "geometry/polar.h"
 #include "head/hrtf_database.h"
+#include "head/subject.h"
 #include "obs/metrics.h"
 #include "obs/report.h"
 #include "obs/trace.h"
@@ -35,6 +36,7 @@
 #include "serve/calibration_service.h"
 #include "serve/table_cache.h"
 #include "sim/measurement_session.h"
+#include "sim/trajectory.h"
 #include "stream/streaming_session.h"
 
 using namespace uniq;
@@ -225,6 +227,39 @@ void BM_FusionObjective(benchmark::State& state) {
   });
 }
 BENCHMARK(BM_FusionObjective);
+
+// One whole fusion stage: solveRobust (reject rounds included) on the
+// quality-gated measurements of `uniq calibrate --seed 42`, with a fresh
+// SensorFusion (empty geometry cache) per iteration as each calibration
+// builds one. Timed nested like BM_FusionObjective: the serial CPU a serve
+// worker's calibration pays for fusion.
+void BM_FusionSolveRobust(benchmark::State& state) {
+  static const auto measurements = [] {
+    const auto subject = head::makePopulation(1, 42)[0];
+    const sim::MeasurementSession session;
+    const auto capture = session.run(subject, sim::defaultGesture());
+    const core::CalibrationPipeline pipeline;
+    const auto channels = pipeline.extractChannels(capture);
+    auto out = pipeline.toFusionMeasurements(capture, channels);
+    std::erase_if(out, [&](const core::FusionMeasurement& m) {
+      return channels[m.sourceIndex].quality.gated();
+    });
+    return out;
+  }();
+  obs::Counter& counter = obs::registry().counter("dsf.objective.evals");
+  std::uint64_t evals = 0;
+  common::parallelFor(0, 1, [&](std::size_t) {
+    for (auto _ : state) {
+      const std::uint64_t before = counter.value();
+      const core::SensorFusion fusion;
+      auto result = fusion.solveRobust(measurements);
+      benchmark::DoNotOptimize(result);
+      evals = counter.value() - before;
+    }
+  });
+  state.counters["objective_evals"] = static_cast<double>(evals);
+}
+BENCHMARK(BM_FusionSolveRobust)->Unit(benchmark::kMillisecond);
 
 void BM_GroundTruthHrir(benchmark::State& state) {
   head::Subject s;

@@ -54,9 +54,15 @@ AoaEstimate pickBest(const std::vector<double>& angles,
   return best;
 }
 
-/// |z| over bins [bLo, bHi] of a half spectrum (empty when bHi < bLo).
-std::vector<double> bandMagnitudes(const std::vector<dsp::Complex>& spectrum,
+/// |z| over bins [bLo, bHi] of the half spectrum of `signal` at plan size n
+/// (empty when bHi < bLo). The spectrum itself lives only in the thread's
+/// scratch arena.
+std::vector<double> bandMagnitudes(const dsp::FftPlan& plan,
+                                   std::span<const double> signal,
                                    std::size_t bLo, std::size_t bHi) {
+  common::ArenaScope scope(common::simdScratch());
+  const auto spectrum = dsp::scratchComplex(plan.size() / 2 + 1);
+  plan.rfft(signal, spectrum);
   std::vector<double> out;
   if (bHi < bLo) return out;
   out.reserve(bHi - bLo + 1);
@@ -109,8 +115,8 @@ AoaEstimator::templateMagnitudes(const std::vector<std::size_t>& degreeIndices,
   for (std::size_t idx : missing) {
     const auto& tmpl = table_.byDegree[idx];
     auto entry = std::make_shared<TemplateMagnitudes>();
-    entry->left = bandMagnitudes(plan->rfft(tmpl.left), bLo, bHi);
-    entry->right = bandMagnitudes(plan->rfft(tmpl.right), bLo, bHi);
+    entry->left = bandMagnitudes(*plan, tmpl.left, bLo, bHi);
+    entry->right = bandMagnitudes(*plan, tmpl.right, bLo, bHi);
     mag_[idx] = std::move(entry);
   }
   std::vector<std::shared_ptr<const TemplateMagnitudes>> out;
@@ -318,10 +324,8 @@ AoaEstimate AoaEstimator::estimateUnknown(
   std::vector<std::vector<double>> magL, magR;
   for (std::size_t start : frameStarts) {
     const std::size_t len = std::min(frameLen, total - start);
-    magL.push_back(
-        bandMagnitudes(plan->rfft(left.subspan(start, len)), bLo, bHi));
-    magR.push_back(
-        bandMagnitudes(plan->rfft(right.subspan(start, len)), bLo, bHi));
+    magL.push_back(bandMagnitudes(*plan, left.subspan(start, len), bLo, bHi));
+    magR.push_back(bandMagnitudes(*plan, right.subspan(start, len), bLo, bHi));
   }
 
   // Every candidate's template magnitudes, from the estimator's cache

@@ -118,7 +118,8 @@ class CalibrationPipeline {
   ///
   ///   - "extract"   — wallMs; `stops` (capture stops processed),
   ///                   `tapsDetected` (stops with a first tap in both ears)
-  ///   - "fusion"    — wallMs; `iterations` (Nelder-Mead total over
+  ///   - "fusion"    — wallMs; `iterations` (Levenberg-Marquardt
+  ///                   Jacobian builds of the final solve, over its
   ///                   restarts), `restarts`, `converged` (0/1),
   ///                   `localized` (stops the localizer placed),
   ///                   `objectiveDeg2` (final Eq. 2 objective incl. prior),

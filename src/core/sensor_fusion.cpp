@@ -12,14 +12,14 @@
 #include "dsp/kernels/kernels.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "optim/nelder_mead.h"
+#include "optim/levenberg_marquardt.h"
 
 namespace uniq::core {
 
 namespace {
 
 /// Map unconstrained optimizer coordinates into the plausible head-parameter
-/// box via a smooth logistic squashing, so Nelder-Mead never proposes an
+/// box via a smooth logistic squashing, so the solver never proposes an
 /// invalid geometry.
 double squash(double x, double lo, double hi) {
   return lo + (hi - lo) / (1.0 + std::exp(-x));
@@ -58,9 +58,9 @@ SensorFusion::SensorFusion(Options opts) : opts_(opts) {}
 
 std::shared_ptr<const SensorFusion::CachedGeometry> SensorFusion::geometryFor(
     const head::HeadParameters& candidate) const {
-  // Keyed on the exact parameter bits: Nelder-Mead revisits vertices
-  // verbatim, so bit equality is the right match and never returns stale
-  // geometry for a genuinely new candidate.
+  // Keyed on the exact parameter bits: the fuse pass and warm starts
+  // revisit points verbatim, so bit equality is the right match and never
+  // returns stale geometry for a genuinely new candidate.
   constexpr std::size_t kMaxCachedGeometries = 8;
   {
     std::lock_guard<std::mutex> lock(geometryMutex_);
@@ -80,7 +80,7 @@ std::shared_ptr<const SensorFusion::CachedGeometry> SensorFusion::geometryFor(
   return built;
 }
 
-double SensorFusion::objective(
+std::vector<double> SensorFusion::residuals(
     const head::HeadParameters& candidate,
     const std::vector<FusionMeasurement>& measurements) const {
   UNIQ_SPAN("dsf.objective");
@@ -89,26 +89,34 @@ double SensorFusion::objective(
   evals.inc();
   const auto geometry = geometryFor(candidate);
   const Localizer& localizer = geometry->localizer;
-  // Localize every measurement independently across the pool; reduce in
-  // measurement order so the objective is bitwise identical for any thread
+  // Localize every measurement independently across the pool; each writes
+  // only its own entry, so the vector is bitwise identical for any thread
   // count.
-  std::vector<double> costs(measurements.size());
+  const auto count = static_cast<double>(measurements.size());
+  const double scale = 1.0 / std::sqrt(count);
+  const double unlocalized = std::sqrt(opts_.unlocalizedPenalty) * scale;
+  std::vector<double> r(measurements.size() + 3);
   common::parallelFor(
       0, measurements.size(),
       [&](std::size_t i) {
         const auto& m = measurements[i];
         const auto fix =
             localizer.locate(m.delayLeftSec, m.delayRightSec, m.imuAngleDeg);
-        costs[i] = fix ? square(m.imuAngleDeg - fix->angleDeg)
-                       : opts_.unlocalizedPenalty;
+        r[i] = fix ? (m.imuAngleDeg - fix->angleDeg) * scale : unlocalized;
       });
-  double cost = 0.0;
-  for (const double c : costs) cost += c;
-  cost /= static_cast<double>(measurements.size());
   const auto avg = head::HeadParameters::average();
-  cost += opts_.priorWeight *
-          (square(candidate.a - avg.a) + square(candidate.b - avg.b) +
-           square(candidate.c - avg.c));
+  const double prior = std::sqrt(opts_.priorWeight);
+  r[measurements.size()] = prior * (candidate.a - avg.a);
+  r[measurements.size() + 1] = prior * (candidate.b - avg.b);
+  r[measurements.size() + 2] = prior * (candidate.c - avg.c);
+  return r;
+}
+
+double SensorFusion::objective(
+    const head::HeadParameters& candidate,
+    const std::vector<FusionMeasurement>& measurements) const {
+  double cost = 0.0;
+  for (const double v : residuals(candidate, measurements)) cost += v * v;
   return cost;
 }
 
@@ -137,8 +145,8 @@ SensorFusionResult SensorFusion::solveIncremental(
 SensorFusionResult SensorFusion::solveWith(
     const std::vector<FusionMeasurement>& measurements,
     std::size_t restarts, const head::HeadParameters* seedStart) const {
-  const auto f = [&](const std::vector<double>& x) {
-    return objective(decode(x), measurements);
+  const auto residualsAt = [&](const std::vector<double>& x) {
+    return residuals(decode(x), measurements);
   };
 
   // Which kernel tier this solve ran on, and how many FFT transforms each
@@ -158,12 +166,6 @@ SensorFusionResult SensorFusion::solveWith(
   const auto fftBefore = dsp::fftStats();
   const std::uint64_t evalsBefore = evalCounter.value();
 
-  optim::NelderMeadOptions nmOpts;
-  nmOpts.maxIterations = opts_.maxIterations;
-  nmOpts.initialStep = 0.6;  // in squashed coordinates
-  nmOpts.fTolerance = 1e-4;
-  nmOpts.xTolerance = 1e-3;
-
   SensorFusionResult result;
   static obs::Histogram& iterHist = obs::registry().histogram(
       "dsf.restart.iterations", obs::HistogramOptions{1.0, 2.0, 10});
@@ -179,7 +181,8 @@ SensorFusionResult SensorFusion::solveWith(
       for (std::size_t j = 0; j < start.size(); ++j)
         start[j] += 0.45 * (((r >> j) & 1) ? 1.0 : -1.0);
     }
-    auto min = optim::nelderMead(f, start, nmOpts);
+    auto min = optim::levenbergMarquardt(residualsAt, start,
+                                         opts_.maxIterations);
     iterHist.observe(static_cast<double>(min.iterations));
     result.iterations += min.iterations;
     if (r == 0 || min.fValue < best.fValue) best = std::move(min);
@@ -190,8 +193,8 @@ SensorFusionResult SensorFusion::solveWith(
   result.finalObjectiveDeg2 = best.fValue;
 
   // Final pass with the optimal parameters: fuse angles per Eq. 3. The
-  // winning vertex was just evaluated by the optimizer, so this is a
-  // geometry-cache hit.
+  // winning point was evaluated a few evaluations ago, so this is usually
+  // a geometry-cache hit.
   UNIQ_SPAN("dsf.fuse");
   const auto geometry = geometryFor(result.headParams);
   const Localizer& localizer = geometry->localizer;
@@ -290,7 +293,10 @@ SensorFusionResult SensorFusion::solveRobust(
                                 }),
                  kept.end());
     }
-    result = solveWith(kept, opts_.restarts);
+    // Dropping a few stops moves the optimum only a little: start the
+    // re-solve from the previous answer.
+    const auto previous = result.headParams;
+    result = solveWith(kept, opts_.restarts, &previous);
     result.rejectRounds = round + 1;
   }
 

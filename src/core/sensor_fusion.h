@@ -41,7 +41,10 @@ struct SensorFusionResult {
   /// actually minimized).
   double finalObjectiveDeg2 = 0.0;
   std::size_t localizedCount = 0;
-  /// Total Nelder-Mead iterations spent, summed over restarts.
+  /// Levenberg-Marquardt iterations (Jacobian builds) of the solve that
+  /// produced this result, summed over its restarts. A solveRobust reject
+  /// round replaces the result, so this is the last re-solve's count;
+  /// `dsf.objective.evals` counts every evaluation.
   std::size_t iterations = 0;
   /// Number of optimizer restarts run (== SensorFusionOptions::restarts).
   std::size_t restartsUsed = 0;
@@ -61,6 +64,7 @@ struct SensorFusionOptions {
   /// Boundary discretization used inside the optimization loop (coarser
   /// than the final rendering resolution for speed).
   std::size_t boundaryResolution = 128;
+  /// Levenberg-Marquardt iterations per start before it gives up.
   std::size_t maxIterations = 120;
   /// Penalty (deg^2) charged for a stop the localizer cannot place.
   double unlocalizedPenalty = 400.0;
@@ -68,11 +72,11 @@ struct SensorFusionOptions {
   /// (deg^2 per m^2 of axis deviation); keeps the head estimate from
   /// drifting to the bounds when the IMU is noisy.
   double priorWeight = 5.0e4;
-  /// Independent Nelder-Mead starts: restart 0 begins at the population-
-  /// average head, later restarts at deterministically perturbed corners of
-  /// the squashed parameter box; the best final objective wins. 1 (the
-  /// default) reproduces the single-start behaviour exactly. Each restart
-  /// is wrapped in a "dsf.restart" trace span.
+  /// Independent Levenberg-Marquardt starts: restart 0 begins at the
+  /// population-average head, later restarts at deterministically
+  /// perturbed corners of the squashed parameter box; the best final
+  /// objective wins. 1 (the default) reproduces the single-start behaviour
+  /// exactly. Each restart is wrapped in a "dsf.restart" trace span.
   std::size_t restarts = 1;
   LocalizerOptions localizer{};
 
@@ -122,7 +126,7 @@ class SensorFusion {
       const std::vector<FusionMeasurement>& measurements) const;
 
   /// Warm-started incremental solve for streaming calibration: one
-  /// Nelder-Mead start seeded at `seed` (the previous estimate) instead of
+  /// Levenberg-Marquardt start at `seed` (the previous estimate) instead of
   /// the population average, no widening, no outlier rounds. With the same
   /// SensorFusion instance the geometry LRU carries the seed's boundary and
   /// warm Brent brackets over from the previous solve, so a refinement
@@ -135,10 +139,19 @@ class SensorFusion {
       const std::vector<FusionMeasurement>& measurements,
       const std::optional<head::HeadParameters>& seed = std::nullopt) const;
 
-  /// The Eq. 2 objective for a specific head-parameter candidate; exposed
-  /// for tests and ablation benches.
+  /// The Eq. 2 objective for a specific head-parameter candidate: the
+  /// squared norm of residuals(). Exposed for tests and ablation benches.
   double objective(const head::HeadParameters& candidate,
                    const std::vector<FusionMeasurement>& measurements) const;
+
+  /// The Eq. 2 residual vector the solver minimizes: one entry per stop,
+  /// (alpha_i - theta_i(E)) / sqrt(N), or sqrt(unlocalizedPenalty / N) for
+  /// a stop the localizer cannot place; then three prior entries,
+  /// sqrt(priorWeight) * (E - E_avg) per axis. Each call is one objective
+  /// evaluation (`dsf.objective.evals`).
+  std::vector<double> residuals(
+      const head::HeadParameters& candidate,
+      const std::vector<FusionMeasurement>& measurements) const;
 
  private:
   /// Shared solve core: optimize E over `measurements` with `restarts`
@@ -152,9 +165,9 @@ class SensorFusion {
       const head::HeadParameters* seedStart = nullptr) const;
 
   /// A candidate head geometry with its localizer, built once per distinct
-  /// (a, b, c) and reused. Nelder-Mead re-evaluates simplex vertices
-  /// (shrinks, the accepted-point bookkeeping, and the final solve pass),
-  /// so keying on the exact parameter bits turns those rebuilds into cache
+  /// (a, b, c) and reused. The final fuse pass re-evaluates the winning
+  /// point, and a warm-started re-solve begins at the previous answer, so
+  /// keying on the exact parameter bits turns those rebuilds into cache
   /// hits. Immutable after construction; safe to share across threads.
   struct CachedGeometry {
     geo::HeadBoundary boundary;

@@ -173,14 +173,21 @@ std::vector<double> gccPhat(std::span<const double> a,
   const std::size_t outLen = a.size() + b.size() - 1;
   const std::size_t n = nextPowerOfTwo(outLen);
   const auto plan = fftPlan(n);
-  auto fa = plan->rfft(a);  // both zero-padded to n
-  const auto fb = plan->rfft(b);
+  // The spectra and the inverse live in the thread's scratch arena: at the
+  // AoA path's n = 16384 each is ~128 KiB, right at the allocator's mmap
+  // threshold, so fresh vectors would make the cost depend on heap state.
+  common::ArenaScope scope(common::simdScratch());
+  const auto fa = scratchComplex(n / 2 + 1);
+  const auto fb = scratchComplex(n / 2 + 1);
+  plan->rfft(a, fa);  // both zero-padded to n
+  plan->rfft(b, fb);
   for (std::size_t i = 0; i < fa.size(); ++i) {
     const Complex cross = fa[i] * std::conj(fb[i]);
     const double mag = std::abs(cross);
     fa[i] = mag > 1e-15 ? cross / mag : Complex(0, 0);
   }
-  const auto r = plan->irfft(fa);
+  const auto r = scratchDoubles(n);
+  plan->irfft(fa, r);
   std::vector<double> out(outLen);
   const std::size_t nb = b.size() - 1;
   const long lagLo = -(static_cast<long>(a.size()) - 1);

@@ -242,12 +242,24 @@ std::vector<Complex> FftPlan::inverse(std::span<const Complex> input) const {
 }
 
 std::vector<Complex> FftPlan::rfft(std::span<const double> input) const {
+  std::vector<Complex> out(n_ / 2 + 1);
+  rfft(input, out);
+  return out;
+}
+
+void FftPlan::rfft(std::span<const double> input,
+                   std::span<Complex> out) const {
   UNIQ_REQUIRE(pow2_, "rfft needs a power-of-two plan");
   const std::size_t len = input.size();
   UNIQ_REQUIRE(len >= 1 && len <= n_, "rfft input must hold 1..n samples");
+  UNIQ_REQUIRE(out.size() == n_ / 2 + 1,
+               "rfft output must hold n/2 + 1 bins");
   transformCounter().inc();
   const std::size_t n = n_;
-  if (n == 1) return {Complex(input[0], 0)};
+  if (n == 1) {
+    out[0] = Complex(input[0], 0);
+    return;
+  }
 
   // Pack even/odd samples into one complex signal z of length h = n/2,
   // transform, then split: X[k] = E[k] + exp(-2*pi*i*k/n) * O[k]. Samples
@@ -309,7 +321,6 @@ std::vector<Complex> FftPlan::rfft(std::span<const double> input) const {
   // Split twiddles exp(-2*pi*i*k/n) are exactly the len == n stage slice.
   const double* wr = twRe_.data() + (h - 1);
   const double* wi = twIm_.data() + (h - 1);
-  std::vector<Complex> out(h + 1);
   out[0] = Complex(zRe[0] + zIm[0], 0.0);
   out[h] = Complex(zRe[0] - zIm[0], 0.0);
   for (std::size_t k = 1; k < h; ++k) {
@@ -320,16 +331,26 @@ std::vector<Complex> FftPlan::rfft(std::span<const double> input) const {
     out[k] = Complex(er + odr * wr[k] - odi * wi[k],
                      ei + odr * wi[k] + odi * wr[k]);
   }
-  return out;
 }
 
 std::vector<double> FftPlan::irfft(std::span<const Complex> halfSpectrum) const {
+  std::vector<double> out(n_);
+  irfft(halfSpectrum, out);
+  return out;
+}
+
+void FftPlan::irfft(std::span<const Complex> halfSpectrum,
+                    std::span<double> out) const {
   UNIQ_REQUIRE(pow2_, "irfft needs a power-of-two plan");
   UNIQ_REQUIRE(halfSpectrum.size() == n_ / 2 + 1,
                "half spectrum length does not match plan");
+  UNIQ_REQUIRE(out.size() == n_, "irfft output must hold n samples");
   transformCounter().inc();
   const std::size_t n = n_;
-  if (n == 1) return {halfSpectrum[0].real()};
+  if (n == 1) {
+    out[0] = halfSpectrum[0].real();
+    return;
+  }
 
   const std::size_t h = n / 2;
   auto& arena = common::simdScratch();
@@ -374,12 +395,20 @@ std::vector<double> FftPlan::irfft(std::span<const Complex> halfSpectrum) const 
   }
 
   const double s = 1.0 / static_cast<double>(h);
-  std::vector<double> out(n);
   for (std::size_t j = 0; j < h; ++j) {
     out[2 * j] = zRe[j] * s;
     out[2 * j + 1] = zIm[j] * s;
   }
-  return out;
+}
+
+std::span<Complex> scratchComplex(std::size_t n) {
+  // std::complex<double> is layout-compatible with double[2].
+  double* p = common::simdScratch().allocDoubles(2 * n);
+  return {reinterpret_cast<Complex*>(p), n};
+}
+
+std::span<double> scratchDoubles(std::size_t n) {
+  return {common::simdScratch().allocDoubles(n), n};
 }
 
 std::shared_ptr<const FftPlan> fftPlan(std::size_t n) {

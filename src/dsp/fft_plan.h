@@ -63,11 +63,18 @@ class FftPlan {
   /// the butterfly stages that would only move zeros: with at most n/2^s
   /// samples (s >= 2), the first s of the half plan's log2(n/2) stages.
   std::vector<Complex> rfft(std::span<const double> input) const;
+  /// rfft() into caller storage of n/2 + 1 bins (for example
+  /// scratchComplex()), so a transform does no heap allocation. Same bits
+  /// as rfft(input).
+  void rfft(std::span<const double> input, std::span<Complex> out) const;
 
   /// Inverse of rfft(): takes the half spectrum (size n/2 + 1, assumed to
   /// describe a conjugate-symmetric full spectrum) and returns the length-n
   /// real signal, including the 1/N scaling.
   std::vector<double> irfft(std::span<const Complex> halfSpectrum) const;
+  /// irfft() into caller storage of n samples. Same bits as irfft(half).
+  void irfft(std::span<const Complex> halfSpectrum,
+             std::span<double> out) const;
 
  private:
   void transformPow2(std::span<Complex> data, bool inverse) const;
@@ -127,6 +134,12 @@ FftStats fftStats();
 /// Reset the hit/miss/transform counters (the cached plans themselves are
 /// kept).
 void resetFftStats();
+
+/// `n` values from the calling thread's common::simdScratch() arena, valid
+/// until the enclosing common::ArenaScope unwinds: transient spectra and
+/// signals that would otherwise be a fresh heap block per transform.
+std::span<Complex> scratchComplex(std::size_t n);
+std::span<double> scratchDoubles(std::size_t n);
 
 /// Convenience wrappers over the plan cache. `n = input.size()` must be a
 /// power of two; the half spectrum has size n/2 + 1.

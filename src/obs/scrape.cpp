@@ -10,6 +10,8 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <iomanip>
+#include <map>
 #include <sstream>
 
 #include "common/error.h"
@@ -121,6 +123,11 @@ std::string prometheusText(const MetricsSnapshot& snapshot,
         appendValue(os, vs[i]);
         os << "\n";
       }
+      // The quantiles of a window that saw nothing read 0; its count tells
+      // that apart from a zero latency.
+      const std::string seen = prometheusName(hw.name) + "_window_observations";
+      os << "# TYPE " << seen << " gauge\n";
+      os << seen << " " << hw.count << "\n";
     }
   }
   if (slo != nullptr && !slo->empty()) {
@@ -141,6 +148,70 @@ std::string prometheusText(const MetricsSnapshot& snapshot,
       os << "uniq_slo_breached{rule=\"" << labelEscape(st.rule.name)
          << "\"} " << (st.breached ? 1 : 0) << "\n";
     }
+  }
+  return os.str();
+}
+
+std::string monitorView(const std::string& exposition) {
+  // Flatten the exposition into name{labels} -> value.
+  std::map<std::string, double> samples;
+  std::istringstream lines(exposition);
+  std::string line;
+  while (std::getline(lines, line)) {
+    if (line.empty() || line[0] == '#') continue;
+    const auto space = line.rfind(' ');
+    if (space == std::string::npos) continue;
+    try {
+      samples[line.substr(0, space)] = std::stod(line.substr(space + 1));
+    } catch (const std::exception&) {
+    }
+  }
+  const auto valueOr0 = [&samples](const std::string& key) {
+    const auto it = samples.find(key);
+    return it != samples.end() ? it->second : 0.0;
+  };
+
+  std::ostringstream os;
+  os << std::setprecision(4) << "rates (events/s):\n";
+  for (const auto& [key, value] : samples) {
+    if (key.size() > 5 && key.compare(key.size() - 5, 5, "_rate") == 0 &&
+        value > 0.0)
+      os << "  " << key << " " << value << "\n";
+  }
+  os << "window quantiles (p50/p90/p99):\n";
+  for (const auto& [key, value] : samples) {
+    const auto tag = key.find("_window_q{q=\"0.5\"}");
+    if (tag == std::string::npos) continue;
+    const std::string base = key.substr(0, tag);
+    const auto seen = samples.find(base + "_window_observations");
+    os << "  " << base << " ";
+    if (seen != samples.end() && seen->second == 0.0) {
+      os << "-\n";
+      continue;
+    }
+    const double p90 = valueOr0(base + "_window_q{q=\"0.9\"}");
+    const double p99 = valueOr0(base + "_window_q{q=\"0.99\"}");
+    os << value << " / " << p90 << " / " << p99 << "\n";
+  }
+  bool anyShard = false;
+  for (const auto& [key, value] : samples) {
+    if (key.rfind("uniq_serve_shard_", 0) != 0) continue;
+    if (!anyShard) os << "shards:\n";
+    anyShard = true;
+    os << "  " << key << " " << value << "\n";
+  }
+  bool anySlo = false;
+  const std::string breachedPrefix = "uniq_slo_breached{rule=\"";
+  for (const auto& [key, value] : samples) {
+    if (key.rfind(breachedPrefix, 0) != 0) continue;
+    if (!anySlo) os << "slo:\n";
+    anySlo = true;
+    const std::size_t from = breachedPrefix.size();
+    const std::string rule = key.substr(from, key.size() - from - 2);
+    const double v = valueOr0("uniq_slo_value{rule=\"" + rule + "\"}");
+    const double limit = valueOr0("uniq_slo_limit{rule=\"" + rule + "\"}");
+    os << "  " << rule << ": " << (value != 0.0 ? "BREACHED" : "ok");
+    os << " (value " << v << ", limit " << limit << ")\n";
   }
   return os.str();
 }

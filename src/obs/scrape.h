@@ -22,11 +22,18 @@ std::string prometheusName(const std::string& name);
 /// cumulative _bucket{le="..."} series (underflow folded into the first
 /// bucket, +Inf equal to _count) plus _sum and _count. When `window` is
 /// non-null its per-window quantiles export as <name>_window_q{q="..."}
-/// gauges and rates as <name>_rate gauges; when `slo` is non-null each
-/// rule exports uniq_slo_{value,limit,breached}{rule="..."} series.
+/// gauges, each window's observation count as <name>_window_observations,
+/// and rates as <name>_rate gauges; when `slo` is non-null each rule
+/// exports uniq_slo_{value,limit,breached}{rule="..."} series.
 std::string prometheusText(const MetricsSnapshot& snapshot,
                            const TelemetryWindow* window = nullptr,
                            const std::vector<SloStatus>* slo = nullptr);
+
+/// The text `uniq monitor` prints for one scrape of a prometheusText()
+/// document: non-zero rates, per-window p50 / p90 / p99 (a histogram
+/// whose latest window saw no observation prints `-`, not zeros), shard
+/// series and SLO status.
+std::string monitorView(const std::string& exposition);
 
 /// Minimal localhost HTTP server for scraping telemetry: binds 127.0.0.1
 /// on the requested port (0 = ephemeral; see port()), accepts one

@@ -41,10 +41,18 @@ struct ThreadBuffer {
   std::uint32_t tid = 0;
 };
 
+/// Microseconds on the steady clock since its own fixed epoch, the one
+/// steadyMs() reads.
+double steadyUs() {
+  const auto sinceEpoch = Clock::now().time_since_epoch();
+  return std::chrono::duration<double, std::micro>(sinceEpoch).count();
+}
+
 struct TraceState {
-  std::mutex mutex;  ///< guards `buffers` and epoch swaps
+  std::mutex mutex;  ///< guards `buffers`
   std::vector<std::shared_ptr<ThreadBuffer>> buffers;
-  Clock::time_point epoch = Clock::now();
+  /// steadyUs() at process start or the last clearTrace().
+  std::atomic<double> epochUs{steadyUs()};
   std::atomic<std::uint64_t> nextSpanId{1};
   std::atomic<std::uint64_t> nextTraceId{1};
   std::atomic<std::uint32_t> nextTid{1};
@@ -137,9 +145,7 @@ void setTraceEnabled(bool enabled) {
 }
 
 double nowUs() {
-  return std::chrono::duration<double, std::micro>(Clock::now() -
-                                                   state().epoch)
-      .count();
+  return steadyUs() - state().epochUs.load(std::memory_order_relaxed);
 }
 
 void clearTrace() {
@@ -149,7 +155,7 @@ void clearTrace() {
     std::lock_guard<std::mutex> bufLock(buffer->mutex);
     buffer->records.clear();
   }
-  s.epoch = Clock::now();
+  s.epochUs.store(steadyUs(), std::memory_order_relaxed);
 }
 
 std::vector<SpanRecord> collectSpans() {
@@ -193,12 +199,12 @@ Span::Span(const char* name) : name_(name) {
   traceId_ = tlTraceId;
   ctx.openIds.push_back(id_);
   active_ = true;
-  startUs_ = nowUs();
+  startSteadyUs_ = steadyUs();
 }
 
 Span::~Span() {
   if (!active_) return;
-  const double endUs = nowUs();
+  const double endSteadyUs = steadyUs();
   auto& ctx = threadContext();
   ctx.openIds.pop_back();
   RawRecord record;
@@ -208,8 +214,12 @@ Span::~Span() {
   record.depth = depth_;
   record.tid = ctx.buffer->tid;
   record.traceId = traceId_;
-  record.startUs = startUs_;
-  record.durUs = endUs - startUs_;
+  // Both ends on the fixed steady epoch, so a span that straddles
+  // clearTrace() keeps its true duration (and starts before the new
+  // trace epoch).
+  const double epochUs = state().epochUs.load(std::memory_order_relaxed);
+  record.startUs = startSteadyUs_ - epochUs;
+  record.durUs = endSteadyUs - startSteadyUs_;
   const std::size_t cap = traceMaxSpansPerThread();
   {
     std::lock_guard<std::mutex> lock(ctx.buffer->mutex);

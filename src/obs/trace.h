@@ -106,12 +106,13 @@ class Span {
   std::uint64_t parent_ = 0;
   std::uint32_t depth_ = 0;
   TraceId traceId_ = 0;
-  double startUs_ = 0.0;
+  double startSteadyUs_ = 0.0;  ///< on steadyMs()'s fixed epoch, in us
   bool active_ = false;
 };
 
 /// Microseconds since the trace epoch (process start or the last
-/// clearTrace()). Monotonic; used by spans and exposed for exporters.
+/// clearTrace()): the time base of SpanRecord::startUs. Time an interval
+/// with steadyMs() instead, whose epoch a trace reset does not move.
 double nowUs();
 
 }  // namespace uniq::obs

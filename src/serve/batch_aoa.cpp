@@ -6,6 +6,7 @@
 #include "common/constants.h"
 #include "common/thread_pool.h"
 #include "obs/metrics.h"
+#include "obs/report.h"
 #include "obs/trace.h"
 
 namespace uniq::serve {
@@ -48,7 +49,7 @@ std::vector<AoaBatchItem> BatchAoaEngine::run(
         [&](std::size_t k) {
           const auto& q = queries[indices[k]];
           auto& out = results[indices[k]];
-          const double startUs = obs::nowUs();
+          const double startMs = obs::steadyMs();
           out.estimate =
               q.source.empty()
                   ? estimator.estimateUnknown(q.left, q.right)
@@ -57,7 +58,7 @@ std::vector<AoaBatchItem> BatchAoaEngine::run(
           obs::registry()
               .histogram("serve.aoa.query_ms",
                          obs::HistogramOptions{0.1, 2.0, 24})
-              .observe((obs::nowUs() - startUs) / 1000.0);
+              .observe(obs::steadyMs() - startMs);
         },
         numThreads);
   }

@@ -117,7 +117,7 @@ struct StreamingResult {
 ///
 /// The extract node runs the per-stop channel deconvolution as stops
 /// arrive; the fuse node maintains a *running* DSF solve, warm-started from
-/// the previous head estimate (one Nelder-Mead restart seeded at the last
+/// the previous head estimate (one Levenberg-Marquardt start at the last
 /// E; the persistent SensorFusion's geometry LRU and the localizer's warm
 /// Brent brackets carry over between solves, so refinements cost a fraction
 /// of a cold solve); the coverage node folds every update into a live

@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "core/near_far.h"
 #include "dsp/signal_generators.h"
 #include "eval/metrics.h"
+#include "eval/scorecard.h"
 
 namespace uniq::eval {
 namespace {
@@ -75,6 +78,58 @@ TEST(AoaTrials, FrontBackAccuracyCounts) {
   trials[3].frontBackCorrect = true;
   EXPECT_DOUBLE_EQ(frontBackAccuracy(trials), 0.75);
   EXPECT_DOUBLE_EQ(frontBackAccuracy({}), 0.0);
+}
+
+Scorecard oneCellCard() {
+  Scorecard card;
+  card.isa = "scalar";
+  ScorecardCell cell;
+  cell.volunteer = "v1";
+  cell.capture = "clean";
+  cell.status = "ok";
+  cell.headErrMm[0] = 1.0;
+  cell.nearCorr = 0.9;
+  cell.objectiveEvals = 40;
+  card.cells.push_back(cell);
+  return card;
+}
+
+std::vector<std::string> gate(const Scorecard& baseline,
+                              const Scorecard& current) {
+  const auto b = obs::parseJson(scorecardJson(baseline));
+  const auto c = obs::parseJson(scorecardJson(current));
+  EXPECT_TRUE(b && c);
+  return b && c ? compareScorecards(*b, *c) : std::vector<std::string>{};
+}
+
+TEST(Scorecard, GatesFidelityByRatioAndFloorAndWorkExactly) {
+  const auto baseline = oneCellCard();
+  auto current = baseline;
+  EXPECT_TRUE(gate(baseline, current).empty());
+  // 1.0 -> 1.4 mm is over the 25% ratio but inside the 0.5 mm floor;
+  // 1.0 -> 1.6 mm is over both.
+  current.cells[0].headErrMm[0] = 1.4;
+  EXPECT_TRUE(gate(baseline, current).empty());
+  current.cells[0].headErrMm[0] = 1.6;
+  EXPECT_EQ(gate(baseline, current).size(), 1u);
+  current.cells[0].headErrMm[0] = 1.0;
+  current.cells[0].objectiveEvals = 39;  // fewer is a mismatch too
+  EXPECT_EQ(gate(baseline, current).size(), 1u);
+}
+
+TEST(Scorecard, NonFiniteMetricIsWrittenAsNullAndFailsTheGate) {
+  const auto baseline = oneCellCard();
+  auto current = baseline;
+  current.cells[0].nearCorr = std::nan("");
+  current.cells[0].headErrMm[0] = HUGE_VAL;
+  const auto json = scorecardJson(current);
+  std::string error;
+  ASSERT_TRUE(obs::parseJson(json, &error)) << error;
+  const auto failures = gate(baseline, current);
+  ASSERT_EQ(failures.size(), 2u);
+  EXPECT_NE(failures[0].find("head_err_a_mm missing or null"),
+            std::string::npos);
+  EXPECT_NE(failures[1].find("near_corr missing or null"), std::string::npos);
 }
 
 }  // namespace

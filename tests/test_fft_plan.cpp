@@ -162,6 +162,33 @@ TEST(FftPlan, RfftRejectsEmptyAndOverlongInput) {
                InvalidArgument);
 }
 
+TEST(FftPlan, ScratchOverloadsMatchTheVectorTransformsBitwise) {
+  auto& arena = common::simdScratch();
+  const std::size_t before = arena.offset();
+  for (const std::size_t n : {1u, 2u, 64u, 16384u}) {
+    const auto plan = fftPlan(n);
+    Pcg32 rng(60 + n);
+    std::vector<double> signal(n / 2 + 1);
+    for (auto& s : signal) s = rng.gaussian();
+    const auto wantSpectrum = plan->rfft(signal);
+    const auto wantSignal = plan->irfft(wantSpectrum);
+    common::ArenaScope scope(arena);
+    const auto spectrum = scratchComplex(n / 2 + 1);
+    const auto back = scratchDoubles(n);
+    plan->rfft(signal, spectrum);
+    plan->irfft(spectrum, back);
+    for (std::size_t k = 0; k < spectrum.size(); ++k) {
+      EXPECT_EQ(spectrum[k].real(), wantSpectrum[k].real()) << n << " " << k;
+      EXPECT_EQ(spectrum[k].imag(), wantSpectrum[k].imag()) << n << " " << k;
+    }
+    for (std::size_t i = 0; i < n; ++i)
+      EXPECT_EQ(back[i], wantSignal[i]) << n << " " << i;
+    EXPECT_THROW(plan->rfft(signal, spectrum.first(n / 2)), InvalidArgument);
+  }
+  // Every scope unwound: the arena is back where it started.
+  EXPECT_EQ(arena.offset(), before);
+}
+
 TEST(FftPlan, CacheCountsHitsAndMisses) {
   // An uncommon length keeps this test independent of which plans other
   // tests already cached.

@@ -2,6 +2,7 @@
 // registry, the exporters, and the pipeline RunReport integration.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <limits>
@@ -343,6 +344,24 @@ TEST(ObsReport, StageTimerStraddlingClearTraceKeepsItsTime) {
   }
   ASSERT_NE(report.find("straddle"), nullptr);
   EXPECT_GE(report.find("straddle")->wallMs, 25.0);
+}
+
+TEST(ObsTrace, SpanStraddlingClearTraceKeepsItsDuration) {
+  {
+    UNIQ_SPAN("test.straddle");
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    obs::clearTrace();  // restarts the trace epoch, not the span's clock
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  const auto spans = obs::collectSpans();
+  const auto isStraddle = [](const obs::SpanRecord& s) {
+    return s.name == "test.straddle";
+  };
+  const auto it = std::find_if(spans.begin(), spans.end(), isStraddle);
+  ASSERT_NE(it, spans.end());
+  EXPECT_GE(it->durUs, 25000.0);
+  // It began before the epoch clearTrace() set.
+  EXPECT_LT(it->startUs, 0.0);
 }
 
 TEST(ObsReport, SummaryTableListsStagesInOrder) {

@@ -4,68 +4,85 @@
 
 #include "common/constants.h"
 #include "common/error.h"
-#include "optim/nelder_mead.h"
+#include "optim/levenberg_marquardt.h"
 #include "optim/root_finding.h"
 
 namespace uniq::optim {
 namespace {
 
-TEST(NelderMead, MinimizesQuadraticBowl) {
-  const auto f = [](const std::vector<double>& x) {
-    return (x[0] - 3.0) * (x[0] - 3.0) + 2.0 * (x[1] + 1.0) * (x[1] + 1.0);
+using Residuals = std::vector<double>;
+
+TEST(LevenbergMarquardt, MinimizesQuadraticBowl) {
+  const auto r = [](const std::vector<double>& x) {
+    return Residuals{x[0] - 3.0, std::sqrt(2.0) * (x[1] + 1.0)};
   };
-  NelderMeadOptions opts;
-  opts.maxIterations = 500;
-  const auto result = nelderMead(f, {0.0, 0.0}, opts);
+  const auto result = levenbergMarquardt(r, {0.0, 0.0});
   EXPECT_TRUE(result.converged);
   EXPECT_NEAR(result.x[0], 3.0, 1e-4);
   EXPECT_NEAR(result.x[1], -1.0, 1e-4);
   EXPECT_NEAR(result.fValue, 0.0, 1e-7);
 }
 
-TEST(NelderMead, MinimizesRosenbrock) {
-  const auto f = [](const std::vector<double>& x) {
-    const double a = 1.0 - x[0];
-    const double b = x[1] - x[0] * x[0];
-    return a * a + 100.0 * b * b;
+TEST(LevenbergMarquardt, MinimizesRosenbrock) {
+  const auto r = [](const std::vector<double>& x) {
+    return Residuals{1.0 - x[0], 10.0 * (x[1] - x[0] * x[0])};
   };
-  NelderMeadOptions opts;
-  opts.maxIterations = 3000;
-  opts.initialStep = 0.5;
-  opts.fTolerance = 1e-14;
-  opts.xTolerance = 1e-10;
-  const auto result = nelderMead(f, {-1.2, 1.0}, opts);
+  const auto result = levenbergMarquardt(r, {-1.2, 1.0}, 500);
   EXPECT_NEAR(result.x[0], 1.0, 1e-3);
   EXPECT_NEAR(result.x[1], 1.0, 1e-3);
 }
 
-TEST(NelderMead, OneDimensional) {
-  const auto f = [](const std::vector<double>& x) {
-    return std::cos(x[0]) + x[0] * x[0] / 10.0;
+TEST(LevenbergMarquardt, OneDimensional) {
+  const auto r = [](const std::vector<double>& x) {
+    return Residuals{std::exp(x[0]) - 3.0};
   };
-  const auto result = nelderMead(f, {1.0});
-  // Minimum of cos(x)+x^2/10: where sin(x) = x/5, x ~ 2.596.
-  EXPECT_NEAR(result.x[0], 2.596, 0.05);
+  const auto result = levenbergMarquardt(r, {0.0});
+  EXPECT_TRUE(result.converged);
+  EXPECT_NEAR(result.x[0], std::log(3.0), 1e-4);
 }
 
-TEST(NelderMead, RespectsIterationBudget) {
+TEST(LevenbergMarquardt, RespectsIterationBudget) {
   int evals = 0;
-  const auto f = [&evals](const std::vector<double>& x) {
+  const auto r = [&evals](const std::vector<double>& x) {
     ++evals;
-    return x[0] * x[0];
+    return Residuals{1.0 - x[0], 10.0 * (x[1] - x[0] * x[0])};
   };
-  NelderMeadOptions opts;
-  opts.maxIterations = 10;
-  opts.fTolerance = 0.0;  // never converge by tolerance
-  opts.xTolerance = 0.0;
-  const auto result = nelderMead(f, {5.0}, opts);
-  EXPECT_EQ(result.iterations, 10u);
+  // Rosenbrock's valley is far longer than three bounded steps.
+  const auto result = levenbergMarquardt(r, {-1.2, 1.0}, 3);
+  EXPECT_EQ(result.iterations, 3u);
+  EXPECT_FALSE(result.converged);
   EXPECT_LT(evals, 100);
 }
 
-TEST(NelderMead, RejectsEmptyStart) {
-  EXPECT_THROW(nelderMead([](const std::vector<double>&) { return 0.0; }, {}),
-               InvalidArgument);
+TEST(LevenbergMarquardt, RejectsEmptyStart) {
+  const auto none = [](const std::vector<double>&) { return Residuals{}; };
+  EXPECT_THROW(levenbergMarquardt(none, {}), InvalidArgument);
+}
+
+TEST(LevenbergMarquardt, StaysAtTheStartOfAPlateau) {
+  int evals = 0;
+  const auto r = [&evals](const std::vector<double>&) {
+    ++evals;
+    return Residuals{1.0, -2.0};
+  };
+  const auto result = levenbergMarquardt(r, {0.25, -0.5});
+  EXPECT_EQ(result.x, (std::vector<double>{0.25, -0.5}));
+  EXPECT_FALSE(result.converged);
+  EXPECT_EQ(result.fValue, 5.0);
+  // A flat cost gives a zero gradient, hence no step to try: the start
+  // and one Jacobian column per coordinate.
+  EXPECT_EQ(evals, 3);
+}
+
+TEST(LevenbergMarquardt, StepBoundCapsTheLongestCoordinateChange) {
+  const auto r = [](const std::vector<double>& x) {
+    return Residuals{x[0] - 100.0, 0.5 * (x[1] - 10.0)};
+  };
+  const auto result = levenbergMarquardt(r, {0.0, 0.0}, 1);
+  // The Gauss-Newton step (~100, ~10) is scaled along its direction so
+  // its longest coordinate moves by exactly the 0.5 bound.
+  EXPECT_NEAR(result.x[0], 0.5, 1e-9);
+  EXPECT_NEAR(result.x[1], 0.05, 1e-3);
 }
 
 TEST(RootFinding, BisectFindsSimpleRoot) {

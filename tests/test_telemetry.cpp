@@ -454,6 +454,31 @@ TEST(Exposition, WindowAndSloSectionsRender) {
       << text;
 }
 
+TEST(Exposition, MonitorViewPrintsDashForAnEmptyWindow) {
+  obs::Registry reg;
+  const obs::HistogramOptions opts{1.0, 2.0, 8};
+  reg.histogram("idle_ms", opts).observe(4.0);
+  reg.histogram("busy_ms", opts).observe(4.0);
+  obs::TelemetrySampler sampler(reg, {});
+  sampler.sampleNow();
+  // Only busy_ms sees an observation in the second window.
+  reg.histogram("busy_ms", opts).observe(6.0);
+  const auto window = sampler.sampleNow();
+
+  const std::string text = obs::prometheusText(reg.snapshot(), &window);
+  EXPECT_NE(text.find("uniq_idle_ms_window_observations 0\n"),
+            std::string::npos)
+      << text;
+  EXPECT_NE(text.find("uniq_busy_ms_window_observations 1\n"),
+            std::string::npos)
+      << text;
+  const std::string view = obs::monitorView(text);
+  EXPECT_NE(view.find("  uniq_idle_ms -\n"), std::string::npos) << view;
+  EXPECT_EQ(view.find("  uniq_idle_ms 0 / 0 / 0"), std::string::npos) << view;
+  EXPECT_NE(view.find("  uniq_busy_ms "), std::string::npos) << view;
+  EXPECT_EQ(view.find("  uniq_busy_ms -\n"), std::string::npos) << view;
+}
+
 TEST(ScrapeServer, ServesExpositionOverLocalhostHttp) {
   obs::Registry reg;
   reg.counter("hits").inc(3);

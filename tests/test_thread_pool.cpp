@@ -156,9 +156,9 @@ TEST(ThreadPool, GlobalPoolStatsAdvance) {
 }
 
 TEST(ThreadPool, SensorFusionSolveBitwiseIdenticalSerialVsParallel) {
-  // End-to-end determinism: the full Nelder-Mead solve must produce the
-  // exact same head parameters whether its objective runs serially or fans
-  // out across the global pool.
+  // End-to-end determinism: the full Levenberg-Marquardt solve must
+  // produce the exact same head parameters whether its residuals are
+  // computed serially or fanned out across the global pool.
   const head::HeadParameters truth{0.071, 0.104, 0.089};
   const geo::HeadBoundary head(truth.a, truth.b, truth.c, 256);
   std::vector<core::FusionMeasurement> measurements;
