@@ -276,12 +276,11 @@ int cmdCalibrateStream(const Args& args) {
 
   auto capture = simulateCaptureFromArgs(args, seed);
 
-  stream::StreamingSessionOptions sessionOpts;
-  sessionOpts.pipeline = pipelineOptionsFromArgs(args);
+  const auto pipelineOpts = pipelineOptionsFromArgs(args);
 
   // Replay the capture into the streaming session the way a phone would
   // deliver it: one stop at a time, at --interval-ms wall-clock pacing
-  // (0 = as fast as the graph absorbs them), with live coverage feedback
+  // (0 = as fast as push() folds them in), with live coverage feedback
   // after every push and an early finish when the table converges.
   std::cout << "streaming " << capture.stops.size() << " stops"
             << (intervalMs > 0.0
@@ -289,7 +288,7 @@ int cmdCalibrateStream(const Args& args) {
                     : " at full speed")
             << (earlyStop ? "" : " (early stop disabled)") << "...\n";
   stream::StreamingSession session(
-      stream::CaptureHeader::fromCapture(capture), sessionOpts);
+      stream::CaptureHeader::fromCapture(capture), pipelineOpts);
   std::size_t pushed = 0;
   for (std::size_t i = 0; i < capture.stops.size(); ++i) {
     if (earlyStop && session.converged()) break;
@@ -348,7 +347,7 @@ int cmdCalibrateStream(const Args& args) {
   // equal; an early-stopped session is compared for closeness only.
   if (compareBatch) {
     std::cout << "running batch pipeline for comparison...\n";
-    const core::CalibrationPipeline pipeline(sessionOpts.pipeline);
+    const core::CalibrationPipeline pipeline(pipelineOpts);
     const auto batch = pipeline.run(capture);
     double maxAbsDiff = 0.0;
     const auto& sFar = personal.table.farTable().byDegree;
@@ -1236,7 +1235,7 @@ void usage() {
       "             [--fault KIND] [--fault-severity X]\n"
       "             [--fail-on-degraded] [--trace-out trace.json]\n"
       "             [--metrics-out metrics.json]\n"
-      "             replay the capture through the streaming dataflow\n"
+      "             replay the capture through a streaming session\n"
       "             (live coverage hints, early stop on convergence);\n"
       "             same exit codes as calibrate\n"
       "  inspect    --table table.uniq\n"

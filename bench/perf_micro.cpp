@@ -416,8 +416,8 @@ BENCHMARK(BM_NearFarConvert)->Unit(benchmark::kMillisecond);
 // Compare against BM_ServeSerialCalibration: on an N-core host the ratio is
 // the service's speedup; on a single core it measures scheduling overhead.
 // Pool-backed benchmarks (this one, BM_StreamingSession, BM_ServeBatchAoa)
-// use UseRealTime(): their cpu_time counts only the main thread, which
-// mostly waits, so wall time is the figure that means anything.
+// use UseRealTime(): their cpu_time counts only the main thread and misses
+// the work on pool workers, so wall time is the figure that means anything.
 void BM_ServeBatchCalibration(benchmark::State& state) {
   const auto& captures = serveCaptures();
   const auto users = static_cast<std::size_t>(state.range(0));
@@ -455,11 +455,12 @@ void BM_ServeSerialCalibration(benchmark::State& state) {
 }
 BENCHMARK(BM_ServeSerialCalibration)->Arg(4)->Unit(benchmark::kMillisecond);
 
-// End-to-end streaming calibration: push every stop through the dataflow
-// graph (extract node -> fuse node with warm-started incremental solves),
-// then finalize. Compare against BM_ServeSerialCalibration at Arg(1): the
-// delta is the price of incremental solving plus queue hops, paid to get
-// live coverage/convergence feedback during the sweep.
+// End-to-end streaming calibration: push every stop (each push extracts the
+// stop and runs a warm-started incremental solve on this thread), then
+// finalize, whose batch stages fan out on the global pool. Compare against
+// BM_ServeSerialCalibration at Arg(1): the delta is the price of the
+// incremental solves, paid to get live coverage/convergence feedback during
+// the sweep.
 void BM_StreamingSession(benchmark::State& state) {
   const auto& captures = serveCaptures();
   const auto& capture = *captures.front();

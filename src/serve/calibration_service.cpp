@@ -341,10 +341,10 @@ core::PersonalHrtf CalibrationService::runStreaming(
       obs::registry().counter("serve.jobs.streaming");
   streamingJobs.inc();
 
-  stream::StreamingSessionOptions sopts;
-  sopts.pipeline = opts_.pipeline;
   stream::StreamingSession session(
-      stream::CaptureHeader::fromCapture(*job->capture), sopts);
+      stream::CaptureHeader::fromCapture(*job->capture), opts_.pipeline);
+  // The capture is already complete, so every stop is replayed: no early
+  // stop on convergence, and the table is bitwise equal to a batch job's.
   for (std::size_t i = 0; i < job->capture->stops.size(); ++i) {
     // Between-push token polls give streaming jobs finer-grained
     // cancellation than the batch pipeline's stage boundaries.
@@ -352,9 +352,6 @@ core::PersonalHrtf CalibrationService::runStreaming(
       session.cancel();
       break;
     }
-    // Early stop: the running table stabilized, the remaining stops would
-    // not change it materially — finalize now and return sooner.
-    if (session.converged()) break;
     session.push(job->capture->stops[i], i);
   }
   return session.finalize(&job->report).personal;

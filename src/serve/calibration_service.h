@@ -39,15 +39,13 @@ struct JobOptions {
   /// still queued when the deadline passes is expired without running; a
   /// job already running aborts at the pipeline's next stage boundary.
   double deadlineMs = 0.0;
-  /// Run the job through the streaming dataflow (stream::StreamingSession)
-  /// instead of the batch pipeline: the worker replays the capture's stops
-  /// into the session one at a time, polls the abort token between pushes
-  /// (finer-grained cancellation than batch stage boundaries), and stops
-  /// feeding early the moment the session's convergence signal fires. The
-  /// session's extract/fuse nodes overlap, so stage N of this job runs
-  /// while stage N-1 output is still streaming in. Results are mapped
-  /// exactly like batch jobs; see docs/STREAMING.md for the latency
-  /// trade-off.
+  /// Run the job through a stream::StreamingSession instead of the batch
+  /// pipeline: the worker replays every stop of the capture into the
+  /// session one at a time and polls the abort token between pushes
+  /// (finer-grained cancellation than batch stage boundaries). The capture
+  /// is already complete, so there is no early stop on convergence and the
+  /// table is bitwise equal to a batch job's on the same capture. Results
+  /// are mapped exactly like batch jobs; see docs/STREAMING.md.
   bool streaming = false;
 };
 
@@ -195,9 +193,9 @@ class CalibrationService {
   /// until its queue is empty.
   void drainQueue(Shard& shard);
   void executeJob(const std::shared_ptr<Job>& job);
-  /// Streaming-job body: replay the capture through a StreamingSession
-  /// (early-stopping on convergence, cancelling on the token) and return
-  /// the finalized result.
+  /// Streaming-job body: replay every stop of the capture through a
+  /// StreamingSession (cancelling on the token) and return the finalized
+  /// result.
   core::PersonalHrtf runStreaming(const std::shared_ptr<Job>& job);
   void finishJob(const std::shared_ptr<Job>& job, JobState state);
 

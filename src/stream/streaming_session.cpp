@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <condition_variable>
 #include <sstream>
 #include <utility>
 
@@ -24,53 +23,32 @@ const char* arcName(double angleDeg) {
 
 }  // namespace
 
-StreamingSession::StreamingSession(CaptureHeader header, Options opts)
+StreamingSession::StreamingSession(CaptureHeader header,
+                                   core::CalibrationPipelineOptions opts)
     : header_(std::move(header)),
-      opts_(opts),
       // Inherit the constructing thread's context (a service job) when one
       // is active; a directly-constructed session gets its own.
       traceId_(obs::currentTraceId() != 0 ? obs::currentTraceId()
                                           : obs::newTraceId()),
       extractor_(header_.hardwareResponseEstimate, header_.sampleRate,
-                 opts_.pipeline.extractor),
+                 opts.extractor),
       // Incremental solves reuse the batch fusion configuration so the
       // live estimate tracks what the final solve will see.
-      fusion_(opts_.pipeline.fusion),
-      pipeline_(opts_.pipeline),
-      ingestQueue_(opts_.queueCapacity, "ingest"),
-      fusedQueue_(opts_.queueCapacity, "fused"),
-      // Each node loop parks a worker on its queue; with fewer than one
-      // worker per node the graph would deadlock under backpressure.
-      nodes_(std::max<std::size_t>(2, opts_.workerThreads)) {
-  const double binDeg =
-      opts_.coverageBinDeg > 0.0 ? opts_.coverageBinDeg : 15.0;
+      fusion_(opts.fusion),
+      pipeline_(opts) {
   coveredBins_.assign(
-      static_cast<std::size_t>(std::ceil(180.0 / binDeg)), false);
+      static_cast<std::size_t>(std::ceil(180.0 / kCoverageBinDeg)), false);
   snapshot_.headEstimate = head::HeadParameters::average();
   snapshot_.worstGapDeg = 180.0;
   snapshot_.worstGapHiDeg = 180.0;
   snapshot_.hint = "sweep just started — cover the full arc";
-  liveNodes_ = 2;
-  // Explicit scopes (rather than relying on pool propagation alone) so the
-  // node loops carry the session's context even when it was freshly
-  // allocated above, after the constructing thread's context was captured.
-  nodes_.submit([this] {
-    obs::TraceContextScope scope(traceId_);
-    extractLoop();
-  });
-  nodes_.submit([this] {
-    obs::TraceContextScope scope(traceId_);
-    fuseLoop();
-  });
-}
-
-StreamingSession::~StreamingSession() {
-  ingestQueue_.close();
-  joinNodes();
 }
 
 bool StreamingSession::push(sim::CalibrationStop stop,
                             std::optional<std::size_t> seq) {
+  // The session's context, even when it was freshly allocated above after
+  // the caller's own context was captured.
+  obs::TraceContextScope scope(traceId_);
   std::size_t s;
   {
     std::lock_guard<std::mutex> lock(mutex_);
@@ -83,7 +61,17 @@ bool StreamingSession::push(sim::CalibrationStop stop,
   static obs::Counter& ingested =
       obs::registry().counter("stream.stops.ingested");
   ingested.inc();
-  return ingestQueue_.push(IngestedStop{s, std::move(stop)});
+
+  core::BinauralChannel channel;
+  {
+    UNIQ_SPAN("stream.extract.stop");
+    const double t0 = obs::steadyMs();
+    channel = extractor_.extract(stop.recording.left, stop.recording.right,
+                                 header_.sourceSignal);
+    extractWallMs_ += obs::steadyMs() - t0;
+  }
+  absorbStop(s, std::move(stop), std::move(channel));
+  return true;
 }
 
 CoverageSnapshot StreamingSession::coverage() const {
@@ -97,62 +85,28 @@ bool StreamingSession::converged() const {
 }
 
 void StreamingSession::cancel() {
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    cancelled_ = true;
-  }
-  // Wake any producer blocked on backpressure and let the nodes drain.
-  ingestQueue_.close();
+  std::lock_guard<std::mutex> lock(mutex_);
+  cancelled_ = true;
 }
 
-void StreamingSession::extractLoop() {
-  IngestedStop in;
-  while (ingestQueue_.pop(in)) {
-    UNIQ_SPAN("stream.extract.stop");
-    const double t0 = obs::steadyMs();
-    auto channel =
-        extractor_.extract(in.stop.recording.left, in.stop.recording.right,
-                           header_.sourceSignal);
-    const double elapsedMs = obs::steadyMs() - t0;
-    ExtractedStop out;
-    out.seq = in.seq;
-    out.imuAngleDeg = in.stop.imuAngleDeg;
-    out.channel = std::move(channel);
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      extractWallMs_ += elapsedMs;
-      stopsBySeq_.insert_or_assign(in.seq, std::move(in.stop));
-    }
-    fusedQueue_.push(std::move(out));
-  }
-  // Ingest is closed and drained: end the downstream edge too.
-  fusedQueue_.close();
-  nodeDone();
-}
-
-void StreamingSession::fuseLoop() {
-  ExtractedStop ex;
-  while (fusedQueue_.pop(ex)) absorbStop(std::move(ex));
-  nodeDone();
-}
-
-void StreamingSession::absorbStop(ExtractedStop&& stop) {
+void StreamingSession::absorbStop(std::size_t seq, sim::CalibrationStop stop,
+                                  core::BinauralChannel channel) {
   // Fold the stop into the running state under the lock...
   std::vector<core::FusionMeasurement> measurements;
   std::optional<head::HeadParameters> seed;
   bool solveNow = false;
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    const auto& q = stop.channel.quality;
-    const bool usable = stop.channel.firstTapLeftSec &&
-                        stop.channel.firstTapRightSec && !q.gated();
+    const auto& q = channel.quality;
+    const bool usable =
+        channel.firstTapLeftSec && channel.firstTapRightSec && !q.gated();
     ++snapshot_.stopsExtracted;
     if (usable) {
       core::FusionMeasurement m;
       m.imuAngleDeg = stop.imuAngleDeg;
-      m.delayLeftSec = *stop.channel.firstTapLeftSec;
-      m.delayRightSec = *stop.channel.firstTapRightSec;
-      m.sourceIndex = stop.seq;
+      m.delayLeftSec = *channel.firstTapLeftSec;
+      m.delayRightSec = *channel.firstTapRightSec;
+      m.sourceIndex = seq;
       // Keep measurements seq-sorted so the incremental solve is a
       // deterministic function of the *set* of stops, not arrival order.
       measurements_.insert(
@@ -163,24 +117,21 @@ void StreamingSession::absorbStop(ExtractedStop&& stop) {
                            }),
           m);
       ++snapshot_.stopsUsable;
-      ++usableSinceSolve_;
     }
     updateCoverage(stop.imuAngleDeg, usable);
-    channelsBySeq_.insert_or_assign(stop.seq, std::move(stop.channel));
+    stopsBySeq_.insert_or_assign(
+        seq, FoldedStop{std::move(stop), std::move(channel)});
 
-    solveNow =
-        usableSinceSolve_ >= std::max<std::size_t>(1, opts_.solveEvery) &&
-        measurements_.size() >= 3 && !cancelled_;
+    solveNow = usable && measurements_.size() >= 3 && !cancelled_;
     if (solveNow) {
-      usableSinceSolve_ = 0;
       measurements = measurements_;
       seed = lastEstimate_;
     }
   }
   if (!solveNow) return;
 
-  // ...then run the warm-started solve outside it, so coverage()/push()
-  // callers never wait on an optimizer iteration.
+  // ...then run the warm-started solve outside it, so coverage() and
+  // converged() callers never wait on an optimizer iteration.
   UNIQ_SPAN("stream.fuse.solve");
   static obs::Counter& incRestarts =
       obs::registry().counter("stream.solve.incremental_restarts");
@@ -202,11 +153,11 @@ void StreamingSession::absorbStop(ExtractedStop&& stop) {
   snapshot_.headEstimate = e;
   snapshot_.objectiveDeg2 = result.finalObjectiveDeg2;
   ++snapshot_.incrementalSolves;
-  stableStreak_ = delta < opts_.convergeDeltaM ? stableStreak_ + 1 : 0;
+  stableStreak_ = delta < kConvergeDeltaM ? stableStreak_ + 1 : 0;
   if (!snapshot_.converged &&
-      measurements.size() >= opts_.minStopsBeforeConverge &&
-      snapshot_.coveredFraction >= opts_.minCoverageForConverge &&
-      stableStreak_ >= opts_.convergeStreak) {
+      measurements.size() >= kMinStopsBeforeConverge &&
+      snapshot_.coveredFraction >= kMinCoverageForConverge &&
+      stableStreak_ >= kConvergeStreak) {
     snapshot_.converged = true;
     timeToConvergeMs_ = obs::steadyMs() - firstPushMs_;
     snapshot_.hint = "table converged — you can stop sweeping";
@@ -267,27 +218,9 @@ void StreamingSession::updateCoverage(double angleDeg, bool usable) {
   }
 }
 
-void StreamingSession::nodeDone() {
-  std::lock_guard<std::mutex> lock(nodesMutex_);
-  --liveNodes_;
-  nodesCv_.notify_all();
-}
-
-void StreamingSession::joinNodes() {
-  std::unique_lock<std::mutex> lock(nodesMutex_);
-  nodesCv_.wait(lock, [this] { return liveNodes_ == 0; });
-}
-
 StreamingResult StreamingSession::finalize(obs::RunReport* report) {
+  obs::TraceContextScope scope(traceId_);
   UNIQ_SPAN("stream.finalize");
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    finalized_ = true;
-  }
-  // End of stream: drain the graph so every pushed stop has been extracted
-  // and folded in before the batch stages run.
-  ingestQueue_.close();
-  joinNodes();
 
   sim::CalibrationCapture capture;
   capture.sampleRate = header_.sampleRate;
@@ -306,19 +239,16 @@ StreamingResult StreamingSession::finalize(obs::RunReport* report) {
     incrementalSolves = snapshot_.incrementalSolves;
     timeToConvergeMs = timeToConvergeMs_;
     wasCancelled = cancelled_;
+    finalized_ = true;
     // Re-order by sequence number (std::map iterates in key order), so the
     // assembled capture is independent of arrival order.
     capture.stops.reserve(stopsBySeq_.size());
-    channels.reserve(channelsBySeq_.size());
-    for (auto& [seq, stop] : stopsBySeq_) {
-      capture.stops.push_back(std::move(stop));
-      auto it = channelsBySeq_.find(seq);
-      channels.push_back(it != channelsBySeq_.end()
-                             ? std::move(it->second)
-                             : core::BinauralChannel{});
+    channels.reserve(stopsBySeq_.size());
+    for (auto& [seq, folded] : stopsBySeq_) {
+      capture.stops.push_back(std::move(folded.stop));
+      channels.push_back(std::move(folded.channel));
     }
     stopsBySeq_.clear();
-    channelsBySeq_.clear();
   }
 
   static obs::Counter& finalizedCounter =
@@ -331,8 +261,8 @@ StreamingResult StreamingSession::finalize(obs::RunReport* report) {
                            timeToConvergeMs};
   };
 
-  // Extraction ran stop by stop on the extract node; record its total as
-  // the one "extract" stage of this run.
+  // Extraction ran stop by stop inside push(); record its total as the one
+  // "extract" stage of this run.
   if (!capture.stops.empty())
     obs::recordStage(report, "extract", extractWallMs_);
 

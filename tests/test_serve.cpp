@@ -380,6 +380,37 @@ TEST(CalibrationService, ConcurrentJobsAllLandInStageHistograms) {
   }
 }
 
+TEST(CalibrationService, StreamingJobMatchesBatchJobBitwise) {
+  // A streaming job replays every stop of its capture, so its table is the
+  // batch job's table bit for bit — also on a full-length sweep whose
+  // running estimate converges well before the last stop — and a second
+  // service run reproduces both exactly.
+  const auto capture = std::make_shared<const sim::CalibrationCapture>(
+      makeCapture(26, 36));
+  std::vector<std::shared_ptr<const core::HrtfTable>> streamed;
+  for (int run = 0; run < 2; ++run) {
+    serve::CalibrationServiceOptions opts;
+    opts.workers = 2;
+    serve::CalibrationService service(opts);
+    serve::JobOptions streaming;
+    streaming.streaming = true;
+    ASSERT_NE(service.submit("batch", capture), serve::kInvalidJobId);
+    ASSERT_NE(service.submit("stream", capture, streaming),
+              serve::kInvalidJobId);
+    const auto results = service.drain();
+    ASSERT_EQ(results.size(), 2u);
+    for (const auto& r : results) {
+      ASSERT_EQ(r.state, serve::JobState::kDone) << r.userId;
+      ASSERT_NE(r.table, nullptr) << r.userId;
+    }
+    EXPECT_NE(results[1].status, core::PipelineStatus::kFailed);
+    EXPECT_EQ(results[1].status, results[0].status);
+    test::expectTablesBitwiseEqual(*results[1].table, *results[0].table);
+    streamed.push_back(results[1].table);
+  }
+  test::expectTablesBitwiseEqual(*streamed[1], *streamed[0]);
+}
+
 TEST(CalibrationService, QueuedJobStartsOnIdleWorkerWhileAnotherRuns) {
   // One shard, two workers: a job queued behind a running one must start
   // on the idle worker, not wait for the busy one to finish its job.

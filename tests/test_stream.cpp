@@ -1,14 +1,12 @@
-// Streaming-calibration tests: the BoundedQueue dataflow edge (FIFO,
-// backpressure, close semantics), the StreamingSession's equality contract
+// Streaming-calibration tests: the StreamingSession's equality contract
 // against the batch pipeline (bitwise-identical tables when every stop
-// arrives, in any order), cancellation, coverage monotonicity, the
-// convergence-based early stop, and the stream.* metrics surface.
+// arrives, in any order), synchronous push() (state exact on return),
+// cancellation, coverage monotonicity, the deterministic convergence-based
+// early stop, and the stream.* metrics surface.
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <chrono>
 #include <cstdint>
-#include <string>
 #include <thread>
 #include <vector>
 
@@ -17,7 +15,6 @@
 #include "head/subject.h"
 #include "obs/metrics.h"
 #include "sim/measurement_session.h"
-#include "stream/bounded_queue.h"
 #include "stream/streaming_session.h"
 #include "test_util.h"
 
@@ -33,105 +30,14 @@ sim::CalibrationCapture makeCapture(std::uint64_t seed,
   return session.run(subject, gesture);
 }
 
-/// Bitwise table equality: exact double comparison on every HRIR sample and
-/// tap position of both tiers, plus the head estimate. This is the
-/// streaming equality contract from docs/STREAMING.md — not "close", equal.
+/// The streaming equality contract from docs/STREAMING.md: the same head
+/// estimate and bitwise-identical tables.
 void expectTablesBitwiseEqual(const core::PersonalHrtf& a,
                               const core::PersonalHrtf& b) {
   EXPECT_EQ(a.headParams.a, b.headParams.a);
   EXPECT_EQ(a.headParams.b, b.headParams.b);
   EXPECT_EQ(a.headParams.c, b.headParams.c);
-
-  const auto& an = a.table.nearTable();
-  const auto& bn = b.table.nearTable();
-  ASSERT_EQ(an.byDegree.size(), bn.byDegree.size());
-  for (std::size_t i = 0; i < an.byDegree.size(); ++i) {
-    EXPECT_EQ(an.byDegree[i].left, bn.byDegree[i].left) << "near deg " << i;
-    EXPECT_EQ(an.byDegree[i].right, bn.byDegree[i].right) << "near deg " << i;
-  }
-
-  const auto& af = a.table.farTable();
-  const auto& bf = b.table.farTable();
-  ASSERT_EQ(af.byDegree.size(), bf.byDegree.size());
-  for (std::size_t i = 0; i < af.byDegree.size(); ++i) {
-    EXPECT_EQ(af.byDegree[i].left, bf.byDegree[i].left) << "far deg " << i;
-    EXPECT_EQ(af.byDegree[i].right, bf.byDegree[i].right) << "far deg " << i;
-  }
-  EXPECT_EQ(af.tapLeftSamples, bf.tapLeftSamples);
-  EXPECT_EQ(af.tapRightSamples, bf.tapRightSamples);
-}
-
-/// Block until the session has extracted `n` stops (the graph is
-/// asynchronous; tests that assert on per-stop state need to let the nodes
-/// drain first).
-void waitForExtracted(const stream::StreamingSession& session,
-                      std::size_t n) {
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(60);
-  while (session.coverage().stopsExtracted < n) {
-    ASSERT_LT(std::chrono::steady_clock::now(), deadline)
-        << "timed out waiting for " << n << " extracted stops";
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-}
-
-// --- BoundedQueue -------------------------------------------------------
-
-TEST(BoundedQueue, FifoOrderAndCloseDrainSemantics) {
-  stream::BoundedQueue<int> q(4);
-  EXPECT_TRUE(q.push(1));
-  EXPECT_TRUE(q.push(2));
-  EXPECT_TRUE(q.push(3));
-  q.close();
-  EXPECT_FALSE(q.push(4));  // closed: refused
-
-  int v = 0;
-  EXPECT_TRUE(q.pop(v));  // pending items still drain after close
-  EXPECT_EQ(v, 1);
-  EXPECT_TRUE(q.pop(v));
-  EXPECT_EQ(v, 2);
-  EXPECT_TRUE(q.pop(v));
-  EXPECT_EQ(v, 3);
-  EXPECT_FALSE(q.pop(v));  // drained + closed: consumer shutdown signal
-}
-
-TEST(BoundedQueue, PushBlocksAtCapacityUntilPopMakesRoom) {
-  stream::BoundedQueue<int> q(2);
-  EXPECT_TRUE(q.push(10));
-  EXPECT_TRUE(q.push(11));
-  EXPECT_EQ(q.size(), 2u);
-
-  std::atomic<bool> pushed{false};
-  std::thread producer([&] {
-    EXPECT_TRUE(q.push(12));  // backpressure: blocks until the pop below
-    pushed.store(true);
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  EXPECT_FALSE(pushed.load());  // still blocked at capacity
-
-  int v = 0;
-  EXPECT_TRUE(q.pop(v));
-  EXPECT_EQ(v, 10);
-  producer.join();
-  EXPECT_TRUE(pushed.load());
-  EXPECT_TRUE(q.pop(v));
-  EXPECT_EQ(v, 11);
-  EXPECT_TRUE(q.pop(v));
-  EXPECT_EQ(v, 12);
-}
-
-TEST(BoundedQueue, CloseWakesBlockedProducer) {
-  stream::BoundedQueue<int> q(1);
-  EXPECT_TRUE(q.push(1));
-  std::atomic<bool> returned{false};
-  std::thread producer([&] {
-    EXPECT_FALSE(q.push(2));  // blocked at capacity, then woken by close
-    returned.store(true);
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  q.close();
-  producer.join();
-  EXPECT_TRUE(returned.load());
+  test::expectTablesBitwiseEqual(a.table, b.table);
 }
 
 // --- SensorFusion::solveIncremental -------------------------------------
@@ -162,9 +68,8 @@ TEST(SolveIncremental, WarmSeedSolvesAndEmptyIsUnusable) {
 
 TEST(StreamingSession, FullReplayMatchesBatchBitwise) {
   const auto capture = makeCapture(21, 10);
-  stream::StreamingSessionOptions opts;
   stream::StreamingSession session(
-      stream::CaptureHeader::fromCapture(capture), opts);
+      stream::CaptureHeader::fromCapture(capture));
   for (std::size_t i = 0; i < capture.stops.size(); ++i)
     ASSERT_TRUE(session.push(capture.stops[i], i));
   const auto streamed = session.finalize();
@@ -182,9 +87,8 @@ TEST(StreamingSession, OutOfOrderArrivalMatchesBatchBitwise) {
   // A fixed shuffle: late IMU packets and retransmits deliver stops out of
   // order; seq re-sorting at finalize must erase any trace of that.
   const std::size_t order[] = {7, 2, 9, 0, 5, 3, 8, 1, 6, 4};
-  stream::StreamingSessionOptions opts;
   stream::StreamingSession session(
-      stream::CaptureHeader::fromCapture(capture), opts);
+      stream::CaptureHeader::fromCapture(capture));
   for (const std::size_t i : order)
     ASSERT_TRUE(session.push(capture.stops[i], i));
   const auto streamed = session.finalize();
@@ -197,9 +101,8 @@ TEST(StreamingSession, OutOfOrderArrivalMatchesBatchBitwise) {
 
 TEST(StreamingSession, CancelMidStreamFallsBackAborted) {
   const auto capture = makeCapture(23, 10);
-  stream::StreamingSessionOptions opts;
   stream::StreamingSession session(
-      stream::CaptureHeader::fromCapture(capture), opts);
+      stream::CaptureHeader::fromCapture(capture));
   for (std::size_t i = 0; i < 4; ++i)
     ASSERT_TRUE(session.push(capture.stops[i], i));
   session.cancel();
@@ -224,17 +127,44 @@ TEST(StreamingSession, EmptySessionFinalizesToFallback) {
   EXPECT_FALSE(out.personal.table.farTable().byDegree.empty());
 }
 
+TEST(StreamingSession, SnapshotReadsFromAnotherThreadDuringPushes) {
+  // A UI thread polls coverage()/converged() while the producer pushes:
+  // reads take the snapshot lock only and see the stop count grow.
+  const auto capture = makeCapture(29, 12);
+  stream::StreamingSession session(
+      stream::CaptureHeader::fromCapture(capture));
+  std::atomic<bool> done{false};
+  bool monotone = true;
+  std::thread reader([&] {
+    std::size_t last = 0;
+    while (!done.load()) {
+      const auto snap = session.coverage();
+      monotone = monotone && snap.stopsExtracted >= last;
+      last = snap.stopsExtracted;
+      (void)session.converged();
+    }
+  });
+  for (std::size_t i = 0; i < capture.stops.size(); ++i)
+    EXPECT_TRUE(session.push(capture.stops[i], i));
+  done.store(true);
+  reader.join();
+  EXPECT_TRUE(monotone);
+  EXPECT_EQ(session.coverage().stopsExtracted, capture.stops.size());
+  EXPECT_NE(session.finalize().personal.status,
+            core::PipelineStatus::kFailed);
+}
+
 TEST(StreamingSession, CoverageIsMonotoneAndHintsNameThinArcs) {
   const auto capture = makeCapture(25, 12);
-  stream::StreamingSessionOptions opts;
   stream::StreamingSession session(
-      stream::CaptureHeader::fromCapture(capture), opts);
+      stream::CaptureHeader::fromCapture(capture));
 
   double lastCovered = 0.0;
   for (std::size_t i = 0; i < capture.stops.size(); ++i) {
     ASSERT_TRUE(session.push(capture.stops[i], i));
-    waitForExtracted(session, i + 1);
     const auto snap = session.coverage();
+    // push() folds the stop in before returning: no waiting.
+    EXPECT_EQ(snap.stopsExtracted, i + 1);
     // Latched bins: the covered fraction never decreases over a session.
     EXPECT_GE(snap.coveredFraction, lastCovered) << "after stop " << i;
     lastCovered = snap.coveredFraction;
@@ -247,36 +177,47 @@ TEST(StreamingSession, CoverageIsMonotoneAndHintsNameThinArcs) {
   EXPECT_NE(out.personal.status, core::PipelineStatus::kFailed);
 }
 
-TEST(StreamingSession, ConvergenceEarlyStopIsDegradedAtWorst) {
-  // A rich sweep with relaxed convergence knobs: the running estimate must
-  // stabilize before the capture runs out, and finalizing at that point —
-  // with stops left unpushed — still personalizes (degraded at worst,
-  // never the failed fallback).
-  const auto capture = makeCapture(26, 24);
-  stream::StreamingSessionOptions opts;
-  opts.minStopsBeforeConverge = 6;
-  opts.minCoverageForConverge = 0.4;
-  opts.convergeStreak = 2;
-  opts.convergeDeltaM = 2e-3;
-  stream::StreamingSession session(
-      stream::CaptureHeader::fromCapture(capture), opts);
-
+/// Push `capture`'s stops in order until the session converges; returns
+/// how many were pushed.
+std::size_t pushUntilConverged(stream::StreamingSession& session,
+                               const sim::CalibrationCapture& capture) {
   std::size_t pushed = 0;
   for (std::size_t i = 0; i < capture.stops.size(); ++i) {
-    ASSERT_TRUE(session.push(capture.stops[i], i));
+    EXPECT_TRUE(session.push(capture.stops[i], i));
     ++pushed;
-    waitForExtracted(session, i + 1);
+    EXPECT_EQ(session.coverage().stopsExtracted, i + 1);
     if (session.converged()) break;
   }
+  return pushed;
+}
+
+TEST(StreamingSession, ConvergenceEarlyStopIsDegradedAtWorst) {
+  // A full-length sweep on the default convergence gates: the running
+  // estimate must stabilize before the capture runs out, and finalizing at
+  // that point — with stops left unpushed — still personalizes (degraded
+  // at worst, never the failed fallback), at the same push on every run.
+  const auto capture = makeCapture(26, 36);
+  stream::StreamingSession session(
+      stream::CaptureHeader::fromCapture(capture));
+
+  const std::size_t pushed = pushUntilConverged(session, capture);
   EXPECT_TRUE(session.converged())
-      << "rich capture should converge before the sweep ends";
+      << "full-length capture should converge before the sweep ends";
   EXPECT_LT(pushed, capture.stops.size());
+
+  // push() is synchronous, so the latch is a function of the pushed stops
+  // alone: a second session over the same capture stops at the same push.
+  stream::StreamingSession again(stream::CaptureHeader::fromCapture(capture));
+  EXPECT_EQ(pushUntilConverged(again, capture), pushed);
+  EXPECT_EQ(again.coverage().incrementalSolves,
+            session.coverage().incrementalSolves);
 
   const auto out = session.finalize();
   EXPECT_TRUE(out.convergedEarly);
+  EXPECT_EQ(out.stopsIngested, pushed);
   EXPECT_GT(out.timeToConvergeMs, 0.0);
   EXPECT_NE(out.personal.status, core::PipelineStatus::kFailed);
-  EXPECT_GE(out.incrementalSolves, opts.convergeStreak);
+  EXPECT_GE(out.incrementalSolves, stream::kConvergeStreak);
 }
 
 TEST(StreamingSession, FinalizeObservesEachStageOnce) {
@@ -319,11 +260,6 @@ TEST(StreamingSession, ExportsStreamMetrics) {
             capture.stops.size());
   EXPECT_GE(snapshot.counter("stream.solve.incremental_restarts"), 1u);
   EXPECT_GE(snapshot.counter("stream.sessions.finalized"), 1u);
-  // The queue gauges exist (depth returns to 0 after the drain; the
-  // high-water mark proves items actually flowed through the edges).
-  EXPECT_GE(snapshot.gauge("stream.queue_depth.ingest.max"), 1.0);
-  EXPECT_GE(snapshot.gauge("stream.queue_depth.fused.max"), 1.0);
-  EXPECT_EQ(snapshot.gauge("stream.queue_depth.ingest"), 0.0);
 
   // The streaming finalize fills the report like a batch run, with the
   // accumulated per-stop extraction time on the "extract" stage.

@@ -1,9 +1,12 @@
 #pragma once
 
+#include <gtest/gtest.h>
+
 #include <cmath>
 #include <string>
 #include <vector>
 
+#include "core/hrtf_table.h"
 #include "head/hrir.h"
 #include "obs/metrics.h"
 
@@ -42,6 +45,29 @@ inline obs::MetricsSnapshot::HistogramEntry stageHistogram(
   for (const auto& h : obs::registry().snapshot().histograms)
     if (h.name == "pipeline.stage." + stage + ".ms") return h;
   return {};
+}
+
+/// Bitwise table equality: exact double comparison on every HRIR sample of
+/// both tiers and on the far tier's tap positions — not "close", equal.
+inline void expectTablesBitwiseEqual(const core::HrtfTable& a,
+                                     const core::HrtfTable& b) {
+  const auto& an = a.nearTable();
+  const auto& bn = b.nearTable();
+  ASSERT_EQ(an.byDegree.size(), bn.byDegree.size());
+  for (std::size_t i = 0; i < an.byDegree.size(); ++i) {
+    EXPECT_EQ(an.byDegree[i].left, bn.byDegree[i].left) << "near deg " << i;
+    EXPECT_EQ(an.byDegree[i].right, bn.byDegree[i].right) << "near deg " << i;
+  }
+
+  const auto& af = a.farTable();
+  const auto& bf = b.farTable();
+  ASSERT_EQ(af.byDegree.size(), bf.byDegree.size());
+  for (std::size_t i = 0; i < af.byDegree.size(); ++i) {
+    EXPECT_EQ(af.byDegree[i].left, bf.byDegree[i].left) << "far deg " << i;
+    EXPECT_EQ(af.byDegree[i].right, bf.byDegree[i].right) << "far deg " << i;
+  }
+  EXPECT_EQ(af.tapLeftSamples, bf.tapLeftSamples);
+  EXPECT_EQ(af.tapRightSamples, bf.tapRightSamples);
 }
 
 }  // namespace uniq::test
