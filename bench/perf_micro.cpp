@@ -1,11 +1,12 @@
 // Performance micro-benchmarks (google-benchmark) for the hot paths of the
 // UNIQ pipeline: FFT, convolution, deconvolution, fractional delay,
 // diffraction path queries, localization, the fusion objective, the
-// near-field and near-far stages, HRIR synthesis, and the observability
-// primitives (spans, counters, histograms) themselves.
+// near-field and near-far stages, a whole calibration, HRIR synthesis, and
+// the observability primitives (spans, counters, histograms) themselves.
 #include <benchmark/benchmark.h>
 
 #include <filesystem>
+#include <map>
 #include <string>
 
 #include "common/constants.h"
@@ -411,6 +412,33 @@ void BM_NearFarConvert(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_NearFarConvert)->Unit(benchmark::kMillisecond);
+
+// One whole calibration: the 36-stop capture `uniq calibrate --seed 42`
+// simulates, through CalibrationPipeline::run. Timed nested inside a
+// one-index parallelFor, as on a loaded serve worker, so every stage runs
+// serially and cpu_time is the calibration's whole cost. Each RunReport
+// stage's wall time is exported as a per-iteration counter (<stage>_ms).
+void BM_CalibrateEndToEnd(benchmark::State& state) {
+  static const auto capture = [] {
+    const sim::MeasurementSession session;
+    return session.run(head::makePopulation(1, 42)[0], sim::defaultGesture());
+  }();
+  const core::CalibrationPipeline pipeline;
+  std::map<std::string, double> stageMs;
+  common::parallelFor(0, 1, [&](std::size_t) {
+    for (auto _ : state) {
+      obs::RunReport report;
+      auto personal = pipeline.run(capture, &report);
+      benchmark::DoNotOptimize(personal);
+      for (const auto& stage : report.stages)
+        stageMs[stage.name] += stage.wallMs;
+    }
+  });
+  for (const auto& [name, ms] : stageMs)
+    state.counters[name + "_ms"] =
+        benchmark::Counter(ms, benchmark::Counter::kAvgIterations);
+}
+BENCHMARK(BM_CalibrateEndToEnd)->Unit(benchmark::kMillisecond);
 
 // Calibration throughput through the concurrent service (submit + drain).
 // Compare against BM_ServeSerialCalibration: on an N-core host the ratio is

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "common/aligned.h"
 #include "common/constants.h"
 #include "common/error.h"
 #include "common/math_util.h"
@@ -24,17 +25,6 @@ NearFarConverter::NearFarConverter(Options opts) : opts_(opts) {
   UNIQ_REQUIRE(opts_.outputLength >= 64, "output length too short");
 }
 
-namespace {
-
-void accumulate(std::vector<double>& acc, const std::vector<double>& channel,
-                double currentTap, double targetTap, double weight = 1.0) {
-  const auto shifted = dsp::fractionalShift(channel, targetTap - currentTap);
-  for (std::size_t i = 0; i < acc.size() && i < shifted.size(); ++i)
-    acc[i] += weight * shifted[i];
-}
-
-}  // namespace
-
 FarFieldTable NearFarConverter::convert(const NearFieldTable& nearTable) const {
   UNIQ_SPAN("nearfar.convert");
   UNIQ_REQUIRE(nearTable.byDegree.size() == 181, "near table must cover 0-180");
@@ -50,18 +40,35 @@ FarFieldTable NearFarConverter::convert(const NearFieldTable& nearTable) const {
   far.tapLeftSamples.resize(181);
   far.tapRightSamples.resize(181);
 
-  // Precompute measurement-circle positions for all near-table angles, and
-  // each ear's near-field attenuation there: neither depends on the
-  // far-field degree.
+  // Precompute measurement-circle positions for all near-table angles, each
+  // ear's near-field attenuation there, and each near-field channel moved
+  // from its own first tap to alignSample: none depends on the far-field
+  // degree. The aligned channels are outputLength samples each (zero past
+  // a shorter input), ear-major in one block of the thread scratch arena.
+  const std::size_t len = opts_.outputLength;
+  auto& arena = common::simdScratch();
+  const common::ArenaScope scope(arena);
+  double* const alignedLeft = arena.allocDoubles(2 * 181 * len);
+  double* const alignedRight = alignedLeft + 181 * len;
   std::vector<geo::Vec2> positions(181);
   std::vector<double> ampNearLeft(181), ampNearRight(181);
   for (int psi = 0; psi <= 180; ++psi) {
     positions[psi] = geo::pointFromPolarDeg(static_cast<double>(psi), radius);
     for (geo::Ear ear : {geo::Ear::kLeft, geo::Ear::kRight}) {
+      const bool left = ear == geo::Ear::kLeft;
       const auto nearPath = geo::nearFieldPath(boundary, positions[psi], ear);
-      (ear == geo::Ear::kLeft ? ampNearLeft : ampNearRight)[psi] =
+      (left ? ampNearLeft : ampNearRight)[psi] =
           (1.0 / std::max(nearPath.length, 0.05)) *
           std::exp(-opts_.arcAttenuationNepersPerMeter * nearPath.arcLength);
+      const auto& src = left ? nearTable.byDegree[psi].left
+                             : nearTable.byDegree[psi].right;
+      const double tap = (left ? nearTable.tapLeftSamples
+                               : nearTable.tapRightSamples)[psi];
+      const auto shifted = dsp::fractionalShift(
+          src, opts_.alignSample - tap, dsp::kDefaultSincHalfWidth, len);
+      std::copy(shifted.begin(), shifted.end(),
+                (left ? alignedLeft : alignedRight) +
+                    static_cast<std::size_t>(psi) * len);
     }
   }
 
@@ -90,11 +97,17 @@ FarFieldTable NearFarConverter::convert(const NearFieldTable& nearTable) const {
     for (geo::Ear ear : {geo::Ear::kLeft, geo::Ear::kRight}) {
       const auto& path = ear == geo::Ear::kLeft ? pathL : pathR;
       auto& channel = ear == geo::Ear::kLeft ? hrir.left : hrir.right;
-      const auto& nearTaps = ear == geo::Ear::kLeft
-                                 ? nearTable.tapLeftSamples
-                                 : nearTable.tapRightSamples;
+      const double* aligned =
+          ear == geo::Ear::kLeft ? alignedLeft : alignedRight;
       const auto& ampNear =
           ear == geo::Ear::kLeft ? ampNearLeft : ampNearRight;
+      // Adds the aligned channel at near-table angle `psi`, scaled. The
+      // zero tail of a channel shorter than outputLength adds +0.0 to sums
+      // that are never -0.0, so it changes no bit.
+      const auto addAligned = [&](int psi, double weight) {
+        const double* src = aligned + static_cast<std::size_t>(psi) * len;
+        for (std::size_t i = 0; i < len; ++i) channel[i] += weight * src[i];
+      };
 
       // Impact-parameter band of rays feeding this ear: between the crown
       // ray and the ear's grazing/direct ray.
@@ -124,21 +137,14 @@ FarFieldTable NearFarConverter::convert(const NearFieldTable& nearTable) const {
         const double s = dot(p, e);
         if (s < sLo || s > sHi) continue;
         const double w = std::exp(-0.5 * square((s - sEar) / sigma));
-        const auto& src = ear == geo::Ear::kLeft
-                              ? nearTable.byDegree[psi].left
-                              : nearTable.byDegree[psi].right;
-        accumulate(channel, src, nearTaps[psi], opts_.alignSample,
-                   w * ampFar / ampNear[psi]);
+        addAligned(psi, w * ampFar / ampNear[psi]);
         weightSum += w;
       }
       if (weightSum < 1e-12) {
         // Sparse-coverage fallback: use the near-field response at the same
-        // polar angle.
-        const auto& src = ear == geo::Ear::kLeft
-                              ? nearTable.byDegree[deg].left
-                              : nearTable.byDegree[deg].right;
-        accumulate(channel, src, nearTaps[deg], opts_.alignSample,
-                   ampFar / ampNear[deg]);
+        // polar angle. Also taken at degree 0's right ear, whose one
+        // candidate (psi = 0) sits on the band's crown edge.
+        addAligned(deg, ampFar / ampNear[deg]);
         weightSum = 1.0;
       }
       for (auto& v : channel) v /= weightSum;

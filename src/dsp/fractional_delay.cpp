@@ -5,10 +5,19 @@
 
 #include "common/constants.h"
 #include "common/error.h"
+#include "obs/metrics.h"
 
 namespace uniq::dsp {
 
 namespace {
+
+// Executed-shift counter: one per fractionalShift call, whatever its
+// length. The calibration scorecard reads deltas of it as a work count.
+obs::Counter& shiftCounter() {
+  static obs::Counter& c =
+      obs::registry().counter("dsp.fractional_shift.calls");
+  return c;
+}
 
 /// Blackman-windowed sinc kernel value at offset x (samples), half-width w.
 double windowedSinc(double x, int w) {
@@ -52,6 +61,7 @@ std::vector<double> fractionalShift(std::span<const double> signal,
                                     double shiftSamples, int halfWidth,
                                     std::size_t outputLength) {
   UNIQ_REQUIRE(halfWidth >= 1, "halfWidth must be >= 1");
+  shiftCounter().inc();
   const long n = static_cast<long>(signal.size());
   std::vector<double> out(outputLength, 0.0);
   // A non-finite shift, or one that moves every sample (and the kernel

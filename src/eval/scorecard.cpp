@@ -59,6 +59,7 @@ constexpr FidelityBudget kFidelityBudgets[] = {
 constexpr const char* kWorkKeys[] = {
     "objective_evals",
     "fft_transforms",
+    "fractional_shifts",
     "rejected_stops",
     "widened",
     "fusion_iterations",
@@ -90,6 +91,8 @@ ScorecardCell scoreCell(const Volunteer& volunteer,
                         sim::CalibrationCapture capture,
                         std::string captureName, std::size_t index) {
   static obs::Counter& evals = obs::registry().counter("dsf.objective.evals");
+  static obs::Counter& shifts =
+      obs::registry().counter("dsp.fractional_shift.calls");
   ScorecardCell cell;
   cell.volunteer = volunteer.subject.name;
   cell.capture = std::move(captureName);
@@ -97,9 +100,11 @@ ScorecardCell scoreCell(const Volunteer& volunteer,
   const core::CalibrationPipeline pipeline;
   const std::uint64_t evalsBefore = evals.value();
   const std::uint64_t fftBefore = dsp::fftStats().transforms;
+  const std::uint64_t shiftsBefore = shifts.value();
   auto hrtf = pipeline.run(capture);
   cell.objectiveEvals = evals.value() - evalsBefore;
   cell.fftTransforms = dsp::fftStats().transforms - fftBefore;
+  cell.fractionalShifts = shifts.value() - shiftsBefore;
   cell.rejectedStops = hrtf.fusion.rejectedSourceIndices.size();
   cell.widened = hrtf.fusion.widened ? 1 : 0;
   cell.fusionIterations = hrtf.fusion.iterations;
@@ -155,6 +160,7 @@ Fields<std::uint64_t> workOf(const ScorecardCell& c) {
   return {
       {"objective_evals", c.objectiveEvals},
       {"fft_transforms", c.fftTransforms},
+      {"fractional_shifts", c.fractionalShifts},
       {"rejected_stops", c.rejectedStops},
       {"widened", c.widened},
       {"fusion_iterations", c.fusionIterations},

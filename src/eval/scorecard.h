@@ -27,12 +27,13 @@ struct ScorecardCell {
   double aoaMedianDeg = 0.0;
 
   // Work counts of the calibration alone (not the capture simulation or
-  // the evaluation): `dsf.objective.evals`, `fft.transforms`, stops fusion
-  // dropped as outliers, 1 when fusion ran its widened re-solve, and the
-  // fusion report's iterations. They do not depend on the host or the
-  // thread count.
+  // the evaluation): `dsf.objective.evals`, `fft.transforms`,
+  // `dsp.fractional_shift.calls`, stops fusion dropped as outliers, 1 when
+  // fusion ran its widened re-solve, and the fusion report's iterations.
+  // They do not depend on the host or the thread count.
   std::uint64_t objectiveEvals = 0;
   std::uint64_t fftTransforms = 0;
+  std::uint64_t fractionalShifts = 0;
   std::uint64_t rejectedStops = 0;
   std::uint64_t widened = 0;
   std::uint64_t fusionIterations = 0;

@@ -3,8 +3,9 @@
 // from a clean and a moderately fault-injected capture — on the scalar
 // kernel tier, and gates it against the committed baseline: fidelity by
 // ratio plus floor, work counts (objective evaluations, FFT transforms,
-// rejected stops, widened re-solves, fusion iterations) exactly. A plain
-// main() so the binary doubles as the tool that re-baselines:
+// fractional shifts, rejected stops, widened re-solves, fusion iterations)
+// exactly. A plain main() so the binary doubles as the tool that
+// re-baselines:
 //
 //   calibration_scorecard BASELINE.json
 //   calibration_scorecard BASELINE.json --write-baseline

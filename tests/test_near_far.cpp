@@ -2,15 +2,23 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 
 #include "common/constants.h"
 #include "common/error.h"
+#include "common/math_util.h"
 #include "core/near_field_hrtf.h"
+#include "core/pipeline.h"
+#include "dsp/fractional_delay.h"
 #include "dsp/peak_picking.h"
 #include "eval/metrics.h"
 #include "geometry/diffraction.h"
 #include "geometry/polar.h"
+#include "head/subject.h"
+#include "sim/measurement_session.h"
+#include "sim/trajectory.h"
 
 namespace uniq::core {
 namespace {
@@ -147,6 +155,152 @@ TEST_F(NearFarTest, RejectsWrongTableSize) {
   bad.byDegree.resize(90);
   const NearFarConverter converter;
   EXPECT_THROW(converter.convert(bad), InvalidArgument);
+}
+
+/// The converter as it was before each near-field channel was aligned
+/// once: every (degree, ear, psi) contribution shifts its channel from the
+/// channel's own tap to alignSample on its own. Counts the degree-ears that
+/// take the sparse-coverage fallback in `fallbackHits`.
+FarFieldTable perContributionConvert(const NearFieldTable& nearTable,
+                                     const NearFarConverterOptions& opts,
+                                     int& fallbackHits) {
+  const auto accumulate = [](std::vector<double>& acc,
+                             const std::vector<double>& channel,
+                             double currentTap, double targetTap,
+                             double weight) {
+    const auto shifted = dsp::fractionalShift(channel, targetTap - currentTap);
+    for (std::size_t i = 0; i < acc.size() && i < shifted.size(); ++i)
+      acc[i] += weight * shifted[i];
+  };
+  const auto& E = nearTable.headParams;
+  const geo::HeadBoundary boundary(E.a, E.b, E.c, opts.boundaryResolution);
+  const double fs = nearTable.sampleRate;
+  FarFieldTable far;
+  far.byDegree.resize(181);
+  far.tapLeftSamples.resize(181);
+  far.tapRightSamples.resize(181);
+  std::vector<geo::Vec2> positions(181);
+  std::vector<double> ampNearLeft(181), ampNearRight(181);
+  for (int psi = 0; psi <= 180; ++psi) {
+    positions[psi] = geo::pointFromPolarDeg(static_cast<double>(psi),
+                                            nearTable.medianRadiusM);
+    for (geo::Ear ear : {geo::Ear::kLeft, geo::Ear::kRight}) {
+      const auto nearPath = geo::nearFieldPath(boundary, positions[psi], ear);
+      (ear == geo::Ear::kLeft ? ampNearLeft : ampNearRight)[psi] =
+          (1.0 / std::max(nearPath.length, 0.05)) *
+          std::exp(-opts.arcAttenuationNepersPerMeter * nearPath.arcLength);
+    }
+  }
+  for (int deg = 0; deg <= 180; ++deg) {
+    const geo::Vec2 d = -geo::directionFromAzimuthDeg(static_cast<double>(deg));
+    const geo::Vec2 e = d.perp();
+    const double sQ = dot(boundary.pointAt(boundary.indexWithNormal(-d)), e);
+    head::Hrir hrir;
+    hrir.left.assign(opts.outputLength, 0.0);
+    hrir.right.assign(opts.outputLength, 0.0);
+    const auto pathL = geo::farFieldPath(boundary, d, geo::Ear::kLeft);
+    const auto pathR = geo::farFieldPath(boundary, d, geo::Ear::kRight);
+    const double dMin = std::min(pathL.length, pathR.length);
+    const double tapLFar =
+        opts.alignSample + (pathL.length - dMin) / kSpeedOfSound * fs;
+    const double tapRFar =
+        opts.alignSample + (pathR.length - dMin) / kSpeedOfSound * fs;
+    for (geo::Ear ear : {geo::Ear::kLeft, geo::Ear::kRight}) {
+      const bool left = ear == geo::Ear::kLeft;
+      const auto& path = left ? pathL : pathR;
+      auto& channel = left ? hrir.left : hrir.right;
+      const auto& nearTaps =
+          left ? nearTable.tapLeftSamples : nearTable.tapRightSamples;
+      const auto& ampNear = left ? ampNearLeft : ampNearRight;
+      const double sEar = path.diffracted ? dot(path.tangentPoint, e)
+                                          : dot(earPosition(boundary, ear), e);
+      const double sLo = std::min(sQ, sEar);
+      const double sHi = std::max(sQ, sEar);
+      const double sigma = std::max((sHi - sLo) / opts.raySigmaDivisor, 1e-4);
+      const double ampFar =
+          std::exp(-opts.arcAttenuationNepersPerMeter * path.arcLength);
+      double weightSum = 0.0;
+      for (int psi = 0; psi <= 180; ++psi) {
+        const geo::Vec2 p = positions[psi];
+        if (dot(d, p) >= 0.0) continue;
+        const double s = dot(p, e);
+        if (s < sLo || s > sHi) continue;
+        const double w = std::exp(-0.5 * square((s - sEar) / sigma));
+        const auto& src = left ? nearTable.byDegree[psi].left
+                               : nearTable.byDegree[psi].right;
+        accumulate(channel, src, nearTaps[psi], opts.alignSample,
+                   w * ampFar / ampNear[psi]);
+        weightSum += w;
+      }
+      if (weightSum < 1e-12) {
+        ++fallbackHits;
+        const auto& src = left ? nearTable.byDegree[deg].left
+                               : nearTable.byDegree[deg].right;
+        accumulate(channel, src, nearTaps[deg], opts.alignSample,
+                   ampFar / ampNear[deg]);
+        weightSum = 1.0;
+      }
+      for (auto& v : channel) v /= weightSum;
+      const double targetTap = left ? tapLFar : tapRFar;
+      channel = dsp::fractionalShift(channel, targetTap - opts.alignSample);
+    }
+    far.tapLeftSamples[deg] = tapLFar;
+    far.tapRightSamples[deg] = tapRFar;
+    far.byDegree[deg] = std::move(hrir);
+  }
+  return far;
+}
+
+/// Same length and the same bits in every sample (so +0.0 != -0.0).
+bool sameBits(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+/// The near-field table `uniq calibrate --seed <seed>` builds.
+NearFieldTable calibratedNearTable(std::uint64_t seed) {
+  const auto subject = head::makePopulation(1, seed)[0];
+  const sim::MeasurementSession session;
+  const auto capture = session.run(subject, sim::defaultGesture());
+  return CalibrationPipeline().run(capture).table.nearTable();
+}
+
+// Aligning each near-field channel once, before the degree loop, must give
+// the per-contribution path's output exactly: same shifts, same weights,
+// same summation order. The tables are an ideal NearFieldHrtfBuilder table, the
+// database table BM_NearFarConvert converts, and the tables
+// `uniq calibrate` builds for seeds 42 and 3. Each of the four takes the
+// fallback once (degree 0, right ear: the band's one candidate, psi = 0,
+// sits on its crown edge and rounding leaves it out), so the fallback is
+// compared too.
+TEST_F(NearFarTest, AlignOnceMatchesPerContributionShiftBitForBit) {
+  head::Subject benchSubject;  // BM_NearFarConvert's
+  benchSubject.headParams = {0.075, 0.103, 0.091};
+  benchSubject.pinnaSeed = 11;
+  const head::HrtfDatabase db(benchSubject);
+  const std::vector<std::pair<const char*, NearFieldTable>> tables = {
+      {"ideal", *nearTable_},
+      {"database", nearTableFromDatabase(db, 0.35)},
+      {"calibrated-seed-42", calibratedNearTable(42)},
+      {"calibrated-seed-3", calibratedNearTable(3)},
+  };
+  const NearFarConverter converter;
+  int tablesWithFallback = 0;
+  for (const auto& [name, table] : tables) {
+    int fallbackHits = 0;
+    const auto want = perContributionConvert(table, {}, fallbackHits);
+    const auto got = converter.convert(table);
+    if (fallbackHits > 0) ++tablesWithFallback;
+    EXPECT_EQ(got.tapLeftSamples, want.tapLeftSamples) << name;
+    EXPECT_EQ(got.tapRightSamples, want.tapRightSamples) << name;
+    for (int deg = 0; deg <= 180; ++deg) {
+      EXPECT_TRUE(sameBits(got.byDegree[deg].left, want.byDegree[deg].left))
+          << name << " deg " << deg;
+      EXPECT_TRUE(sameBits(got.byDegree[deg].right, want.byDegree[deg].right))
+          << name << " deg " << deg;
+    }
+  }
+  EXPECT_GE(tablesWithFallback, 1);
 }
 
 TEST(FarTableFromDatabase, TapsAnchoredAtAlignSample) {
