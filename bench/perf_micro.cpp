@@ -443,7 +443,7 @@ BENCHMARK(BM_CalibrateEndToEnd)->Unit(benchmark::kMillisecond);
 // Calibration throughput through the concurrent service (submit + drain).
 // Compare against BM_ServeSerialCalibration: on an N-core host the ratio is
 // the service's speedup; on a single core it measures scheduling overhead.
-// Pool-backed benchmarks (this one, BM_StreamingSession, BM_ServeBatchAoa)
+// Pool-backed benchmarks (this one, the BM_Streaming* pair, BM_ServeBatchAoa)
 // use UseRealTime(): their cpu_time counts only the main thread and misses
 // the work on pool workers, so wall time is the figure that means anything.
 void BM_ServeBatchCalibration(benchmark::State& state) {
@@ -483,13 +483,33 @@ void BM_ServeSerialCalibration(benchmark::State& state) {
 }
 BENCHMARK(BM_ServeSerialCalibration)->Arg(4)->Unit(benchmark::kMillisecond);
 
-// End-to-end streaming calibration: push every stop (each push extracts the
-// stop and runs a warm-started incremental solve on this thread), then
+// End-to-end live streaming calibration: push every stop and read
+// coverage() after each push, as `uniq calibrate-stream` does (the read runs
+// that push's warm-started incremental solve on this thread), then
 // finalize, whose batch stages fan out on the global pool. Compare against
-// BM_ServeSerialCalibration at Arg(1): the delta is the price of the
-// incremental solves, paid to get live coverage/convergence feedback during
-// the sweep.
+// BM_StreamingReplay: the delta is the price of the incremental solves,
+// paid to get live coverage/convergence feedback during the sweep.
 void BM_StreamingSession(benchmark::State& state) {
+  const auto& captures = serveCaptures();
+  const auto& capture = *captures.front();
+  for (auto _ : state) {
+    stream::StreamingSession session(
+        stream::CaptureHeader::fromCapture(capture));
+    for (std::size_t i = 0; i < capture.stops.size(); ++i) {
+      session.push(capture.stops[i], i);
+      benchmark::DoNotOptimize(session.coverage());
+    }
+    auto result = session.finalize();
+    benchmark::DoNotOptimize(result);
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(capture.stops.size()));
+}
+BENCHMARK(BM_StreamingSession)->Unit(benchmark::kMillisecond)->UseRealTime();
+
+// A streaming session nobody reads: push every stop, then finalize — what
+// a CalibrationService streaming job costs. No incremental solve runs.
+void BM_StreamingReplay(benchmark::State& state) {
   const auto& captures = serveCaptures();
   const auto& capture = *captures.front();
   for (auto _ : state) {
@@ -503,7 +523,7 @@ void BM_StreamingSession(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(capture.stops.size()));
 }
-BENCHMARK(BM_StreamingSession)->Unit(benchmark::kMillisecond)->UseRealTime();
+BENCHMARK(BM_StreamingReplay)->Unit(benchmark::kMillisecond)->UseRealTime();
 
 // Batched known-source AoA against cached tables: the steady-state query
 // path (FFT plan cache warm after iteration one).

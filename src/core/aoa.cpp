@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <map>
 #include <span>
+#include <utility>
 
 #include "common/constants.h"
 #include "common/error.h"
@@ -210,28 +212,53 @@ AoaEstimate AoaEstimator::estimateKnown(
 
   // Pre-align each measured channel to the template anchor so the shape
   // correlation compares like with like: shift the channel so its first tap
-  // lands at that angle's template tap position, per candidate angle, and
-  // compute only the template-length prefix the correlation reads. Each
-  // angle scores independently, so the sweep fans out across the pool; the
-  // argmin below scans in grid order, giving thread-count-independent
-  // results.
+  // lands at that angle's template tap position, and compute only the
+  // template-length prefix the correlation reads. Angles whose template
+  // taps (and lengths) agree share one aligned channel per ear — on a table
+  // whose left taps all sit at one sample, the left ear is shifted once.
+  // The alignments, then the angles, fan out across the pool; the argmin
+  // below scans in grid order, giving thread-count-independent results.
   std::vector<double> thetas;
   for (double theta = 0.0; theta <= 180.0; theta += opts_.searchStepDeg)
     thetas.push_back(theta);
+  struct Alignment {
+    const std::vector<double>* h;
+    double shift;
+    std::size_t length;
+  };
+  std::vector<Alignment> alignments;
+  std::map<std::pair<double, std::size_t>, std::size_t> slotLeft, slotRight;
+  const auto slotFor = [&](auto& slots, const std::vector<double>& h,
+                           double shift, std::size_t length) {
+    const auto [it, added] =
+        slots.try_emplace({shift, length}, alignments.size());
+    if (added) alignments.push_back({&h, shift, length});
+    return it->second;
+  };
+  std::vector<std::size_t> degree(thetas.size()), left(thetas.size()),
+      right(thetas.size());
+  for (std::size_t c = 0; c < thetas.size(); ++c) {
+    const auto idx = static_cast<std::size_t>(std::lround(thetas[c]));
+    const auto& tmpl = table_.byDegree[idx];
+    degree[c] = idx;
+    left[c] = slotFor(slotLeft, chL.h,
+                      table_.tapLeftSamples[idx] - chL.tapSec * fs,
+                      tmpl.left.size());
+    right[c] = slotFor(slotRight, chR.h,
+                       table_.tapRightSamples[idx] - chR.tapSec * fs,
+                       tmpl.right.size());
+  }
+  std::vector<std::vector<double>> aligned(alignments.size());
+  common::parallelFor(0, alignments.size(), [&](std::size_t j) {
+    const auto& a = alignments[j];
+    aligned[j] = dsp::fractionalShift(*a.h, a.shift,
+                                      dsp::kDefaultSincHalfWidth, a.length);
+  });
   std::vector<double> scores(thetas.size());
-  common::parallelFor(
-      0, thetas.size(),
-      [&](std::size_t c) {
-        const auto idx = static_cast<std::size_t>(std::lround(thetas[c]));
-        const auto& tmpl = table_.byDegree[idx];
-        const auto alignedL = dsp::fractionalShift(
-            chL.h, table_.tapLeftSamples[idx] - chL.tapSec * fs,
-            dsp::kDefaultSincHalfWidth, tmpl.left.size());
-        const auto alignedR = dsp::fractionalShift(
-            chR.h, table_.tapRightSamples[idx] - chR.tapSec * fs,
-            dsp::kDefaultSincHalfWidth, tmpl.right.size());
-        scores[c] = knownSourceObjective(idx, t0, alignedL, alignedR);
-      });
+  common::parallelFor(0, thetas.size(), [&](std::size_t c) {
+    scores[c] = knownSourceObjective(degree[c], t0, aligned[left[c]],
+                                     aligned[right[c]]);
+  });
 
   return pickBest(thetas, scores, "aoa.known.margin");
 }

@@ -7,6 +7,7 @@
 #include <unistd.h>
 
 #include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
@@ -20,26 +21,55 @@ namespace uniq::obs {
 
 namespace {
 
-/// Prometheus sample-value formatting: finite round-trip precision,
+/// Prometheus sample-value formatting: finite values as printf's %.12g,
 /// non-finite as +Inf/-Inf/NaN (which the exposition format does allow).
-void appendValue(std::ostringstream& os, double v) {
+void appendValue(std::string& out, double v) {
   if (std::isnan(v)) {
-    os << "NaN";
+    out += "NaN";
     return;
   }
   if (std::isinf(v)) {
-    os << (v > 0 ? "+Inf" : "-Inf");
+    out += v > 0 ? "+Inf" : "-Inf";
     return;
   }
   char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.12g", v);
-  os << buf;
+  const auto res = std::to_chars(buf, buf + sizeof(buf), v,
+                                 std::chars_format::general, 12);
+  out.append(buf, res.ptr);
 }
 
-/// Escape a label value: backslash, double-quote, newline.
-std::string labelEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
+void appendCount(std::string& out, std::uint64_t v) {
+  char buf[24];
+  const auto res = std::to_chars(buf, buf + sizeof(buf), v);
+  out.append(buf, res.ptr);
+}
+
+/// Append `name`, a space, `value` and a newline: one sample line.
+void appendSample(std::string& out, const std::string& name, double value) {
+  out += name;
+  out += ' ';
+  appendValue(out, value);
+  out += '\n';
+}
+
+void appendSample(std::string& out, const std::string& name,
+                  std::uint64_t value) {
+  out += name;
+  out += ' ';
+  appendCount(out, value);
+  out += '\n';
+}
+
+void appendType(std::string& out, const std::string& name, const char* type) {
+  out += "# TYPE ";
+  out += name;
+  out += ' ';
+  out += type;
+  out += '\n';
+}
+
+/// Append a label value escaped: backslash, double-quote, newline.
+void appendLabel(std::string& out, const std::string& s) {
   for (const char c : s) {
     if (c == '\\') {
       out += "\\\\";
@@ -51,7 +81,6 @@ std::string labelEscape(const std::string& s) {
       out += c;
     }
   }
-  return out;
 }
 
 }  // namespace
@@ -69,22 +98,23 @@ std::string prometheusName(const std::string& name) {
 std::string prometheusText(const MetricsSnapshot& snapshot,
                            const TelemetryWindow* window,
                            const std::vector<SloStatus>* slo) {
-  std::ostringstream os;
+  // Appends to one string: this runs on every scrape, and a stream's
+  // per-insertion overhead was most of its cost.
+  std::string out;
+  out.reserve(16384);
   for (const auto& c : snapshot.counters) {
     const std::string name = prometheusName(c.name) + "_total";
-    os << "# TYPE " << name << " counter\n";
-    os << name << " " << c.value << "\n";
+    appendType(out, name, "counter");
+    appendSample(out, name, c.value);
   }
   for (const auto& g : snapshot.gauges) {
     const std::string name = prometheusName(g.name);
-    os << "# TYPE " << name << " gauge\n";
-    os << name << " ";
-    appendValue(os, g.value);
-    os << "\n";
+    appendType(out, name, "gauge");
+    appendSample(out, name, g.value);
   }
   for (const auto& h : snapshot.histograms) {
     const std::string name = prometheusName(h.name);
-    os << "# TYPE " << name << " histogram\n";
+    appendType(out, name, "histogram");
     // Cumulative buckets: underflow (v < lo) folds into the first finite
     // bucket since Prometheus buckets always start at -Inf; the +Inf
     // bucket equals _count, absorbing overflow.
@@ -93,63 +123,68 @@ std::string prometheusText(const MetricsSnapshot& snapshot,
     for (std::size_t k = 0; k < h.counts.size(); ++k) {
       cum += h.counts[k];
       edge *= h.options.growth;
-      os << name << "_bucket{le=\"";
-      appendValue(os, edge);
-      os << "\"} " << cum << "\n";
+      out += name;
+      out += "_bucket{le=\"";
+      appendValue(out, edge);
+      out += "\"} ";
+      appendCount(out, cum);
+      out += '\n';
     }
-    os << name << "_bucket{le=\"+Inf\"} " << h.count << "\n";
-    os << name << "_sum ";
-    appendValue(os, h.sum);
-    os << "\n";
-    os << name << "_count " << h.count << "\n";
+    appendSample(out, name + "_bucket{le=\"+Inf\"}", h.count);
+    appendSample(out, name + "_sum", h.sum);
+    appendSample(out, name + "_count", h.count);
   }
   if (window != nullptr) {
     for (const auto& r : window->counterRates) {
       const std::string name = prometheusName(r.name) + "_rate";
-      os << "# TYPE " << name << " gauge\n";
-      os << name << " ";
-      appendValue(os, r.perSec);
-      os << "\n";
+      appendType(out, name, "gauge");
+      appendSample(out, name, r.perSec);
     }
     for (const auto& hw : window->histogramWindows) {
       const std::string name = prometheusName(hw.name) + "_window_q";
-      os << "# TYPE " << name << " gauge\n";
+      appendType(out, name, "gauge");
       const double qs[] = {0.50, 0.90, 0.99};
       const double vs[] = {hw.p50, hw.p90, hw.p99};
       for (int i = 0; i < 3; ++i) {
-        os << name << "{q=\"";
-        appendValue(os, qs[i]);
-        os << "\"} ";
-        appendValue(os, vs[i]);
-        os << "\n";
+        out += name;
+        out += "{q=\"";
+        appendValue(out, qs[i]);
+        out += "\"} ";
+        appendValue(out, vs[i]);
+        out += '\n';
       }
       // The quantiles of a window that saw nothing read 0; its count tells
       // that apart from a zero latency.
       const std::string seen = prometheusName(hw.name) + "_window_observations";
-      os << "# TYPE " << seen << " gauge\n";
-      os << seen << " " << hw.count << "\n";
+      appendType(out, seen, "gauge");
+      appendSample(out, seen, hw.count);
     }
   }
   if (slo != nullptr && !slo->empty()) {
-    os << "# TYPE uniq_slo_value gauge\n";
-    for (const auto& st : *slo) {
-      os << "uniq_slo_value{rule=\"" << labelEscape(st.rule.name) << "\"} ";
-      appendValue(os, st.measurable ? st.value : 0.0);
-      os << "\n";
-    }
-    os << "# TYPE uniq_slo_limit gauge\n";
-    for (const auto& st : *slo) {
-      os << "uniq_slo_limit{rule=\"" << labelEscape(st.rule.name) << "\"} ";
-      appendValue(os, st.limit);
-      os << "\n";
-    }
-    os << "# TYPE uniq_slo_breached gauge\n";
-    for (const auto& st : *slo) {
-      os << "uniq_slo_breached{rule=\"" << labelEscape(st.rule.name)
-         << "\"} " << (st.breached ? 1 : 0) << "\n";
-    }
+    const auto appendRuleSeries = [&out, slo](const char* series,
+                                              const auto& valueOf) {
+      out += "# TYPE ";
+      out += series;
+      out += " gauge\n";
+      for (const auto& st : *slo) {
+        out += series;
+        out += "{rule=\"";
+        appendLabel(out, st.rule.name);
+        out += "\"} ";
+        appendValue(out, valueOf(st));
+        out += '\n';
+      }
+    };
+    appendRuleSeries("uniq_slo_value", [](const SloStatus& st) {
+      return st.measurable ? st.value : 0.0;
+    });
+    appendRuleSeries("uniq_slo_limit",
+                     [](const SloStatus& st) { return st.limit; });
+    appendRuleSeries("uniq_slo_breached", [](const SloStatus& st) {
+      return st.breached ? 1.0 : 0.0;
+    });
   }
-  return os.str();
+  return out;
 }
 
 std::string monitorView(const std::string& exposition) {
@@ -238,6 +273,11 @@ ScrapeServer::ScrapeServer(ContentFn content, std::uint16_t port)
   socklen_t len = sizeof(addr);
   ::getsockname(listenFd_, reinterpret_cast<sockaddr*>(&addr), &len);
   port_ = ntohs(addr.sin_port);
+  if (::pipe(wakeFds_) != 0) {
+    ::close(listenFd_);
+    listenFd_ = -1;
+    UNIQ_REQUIRE(false, "scrape server: pipe() failed");
+  }
   thread_ = std::thread([this] { serveLoop(); });
 }
 
@@ -248,22 +288,23 @@ void ScrapeServer::stop() {
     if (thread_.joinable()) thread_.join();
     return;
   }
+  // Wake serveLoop's poll; the pipe is empty, so the write cannot block.
+  const char wake = 0;
+  [[maybe_unused]] const ssize_t woke = ::write(wakeFds_[1], &wake, 1);
   if (thread_.joinable()) thread_.join();
-  if (listenFd_ >= 0) {
-    ::close(listenFd_);
-    listenFd_ = -1;
+  for (int* fd : {&listenFd_, &wakeFds_[0], &wakeFds_[1]}) {
+    if (*fd >= 0) ::close(*fd);
+    *fd = -1;
   }
 }
 
 void ScrapeServer::serveLoop() {
   while (!stopping_.load(std::memory_order_relaxed)) {
-    pollfd pfd{};
-    pfd.fd = listenFd_;
-    pfd.events = POLLIN;
-    // Short poll timeout bounds how long stop() waits for the loop to
-    // notice the flag.
-    const int ready = ::poll(&pfd, 1, 50);
-    if (ready <= 0) continue;
+    // Sleep until a client connects or stop() writes to the wake pipe:
+    // an idle server takes no CPU.
+    pollfd pfds[2] = {{listenFd_, POLLIN, 0}, {wakeFds_[0], POLLIN, 0}};
+    const int ready = ::poll(pfds, 2, -1);
+    if (ready <= 0 || pfds[1].revents != 0) continue;
     const int client = ::accept(listenFd_, nullptr, nullptr);
     if (client < 0) continue;
     // Drain the request line + headers (one read is enough for the tiny
@@ -278,13 +319,14 @@ void ScrapeServer::serveLoop() {
     } catch (const std::exception& e) {
       body = std::string("# scrape content error: ") + e.what() + "\n";
     }
-    std::ostringstream resp;
-    resp << "HTTP/1.1 200 OK\r\n"
-         << "Content-Type: text/plain; version=0.0.4; charset=utf-8\r\n"
-         << "Content-Length: " << body.size() << "\r\n"
-         << "Connection: close\r\n\r\n"
-         << body;
-    const std::string out = resp.str();
+    const std::string out =
+        "HTTP/1.1 200 OK\r\n"
+        "Content-Type: text/plain; version=0.0.4; charset=utf-8\r\n"
+        "Content-Length: " +
+        std::to_string(body.size()) +
+        "\r\n"
+        "Connection: close\r\n\r\n" +
+        body;
     std::size_t sent = 0;
     while (sent < out.size()) {
       const ssize_t w = ::send(client, out.data() + sent, out.size() - sent,

@@ -65,6 +65,7 @@ class ScrapeServer {
 
   ContentFn content_;
   int listenFd_ = -1;
+  int wakeFds_[2] = {-1, -1};  ///< stop() writes [1] to end serveLoop's poll
   std::uint16_t port_ = 0;
   std::atomic<bool> stopping_{false};
   std::thread thread_;

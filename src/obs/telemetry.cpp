@@ -77,7 +77,7 @@ void TelemetrySampler::start() {
       if (stopCv_.wait_for(lock, interval, [this] { return stopping_; }))
         break;
       lock.unlock();
-      sampleNow();
+      tick();
       lock.lock();
     }
   });
@@ -101,7 +101,9 @@ bool TelemetrySampler::running() const {
   return threadRunning_;
 }
 
-TelemetryWindow TelemetrySampler::sampleNow() {
+TelemetryWindow TelemetrySampler::sampleNow() { return *tick(); }
+
+std::shared_ptr<const TelemetryWindow> TelemetrySampler::tick() {
   // Snapshot outside the tick lock: registry snapshotting takes the
   // registry mutex and can be slow with many instruments.
   MetricsSnapshot snap = reg_.snapshot();
@@ -111,18 +113,23 @@ TelemetryWindow TelemetrySampler::sampleNow() {
           .count();
 
   std::vector<WindowCallback> callbacks;
-  TelemetryWindow window;
+  std::shared_ptr<const TelemetryWindow> done;
   {
+    TelemetryWindow window;
     std::lock_guard<std::mutex> lock(mutex_);
     window.seq = seq_++;
     window.atMs = atMs;
-    window.dtMs = havePrev_ ? std::max(0.0, atMs - prevAtMs_) : atMs;
+    // The newest retained window holds the previous tick's snapshot (the
+    // ring always keeps at least one).
+    const TelemetryWindow* prev = ring_.empty() ? nullptr : ring_.back().get();
+    window.dtMs = prev != nullptr ? std::max(0.0, atMs - prev->atMs) : atMs;
     const double dtSec = window.dtMs / 1000.0;
 
     for (const auto& c : snap.counters) {
       TelemetryWindow::CounterRate rate;
       rate.name = c.name;
-      const std::uint64_t before = havePrev_ ? counterIn(prev_, c.name) : 0;
+      const std::uint64_t before =
+          prev != nullptr ? counterIn(prev->cumulative, c.name) : 0;
       rate.delta = c.value >= before ? c.value - before : 0;
       rate.perSec =
           dtSec > 0.0 ? static_cast<double>(rate.delta) / dtSec : 0.0;
@@ -132,20 +139,17 @@ TelemetryWindow TelemetrySampler::sampleNow() {
       TelemetryWindow::HistogramWindow hw;
       hw.name = h.name;
       hw.delta = histogramDelta(
-          h, havePrev_ ? histogramIn(prev_, h.name) : nullptr);
+          h, prev != nullptr ? histogramIn(prev->cumulative, h.name) : nullptr);
       hw.count = hw.delta.count;
       hw.p50 = hw.delta.quantile(0.50);
       hw.p90 = hw.delta.quantile(0.90);
       hw.p99 = hw.delta.quantile(0.99);
       window.histogramWindows.push_back(std::move(hw));
     }
-    window.cumulative = snap;
+    window.cumulative = std::move(snap);
 
-    prev_ = std::move(snap);
-    havePrev_ = true;
-    prevAtMs_ = atMs;
-
-    ring_.push_back(window);
+    done = std::make_shared<const TelemetryWindow>(std::move(window));
+    ring_.push_back(done);
     while (ring_.size() > opts_.ringCapacity) ring_.pop_front();
     callbacks = callbacks_;
   }
@@ -154,11 +158,11 @@ TelemetryWindow TelemetrySampler::sampleNow() {
     // Registry lookups lock a mutex, but this runs once per tick (a few Hz
     // at most), so the cost is irrelevant — and per-instance caching would
     // be wrong for samplers over different registries.
-    reg_.gauge("obs.telemetry.window_seq").set(static_cast<double>(window.seq));
-    reg_.gauge("obs.telemetry.window_dt_ms").set(window.dtMs);
+    reg_.gauge("obs.telemetry.window_seq").set(static_cast<double>(done->seq));
+    reg_.gauge("obs.telemetry.window_dt_ms").set(done->dtMs);
   }
-  for (const auto& cb : callbacks) cb(window);
-  return window;
+  for (const auto& cb : callbacks) cb(*done);
+  return done;
 }
 
 void TelemetrySampler::onWindow(WindowCallback cb) {
@@ -168,12 +172,15 @@ void TelemetrySampler::onWindow(WindowCallback cb) {
 
 std::vector<TelemetryWindow> TelemetrySampler::windows() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  return {ring_.begin(), ring_.end()};
+  std::vector<TelemetryWindow> out;
+  out.reserve(ring_.size());
+  for (const auto& w : ring_) out.push_back(*w);
+  return out;
 }
 
 TelemetryWindow TelemetrySampler::latest() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  return ring_.empty() ? TelemetryWindow{} : ring_.back();
+  return ring_.empty() ? TelemetryWindow{} : *ring_.back();
 }
 
 std::uint64_t TelemetrySampler::windowCount() const {

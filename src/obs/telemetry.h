@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -109,16 +110,16 @@ class TelemetrySampler {
   const TelemetrySamplerOptions& options() const { return opts_; }
 
  private:
-  TelemetryWindow tickLocked();
+  /// One tick (background or sampleNow); returns the window it retained,
+  /// so the background loop keeps it without a copy.
+  std::shared_ptr<const TelemetryWindow> tick();
 
   Registry& reg_;
   TelemetrySamplerOptions opts_;
 
-  mutable std::mutex mutex_;  ///< guards ring_, prev_, seq_, callbacks
-  std::deque<TelemetryWindow> ring_;
-  MetricsSnapshot prev_;
-  bool havePrev_ = false;
-  double prevAtMs_ = 0.0;
+  mutable std::mutex mutex_;  ///< guards ring_, seq_, callbacks
+  /// Retained windows, immutable once taken; back() is the previous tick.
+  std::deque<std::shared_ptr<const TelemetryWindow>> ring_;
   std::uint64_t seq_ = 0;
   std::vector<WindowCallback> callbacks_;
 

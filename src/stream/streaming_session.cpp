@@ -75,11 +75,13 @@ bool StreamingSession::push(sim::CalibrationStop stop,
 }
 
 CoverageSnapshot StreamingSession::coverage() const {
+  runPendingSolves();
   std::lock_guard<std::mutex> lock(mutex_);
   return snapshot_;
 }
 
 bool StreamingSession::converged() const {
+  runPendingSolves();
   std::lock_guard<std::mutex> lock(mutex_);
   return snapshot_.converged;
 }
@@ -87,82 +89,95 @@ bool StreamingSession::converged() const {
 void StreamingSession::cancel() {
   std::lock_guard<std::mutex> lock(mutex_);
   cancelled_ = true;
+  pendingSolves_.clear();
 }
 
 void StreamingSession::absorbStop(std::size_t seq, sim::CalibrationStop stop,
                                   core::BinauralChannel channel) {
-  // Fold the stop into the running state under the lock...
-  std::vector<core::FusionMeasurement> measurements;
-  std::optional<head::HeadParameters> seed;
-  bool solveNow = false;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    const auto& q = channel.quality;
-    const bool usable =
-        channel.firstTapLeftSec && channel.firstTapRightSec && !q.gated();
-    ++snapshot_.stopsExtracted;
-    if (usable) {
-      core::FusionMeasurement m;
-      m.imuAngleDeg = stop.imuAngleDeg;
-      m.delayLeftSec = *channel.firstTapLeftSec;
-      m.delayRightSec = *channel.firstTapRightSec;
-      m.sourceIndex = seq;
-      // Keep measurements seq-sorted so the incremental solve is a
-      // deterministic function of the *set* of stops, not arrival order.
-      measurements_.insert(
-          std::upper_bound(measurements_.begin(), measurements_.end(), m,
-                           [](const core::FusionMeasurement& a,
-                              const core::FusionMeasurement& b) {
-                             return a.sourceIndex < b.sourceIndex;
-                           }),
-          m);
-      ++snapshot_.stopsUsable;
-    }
-    updateCoverage(stop.imuAngleDeg, usable);
-    stopsBySeq_.insert_or_assign(
-        seq, FoldedStop{std::move(stop), std::move(channel)});
-
-    solveNow = usable && measurements_.size() >= 3 && !cancelled_;
-    if (solveNow) {
-      measurements = measurements_;
-      seed = lastEstimate_;
-    }
+  std::lock_guard<std::mutex> lock(mutex_);
+  const auto& q = channel.quality;
+  const bool usable =
+      channel.firstTapLeftSec && channel.firstTapRightSec && !q.gated();
+  ++snapshot_.stopsExtracted;
+  if (usable) {
+    core::FusionMeasurement m;
+    m.imuAngleDeg = stop.imuAngleDeg;
+    m.delayLeftSec = *channel.firstTapLeftSec;
+    m.delayRightSec = *channel.firstTapRightSec;
+    m.sourceIndex = seq;
+    // Keep measurements seq-sorted so the incremental solve is a
+    // deterministic function of the *set* of stops, not arrival order.
+    measurements_.insert(
+        std::upper_bound(measurements_.begin(), measurements_.end(), m,
+                         [](const core::FusionMeasurement& a,
+                            const core::FusionMeasurement& b) {
+                           return a.sourceIndex < b.sourceIndex;
+                         }),
+        m);
+    ++snapshot_.stopsUsable;
   }
-  if (!solveNow) return;
+  updateCoverage(stop.imuAngleDeg, usable);
+  stopsBySeq_.insert_or_assign(
+      seq, FoldedStop{std::move(stop), std::move(channel)});
 
-  // ...then run the warm-started solve outside it, so coverage() and
-  // converged() callers never wait on an optimizer iteration.
-  UNIQ_SPAN("stream.fuse.solve");
+  // The solve this push calls for runs when someone reads the session.
+  if (usable && measurements_.size() >= 3 && !cancelled_)
+    pendingSolves_.push_back(
+        PendingSolve{measurements_, snapshot_.coveredFraction});
+}
+
+void StreamingSession::runPendingSolves() const {
+  std::lock_guard<std::mutex> solveLock(solveMutex_);
+  obs::TraceContextScope scope(traceId_);
   static obs::Counter& incRestarts =
       obs::registry().counter("stream.solve.incremental_restarts");
   static obs::Gauge& deltaGauge =
       obs::registry().gauge("stream.solve.last_delta_m");
-  incRestarts.inc();
-  const auto result = fusion_.solveIncremental(measurements, seed);
+  for (;;) {
+    PendingSolve next;
+    std::optional<head::HeadParameters> seed;
+    {
+      std::lock_guard<std::mutex> lock(mutex_);
+      if (pendingSolves_.empty()) return;
+      next = std::move(pendingSolves_.front());
+      pendingSolves_.pop_front();
+      seed = lastEstimate_;
+    }
 
-  std::lock_guard<std::mutex> lock(mutex_);
-  const auto& e = result.headParams;
-  const double delta =
-      lastEstimate_
-          ? std::max({std::fabs(e.a - lastEstimate_->a),
-                      std::fabs(e.b - lastEstimate_->b),
-                      std::fabs(e.c - lastEstimate_->c)})
-          : 1.0;  // first solve never counts toward the stable streak
-  deltaGauge.set(delta);
-  lastEstimate_ = e;
-  snapshot_.headEstimate = e;
-  snapshot_.objectiveDeg2 = result.finalObjectiveDeg2;
-  ++snapshot_.incrementalSolves;
-  stableStreak_ = delta < kConvergeDeltaM ? stableStreak_ + 1 : 0;
-  if (!snapshot_.converged &&
-      measurements.size() >= kMinStopsBeforeConverge &&
-      snapshot_.coveredFraction >= kMinCoverageForConverge &&
-      stableStreak_ >= kConvergeStreak) {
-    snapshot_.converged = true;
-    timeToConvergeMs_ = obs::steadyMs() - firstPushMs_;
-    snapshot_.hint = "table converged — you can stop sweeping";
-    obs::registry().gauge("stream.time_to_converge_ms").set(timeToConvergeMs_);
-    obs::registry().counter("stream.sessions.converged").inc();
+    // The warm-started solve runs outside mutex_, so other coverage()
+    // callers and cancel() never wait on an optimizer iteration.
+    core::SensorFusionResult result;
+    {
+      UNIQ_SPAN("stream.fuse.solve");
+      incRestarts.inc();
+      result = fusion_.solveIncremental(next.measurements, seed);
+    }
+
+    std::lock_guard<std::mutex> lock(mutex_);
+    const auto& e = result.headParams;
+    const double delta =
+        lastEstimate_
+            ? std::max({std::fabs(e.a - lastEstimate_->a),
+                        std::fabs(e.b - lastEstimate_->b),
+                        std::fabs(e.c - lastEstimate_->c)})
+            : 1.0;  // first solve never counts toward the stable streak
+    deltaGauge.set(delta);
+    lastEstimate_ = e;
+    snapshot_.headEstimate = e;
+    snapshot_.objectiveDeg2 = result.finalObjectiveDeg2;
+    ++snapshot_.incrementalSolves;
+    stableStreak_ = delta < kConvergeDeltaM ? stableStreak_ + 1 : 0;
+    if (!snapshot_.converged &&
+        next.measurements.size() >= kMinStopsBeforeConverge &&
+        next.coveredFraction >= kMinCoverageForConverge &&
+        stableStreak_ >= kConvergeStreak) {
+      snapshot_.converged = true;
+      timeToConvergeMs_ = obs::steadyMs() - firstPushMs_;
+      snapshot_.hint = "table converged — you can stop sweeping";
+      obs::registry().gauge("stream.time_to_converge_ms").set(
+          timeToConvergeMs_);
+      obs::registry().counter("stream.sessions.converged").inc();
+    }
   }
 }
 
@@ -232,7 +247,11 @@ StreamingResult StreamingSession::finalize(obs::RunReport* report) {
   std::size_t stopsIngested = 0, stopsUsable = 0, incrementalSolves = 0;
   double timeToConvergeMs = 0.0;
   {
+    // A reader's solve already running finishes first; the queued ones are
+    // dropped, so the live fields below count the solves that ran.
+    std::lock_guard<std::mutex> solveLock(solveMutex_);
     std::lock_guard<std::mutex> lock(mutex_);
+    pendingSolves_.clear();
     convergedEarly = snapshot_.converged;
     stopsIngested = snapshot_.stopsIngested;
     stopsUsable = snapshot_.stopsUsable;

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstddef>
+#include <deque>
 #include <map>
 #include <mutex>
 #include <optional>
@@ -73,13 +74,16 @@ inline constexpr std::size_t kConvergeStreak = 3;
 /// streaming session's own accounting.
 struct StreamingResult {
   core::PersonalHrtf personal;
-  /// True when the convergence signal fired before finalize() was called —
-  /// the sweep ended early because the table had stabilized.
+  /// True when the convergence signal fired in a solve that ran before
+  /// finalize() — the sweep ended early because the table had stabilized.
   bool convergedEarly = false;
   std::size_t stopsIngested = 0;
   std::size_t stopsUsable = 0;
+  /// Incremental solves that ran: those a coverage()/converged() read asked
+  /// for before finalize() (0 for a session nobody read).
   std::size_t incrementalSolves = 0;
-  /// First push -> convergence signal (0 when the session never converged).
+  /// First push -> the solve that latched convergence, as it ran (0 when
+  /// the session never converged).
   double timeToConvergeMs = 0.0;
 };
 
@@ -88,24 +92,30 @@ struct StreamingResult {
 /// (docs/STREAMING.md has the contracts).
 ///
 /// push() runs on the caller's thread: it deconvolves the stop's channel,
-/// folds it into the live CoverageSnapshot, and refreshes a *running* DSF
-/// solve warm-started from the previous head estimate (one
+/// folds it into the live CoverageSnapshot, and queues that push's inputs
+/// for a *running* DSF solve. The solves run only for a reader:
+/// coverage() and converged() first replay the queued solves in push
+/// order, each warm-started from the previous head estimate (one
 /// Levenberg-Marquardt start at the last E; the persistent SensorFusion's
 /// geometry LRU and the localizer's warm Brent brackets carry over between
-/// solves, so refinements cost a fraction of a cold solve). When push()
-/// returns the stop is folded in, so coverage() and converged() are exact:
-/// the convergence signal fires at the same push on every run of the same
-/// capture — the moment the capture app can tell the user to stop sweeping.
+/// solves, so refinements cost a fraction of a cold solve). Each replayed
+/// solve sees exactly the inputs an eager solve at its push would have, so
+/// the live estimate, the solve count and the push at which the
+/// convergence signal fires do not depend on when, or from which thread,
+/// the session is read — and a session nobody reads (a service replaying a
+/// complete capture) runs no solve at all.
 ///
-/// finalize() then runs the remaining batch stages (quality gate, robust
-/// fusion, near-field, near-far, gesture) over exactly the ingested stops
-/// and their already-extracted channels, via
+/// finalize() drops the solves still queued and runs the remaining batch
+/// stages (quality gate, robust fusion, near-field, near-far, gesture) over
+/// exactly the ingested stops and their already-extracted channels, via
 /// CalibrationPipeline::runFromChannels — so a session that saw every stop
 /// of a capture produces a bitwise-identical table to the batch run.
 ///
 /// Thread-safety: push() and finalize() belong to one producer thread
-/// (finalize once, after the last push); coverage/converged/cancel are safe
-/// from any thread and never wait on a solve.
+/// (finalize once, after the last push; it lets a solve already running
+/// finish). coverage() and converged() are safe from any thread and may run
+/// queued solves on it, one reader at a time; cancel() is safe from any
+/// thread and never waits.
 class StreamingSession {
  public:
   explicit StreamingSession(CaptureHeader header,
@@ -123,15 +133,16 @@ class StreamingSession {
   bool push(sim::CalibrationStop stop,
             std::optional<std::size_t> seq = std::nullopt);
 
-  /// Latest coverage/quality snapshot (cheap copy under a mutex).
+  /// Latest coverage/quality snapshot, after running the queued solves.
   CoverageSnapshot coverage() const;
 
-  /// True once the running table has stabilized; the producer may stop
-  /// sweeping and call finalize().
+  /// True once the running table has stabilized (after running the queued
+  /// solves); the producer may stop sweeping and call finalize().
   bool converged() const;
 
-  /// Abort: finalize() will return the population-average fallback with
-  /// aborted = true, mirroring a batch run whose RunAbortToken fired.
+  /// Abort: drops the queued solves, and finalize() will return the
+  /// population-average fallback with aborted = true, mirroring a batch run
+  /// whose RunAbortToken fired.
   void cancel();
 
   /// Run the remaining batch stages over everything ingested. Fills
@@ -146,10 +157,19 @@ class StreamingSession {
   obs::TraceId traceId() const { return traceId_; }
 
  private:
-  /// Fold one extracted stop into the running state, then run the warm
-  /// incremental solve outside the lock when the stop was usable.
+  /// The inputs of one incremental solve, as of the push that queued it.
+  struct PendingSolve {
+    std::vector<core::FusionMeasurement> measurements;  ///< usable, seq-sorted
+    double coveredFraction = 0.0;
+  };
+
+  /// Fold one extracted stop into the running state and, when the stop was
+  /// usable, queue its incremental solve.
   void absorbStop(std::size_t seq, sim::CalibrationStop stop,
                   core::BinauralChannel channel);
+  /// Run the queued solves in push order, each outside mutex_, and fold
+  /// their results into the live state. Serialized by solveMutex_.
+  void runPendingSolves() const;
   /// Recompute the latched-bin coverage snapshot. Caller holds mutex_.
   void updateCoverage(double angleDeg, bool usable);
 
@@ -157,11 +177,12 @@ class StreamingSession {
   obs::TraceId traceId_ = 0;
   core::ChannelExtractor extractor_;
   core::SensorFusion fusion_;  ///< persistent: geometry LRU warms up across
-                               ///< incremental solves
+                               ///< incremental solves (under solveMutex_)
   core::CalibrationPipeline pipeline_;
   double extractWallMs_ = 0.0;  ///< push()/finalize() only: no lock needed
 
-  mutable std::mutex mutex_;
+  mutable std::mutex solveMutex_;  ///< one replaying reader at a time
+  mutable std::mutex mutex_;       ///< everything below
   // Accumulated per-seq state, consumed by finalize().
   struct FoldedStop {
     sim::CalibrationStop stop;
@@ -170,11 +191,14 @@ class StreamingSession {
   std::map<std::size_t, FoldedStop> stopsBySeq_;
   std::vector<core::FusionMeasurement> measurements_;  ///< usable, seq-sorted
   std::vector<bool> coveredBins_;
-  CoverageSnapshot snapshot_;
-  std::optional<head::HeadParameters> lastEstimate_;
-  std::size_t stableStreak_ = 0;
+  // The live state a reader's replayed solves advance (hence mutable: a
+  // read runs the solves an eager push would have run).
+  mutable std::deque<PendingSolve> pendingSolves_;
+  mutable CoverageSnapshot snapshot_;
+  mutable std::optional<head::HeadParameters> lastEstimate_;
+  mutable std::size_t stableStreak_ = 0;
+  mutable double timeToConvergeMs_ = 0.0;
   double firstPushMs_ = 0.0;
-  double timeToConvergeMs_ = 0.0;
   std::size_t nextArrivalSeq_ = 0;
   bool cancelled_ = false;
   bool finalized_ = false;

@@ -384,7 +384,8 @@ TEST(CalibrationService, StreamingJobMatchesBatchJobBitwise) {
   // A streaming job replays every stop of its capture, so its table is the
   // batch job's table bit for bit — also on a full-length sweep whose
   // running estimate converges well before the last stop — and a second
-  // service run reproduces both exactly.
+  // service run reproduces both exactly. Nobody reads the job's session
+  // while it is fed, so it runs no incremental solve.
   const auto capture = std::make_shared<const sim::CalibrationCapture>(
       makeCapture(26, 36));
   std::vector<std::shared_ptr<const core::HrtfTable>> streamed;
@@ -394,10 +395,15 @@ TEST(CalibrationService, StreamingJobMatchesBatchJobBitwise) {
     serve::CalibrationService service(opts);
     serve::JobOptions streaming;
     streaming.streaming = true;
+    const auto restartsBefore = obs::registry().snapshot().counter(
+        "stream.solve.incremental_restarts");
     ASSERT_NE(service.submit("batch", capture), serve::kInvalidJobId);
     ASSERT_NE(service.submit("stream", capture, streaming),
               serve::kInvalidJobId);
     const auto results = service.drain();
+    EXPECT_EQ(obs::registry().snapshot().counter(
+                  "stream.solve.incremental_restarts"),
+              restartsBefore);
     ASSERT_EQ(results.size(), 2u);
     for (const auto& r : results) {
       ASSERT_EQ(r.state, serve::JobState::kDone) << r.userId;
@@ -682,6 +688,32 @@ TEST(BatchAoaEngine, MatchesSingleEstimatorBitForBit) {
                                          angles[i]),
               10.0);
   }
+}
+
+TEST(AoaEstimator, KnownSourceShiftsOncePerDistinctTemplateTap) {
+  // The known-source sweep aligns each ear's channel once per distinct
+  // template tap: every left tap of the population-average table sits at
+  // the same sample and the right taps take 180 values, so a query costs
+  // 1 + 180 fractional shifts instead of one per angle and ear (362).
+  const auto table = serve::TableCache::populationAverageTable(48000.0);
+  const auto& far = table->farTable();
+  for (const double tap : far.tapLeftSamples)
+    ASSERT_EQ(tap, far.tapLeftSamples.front());
+  const double fs = table->sampleRate();
+  const auto chirp =
+      dsp::linearChirp(200.0, 16000.0, static_cast<std::size_t>(0.05 * fs),
+                       fs);
+  const auto rendered = table->renderFar(75.0, chirp);
+  const core::AoaEstimator estimator(far);
+  const auto calls = [] {
+    return obs::registry().snapshot().counter("dsp.fractional_shift.calls");
+  };
+  const auto before = calls();
+  const auto est =
+      estimator.estimateKnown(rendered.left, rendered.right, chirp);
+  EXPECT_EQ(calls() - before, 181u);
+  EXPECT_FALSE(est.degraded);
+  EXPECT_LT(angularDistanceDeg(est.angleDeg, 75.0), 10.0);
 }
 
 TEST(BatchAoaEngine, UncachedUserFallsBackAndIsFlagged) {

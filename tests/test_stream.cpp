@@ -1,12 +1,14 @@
 // Streaming-calibration tests: the StreamingSession's equality contract
 // against the batch pipeline (bitwise-identical tables when every stop
 // arrives, in any order), synchronous push() (state exact on return),
-// cancellation, coverage monotonicity, the deterministic convergence-based
-// early stop, and the stream.* metrics surface.
+// incremental solves that run only for a reader and do not depend on when
+// it reads, cancellation, coverage monotonicity, the deterministic
+// convergence-based early stop, and the stream.* metrics surface.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdint>
+#include <cstring>
 #include <thread>
 #include <vector>
 
@@ -246,26 +248,92 @@ TEST(StreamingSession, FinalizeObservesEachStageOnce) {
   }
 }
 
+std::uint64_t counterValue(const char* name) {
+  return obs::registry().snapshot().counter(name);
+}
+
 TEST(StreamingSession, ExportsStreamMetrics) {
+  // Solves run only for a reader: a session nobody reads until finalize
+  // runs no incremental solve and no objective evaluation while it is fed.
   const auto capture = makeCapture(27, 8);
   stream::StreamingSession session(
       stream::CaptureHeader::fromCapture(capture));
+  const auto ingestedBefore = counterValue("stream.stops.ingested");
+  const auto restartsBefore =
+      counterValue("stream.solve.incremental_restarts");
+  const auto evalsBefore = counterValue("dsf.objective.evals");
   for (std::size_t i = 0; i < capture.stops.size(); ++i)
     ASSERT_TRUE(session.push(capture.stops[i], i));
-  obs::RunReport report;
-  (void)session.finalize(&report);
-
-  const auto snapshot = obs::registry().snapshot();
-  EXPECT_GE(snapshot.counter("stream.stops.ingested"),
+  EXPECT_EQ(counterValue("stream.stops.ingested") - ingestedBefore,
             capture.stops.size());
-  EXPECT_GE(snapshot.counter("stream.solve.incremental_restarts"), 1u);
-  EXPECT_GE(snapshot.counter("stream.sessions.finalized"), 1u);
+  EXPECT_EQ(counterValue("stream.solve.incremental_restarts"),
+            restartsBefore);
+  EXPECT_EQ(counterValue("dsf.objective.evals"), evalsBefore);
+
+  const auto finalizedBefore = counterValue("stream.sessions.finalized");
+  obs::RunReport report;
+  const auto out = session.finalize(&report);
+  EXPECT_EQ(out.incrementalSolves, 0u);
+  EXPECT_EQ(counterValue("stream.solve.incremental_restarts"),
+            restartsBefore);  // finalize drops the queued solves
+  EXPECT_EQ(counterValue("stream.sessions.finalized") - finalizedBefore, 1u);
 
   // The streaming finalize fills the report like a batch run, with the
   // accumulated per-stop extraction time on the "extract" stage.
   ASSERT_NE(report.find("extract"), nullptr);
   EXPECT_GT(report.find("extract")->wallMs, 0.0);
   ASSERT_NE(report.find("fusion"), nullptr);
+
+  // Read after every push, the session runs one solve per usable push from
+  // the third usable stop on.
+  stream::StreamingSession read(stream::CaptureHeader::fromCapture(capture));
+  const auto readBefore = counterValue("stream.solve.incremental_restarts");
+  std::size_t expectedSolves = 0, lastUsable = 0;
+  for (std::size_t i = 0; i < capture.stops.size(); ++i) {
+    ASSERT_TRUE(read.push(capture.stops[i], i));
+    const auto snap = read.coverage();
+    if (snap.stopsUsable > lastUsable && snap.stopsUsable >= 3)
+      ++expectedSolves;
+    lastUsable = snap.stopsUsable;
+    EXPECT_EQ(snap.incrementalSolves, expectedSolves) << "after stop " << i;
+  }
+  EXPECT_GE(expectedSolves, 1u);
+  EXPECT_EQ(counterValue("stream.solve.incremental_restarts") - readBefore,
+            expectedSolves);
+  EXPECT_EQ(read.finalize().incrementalSolves, expectedSolves);
+}
+
+bool sameBits(double a, double b) { return std::memcmp(&a, &b, sizeof a) == 0; }
+
+TEST(StreamingSession, ReadTimingDoesNotChangeTheLiveEstimate) {
+  // Queued solves replay with the inputs and warm seed of their push, so a
+  // session read once at the end reaches the live estimate, solve count
+  // and convergence of one read after every push, bit for bit.
+  const auto capture = makeCapture(26, 36);
+  stream::StreamingSession eager(stream::CaptureHeader::fromCapture(capture));
+  stream::StreamingSession lazy(stream::CaptureHeader::fromCapture(capture));
+  for (std::size_t i = 0; i < capture.stops.size(); ++i) {
+    ASSERT_TRUE(eager.push(capture.stops[i], i));
+    (void)eager.coverage();
+    ASSERT_TRUE(lazy.push(capture.stops[i], i));
+  }
+  const auto a = eager.coverage();
+  const auto b = lazy.coverage();
+  EXPECT_TRUE(sameBits(a.headEstimate.a, b.headEstimate.a));
+  EXPECT_TRUE(sameBits(a.headEstimate.b, b.headEstimate.b));
+  EXPECT_TRUE(sameBits(a.headEstimate.c, b.headEstimate.c));
+  EXPECT_TRUE(sameBits(a.objectiveDeg2, b.objectiveDeg2));
+  EXPECT_EQ(a.incrementalSolves, b.incrementalSolves);
+  EXPECT_GT(a.incrementalSolves, 0u);
+  EXPECT_EQ(a.converged, b.converged);
+  EXPECT_TRUE(a.converged);
+  EXPECT_EQ(a.hint, b.hint);
+
+  const auto outA = eager.finalize();
+  const auto outB = lazy.finalize();
+  EXPECT_EQ(outA.incrementalSolves, outB.incrementalSolves);
+  EXPECT_EQ(outA.convergedEarly, outB.convergedEarly);
+  expectTablesBitwiseEqual(outA.personal, outB.personal);
 }
 
 }  // namespace
