@@ -31,8 +31,9 @@
 //              [--sample-interval-ms X] [--slo-rules rules.json]
 //              [--fail-on-slo] [--exposition-out m.prom]
 //       Zipfian-skewed load driver over N simulated users against the
-//       sharded serving stack: mostly table lookups, with AoA queries and
-//       batch/streaming calibration jobs mixed in. Reports p50/p99/p999
+//       serving stack (--shards K: the table cache's shard count): mostly
+//       table lookups, with AoA queries and batch/streaming calibration
+//       jobs mixed in. Reports p50/p99/p999
 //       latency, per-tier hit rates over time, and saturation throughput
 //       (see docs/CAPACITY.md). Runs a continuous-telemetry sampler; with
 //       --scrape-port it serves live Prometheus exposition on localhost
@@ -40,7 +41,7 @@
 //       (--fail-on-slo exits 5 on breach; see docs/OBSERVABILITY.md).
 //   monitor --port P [--interval-ms X] [--iterations N]
 //       Poll a serve-load scrape endpoint and render a live terminal view
-//       of rates, window quantiles, shard depths, and SLO status.
+//       of rates, window quantiles, and SLO status.
 //   convert --in table.uniq --out table.uniqq [--format quantized|float64]
 //       Re-encode an HRTF table between the float64 and quantized
 //       containers and print the size ratio.
@@ -776,9 +777,9 @@ int cmdServeLoad(const Args& args) {
 
   // --- The service under load. -----------------------------------------
   serve::CalibrationService service(serveOpts);
-  std::cout << "service: " << service.workerCount() << " worker(s), "
-            << service.shardCount() << " shard(s), cache " << cacheCapacity
-            << " (" << service.cache().shardCount() << " shard(s))"
+  std::cout << "service: " << service.workerCount() << " worker(s), cache "
+            << cacheCapacity << " (" << service.cache().shardCount()
+            << " shard(s))"
             << (tableDir.empty() ? std::string()
                                  : ", persist dir " + tableDir)
             << "\n";
@@ -1259,18 +1260,18 @@ void usage() {
       "              [--metrics-out metrics.json] [--scrape-port P]\n"
       "              [--sample-interval-ms X] [--slo-rules rules.json]\n"
       "              [--fail-on-slo] [--exposition-out metrics.prom]\n"
-      "              Zipfian load driver over the sharded serving stack:\n"
-      "              reports p50/p99/p999 latency, tier hit rates, and\n"
-      "              saturation throughput (docs/CAPACITY.md). With\n"
-      "              --scrape-port the run serves live Prometheus\n"
-      "              exposition on 127.0.0.1 (0 = ephemeral, port is\n"
-      "              printed); --slo-rules evaluates burn-rate SLOs per\n"
-      "              sampler window and --fail-on-slo exits 5 on breach\n"
-      "              (docs/OBSERVABILITY.md)\n"
+      "              Zipfian load driver over the serving stack (K =\n"
+      "              table-cache shards, default 4): reports p50/p99/p999\n"
+      "              latency, tier hit rates, and saturation throughput\n"
+      "              (docs/CAPACITY.md). With --scrape-port the run\n"
+      "              serves live Prometheus exposition on 127.0.0.1\n"
+      "              (0 = ephemeral, port is printed); --slo-rules\n"
+      "              evaluates burn-rate SLOs per sampler window and\n"
+      "              --fail-on-slo exits 5 on breach (docs/OBSERVABILITY.md)\n"
       "  monitor     --port P [--interval-ms X] [--iterations N]\n"
       "              live terminal view of a serve-load scrape endpoint:\n"
-      "              rates, per-window p50/p90/p99, shard depths, SLO\n"
-      "              status (N = 0 polls until the endpoint goes away)\n"
+      "              rates, per-window p50/p90/p99, SLO status\n"
+      "              (N = 0 polls until the endpoint goes away)\n"
       "  convert     --in table.uniq --out table.uniqq\n"
       "              [--format quantized|float64]\n"
       "              re-encode a table between containers\n";

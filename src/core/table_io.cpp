@@ -6,8 +6,10 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <string>
@@ -119,6 +121,32 @@ void writeQuantizedHrirs(std::ostream& os,
     for (std::size_t i = 0; i < len; ++i)
       row[len + i] = quantizeSample(hrir.right[i], scale);
     writeBytes(os, row.data(), row.size() * sizeof(std::int16_t));
+  }
+}
+
+// --- Atomic replace -------------------------------------------------------
+
+/// Runs `body` against a temp file next to `path` (unique per writer:
+/// process id plus a process-wide sequence number), then renames it over
+/// `path`. A reader, a concurrent mmap included, sees the old file or the
+/// new one, never a torn one; a throw anywhere leaves `path` as it was and
+/// removes the temp file.
+template <typename Body>
+void saveAtomically(const std::string& path, Body&& body) {
+  static std::atomic<std::uint64_t> sequence{0};
+  const std::string tmp = path + ".tmp." + std::to_string(::getpid()) + "." +
+                          std::to_string(sequence.fetch_add(1));
+  try {
+    std::ofstream os(tmp, std::ios::binary | std::ios::trunc);
+    UNIQ_REQUIRE(os.good(), "cannot open output file: " + path);
+    body(os);
+    os.close();
+    UNIQ_CHECK(!os.fail(), "write failed: " + path);
+    UNIQ_CHECK(std::rename(tmp.c_str(), path.c_str()) == 0,
+               "cannot replace " + path);
+  } catch (...) {
+    std::remove(tmp.c_str());
+    throw;
   }
 }
 
@@ -396,35 +424,34 @@ const char* tableFormatName(TableFormat format) {
 }
 
 void saveHrtfTable(const std::string& path, const HrtfTable& table) {
-  std::ofstream os(path, std::ios::binary);
-  UNIQ_REQUIRE(os.good(), "cannot open output file: " + path);
-  const auto& nearTable = table.nearTable();
-  const auto& farTable = table.farTable();
-  writeHeader(os, kMagic, kVersion, nearTable);
-  writeHrirs(os, nearTable.byDegree);
-  writeVector(os, nearTable.tapLeftSamples);
-  writeVector(os, nearTable.tapRightSamples);
-  writeHrirs(os, farTable.byDegree);
-  writeVector(os, farTable.tapLeftSamples);
-  writeVector(os, farTable.tapRightSamples);
-  UNIQ_CHECK(os.good(), "write failed: " + path);
+  saveAtomically(path, [&table](std::ostream& os) {
+    const auto& nearTable = table.nearTable();
+    const auto& farTable = table.farTable();
+    writeHeader(os, kMagic, kVersion, nearTable);
+    writeHrirs(os, nearTable.byDegree);
+    writeVector(os, nearTable.tapLeftSamples);
+    writeVector(os, nearTable.tapRightSamples);
+    writeHrirs(os, farTable.byDegree);
+    writeVector(os, farTable.tapLeftSamples);
+    writeVector(os, farTable.tapRightSamples);
+  });
 }
 
 void saveHrtfTableQuantized(const std::string& path, const HrtfTable& table) {
-  std::ofstream os(path, std::ios::binary);
-  UNIQ_REQUIRE(os.good(), "cannot open output file: " + path);
-  const auto& nearTable = table.nearTable();
-  const auto& farTable = table.farTable();
-  writeHeader(os, kMagicQuant, kQuantVersion, nearTable);
-  writeQuantizedHrirs(os, nearTable.byDegree, nearTable.sampleRate,
-                      "near-field HRIRs");
-  writeQuantizedTaps(os, nearTable.tapLeftSamples, "near-field left taps");
-  writeQuantizedTaps(os, nearTable.tapRightSamples, "near-field right taps");
-  writeQuantizedHrirs(os, farTable.byDegree, nearTable.sampleRate,
-                      "far-field HRIRs");
-  writeQuantizedTaps(os, farTable.tapLeftSamples, "far-field left taps");
-  writeQuantizedTaps(os, farTable.tapRightSamples, "far-field right taps");
-  UNIQ_CHECK(os.good(), "write failed: " + path);
+  saveAtomically(path, [&table](std::ostream& os) {
+    const auto& nearTable = table.nearTable();
+    const auto& farTable = table.farTable();
+    writeHeader(os, kMagicQuant, kQuantVersion, nearTable);
+    writeQuantizedHrirs(os, nearTable.byDegree, nearTable.sampleRate,
+                        "near-field HRIRs");
+    writeQuantizedTaps(os, nearTable.tapLeftSamples, "near-field left taps");
+    writeQuantizedTaps(os, nearTable.tapRightSamples,
+                       "near-field right taps");
+    writeQuantizedHrirs(os, farTable.byDegree, nearTable.sampleRate,
+                        "far-field HRIRs");
+    writeQuantizedTaps(os, farTable.tapLeftSamples, "far-field left taps");
+    writeQuantizedTaps(os, farTable.tapRightSamples, "far-field right taps");
+  });
 }
 
 HrtfTable loadHrtfTable(const std::string& path) {

@@ -42,8 +42,10 @@ const char* tableFormatName(TableFormat format);
 inline constexpr double kQuantSampleError = (1.0 + 1e-6) / 65534.0;
 inline constexpr double kQuantTapErrorSamples = 1.0 / 512.0;
 
-/// Write the table to `path` in the kFloat64 container. Throws on I/O
-/// failure.
+/// Write the table to `path` in the kFloat64 container. Both savers write
+/// a temp file in the same directory and rename it over `path`, so readers
+/// never see a partial file and a failed save leaves the previous file
+/// intact. Throws on I/O failure.
 void saveHrtfTable(const std::string& path, const HrtfTable& table);
 
 /// Write the table to `path` in the compact kQuantized container. Requires

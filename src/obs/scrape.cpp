@@ -228,13 +228,6 @@ std::string monitorView(const std::string& exposition) {
     const double p99 = valueOr0(base + "_window_q{q=\"0.99\"}");
     os << value << " / " << p90 << " / " << p99 << "\n";
   }
-  bool anyShard = false;
-  for (const auto& [key, value] : samples) {
-    if (key.rfind("uniq_serve_shard_", 0) != 0) continue;
-    if (!anyShard) os << "shards:\n";
-    anyShard = true;
-    os << "  " << key << " " << value << "\n";
-  }
   bool anySlo = false;
   const std::string breachedPrefix = "uniq_slo_breached{rule=\"";
   for (const auto& [key, value] : samples) {

@@ -31,8 +31,8 @@ std::string prometheusText(const MetricsSnapshot& snapshot,
 
 /// The text `uniq monitor` prints for one scrape of a prometheusText()
 /// document: non-zero rates, per-window p50 / p90 / p99 (a histogram
-/// whose latest window saw no observation prints `-`, not zeros), shard
-/// series and SLO status.
+/// whose latest window saw no observation prints `-`, not zeros) and SLO
+/// status.
 std::string monitorView(const std::string& exposition);
 
 /// Minimal localhost HTTP server for scraping telemetry: binds 127.0.0.1

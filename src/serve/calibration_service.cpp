@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <functional>
 #include <utility>
 
 #include "common/error.h"
@@ -26,11 +25,6 @@ obs::Gauge& queueMaxDepthGauge() {
 obs::Gauge& runningGauge() {
   static obs::Gauge& g = obs::registry().gauge("serve.jobs.running");
   return g;
-}
-obs::Counter& rejectedByShardCounter() {
-  static obs::Counter& c =
-      obs::registry().counter("serve.jobs.rejected_by_shard");
-  return c;
 }
 obs::Counter& stateCounter(JobState state) {
   static obs::Counter& submitted =
@@ -66,14 +60,6 @@ std::size_t resolveWorkers(std::size_t requested) {
   return common::globalPool().threadCount() + 1;
 }
 
-bool isPowerOfTwo(std::size_t n) { return n > 0 && (n & (n - 1)) == 0; }
-
-std::size_t log2PowerOfTwo(std::size_t n) {
-  std::size_t bits = 0;
-  while ((std::size_t{1} << bits) < n) ++bits;
-  return bits;
-}
-
 }  // namespace
 
 const char* jobStateName(JobState state) {
@@ -94,11 +80,10 @@ const char* jobStateName(JobState state) {
   return "unknown";
 }
 
-/// Internal job record. State transitions happen under the owning shard's
+/// Internal job record. State transitions happen under the service
 /// mutex; the abort token is the only cross-thread channel used mid-run.
 struct CalibrationService::Job {
   std::uint64_t id = 0;
-  std::size_t shardIdx = 0;
   std::string userId;
   std::shared_ptr<const sim::CalibrationCapture> capture;
   JobOptions opts;
@@ -138,113 +123,46 @@ struct CalibrationService::Job {
   }
 };
 
-/// One independent submission lane: its own lock, FIFO, job ledger, and
-/// instruments. Only the worker pool is shared across shards.
-struct CalibrationService::Shard {
-  mutable std::mutex mutex;
-  std::condition_variable cv;
-  std::deque<std::shared_ptr<Job>> queued;
-  std::unordered_map<std::uint64_t, std::shared_ptr<Job>> jobs;
-  std::size_t running = 0;
-  std::size_t drainersInFlight = 0;
-  bool shutdown = false;
-  obs::Gauge* depthGauge = nullptr;     ///< serve.shard.N.queue_depth
-  obs::Counter* rejected = nullptr;     ///< serve.shard.N.rejected
-};
-
 CalibrationService::CalibrationService(Options opts)
     : opts_(std::move(opts)),
-      cache_(TableCacheOptions{
-          std::max<std::size_t>(opts_.cacheCapacity, 1), opts_.persistDir,
-          opts_.cacheShards == 0
-              ? (isPowerOfTwo(opts_.shards) ? opts_.shards : 1)
-              : opts_.cacheShards}),
+      cache_(TableCacheOptions{std::max<std::size_t>(opts_.cacheCapacity, 1),
+                               opts_.persistDir, opts_.shards}),
       pipeline_(opts_.pipeline),
       pool_(resolveWorkers(opts_.workers)) {
-  UNIQ_REQUIRE(isPowerOfTwo(opts_.shards),
-               "service shard count must be a power of two");
-  shardBits_ = log2PowerOfTwo(opts_.shards);
-  maxQueuedPerShard_ =
-      std::max<std::size_t>(1, opts_.maxQueued / opts_.shards);
-  shards_.reserve(opts_.shards);
-  for (std::size_t i = 0; i < opts_.shards; ++i) {
-    auto shard = std::make_unique<Shard>();
-    const std::string prefix = "serve.shard." + std::to_string(i);
-    shard->depthGauge = &obs::registry().gauge(prefix + ".queue_depth");
-    shard->rejected = &obs::registry().counter(prefix + ".rejected");
-    shards_.push_back(std::move(shard));
-  }
   obs::registry()
       .gauge("serve.workers")
       .set(static_cast<double>(pool_.threadCount()));
-  obs::registry()
-      .gauge("serve.shards")
-      .set(static_cast<double>(shards_.size()));
-  rejectedByShardCounter();  // register at 0 so exports always include it
 }
 
 CalibrationService::~CalibrationService() {
-  // Phase 1: close every shard and cancel its waiting jobs; running jobs
-  // finish on their own (their capture and token live in the shared Job
-  // record). Phase 2: wait for each shard's workers to come home.
-  for (auto& shardPtr : shards_) {
-    Shard& shard = *shardPtr;
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    shard.shutdown = true;
-    for (const auto& job : shard.queued) {
-      job->token.requestCancel();
-      job->state = JobState::kCancelled;
-      job->queueMs = obs::steadyMs() - job->submitMs;
-      stateCounter(JobState::kCancelled).inc();
-      queueDepthGauge().add(-1.0);
-      shard.depthGauge->add(-1.0);
-      queuedTotal_.fetch_sub(1, std::memory_order_relaxed);
-    }
-    shard.queued.clear();
-    shard.cv.notify_all();
+  // Cancel every waiting job; its pool task then returns at once. Running
+  // jobs finish on their own, and pool_ (the last member) joins them before
+  // the rest of the service is destroyed.
+  std::lock_guard<std::mutex> lock(mutex_);
+  for (const auto& [id, job] : jobs_) {
+    if (job->state != JobState::kQueued) continue;
+    job->token.requestCancel();
+    job->state = JobState::kCancelled;
+    job->queueMs = obs::steadyMs() - job->submitMs;
+    stateCounter(JobState::kCancelled).inc();
+    queueDepthGauge().add(-1.0);
   }
-  for (auto& shardPtr : shards_) {
-    Shard& shard = *shardPtr;
-    std::unique_lock<std::mutex> lock(shard.mutex);
-    shard.cv.wait(
-        lock, [&] { return shard.running == 0 && shard.drainersInFlight == 0; });
-  }
-}
-
-CalibrationService::Shard& CalibrationService::shardForUser(
-    const std::string& userId) {
-  // Power-of-two count makes the modulo a mask; the same hash the table
-  // cache uses, so a user's jobs and tables land on aligned shards.
-  return *shards_[std::hash<std::string>{}(userId) & (shards_.size() - 1)];
-}
-
-CalibrationService::Shard& CalibrationService::shardForId(std::uint64_t id) {
-  // Job ids carry their shard in the low bits: id = (seq << bits) | shard.
-  return *shards_[id & (shards_.size() - 1)];
+  queued_ = 0;
+  cv_.notify_all();
 }
 
 std::uint64_t CalibrationService::submit(
     std::string userId, std::shared_ptr<const sim::CalibrationCapture> capture,
     JobOptions jobOpts) {
   UNIQ_REQUIRE(capture != nullptr, "null capture");
-  const std::size_t shardIdx =
-      std::hash<std::string>{}(userId) & (shards_.size() - 1);
-  Shard& shard = *shards_[shardIdx];
-  std::lock_guard<std::mutex> lock(shard.mutex);
-  if (shard.shutdown || shard.queued.size() >= maxQueuedPerShard_) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  if (queued_ >= std::max<std::size_t>(opts_.maxQueued, 1)) {
     stateCounter(JobState::kRejected).inc();
-    shard.rejected->inc();
-    rejectedByShardCounter().inc();
     return kInvalidJobId;
   }
 
   auto job = std::make_shared<Job>();
-  // Global sequence in the high bits, shard in the low bits: ids stay
-  // unique and self-routing, and with shards=1 (bits=0) they are exactly
-  // the pre-sharding 1,2,3,... sequence.
-  job->id = (nextSeq_.fetch_add(1, std::memory_order_relaxed) << shardBits_) |
-            static_cast<std::uint64_t>(shardIdx);
-  job->shardIdx = shardIdx;
+  job->id = nextId_++;
   job->userId = std::move(userId);
   job->capture = std::move(capture);
   job->opts = jobOpts;
@@ -259,19 +177,11 @@ std::uint64_t CalibrationService::submit(
             std::chrono::duration<double, std::milli>(jobOpts.deadlineMs)));
   }
 
-  shard.queued.push_back(job);
-  shard.jobs[job->id] = job;
-  {
-    std::lock_guard<std::mutex> orderLock(orderMutex_);
-    submissionOrder_.push_back(job->id);
-  }
+  jobs_.emplace(job->id, job);
   stateCounter(JobState::kQueued).inc();  // serve.jobs.submitted
   queueDepthGauge().add(1.0);
-  shard.depthGauge->add(1.0);
-  const std::size_t depth =
-      queuedTotal_.fetch_add(1, std::memory_order_relaxed) + 1;
-  queueMaxDepthGauge().setMax(static_cast<double>(depth));
-  pumpLocked(shard);
+  queueMaxDepthGauge().setMax(static_cast<double>(++queued_));
+  pool_.submit([this, job] { pickUp(job); });
   return job->id;
 }
 
@@ -284,54 +194,30 @@ std::uint64_t CalibrationService::submit(std::string userId,
                 jobOpts);
 }
 
-void CalibrationService::pumpLocked(Shard& shard) {
-  // One drainer task can feed one worker; spawn up to the pool width per
-  // shard. Only drainers not busy running a job can take queued work, so
-  // spawn until the idle ones cover the queue. A drainer finding its queue
-  // already empty exits immediately, so a spare one is cheap, but a missing
-  // one would strand queued work behind a running job.
-  while (shard.drainersInFlight < pool_.threadCount() &&
-         shard.drainersInFlight - shard.running < shard.queued.size()) {
-    ++shard.drainersInFlight;
-    pool_.submit([this, &shard] { drainQueue(shard); });
-  }
-}
-
-void CalibrationService::drainQueue(Shard& shard) {
-  for (;;) {
-    std::shared_ptr<Job> job;
-    {
-      std::lock_guard<std::mutex> lock(shard.mutex);
-      if (shard.queued.empty()) {
-        --shard.drainersInFlight;
-        shard.cv.notify_all();
-        return;
-      }
-      job = shard.queued.front();
-      shard.queued.pop_front();
-      queueDepthGauge().add(-1.0);
-      shard.depthGauge->add(-1.0);
-      queuedTotal_.fetch_sub(1, std::memory_order_relaxed);
-      job->queueMs = obs::steadyMs() - job->submitMs;
-      // A deadline that passed while the job waited expires it here — the
-      // caller's budget is wall time from submission, not run time.
-      if (job->token.due()) {
-        job->state = job->token.cancelRequested() ? JobState::kCancelled
-                                                  : JobState::kExpired;
-      } else {
-        job->state = JobState::kRunning;
-        ++shard.running;
-        job->startMs = obs::steadyMs();
-      }
-    }
-    if (job->state == JobState::kRunning) {
-      runningGauge().add(1.0);
-      executeJob(job);
-      runningGauge().add(-1.0);
+void CalibrationService::pickUp(const std::shared_ptr<Job>& job) {
+  JobState state = JobState::kRunning;
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (job->state != JobState::kQueued) return;  // cancelled while queued
+    --queued_;
+    queueDepthGauge().add(-1.0);
+    job->queueMs = obs::steadyMs() - job->submitMs;
+    // A deadline that passed while the job waited expires it here — the
+    // caller's budget is wall time from submission, not run time.
+    if (job->token.due()) {
+      state = job->token.cancelRequested() ? JobState::kCancelled
+                                           : JobState::kExpired;
     } else {
-      finishJob(job, job->state);
+      ++running_;
+      runningGauge().add(1.0);
+      job->startMs = obs::steadyMs();
     }
+    job->state = state;
   }
+  if (state == JobState::kRunning)
+    executeJob(job);
+  else
+    finishJob(job, state);
 }
 
 core::PersonalHrtf CalibrationService::runStreaming(
@@ -360,7 +246,6 @@ core::PersonalHrtf CalibrationService::runStreaming(
 void CalibrationService::executeJob(const std::shared_ptr<Job>& job) {
   obs::TraceContextScope traceScope(job->traceId);
   UNIQ_SPAN("serve.job");
-  Shard& shard = *shards_[job->shardIdx];
   JobState terminalState = JobState::kDone;
   try {
     auto personal =
@@ -370,7 +255,7 @@ void CalibrationService::executeJob(const std::shared_ptr<Job>& job) {
     if (personal.aborted) {
       terminalState = job->token.cancelRequested() ? JobState::kCancelled
                                                    : JobState::kExpired;
-      std::lock_guard<std::mutex> lock(shard.mutex);
+      std::lock_guard<std::mutex> lock(mutex_);
       job->diagnostics = std::move(personal.diagnostics);
     } else {
       auto table = std::make_shared<const core::HrtfTable>(
@@ -380,7 +265,7 @@ void CalibrationService::executeJob(const std::shared_ptr<Job>& job) {
       // user's own table on the next lookup.
       if (personal.status != core::PipelineStatus::kFailed)
         cache_.put(job->userId, table);
-      std::lock_guard<std::mutex> lock(shard.mutex);
+      std::lock_guard<std::mutex> lock(mutex_);
       job->status = personal.status;
       job->table = std::move(table);
       job->diagnostics = std::move(personal.diagnostics);
@@ -389,22 +274,21 @@ void CalibrationService::executeJob(const std::shared_ptr<Job>& job) {
     // The pipeline is total over non-empty captures, so this is a last
     // line of defense (empty capture, bad_alloc, ...): the job fails, the
     // worker and the service live on.
-    std::lock_guard<std::mutex> lock(shard.mutex);
+    std::lock_guard<std::mutex> lock(mutex_);
     job->status = core::PipelineStatus::kFailed;
     job->error = e.what();
-  }
-  {
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    --shard.running;
   }
   finishJob(job, terminalState);
 }
 
 void CalibrationService::finishJob(const std::shared_ptr<Job>& job,
                                    JobState state) {
-  Shard& shard = *shards_[job->shardIdx];
   {
-    std::lock_guard<std::mutex> lock(shard.mutex);
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (job->state == JobState::kRunning) {
+      --running_;
+      runningGauge().add(-1.0);
+    }
     job->state = state;
     job->runMs = job->startMs > 0.0 ? obs::steadyMs() - job->startMs : 0.0;
   }
@@ -421,29 +305,24 @@ void CalibrationService::finishJob(const std::shared_ptr<Job>& job,
   obs::registry()
       .histogram("serve.job.run_ms", kLatencyBins)
       .observe(job->runMs);
-  shard.cv.notify_all();
+  cv_.notify_all();
 }
 
 bool CalibrationService::cancel(std::uint64_t id) {
-  Shard& shard = shardForId(id);
-  std::lock_guard<std::mutex> lock(shard.mutex);
-  const auto it = shard.jobs.find(id);
-  if (it == shard.jobs.end()) return false;
+  std::lock_guard<std::mutex> lock(mutex_);
+  const auto it = jobs_.find(id);
+  if (it == jobs_.end()) return false;
   auto& job = it->second;
   if (job->terminal()) return false;
   job->token.requestCancel();
   if (job->state == JobState::kQueued) {
-    const auto pos = std::find(shard.queued.begin(), shard.queued.end(), job);
-    if (pos != shard.queued.end()) {
-      shard.queued.erase(pos);
-      queueDepthGauge().add(-1.0);
-      shard.depthGauge->add(-1.0);
-      queuedTotal_.fetch_sub(1, std::memory_order_relaxed);
-    }
+    // Its pool task sees the state at pickup and returns at once.
+    --queued_;
+    queueDepthGauge().add(-1.0);
     job->state = JobState::kCancelled;
     job->queueMs = obs::steadyMs() - job->submitMs;
     stateCounter(JobState::kCancelled).inc();
-    shard.cv.notify_all();
+    cv_.notify_all();
   }
   // kRunning: the token is flagged; the pipeline aborts at its next stage
   // boundary and the worker records the cancelled state.
@@ -451,52 +330,37 @@ bool CalibrationService::cancel(std::uint64_t id) {
 }
 
 JobResult CalibrationService::wait(std::uint64_t id) {
-  Shard& shard = shardForId(id);
-  std::unique_lock<std::mutex> lock(shard.mutex);
-  const auto it = shard.jobs.find(id);
-  UNIQ_REQUIRE(it != shard.jobs.end(), "unknown job id");
+  std::unique_lock<std::mutex> lock(mutex_);
+  const auto it = jobs_.find(id);
+  UNIQ_REQUIRE(it != jobs_.end(), "unknown job id");
   const auto job = it->second;
-  shard.cv.wait(lock, [&] { return job->terminal(); });
+  cv_.wait(lock, [&] { return job->terminal(); });
   return job->result();
 }
 
 std::vector<JobResult> CalibrationService::drain() {
-  // Quiesce shard by shard; a shard already drained stays drained because
-  // drain() races only with new submissions, which the caller owns.
-  std::unordered_map<std::uint64_t, JobResult> finished;
-  for (auto& shardPtr : shards_) {
-    Shard& shard = *shardPtr;
-    std::unique_lock<std::mutex> lock(shard.mutex);
-    shard.cv.wait(lock, [&] {
-      for (const auto& [id, job] : shard.jobs)
-        if (!job->terminal()) return false;
-      return true;
-    });
-    for (const auto& [id, job] : shard.jobs) finished.emplace(id, job->result());
-    shard.jobs.clear();
-  }
-  std::lock_guard<std::mutex> orderLock(orderMutex_);
+  std::unique_lock<std::mutex> lock(mutex_);
+  cv_.wait(lock, [&] {
+    for (const auto& [id, job] : jobs_)
+      if (!job->terminal()) return false;
+    return true;
+  });
+  // Ids ascend in submission order, and so does the map.
   std::vector<JobResult> results;
-  results.reserve(submissionOrder_.size());
-  for (const auto id : submissionOrder_) {
-    const auto it = finished.find(id);
-    if (it != finished.end()) results.push_back(std::move(it->second));
-  }
-  submissionOrder_.clear();
+  results.reserve(jobs_.size());
+  for (const auto& [id, job] : jobs_) results.push_back(job->result());
+  jobs_.clear();
   return results;
 }
 
 std::size_t CalibrationService::queuedCount() const {
-  return queuedTotal_.load(std::memory_order_relaxed);
+  std::lock_guard<std::mutex> lock(mutex_);
+  return queued_;
 }
 
 std::size_t CalibrationService::runningCount() const {
-  std::size_t total = 0;
-  for (const auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mutex);
-    total += shard->running;
-  }
-  return total;
+  std::lock_guard<std::mutex> lock(mutex_);
+  return running_;
 }
 
 }  // namespace uniq::serve

@@ -1,13 +1,11 @@
 #pragma once
 
-#include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/thread_pool.h"
@@ -82,26 +80,16 @@ struct CalibrationServiceOptions {
   /// thread fans out), so `workers` is the whole parallelism story — jobs
   /// scale across users, not within one user.
   std::size_t workers = 0;
-  /// Admission control: jobs allowed to wait in the queues (excluding the
-  /// ones actively running). The budget is split evenly across shards
-  /// (at least 1 per shard); submit() returns kInvalidJobId once the
-  /// user's shard is full — backpressure the caller must handle, not a
-  /// silent drop. With shards=1 this is exactly the pre-sharding global
-  /// queue bound.
+  /// Admission control: jobs allowed to wait in the queue (excluding the
+  /// ones actively running). submit() returns kInvalidJobId once the queue
+  /// is full — backpressure the caller must handle, not a silent drop.
   std::size_t maxQueued = 64;
-  /// Power-of-two shard count for the submission path. Each shard owns its
-  /// own mutex, job queue, and job map, so admission, cancellation, and
-  /// completion on different shards never contend on one global lock; the
-  /// worker pool stays shared. 1 reproduces the single-queue service
-  /// exactly (same ids, same FIFO order, same admission bound — pinned by
-  /// tests).
+  /// Power-of-two shard count of the service's TableCache (see
+  /// TableCacheOptions::shards). Jobs share one queue whatever the value.
   std::size_t shards = 1;
   /// In-memory entries in the per-user table cache (shared budget across
   /// the cache's shards).
   std::size_t cacheCapacity = 32;
-  /// Shard count for the table cache (power of two; defaults to `shards`
-  /// when 0).
-  std::size_t cacheShards = 0;
   /// When non-empty, finished tables persist to `<dir>/<user>.uniqq` (the
   /// compact quantized container) and cold cache misses probe the same
   /// files (see TableCache).
@@ -121,17 +109,15 @@ inline constexpr std::uint64_t kInvalidJobId = 0;
 /// worker wraps it in a catch-all, so one poisoned capture yields one
 /// failed job — never a dead worker or a torn-down service.
 ///
-/// Scale shape: users hash onto 2^k independent shards (per-shard mutex,
-/// queue, and job map) over one shared worker pool, so a million-user
-/// ingress stops serializing on a single service lock. Job ids encode the
-/// shard in their low bits; everything else routes by id.
+/// Scheduling: one mutex guards one job map keyed by id; ids count 1, 2,
+/// 3, ... so the map iterates in submission order. submit() hands each
+/// admitted job to the service's own FIFO worker pool as one task; a task
+/// whose job was cancelled while queued returns at once.
 ///
 /// Observability: each job runs under a "serve.job" trace span and fills
 /// its own obs::RunReport; queue depth, latency split (queue vs run), and
 /// terminal-state counters live in the registry under "serve.jobs.*" /
-/// "serve.queue.*", with per-shard depth and rejection instruments under
-/// "serve.shard.N.*" plus a "serve.jobs.rejected_by_shard" counter so
-/// shard imbalance is observable.
+/// "serve.queue.*" / "serve.job.*_ms".
 class CalibrationService {
  public:
   using Options = CalibrationServiceOptions;
@@ -144,9 +130,9 @@ class CalibrationService {
   CalibrationService& operator=(const CalibrationService&) = delete;
 
   /// Submit a calibration job for `userId`. Returns the job id, or
-  /// kInvalidJobId when the user's shard queue is full (the capture is not
-  /// retained). The capture is shared, not copied — callers batching one
-  /// capture across many jobs pay for it once.
+  /// kInvalidJobId when the queue is full (the capture is not retained).
+  /// The capture is shared, not copied — callers batching one capture
+  /// across many jobs pay for it once.
   std::uint64_t submit(std::string userId,
                        std::shared_ptr<const sim::CalibrationCapture> capture,
                        JobOptions jobOpts = {});
@@ -173,25 +159,17 @@ class CalibrationService {
   TableCache& cache() { return cache_; }
 
   std::size_t workerCount() const { return pool_.threadCount(); }
-  std::size_t shardCount() const { return shards_.size(); }
-  /// Jobs accepted but not yet picked up by a worker (all shards).
+  /// Jobs accepted but not yet picked up by a worker.
   std::size_t queuedCount() const;
-  /// Jobs currently executing (all shards).
+  /// Jobs currently executing.
   std::size_t runningCount() const;
 
  private:
   struct Job;
-  struct Shard;
 
-  Shard& shardForUser(const std::string& userId);
-  Shard& shardForId(std::uint64_t id);
-
-  /// Ensure enough queue-drainer tasks are in flight for the shard's queued
-  /// work; caller holds the shard mutex.
-  void pumpLocked(Shard& shard);
-  /// Drain loop body run on a pool worker: pop and execute the shard's jobs
-  /// until its queue is empty.
-  void drainQueue(Shard& shard);
+  /// Pool task for one job: expire or run it, unless it left kQueued
+  /// (cancelled) while it waited.
+  void pickUp(const std::shared_ptr<Job>& job);
   void executeJob(const std::shared_ptr<Job>& job);
   /// Streaming-job body: replay every stop of the capture through a
   /// StreamingSession (cancelling on the token) and return the finalized
@@ -202,20 +180,17 @@ class CalibrationService {
   Options opts_;
   TableCache cache_;
   core::CalibrationPipeline pipeline_;
+
+  mutable std::mutex mutex_;
+  std::condition_variable cv_;
+  std::map<std::uint64_t, std::shared_ptr<Job>> jobs_;  ///< guarded by mutex_
+  std::uint64_t nextId_ = 1;    ///< guarded by mutex_
+  std::size_t queued_ = 0;      ///< jobs in kQueued; guarded by mutex_
+  std::size_t running_ = 0;     ///< jobs in kRunning; guarded by mutex_
+
+  /// Declared last so it is destroyed first: joining the workers finishes
+  /// every task before the state above goes away.
   common::ThreadPool pool_;
-
-  std::vector<std::unique_ptr<Shard>> shards_;
-  std::size_t shardBits_ = 0;       ///< log2(shards): id low bits
-  std::size_t maxQueuedPerShard_ = 0;
-
-  /// Global submission sequence (drives job ids and drain() ordering).
-  std::atomic<std::uint64_t> nextSeq_{1};
-  /// Aggregate queue depth across shards (metrics + queuedCount()).
-  std::atomic<std::size_t> queuedTotal_{0};
-
-  /// Submission order across shards, for drain(); guarded by orderMutex_.
-  mutable std::mutex orderMutex_;
-  std::vector<std::uint64_t> submissionOrder_;
 };
 
 }  // namespace uniq::serve

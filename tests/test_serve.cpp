@@ -275,11 +275,11 @@ TEST(CalibrationService, StressConcurrentSubmissionsMatchSerial) {
 }
 
 TEST(CalibrationService, ShardedRunMatchesSerialBitwise) {
-  // The 8-job stress over a 4-shard service. Together with
-  // StressConcurrentSubmissionsMatchSerial (which runs the identical
-  // workload on the default single shard against the same serial
+  // The 8-job stress over a service whose table cache has 4 shards.
+  // Together with StressConcurrentSubmissionsMatchSerial (which runs the
+  // identical workload over a one-shard cache against the same serial
   // reference), this pins shards=4 == shards=1 == serial, bit for bit —
-  // sharding must be a pure concurrency change.
+  // cache sharding must be a pure concurrency change.
   constexpr std::size_t kWorkers = 2;
   constexpr std::size_t kCaptures = 4;
   constexpr std::size_t kShards = 4;
@@ -297,12 +297,9 @@ TEST(CalibrationService, ShardedRunMatchesSerialBitwise) {
   serve::CalibrationServiceOptions opts;
   opts.workers = kWorkers;
   opts.shards = kShards;
-  // The admission budget splits across shards; give every shard room for
-  // the whole batch so user->shard skew cannot cause rejections here.
-  opts.maxQueued = kJobs * kShards;
+  opts.maxQueued = kJobs;
   opts.cacheCapacity = kCaptures;
   serve::CalibrationService service(opts);
-  EXPECT_EQ(service.shardCount(), kShards);
   EXPECT_EQ(service.cache().shardCount(), kShards);
 
   std::vector<std::uint64_t> ids;
@@ -310,7 +307,6 @@ TEST(CalibrationService, ShardedRunMatchesSerialBitwise) {
     const auto id = service.submit("user" + std::to_string(j % kCaptures),
                                    captures[j % kCaptures]);
     ASSERT_NE(id, serve::kInvalidJobId);
-    // Shard-encoded ids stay unique across shards.
     EXPECT_EQ(std::find(ids.begin(), ids.end(), id), ids.end());
     ids.push_back(id);
   }
@@ -320,7 +316,7 @@ TEST(CalibrationService, ShardedRunMatchesSerialBitwise) {
   for (std::size_t j = 0; j < kJobs; ++j) {
     const auto& r = results[j];
     ASSERT_EQ(r.state, serve::JobState::kDone) << "job " << j;
-    EXPECT_EQ(r.id, ids[j]);  // drain() preserves global submission order
+    EXPECT_EQ(r.id, ids[j]);  // drain() preserves submission order
     const auto& want = expected[j % kCaptures];
     EXPECT_EQ(r.status, want.status);
     ASSERT_NE(r.table, nullptr);
@@ -418,8 +414,8 @@ TEST(CalibrationService, StreamingJobMatchesBatchJobBitwise) {
 }
 
 TEST(CalibrationService, QueuedJobStartsOnIdleWorkerWhileAnotherRuns) {
-  // One shard, two workers: a job queued behind a running one must start
-  // on the idle worker, not wait for the busy one to finish its job.
+  // Two workers: a job queued behind a running one must start on the idle
+  // worker, not wait for the busy one to finish its job.
   serve::CalibrationServiceOptions opts;
   opts.workers = 2;
   serve::CalibrationService service(opts);
@@ -435,7 +431,7 @@ TEST(CalibrationService, QueuedJobStartsOnIdleWorkerWhileAnotherRuns) {
     service.wait(first);
     firstDone = true;
   });
-  // Picked up = running (both happen under the shard lock).
+  // Picked up = running (both happen under the service lock).
   while (service.queuedCount() != 0) std::this_thread::yield();
   const auto second = service.submit("queued", queuedCapture);
   ASSERT_NE(second, serve::kInvalidJobId);
@@ -454,60 +450,10 @@ TEST(CalibrationService, QueuedJobStartsOnIdleWorkerWhileAnotherRuns) {
 }
 
 TEST(CalibrationService, RejectsNonPowerOfTwoShardCount) {
+  // `shards` sizes the service's table cache, which needs a power of two.
   serve::CalibrationServiceOptions opts;
   opts.shards = 3;
   EXPECT_THROW(serve::CalibrationService service(opts), InvalidArgument);
-}
-
-TEST(CalibrationService, ShardMetricsExposeDepthAndRejections) {
-  auto counterValue = [](const obs::MetricsSnapshot& snap,
-                         const std::string& name) -> double {
-    for (const auto& c : snap.counters)
-      if (c.name == name) return c.value;
-    return -1.0;
-  };
-  const auto before = obs::registry().snapshot();
-  const double rejectedBefore =
-      std::max(0.0, counterValue(before, "serve.jobs.rejected_by_shard"));
-
-  serve::CalibrationServiceOptions opts;
-  opts.workers = 1;
-  opts.shards = 2;
-  opts.maxQueued = 2;  // per-shard quota: max(1, 2/2) = 1
-  serve::CalibrationService service(opts);
-  const auto capture = std::make_shared<const sim::CalibrationCapture>(
-      makeCapture(41));
-
-  // Pin the single worker on a real job so nothing drains the queues while
-  // we probe admission. Then: same user -> same shard, quota of one queued
-  // job, so of three rapid submissions at least one must bounce.
-  ASSERT_NE(service.submit("blocker", capture), serve::kInvalidJobId);
-  while (service.runningCount() == 0)
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  serve::JobOptions fast;
-  fast.deadlineMs = 1e-6;  // expire instead of running: keeps the test quick
-  std::size_t rejected = 0;
-  for (int i = 0; i < 3; ++i)
-    if (service.submit("sharduser", capture, fast) == serve::kInvalidJobId)
-      ++rejected;
-  EXPECT_GE(rejected, 1u);
-  service.drain();
-
-  const auto after = obs::registry().snapshot();
-  EXPECT_GE(counterValue(after, "serve.jobs.rejected_by_shard"),
-            rejectedBefore + 1.0);
-  bool sawShardDepth = false, sawShardRejected = false;
-  for (const auto& g : after.gauges)
-    if (g.name.rfind("serve.shard.", 0) == 0 &&
-        g.name.find(".queue_depth") != std::string::npos)
-      sawShardDepth = true;
-  for (const auto& c : after.counters)
-    if (c.name.rfind("serve.shard.", 0) == 0 &&
-        c.name.find(".rejected") != std::string::npos &&
-        c.value >= 1.0)
-      sawShardRejected = true;
-  EXPECT_TRUE(sawShardDepth);
-  EXPECT_TRUE(sawShardRejected);
 }
 
 TEST(CalibrationService, AdmissionControlRejectsWhenQueueFull) {
@@ -619,6 +565,50 @@ TEST(CalibrationService, FailedJobIsIsolatedAndNeverCached) {
   service.drain();
 }
 
+TEST(CalibrationService, DestructorCancelsQueuedJobsAndWaitsForRunning) {
+  // One worker runs a full-sweep blocker while kQueued jobs wait behind
+  // it. Destroying the service must cancel every waiting job without
+  // running it, let the blocker finish, and leave the queue gauge where it
+  // found it. Should the blocker finish before the destructor takes the
+  // lock, a queued job starts legitimately; that attempt is retried.
+  constexpr std::size_t kQueued = 3;
+  const auto blocker = std::make_shared<const sim::CalibrationCapture>(
+      makeCapture(16, 36));
+  const auto waiting = std::make_shared<const sim::CalibrationCapture>(
+      makeCapture(17));
+  bool blockerOutlivedSubmits = false;
+  for (int attempt = 0; attempt < 3 && !blockerOutlivedSubmits; ++attempt) {
+    const auto before = obs::registry().snapshot();
+    const auto runsBefore = test::stageHistogram("extract").count;
+    {
+      serve::CalibrationServiceOptions opts;
+      opts.workers = 1;
+      opts.maxQueued = kQueued;
+      serve::CalibrationService service(opts);
+      ASSERT_NE(service.submit("blocker", blocker), serve::kInvalidJobId);
+      while (service.runningCount() == 0) std::this_thread::yield();
+      for (std::size_t i = 0; i < kQueued; ++i)
+        ASSERT_NE(service.submit("queued" + std::to_string(i), waiting),
+                  serve::kInvalidJobId);
+    }
+    const auto after = obs::registry().snapshot();
+    const auto runs = test::stageHistogram("extract").count - runsBefore;
+    if (runs > 1) continue;  // the blocker finished first
+    blockerOutlivedSubmits = true;
+    EXPECT_EQ(runs, 1u);  // no queued job ran
+    EXPECT_EQ(after.counter("serve.jobs.done") -
+                  before.counter("serve.jobs.done"),
+              1u);  // the destructor waited for the blocker
+    EXPECT_EQ(after.counter("serve.jobs.cancelled") -
+                  before.counter("serve.jobs.cancelled"),
+              kQueued);
+    EXPECT_EQ(after.gauge("serve.queue.depth"),
+              before.gauge("serve.queue.depth"));
+  }
+  EXPECT_TRUE(blockerOutlivedSubmits)
+      << "a queued job ran in every attempt";
+}
+
 TEST(CalibrationService, MetricsAccountForEveryTerminalState) {
   const auto& before = obs::registry().snapshot();
   auto counterValue = [](const obs::MetricsSnapshot& snap,
@@ -647,6 +637,9 @@ TEST(CalibrationService, MetricsAccountForEveryTerminalState) {
   for (const auto& g : after.gauges)
     if (g.name == "serve.queue.depth") sawQueueDepthGauge = true;
   EXPECT_TRUE(sawQueueDepthGauge);
+  // The job left the running gauge before drain() could return.
+  EXPECT_EQ(after.gauge("serve.jobs.running"),
+            before.gauge("serve.jobs.running"));
 }
 
 // --- BatchAoaEngine -----------------------------------------------------

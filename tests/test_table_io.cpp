@@ -1,6 +1,9 @@
 #include "core/table_io.h"
 
 #include <gtest/gtest.h>
+#include <sys/resource.h>
+
+#include <csignal>
 
 #include <algorithm>
 #include <cmath>
@@ -236,6 +239,60 @@ TEST(TableIo, RejectsEmptyFileAndDirectory) {
   std::filesystem::remove_all(persistDir);
 }
 
+/// Files in `dir` (the saved table plus anything a save left behind).
+std::size_t entriesIn(const std::string& dir) {
+  std::size_t n = 0;
+  for ([[maybe_unused]] const auto& entry :
+       std::filesystem::directory_iterator(dir))
+    ++n;
+  return n;
+}
+
+/// Caps the size of any file this process writes (RLIMIT_FSIZE) for the
+/// guard's lifetime, so a write past the cap fails with EFBIG instead of
+/// raising SIGXFSZ.
+class FileSizeCap {
+ public:
+  explicit FileSizeCap(rlim_t bytes) {
+    previousHandler_ = std::signal(SIGXFSZ, SIG_IGN);
+    ::getrlimit(RLIMIT_FSIZE, &previous_);
+    rlimit capped = previous_;
+    capped.rlim_cur = bytes;
+    ::setrlimit(RLIMIT_FSIZE, &capped);
+  }
+  ~FileSizeCap() {
+    ::setrlimit(RLIMIT_FSIZE, &previous_);
+    std::signal(SIGXFSZ, previousHandler_);
+  }
+  FileSizeCap(const FileSizeCap&) = delete;
+  FileSizeCap& operator=(const FileSizeCap&) = delete;
+
+ private:
+  rlimit previous_{};
+  void (*previousHandler_)(int) = SIG_DFL;
+};
+
+TEST(TableIo, FailedSaveLeavesPreviousFileIntact) {
+  // A save that fails halfway (here: the disk refuses bytes past half the
+  // file) must leave the previous table loadable and no temp file behind.
+  const auto dir = tempPath("failed_save_f64");
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  const auto path = dir + "/user.uniq";
+  const auto table = makeTable();
+  saveHrtfTable(path, table);
+  const auto size = std::filesystem::file_size(path);
+  {
+    const FileSizeCap cap(static_cast<rlim_t>(size / 2));
+    EXPECT_THROW(saveHrtfTable(path, table), Error);
+  }
+  EXPECT_EQ(std::filesystem::file_size(path), size);
+  std::string error;
+  EXPECT_TRUE(tryLoadHrtfTable(path, &error).has_value()) << error;
+  EXPECT_EQ(entriesIn(dir), 1u);
+  std::filesystem::remove_all(dir);
+}
+
 // ---------------------------------------------------------------------------
 // Quantized container (UNIQHRTQ)
 // ---------------------------------------------------------------------------
@@ -422,6 +479,32 @@ TEST(TableIoQuantized, RejectsTrailingGarbage) {
   }
   EXPECT_THROW(loadHrtfTable(path), InvalidArgument);
   std::remove(path.c_str());
+}
+
+TEST(TableIoQuantized, FailedSaveLeavesPreviousFileIntact) {
+  // A near-field tap outside Q8.8 fails the save after the near-field
+  // HRIRs are written; the previous file must survive whole.
+  const auto dir = tempPath("failed_save_q");
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  const auto path = dir + "/user.uniqq";
+  const auto table = makeTable();
+  saveHrtfTableQuantized(path, table);
+  const auto size = std::filesystem::file_size(path);
+
+  auto nearTable = table.nearTable();
+  nearTable.tapLeftSamples[0] = 200.0;
+  const HrtfTable outOfRange(std::move(nearTable), table.farTable());
+  EXPECT_THROW(saveHrtfTableQuantized(path, outOfRange), InvalidArgument);
+
+  EXPECT_EQ(std::filesystem::file_size(path), size);
+  std::string error;
+  const auto loaded = tryLoadHrtfTable(path, &error);
+  ASSERT_TRUE(loaded.has_value()) << error;
+  EXPECT_EQ(loaded->nearTable().tapLeftSamples[0],
+            table.nearTable().tapLeftSamples[0]);
+  EXPECT_EQ(entriesIn(dir), 1u);
+  std::filesystem::remove_all(dir);
 }
 
 TEST(TableIoQuantized, LoadedTableRendersCloseToOriginal) {
