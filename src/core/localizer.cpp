@@ -9,6 +9,7 @@
 #include "common/math_util.h"
 #include "geometry/diffraction.h"
 #include "geometry/polar.h"
+#include "obs/metrics.h"
 #include "optim/root_finding.h"
 
 namespace uniq::core {
@@ -99,36 +100,39 @@ double Localizer::rightPathResidual(geo::Vec2 dir, double targetLenLeft,
   return pathLength(head_, dir * *r, geo::Ear::kRight) - targetLenRight;
 }
 
-std::optional<PolarFix> Localizer::refineBracket(
-    double a, double b, double fa, double targetLenLeft, double targetLenRight,
-    std::optional<double>& warmRadius) const {
-  // Interval subdivision rather than Brent: the residual is only defined
-  // where the left-ear iso-delay curve exists, so Brent could step out of
-  // the domain.
-  for (int level = 0; level < 4; ++level) {
-    const int kSub = 8;
-    double x0 = a, f0 = fa;
-    bool found = false;
-    for (int s = 1; s <= kSub; ++s) {
-      const double x1 = a + (b - a) * s / kSub;
-      const double f1 = rightPathResidual(
-          geo::directionFromAzimuthDeg(s == kSub ? b : x1), targetLenLeft,
-          targetLenRight, &warmRadius);
-      if (signChange(f0, f1)) {
-        a = x0;
-        b = x1;
-        fa = f0;
-        found = true;
-        break;
-      }
-      x0 = x1;
-      f0 = f1;
-    }
-    if (!found) break;
+std::optional<PolarFix> Localizer::refineBracket(double a, double b,
+                                                 double fa, double fb,
+                                                 double targetLenLeft,
+                                                 double targetLenRight) const {
+  static obs::Counter& undefined =
+      obs::registry().counter("localizer.refine.undefined");
+  // Brent on the angle, each trial's radius solve warm-started from the
+  // previous trial's. The residual is defined only where the left-ear
+  // iso-delay curve exists; a trial outside it reports 0, which ends Brent
+  // at once, and the refinement then fails.
+  std::optional<double> warm;
+  double lastAngle = std::numeric_limits<double>::quiet_NaN();
+  bool defined = true;
+  const auto f = [&](double angleDeg) {
+    lastAngle = angleDeg;
+    const double res =
+        rightPathResidual(geo::directionFromAzimuthDeg(angleDeg),
+                          targetLenLeft, targetLenRight, &warm);
+    if (!std::isnan(res)) return res;
+    defined = false;
+    return 0.0;
+  };
+  optim::RootOptions ropts;
+  ropts.xTolerance = 1e-6;
+  const double angleRoot = optim::brentBracketed(f, a, b, fa, fb, ropts);
+  if (!defined) {
+    undefined.inc();
+    return std::nullopt;
   }
-  const double angleRoot = 0.5 * (a + b);
+  // Brent usually returns its last trial, whose radius is already solved.
+  if (angleRoot == lastAngle) return PolarFix{angleRoot, *warm};
   const auto r = radiusForLeftPath(geo::directionFromAzimuthDeg(angleRoot),
-                                   targetLenLeft, warmRadius);
+                                   targetLenLeft, warm);
   if (!r) return std::nullopt;
   return PolarFix{angleRoot, *r};
 }
@@ -142,15 +146,13 @@ std::vector<PolarFix> Localizer::locateAll(double delayLeftSec,
 
   std::vector<PolarFix> fixes;
   // Coarse scan for sign changes of the right-ear residual, each refined in
-  // place. The left-path radius solve is warm-started with the previous
-  // angle's root (it moves slowly along the scan).
-  std::optional<double> warm;
-  double prevRes = rightPathResidual(grid.direction(0), dL, dR, &warm);
+  // place.
+  double prevRes = rightPathResidual(grid.direction(0), dL, dR);
   for (int k = 1; k < grid.count; ++k) {
-    const double res = rightPathResidual(grid.direction(k), dL, dR, &warm);
+    const double res = rightPathResidual(grid.direction(k), dL, dR);
     if (signChange(prevRes, res)) {
       if (const auto fix = refineBracket(grid.angle(k - 1), grid.angle(k),
-                                         prevRes, dL, dR, warm))
+                                         prevRes, res, dL, dR))
         fixes.push_back(*fix);
     }
     prevRes = res;
@@ -170,25 +172,22 @@ std::optional<PolarFix> Localizer::locate(double delayLeftSec,
   // scan grid outward from the bracket holding the IMU angle: a root lies
   // strictly inside its bracket, so once both unvisited edges are farther
   // from the IMU angle than the best root, nothing left can beat it. Ties
-  // go to the lower angle, as in a full ascending scan. Each walk carries
-  // its own warm radius; a bracket is refined from its upper edge's radius,
-  // as in locateAll.
+  // go to the lower angle, as in a full ascending scan. Grid residuals and
+  // refinements depend only on their angles, so the fix is the very one
+  // locateAll finds.
   const int last = grid.count - 1;
   const double pos = (imuAngleDeg - grid.lo) / grid.step;
   int down = pos >= last - 1 ? last - 1 : pos > 0 ? static_cast<int>(pos) : 0;
   int up = down + 1;
-  std::optional<double> warmDown;
-  double resDown = rightPathResidual(grid.direction(down), dL, dR, &warmDown);
-  std::optional<double> warmUp = warmDown;
-  double resUp = rightPathResidual(grid.direction(up), dL, dR, &warmUp);
+  double resDown = rightPathResidual(grid.direction(down), dL, dR);
+  double resUp = rightPathResidual(grid.direction(up), dL, dR);
 
   std::optional<PolarFix> best;
   double bestErr = std::numeric_limits<double>::infinity();
-  const auto consider = [&](int k, double fLo, double fHi,
-                            std::optional<double>& warm) {
+  const auto consider = [&](int k, double fLo, double fHi) {
     if (!signChange(fLo, fHi)) return;
     const auto fix =
-        refineBracket(grid.angle(k), grid.angle(k + 1), fLo, dL, dR, warm);
+        refineBracket(grid.angle(k), grid.angle(k + 1), fLo, fHi, dL, dR);
     if (!fix) return;
     const double err = std::fabs(fix->angleDeg - imuAngleDeg);
     if (!best || err < bestErr ||
@@ -197,7 +196,7 @@ std::optional<PolarFix> Localizer::locate(double delayLeftSec,
       best = fix;
     }
   };
-  consider(down, resDown, resUp, warmUp);
+  consider(down, resDown, resUp);
   while (down > 0 || up < last) {
     const double downGap = imuAngleDeg - grid.angle(down);
     const double upGap = grid.angle(up) - imuAngleDeg;
@@ -205,15 +204,12 @@ std::optional<PolarFix> Localizer::locate(double delayLeftSec,
     // Negated so a NaN IMU angle ends the walk.
     if (!((goDown ? downGap : upGap) <= bestErr)) break;
     if (goDown) {
-      std::optional<double> warmHi = warmDown;
-      const double res =
-          rightPathResidual(grid.direction(--down), dL, dR, &warmDown);
-      consider(down, res, resDown, warmHi);
+      const double res = rightPathResidual(grid.direction(--down), dL, dR);
+      consider(down, res, resDown);
       resDown = res;
     } else {
-      const double res =
-          rightPathResidual(grid.direction(++up), dL, dR, &warmUp);
-      consider(up - 1, resUp, res, warmUp);
+      const double res = rightPathResidual(grid.direction(++up), dL, dR);
+      consider(up - 1, resUp, res);
       resUp = res;
     }
   }

@@ -67,18 +67,22 @@ class Localizer {
   /// Right-ear path residual at the radius solving the left-ear constraint
   /// (NaN when no such radius). `warmRadius`, if non-null, is read as the
   /// hint for the radius solve and updated with the found root — callers
-  /// sweeping consecutive angles thread it through the scan.
+  /// probing nearby angles in turn thread it through. The scan grid passes
+  /// none, so each grid residual is a function of its angle alone and
+  /// every walk over the grid sees the same signs.
   double rightPathResidual(geo::Vec2 dir, double targetLenLeft,
                            double targetLenRight,
                            std::optional<double>* warmRadius = nullptr) const;
   /// Refines a sign change of the right-ear residual across the scan
-  /// bracket [a, b] (residual `fa` at a) by four levels of 8-way
-  /// subdivision, and returns the fix at the final sub-bracket's midpoint,
-  /// or nullopt when the radius solve there fails. `warmRadius` is threaded
-  /// through every solve as in rightPathResidual.
-  std::optional<PolarFix> refineBracket(
-      double a, double b, double fa, double targetLenLeft,
-      double targetLenRight, std::optional<double>& warmRadius) const;
+  /// bracket [a, b] (degrees; `fa`, `fb` the grid residuals at its edges)
+  /// by Brent on the angle, to 1e-6 degrees, and returns the fix there.
+  /// Only the trials warm-start each other's radius solves, so the fix
+  /// depends on the bracket alone: locate and locateAll agree bit for bit.
+  /// nullopt when a trial lands where the left-path radius is undefined
+  /// (counted in `localizer.refine.undefined`).
+  std::optional<PolarFix> refineBracket(double a, double b, double fa,
+                                        double fb, double targetLenLeft,
+                                        double targetLenRight) const;
 
   const geo::HeadBoundary& head_;
   Options opts_;

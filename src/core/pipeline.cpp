@@ -285,6 +285,7 @@ PersonalHrtf CalibrationPipeline::runFromChannels(
                  static_cast<double>(
                      fusionResult.rejectedSourceIndices.size()));
       stage->set("widened", fusionResult.widened ? 1.0 : 0.0);
+      stage->set("rejectMarginDeg", fusionResult.rejectMarginDeg);
     }
     fusionTimer.stop();
 

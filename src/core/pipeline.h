@@ -123,7 +123,9 @@ class CalibrationPipeline {
   ///                   restarts), `restarts`, `converged` (0/1),
   ///                   `localized` (stops the localizer placed),
   ///                   `objectiveDeg2` (final Eq. 2 objective incl. prior),
-  ///                   `residualRmsDeg` (RMS IMU-vs-acoustic disagreement)
+  ///                   `residualRmsDeg` (RMS IMU-vs-acoustic disagreement),
+  ///                   `rejected`, `widened`, `rejectMarginDeg` (the last
+  ///                   reject round's closest call; NaN when none ran)
   ///   - "nearfield" — wallMs; `usableStops`, `medianRadiusM`,
   ///                   `tapAlignRmsUs` (per-stop RMS error between the
   ///                   measured interaural first-tap delay and the fused

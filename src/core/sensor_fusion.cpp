@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <utility>
 
 #include "common/error.h"
@@ -238,6 +239,8 @@ SensorFusionResult SensorFusion::solveRobust(
   UNIQ_SPAN("dsf.solve_robust");
   static obs::Counter& rejectedCounter =
       obs::registry().counter("dsf.rejected_stops");
+  static obs::Gauge& marginGauge =
+      obs::registry().gauge("dsf.reject.margin_deg");
 
   SensorFusionResult result;
   if (measurements.size() < opts_.minMeasurements || opts_.restarts < 1) {
@@ -249,6 +252,7 @@ SensorFusionResult SensorFusion::solveRobust(
   std::vector<FusionMeasurement> kept = measurements;
   result = solveWith(kept, opts_.restarts);
   std::vector<std::size_t> rejected;
+  double margin = std::numeric_limits<double>::quiet_NaN();
 
   for (std::size_t round = 0; round < opts_.maxRejectRounds; ++round) {
     if (kept.size() <= opts_.minMeasurements) break;
@@ -270,6 +274,9 @@ SensorFusionResult SensorFusion::solveRobust(
     const double threshold =
         std::max(opts_.rejectMadMultiplier * 1.4826 * mad,
                  opts_.rejectMinResidualDeg);
+    margin = std::numeric_limits<double>::infinity();
+    for (double r : residuals)
+      margin = std::min(margin, std::fabs(r - threshold));
 
     // Worst offenders first, capped so the survivor count never dips below
     // the minimum the solver needs.
@@ -314,6 +321,8 @@ SensorFusionResult SensorFusion::solveRobust(
     result.widened = true;
   }
 
+  result.rejectMarginDeg = margin;
+  marginGauge.set(margin);
   std::sort(rejected.begin(), rejected.end());
   if (!rejected.empty()) rejectedCounter.inc(rejected.size());
   // Surface rejected stops as unlocalized entries so downstream stages see

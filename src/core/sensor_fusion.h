@@ -1,5 +1,6 @@
 #pragma once
 
+#include <limits>
 #include <list>
 #include <memory>
 #include <mutex>
@@ -56,6 +57,10 @@ struct SensorFusionResult {
   std::vector<std::size_t> rejectedSourceIndices;
   /// Reject-and-retry rounds that actually removed a stop.
   std::size_t rejectRounds = 0;
+  /// How close the last reject round came to flipping a decision: the
+  /// smallest |residual - threshold| (deg) over the localized stops it
+  /// judged. NaN when no round ran. Exported as `dsf.reject.margin_deg`.
+  double rejectMarginDeg = std::numeric_limits<double>::quiet_NaN();
   /// True when the widened-restart fallback ran after a non-converged solve.
   bool widened = false;
 };

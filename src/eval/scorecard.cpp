@@ -108,6 +108,7 @@ ScorecardCell scoreCell(const Volunteer& volunteer,
   cell.rejectedStops = hrtf.fusion.rejectedSourceIndices.size();
   cell.widened = hrtf.fusion.widened ? 1 : 0;
   cell.fusionIterations = hrtf.fusion.iterations;
+  cell.rejectMarginDeg = hrtf.fusion.rejectMarginDeg;
   cell.status = core::pipelineStatusName(hrtf.status);
 
   const auto& truth = volunteer.subject.headParams;
@@ -167,14 +168,17 @@ Fields<std::uint64_t> workOf(const ScorecardCell& c) {
   };
 }
 
-/// `{"k": v, ...}` for one cell section.
+/// `{"k": v, ...}` for one cell section, then the `reported` fields.
 template <typename T>
-std::string objectJson(const Fields<T>& fields) {
+std::string objectJson(const Fields<T>& fields,
+                       const Fields<double>& reported = {}) {
   std::string out = "{";
   for (std::size_t k = 0; k < fields.size(); ++k) {
     if (k > 0) out += ", ";
     out += '"' + fields[k].first + "\": " + number(fields[k].second);
   }
+  for (const auto& [key, value] : reported)
+    out += ", \"" + key + "\": " + number(value);
   return out + "}";
 }
 
@@ -243,7 +247,9 @@ std::string scorecardJson(const Scorecard& card) {
     os << "\"capture\": \"" << obs::jsonEscape(c.capture) << "\", ";
     os << "\"status\": \"" << obs::jsonEscape(c.status) << "\",\n";
     os << "     \"fidelity\": " << objectJson(fidelityOf(c)) << ",\n";
-    os << "     \"work\": " << objectJson(workOf(c)) << "}";
+    os << "     \"work\": "
+       << objectJson(workOf(c), {{"reject_margin_deg", c.rejectMarginDeg}})
+       << "}";
   }
   os << "\n  ],\n  \"summary\": {";
   // Grid-wide means of the fidelity metrics and totals of the work counts,

@@ -37,6 +37,10 @@ struct ScorecardCell {
   std::uint64_t rejectedStops = 0;
   std::uint64_t widened = 0;
   std::uint64_t fusionIterations = 0;
+  /// Fusion's reject margin (SensorFusionResult::rejectMarginDeg): written
+  /// to the work block beside the counts, but not gated; it shows how near
+  /// the cell is to flipping a reject decision.
+  double rejectMarginDeg = 0.0;
 };
 
 struct Scorecard {

@@ -4,8 +4,8 @@
 // kernel tier, and gates it against the committed baseline: fidelity by
 // ratio plus floor, work counts (objective evaluations, FFT transforms,
 // fractional shifts, rejected stops, widened re-solves, fusion iterations)
-// exactly. A plain main() so the binary doubles as the tool that
-// re-baselines:
+// exactly; each cell's reject margin is reported beside them, ungated. A
+// plain main() so the binary doubles as the tool that re-baselines:
 //
 //   calibration_scorecard BASELINE.json
 //   calibration_scorecard BASELINE.json --write-baseline

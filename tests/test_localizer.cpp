@@ -195,6 +195,74 @@ TEST(LocalizerSearch, MatchesNearestFullScanFixBitForBit) {
   EXPECT_GT(none, 0);
 }
 
+TEST(LocalizerRefine, AngleMovesOnEveryMicrometreOfHeadWidth) {
+  // True head (74, 101, 92) mm, stops at 30, 60 and 120 degrees 0.35 m
+  // out; the candidate's a steps by 1 um from 74.5 mm, well below the
+  // solver's ~75 um Jacobian step. Each stop's angle must move on every
+  // step: a flat run reads as a zero gradient.
+  const geo::HeadBoundary truth(0.074, 0.101, 0.092, 128);
+  std::vector<std::pair<double, double>> delays;
+  const double stopDeg[] = {30.0, 60.0, 120.0};
+  for (const double angleDeg : stopDeg) {
+    const geo::Vec2 pos = geo::pointFromPolarDeg(angleDeg, 0.35);
+    delays.emplace_back(
+        geo::nearFieldPath(truth, pos, geo::Ear::kLeft).length / kSpeedOfSound,
+        geo::nearFieldPath(truth, pos, geo::Ear::kRight).length /
+            kSpeedOfSound);
+  }
+  std::vector<double> previous(delays.size());
+  int flat = 0;
+  constexpr int kSteps = 200;
+  for (int k = 0; k <= kSteps; ++k) {
+    const geo::HeadBoundary candidate(0.0745 + 1e-6 * k, 0.101, 0.092, 128);
+    const Localizer localizer(candidate);
+    for (std::size_t i = 0; i < delays.size(); ++i) {
+      const auto fix =
+          localizer.locate(delays[i].first, delays[i].second, stopDeg[i]);
+      ASSERT_TRUE(fix.has_value()) << "step " << k << ", stop " << i;
+      if (k > 0 && sameBits(fix->angleDeg, previous[i])) ++flat;
+      previous[i] = fix->angleDeg;
+    }
+  }
+  EXPECT_EQ(flat, 0) << "of " << kSteps * delays.size() << " steps";
+}
+
+TEST(LocalizerRefine, FixesSitOnTheRightEarCurveAtTheTrueAngle) {
+  // Noiseless delays from the localizer's own head: every fix lies on the
+  // right-ear iso-delay curve, and the one nearest the true angle is it.
+  // 80, 110, 140 and 170 degrees are scan-grid angles, so the root sits on
+  // a bracket edge, where the residual's sign is down to rounding.
+  const geo::HeadBoundary head(0.073, 0.102, 0.088, 256);
+  const Localizer localizer(head);
+  for (const double angleDeg : {10.0, 35.0, 60.0, 80.0, 110.0, 140.0, 170.0}) {
+    for (const double radiusM : {0.25, 0.4, 0.8}) {
+      const geo::Vec2 pos = geo::pointFromPolarDeg(angleDeg, radiusM);
+      const double tL =
+          geo::nearFieldPath(head, pos, geo::Ear::kLeft).length / kSpeedOfSound;
+      const double tR = geo::nearFieldPath(head, pos, geo::Ear::kRight).length /
+                        kSpeedOfSound;
+      const auto fixes = localizer.locateAll(tL, tR);
+      ASSERT_FALSE(fixes.empty()) << angleDeg << " deg, " << radiusM << " m";
+      for (const auto& fix : fixes) {
+        const geo::Vec2 at = geo::pointFromPolarDeg(fix.angleDeg, fix.radiusM);
+        EXPECT_LT(std::fabs(geo::nearFieldPath(head, at, geo::Ear::kRight)
+                                .length -
+                            tR * kSpeedOfSound),
+                  1e-9)
+            << angleDeg << " deg, " << radiusM << " m: fix at "
+            << fix.angleDeg << " deg";
+      }
+      const auto fix = localizer.locate(tL, tR, angleDeg);
+      ASSERT_TRUE(fix.has_value());
+      EXPECT_NEAR(fix->angleDeg, angleDeg, 1e-5) << radiusM << " m";
+      const auto want = nearestOfAll(fixes, angleDeg);
+      EXPECT_TRUE(sameBits(fix->angleDeg, want->angleDeg) &&
+                  sameBits(fix->radiusM, want->radiusM))
+          << angleDeg << " deg, " << radiusM << " m";
+    }
+  }
+}
+
 TEST_F(LocalizerTest, RejectsBadOptions) {
   LocalizerOptions opts;
   opts.minRadiusM = 0.05;  // inside the head

@@ -2,13 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
+#include <vector>
 
 #include "common/constants.h"
 #include "common/error.h"
 #include "common/random.h"
 #include "geometry/diffraction.h"
 #include "geometry/polar.h"
+#include "obs/metrics.h"
 
 namespace uniq::core {
 namespace {
@@ -164,6 +168,56 @@ TEST(SensorFusion, SolveRobustRejectsPlantedOutlier) {
   // With the outlier trimmed the head estimate stays sane.
   EXPECT_TRUE(result.headParams.isPlausible());
   EXPECT_NEAR(result.headParams.a, truth.a, 0.008);
+}
+
+TEST(SensorFusion, RejectMarginIsTheLastRoundsClosestCall) {
+  const head::HeadParameters truth{0.072, 0.104, 0.089};
+  Pcg32 rng(7);
+  auto measurements = makeMeasurements(truth, 1.0, rng, 24);
+  measurements[9].imuAngleDeg += 55.0;
+  const SensorFusion fusion;
+  const auto result = fusion.solveRobust(measurements);
+  // Round 0 drops stop 9 and round 1 judges the re-solve's stops, keeps
+  // them all and ends the loop; no widened re-solve replaces those stops.
+  ASSERT_EQ(result.rejectedSourceIndices.size(), 1u);
+  ASSERT_EQ(result.rejectRounds, 1u);
+  ASSERT_FALSE(result.widened);
+
+  // Round 1's gate by hand: threshold = max(3.5 * 1.4826 * MAD, 10 deg)
+  // over the localized stops' |IMU - acoustic| residuals.
+  std::vector<double> residuals;
+  for (const auto& stop : result.stops)
+    if (stop.localized)
+      residuals.push_back(std::fabs(stop.imuAngleDeg - stop.acousticAngleDeg));
+  ASSERT_EQ(residuals.size(), result.localizedCount);
+  const auto medianOf = [](std::vector<double> v) {
+    std::sort(v.begin(), v.end());
+    return v[v.size() / 2];
+  };
+  const double med = medianOf(residuals);
+  std::vector<double> deviations;
+  for (const double r : residuals) deviations.push_back(std::fabs(r - med));
+  const SensorFusionOptions opts;
+  const double threshold =
+      std::max(opts.rejectMadMultiplier * 1.4826 * medianOf(deviations),
+               opts.rejectMinResidualDeg);
+  double margin = std::numeric_limits<double>::infinity();
+  for (const double r : residuals)
+    margin = std::min(margin, std::fabs(r - threshold));
+  EXPECT_DOUBLE_EQ(result.rejectMarginDeg, margin);
+  EXPECT_GT(result.rejectMarginDeg, 0.0);
+  EXPECT_DOUBLE_EQ(obs::registry().gauge("dsf.reject.margin_deg").value(),
+                   margin);
+}
+
+TEST(SensorFusion, RejectMarginIsNanWithoutARejectRound) {
+  // Six stops leave nothing to reject, so no round runs.
+  const head::HeadParameters truth{0.072, 0.104, 0.089};
+  Pcg32 rng(9);
+  const auto measurements = makeMeasurements(truth, 0.5, rng, 6);
+  const auto result = SensorFusion().solveRobust(measurements);
+  ASSERT_TRUE(result.usable);
+  EXPECT_TRUE(std::isnan(result.rejectMarginDeg));
 }
 
 TEST(SensorFusion, SolveRobustKeepsEveryCleanStop) {
