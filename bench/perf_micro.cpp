@@ -92,6 +92,21 @@ void BM_Rfft(benchmark::State& state) {
 }
 BENCHMARK(BM_Rfft)->Arg(1024)->Arg(4096)->Arg(16384);
 
+// Inverse real transform (half spectrum in, n samples out): half of every
+// deconvolution's transforms, and GCC-PHAT's last step.
+void BM_Irfft(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  Pcg32 rng(9);
+  const auto half = dsp::rfft(dsp::whiteNoise(n, rng));
+  for (auto _ : state) {
+    auto signal = dsp::irfft(half, n);
+    benchmark::DoNotOptimize(signal);
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(n));
+}
+BENCHMARK(BM_Irfft)->Arg(8192)->Arg(16384);
+
 void BM_FftBluestein(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   Pcg32 rng(2);

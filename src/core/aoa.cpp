@@ -16,6 +16,7 @@
 #include "dsp/fft.h"
 #include "dsp/fft_plan.h"
 #include "dsp/fractional_delay.h"
+#include "dsp/kernels/kernels.h"
 #include "dsp/peak_picking.h"
 #include "dsp/spectrum.h"
 #include "obs/metrics.h"
@@ -56,21 +57,25 @@ AoaEstimate pickBest(const std::vector<double>& angles,
   return best;
 }
 
-/// |z| over bins [bLo, bHi] of the half spectrum of `signal` at plan size n
-/// (empty when bHi < bLo). The spectrum itself lives only in the thread's
-/// scratch arena.
+/// |z| over bins [bLo, bHi] of a half spectrum (empty when bHi < bLo).
+std::vector<double> bandMagnitudes(std::span<const dsp::Complex> spectrum,
+                                   std::size_t bLo, std::size_t bHi) {
+  std::vector<double> out;
+  if (bHi < bLo) return out;
+  out.resize(bHi - bLo + 1);
+  dsp::kernels::magnitudes(spectrum.data() + bLo, out.size(), out.data());
+  return out;
+}
+
+/// The same, for the half spectrum of `signal` at plan size n. The
+/// spectrum itself lives only in the thread's scratch arena.
 std::vector<double> bandMagnitudes(const dsp::FftPlan& plan,
                                    std::span<const double> signal,
                                    std::size_t bLo, std::size_t bHi) {
   common::ArenaScope scope(common::simdScratch());
   const auto spectrum = dsp::scratchComplex(plan.size() / 2 + 1);
   plan.rfft(signal, spectrum);
-  std::vector<double> out;
-  if (bHi < bLo) return out;
-  out.reserve(bHi - bLo + 1);
-  for (std::size_t k = bLo; k <= bHi; ++k)
-    out.push_back(std::sqrt(std::norm(spectrum[k])));
-  return out;
+  return bandMagnitudes(spectrum, bLo, bHi);
 }
 
 }  // namespace
@@ -142,15 +147,14 @@ struct ExtractedChannel {
   bool valid = false;
 };
 
+/// One ear's channel: the recording deconvolved by the source, whose half
+/// spectrum `fx` and regularization floor the caller supplies.
 ExtractedChannel extractChannel(const std::vector<double>& recording,
-                                const std::vector<double>& source,
-                                double sampleRate, double regularization,
+                                std::span<const dsp::Complex> fx,
+                                double floor, double sampleRate,
                                 double headWindowSec) {
   ExtractedChannel out;
-  dsp::DeconvolutionOptions dopts;
-  dopts.relativeRegularization = regularization;
-  dopts.responseLength = 512;
-  out.h = dsp::deconvolve(recording, source, dopts);
+  out.h = dsp::deconvolveSpectrum(recording, fx, floor, 512);
   dsp::FirstTapOptions tapOpts;
   const auto tap = dsp::findFirstTap(out.h, tapOpts);
   if (!tap) return out;
@@ -163,6 +167,32 @@ ExtractedChannel extractChannel(const std::vector<double>& recording,
   }
   out.valid = true;
   return out;
+}
+
+/// Both ears' channels for one known-source query, as dsp::deconvolve
+/// would extract them, with the source transformed and its floor scanned
+/// once when the two recordings share an FFT size.
+std::pair<ExtractedChannel, ExtractedChannel> extractChannels(
+    const std::vector<double>& left, const std::vector<double>& right,
+    const std::vector<double>& source, double sampleRate,
+    double regularization, double headWindowSec) {
+  common::ArenaScope scope(common::simdScratch());
+  std::size_t n = 0;
+  std::span<dsp::Complex> fx;
+  double floor = 0.0;
+  const auto ear = [&](const std::vector<double>& recording) {
+    const std::size_t earN =
+        dsp::nextPowerOfTwo(recording.size() + source.size());
+    if (earN != n) {
+      n = earN;
+      fx = dsp::scratchComplex(n / 2 + 1);
+      dsp::fftPlan(n)->rfft(source, fx);
+      floor = dsp::regularizationFloor(fx, regularization);
+    }
+    return extractChannel(recording, fx, floor, sampleRate, headWindowSec);
+  };
+  auto chL = ear(left);
+  return {std::move(chL), ear(right)};
 }
 
 }  // namespace
@@ -189,12 +219,9 @@ AoaEstimate AoaEstimator::estimateKnown(
                    !source.empty(),
                "empty input");
   const double fs = table_.sampleRate;
-  const auto chL = extractChannel(leftRecording, source, fs,
-                                  opts_.relativeRegularization,
-                                  opts_.headWindowSec);
-  const auto chR = extractChannel(rightRecording, source, fs,
-                                  opts_.relativeRegularization,
-                                  opts_.headWindowSec);
+  const auto [chL, chR] =
+      extractChannels(leftRecording, rightRecording, source, fs,
+                      opts_.relativeRegularization, opts_.headWindowSec);
   if (!chL.valid || !chR.valid) {
     // No usable first taps (dropout, dead channel, buried chirp): the Eq. 9
     // objective has nothing to anchor on. Degrade to the unknown-source
@@ -290,30 +317,10 @@ AoaEstimate AoaEstimator::estimateUnknown(
                "empty input");
   const double fs = table_.sampleRate;
 
-  // Relative channel via GCC-PHAT; each strong peak is a candidate
-  // interaural delay (paper Figure 14: pinna multipath produces several).
-  const double maxItdSec = 1.2e-3;  // generous physical bound for a head
-  auto rel = dsp::gccPhat(leftRecording, rightRecording);
-  dsp::FirstTapOptions peakOpts;
-  peakOpts.relativeThreshold = opts_.peakRelativeThreshold;
-  const auto taps = dsp::findTaps(rel, peakOpts);
-  const double zeroLag = static_cast<double>(rightRecording.size() - 1);
-
-  std::vector<double> candidates;
-  for (const auto& tap : taps) {
-    const double lag = tap.position - zeroLag;  // right lags left by `lag`
-    const double delta = -lag / fs;             // t0 = tapL - tapR = -lag/fs
-    if (std::fabs(delta) > maxItdSec) continue;
-    for (double ang : candidateAnglesForDelay(delta))
-      candidates.push_back(ang);
-  }
-  if (candidates.empty()) {
-    for (double ang = 0.0; ang <= 180.0; ang += 4.0)
-      candidates.push_back(ang);
-  }
-
-  // Disambiguate with the multiplicative relative-channel match (Eq. 11):
-  // L(f) * H_R(theta)(f) should equal R(f) * H_L(theta)(f).
+  // Band magnitudes for the Eq. 11 residual (below), and the GCC-PHAT
+  // spectra: both transform the recordings, so one frame spanning both whole
+  // recordings at GCC-PHAT's FFT size reads its magnitudes from the GCC-PHAT
+  // spectra instead of transforming them again.
   //
   // Two robustness measures for *estimated* templates:
   //  - Magnitude form: the interaural delay already selected the
@@ -343,20 +350,60 @@ AoaEstimate AoaEstimator::estimateUnknown(
   const std::size_t bHi =
       std::min(dsp::frequencyToBin(opts_.bandHiHz, n, fs), n / 2);
 
+  common::ArenaScope scope(common::simdScratch());
+  const std::size_t gccN =
+      dsp::gccPhatSize(leftRecording.size(), rightRecording.size());
+  const auto specL = dsp::scratchComplex(gccN / 2 + 1);
+  const auto specR = dsp::scratchComplex(gccN / 2 + 1);
+  dsp::gccPhatSpectra(leftRecording, rightRecording, specL, specR);
+
   // Per-frame band magnitudes of both ears (real signals; bins above n/2
   // are redundant and the Eq. 11 band never reaches them). Each frame is a
   // span of the recording, which rfft zero-pads to n.
-  const auto plan = dsp::fftPlan(n);
-  const std::span<const double> left(leftRecording), right(rightRecording);
   std::vector<std::vector<double>> magL, magR;
-  for (std::size_t start : frameStarts) {
-    const std::size_t len = std::min(frameLen, total - start);
-    magL.push_back(bandMagnitudes(*plan, left.subspan(start, len), bLo, bHi));
-    magR.push_back(bandMagnitudes(*plan, right.subspan(start, len), bLo, bHi));
+  if (frameStarts.size() == 1 && total == leftRecording.size() &&
+      total == rightRecording.size() && n == gccN) {
+    magL.push_back(bandMagnitudes(specL, bLo, bHi));
+    magR.push_back(bandMagnitudes(specR, bLo, bHi));
+  } else {
+    const auto plan = dsp::fftPlan(n);
+    const std::span<const double> left(leftRecording), right(rightRecording);
+    for (std::size_t start : frameStarts) {
+      const std::size_t len = std::min(frameLen, total - start);
+      magL.push_back(
+          bandMagnitudes(*plan, left.subspan(start, len), bLo, bHi));
+      magR.push_back(
+          bandMagnitudes(*plan, right.subspan(start, len), bLo, bHi));
+    }
   }
 
-  // Every candidate's template magnitudes, from the estimator's cache
-  // (filled for the angles it has not seen at size n).
+  // Relative channel via GCC-PHAT; each strong peak is a candidate
+  // interaural delay (paper Figure 14: pinna multipath produces several).
+  const double maxItdSec = 1.2e-3;  // generous physical bound for a head
+  const auto rel = dsp::gccPhatFromSpectra(
+      specL, specR, leftRecording.size(), rightRecording.size());
+  dsp::FirstTapOptions peakOpts;
+  peakOpts.relativeThreshold = opts_.peakRelativeThreshold;
+  const auto taps = dsp::findTaps(rel, peakOpts);
+  const double zeroLag = static_cast<double>(rightRecording.size() - 1);
+
+  std::vector<double> candidates;
+  for (const auto& tap : taps) {
+    const double lag = tap.position - zeroLag;  // right lags left by `lag`
+    const double delta = -lag / fs;             // t0 = tapL - tapR = -lag/fs
+    if (std::fabs(delta) > maxItdSec) continue;
+    for (double ang : candidateAnglesForDelay(delta))
+      candidates.push_back(ang);
+  }
+  if (candidates.empty()) {
+    for (double ang = 0.0; ang <= 180.0; ang += 4.0)
+      candidates.push_back(ang);
+  }
+
+  // Disambiguate with the multiplicative relative-channel match (Eq. 11):
+  // L(f) * H_R(theta)(f) should equal R(f) * H_L(theta)(f), in the
+  // magnitude form above. Every candidate's template magnitudes come from
+  // the estimator's cache (filled for the angles it has not seen at size n).
   std::vector<std::size_t> indices;
   indices.reserve(candidates.size());
   for (double theta : candidates)

@@ -57,7 +57,7 @@ ChannelExtractor::ChannelExtractor(
   UNIQ_REQUIRE(opts_.channelLength >= 64, "channel length too short");
 }
 
-std::shared_ptr<const std::vector<dsp::Complex>>
+std::shared_ptr<const ChannelExtractor::SourceSpectrum>
 ChannelExtractor::sourceSpectrum(const std::vector<double>& source,
                                  std::size_t n) const {
   std::lock_guard<std::mutex> lock(sourceMutex_);
@@ -80,7 +80,10 @@ ChannelExtractor::sourceSpectrum(const std::vector<double>& source,
       fx[k] *= hardwareEstimate_[rk];
     }
   }
-  kept = std::make_shared<const std::vector<dsp::Complex>>(std::move(fx));
+  auto entry = std::make_shared<SourceSpectrum>();
+  entry->floor = dsp::regularizationFloor(fx, opts_.relativeRegularization);
+  entry->bins = std::move(fx);
+  kept = std::move(entry);
   return kept;
 }
 
@@ -89,16 +92,11 @@ std::vector<double> ChannelExtractor::extractEar(
     const std::vector<double>& source) const {
   // Real inputs: half-spectrum transforms (bins 0..n/2) carry everything,
   // and rfft zero-pads both signals to n itself.
-  const std::size_t n =
-      dsp::nextPowerOfTwo(recording.size() + source.size());
-  const auto plan = dsp::fftPlan(n);
-  const auto fx = sourceSpectrum(source, n);
-  const auto fh = dsp::regularizedSpectralDivide(
-      plan->rfft(recording), *fx, opts_.relativeRegularization);
-  const auto time = plan->irfft(fh);
-  std::vector<double> h(opts_.channelLength, 0.0);
-  const std::size_t keep = std::min<std::size_t>(opts_.channelLength, n);
-  std::copy_n(time.begin(), keep, h.begin());
+  const auto fx = sourceSpectrum(
+      source, dsp::nextPowerOfTwo(recording.size() + source.size()));
+  auto h = dsp::deconvolveSpectrum(recording, fx->bins, fx->floor,
+                                   opts_.channelLength);
+  h.resize(opts_.channelLength, 0.0);
   return h;
 }
 

@@ -94,12 +94,17 @@ class ChannelExtractor {
   /// One ear's deconvolved channel (channelLength samples).
   std::vector<double> extractEar(const std::vector<double>& recording,
                                  const std::vector<double>& source) const;
+  /// A kept source spectrum and its deconvolution regularization floor.
+  struct SourceSpectrum {
+    std::vector<dsp::Complex> bins;
+    double floor = 0.0;  ///< dsp::regularizationFloor(bins, ...)
+  };
   /// Half spectrum of `source` at FFT size `n`, times the hardware response
   /// estimate when compensation is on (the compensation applies to the
-  /// transmit chain only, so every ear and stop shares it). Computed once
-  /// per FFT size for a given source and kept; a different source replaces
-  /// the kept spectra. Thread-safe.
-  std::shared_ptr<const std::vector<dsp::Complex>> sourceSpectrum(
+  /// transmit chain only, so every ear and stop shares it), with its
+  /// regularization floor. Computed once per FFT size for a given source
+  /// and kept; a different source replaces the kept spectra. Thread-safe.
+  std::shared_ptr<const SourceSpectrum> sourceSpectrum(
       const std::vector<double>& source, std::size_t n) const;
 
   std::vector<dsp::Complex> hardwareEstimate_;
@@ -108,8 +113,7 @@ class ChannelExtractor {
   mutable std::mutex sourceMutex_;
   /// The source the kept spectra belong to, and the spectra by FFT size.
   mutable std::vector<double> source_;
-  mutable std::map<std::size_t,
-                   std::shared_ptr<const std::vector<dsp::Complex>>>
+  mutable std::map<std::size_t, std::shared_ptr<const SourceSpectrum>>
       sourceSpectra_;
 };
 

@@ -141,16 +141,9 @@ CorrelationPeak boundedNormalizedCorrelationPeak(std::span<const double> a,
   const long hi = std::min(la - 1, reach);
   const double scale = 1.0 / (na * bNorm);
   std::vector<double> c(static_cast<std::size_t>(hi - lo + 1));
-  for (long lag = lo; lag <= hi; ++lag) {
-    // c[lag] = sum_t a[t] * b[t + lag]; zero where no t has both in range.
-    const long t0 = std::max(0L, -lag);
-    const long t1 = std::min(la, lb - lag);
-    const double v =
-        t1 > t0 ? kernels::dotProduct(a.data() + t0, b.data() + t0 + lag,
-                                      static_cast<std::size_t>(t1 - t0))
-                : 0.0;
-    c[static_cast<std::size_t>(lag - lo)] = v * scale;
-  }
+  kernels::lagDotProducts(a.data(), a.size(), b.data(), b.size(), lo, hi,
+                          c.data());
+  for (auto& v : c) v *= scale;
   return peakSearch(c, static_cast<double>(lo), maxLagSamples);
 }
 
@@ -167,31 +160,38 @@ double pearson(std::span<const double> a, std::span<const double> b) {
   return sab / std::sqrt(saa * sbb);
 }
 
-std::vector<double> gccPhat(std::span<const double> a,
-                            std::span<const double> b) {
+std::size_t gccPhatSize(std::size_t aSize, std::size_t bSize) {
+  return nextPowerOfTwo(aSize + bSize - 1);
+}
+
+void gccPhatSpectra(std::span<const double> a, std::span<const double> b,
+                    std::span<Complex> fa, std::span<Complex> fb) {
   UNIQ_REQUIRE(!a.empty() && !b.empty(), "gccPhat of empty signal");
-  const std::size_t outLen = a.size() + b.size() - 1;
-  const std::size_t n = nextPowerOfTwo(outLen);
-  const auto plan = fftPlan(n);
-  // The spectra and the inverse live in the thread's scratch arena: at the
-  // AoA path's n = 16384 each is ~128 KiB, right at the allocator's mmap
-  // threshold, so fresh vectors would make the cost depend on heap state.
-  common::ArenaScope scope(common::simdScratch());
-  const auto fa = scratchComplex(n / 2 + 1);
-  const auto fb = scratchComplex(n / 2 + 1);
+  const auto plan = fftPlan(gccPhatSize(a.size(), b.size()));
   plan->rfft(a, fa);  // both zero-padded to n
   plan->rfft(b, fb);
+}
+
+std::vector<double> gccPhatFromSpectra(std::span<Complex> fa,
+                                       std::span<const Complex> fb,
+                                       std::size_t aSize, std::size_t bSize) {
+  UNIQ_REQUIRE(aSize > 0 && bSize > 0, "gccPhat of empty signal");
+  const std::size_t outLen = aSize + bSize - 1;
+  const std::size_t n = gccPhatSize(aSize, bSize);
+  UNIQ_REQUIRE(fa.size() == n / 2 + 1 && fb.size() == n / 2 + 1,
+               "gccPhat spectra must hold n/2 + 1 bins");
   for (std::size_t i = 0; i < fa.size(); ++i) {
     const Complex cross = fa[i] * std::conj(fb[i]);
     const double mag = std::abs(cross);
     fa[i] = mag > 1e-15 ? cross / mag : Complex(0, 0);
   }
+  common::ArenaScope scope(common::simdScratch());
   const auto r = scratchDoubles(n);
-  plan->irfft(fa, r);
+  fftPlan(n)->irfft(fa, r);
   std::vector<double> out(outLen);
-  const std::size_t nb = b.size() - 1;
-  const long lagLo = -(static_cast<long>(a.size()) - 1);
-  const long lagHi = static_cast<long>(b.size()) - 1;
+  const std::size_t nb = bSize - 1;
+  const long lagLo = -(static_cast<long>(aSize) - 1);
+  const long lagHi = static_cast<long>(bSize) - 1;
   for (std::size_t k = 0; k < outLen; ++k) {
     const long lag = static_cast<long>(k) - static_cast<long>(nb);
     if (lag < lagLo || lag > lagHi) {
@@ -204,6 +204,20 @@ std::vector<double> gccPhat(std::span<const double> a,
     out[k] = r[idx];
   }
   return out;
+}
+
+std::vector<double> gccPhat(std::span<const double> a,
+                            std::span<const double> b) {
+  UNIQ_REQUIRE(!a.empty() && !b.empty(), "gccPhat of empty signal");
+  const std::size_t n = gccPhatSize(a.size(), b.size());
+  // The spectra and the inverse live in the thread's scratch arena: at the
+  // AoA path's n = 16384 each is ~128 KiB, right at the allocator's mmap
+  // threshold, so fresh vectors would make the cost depend on heap state.
+  common::ArenaScope scope(common::simdScratch());
+  const auto fa = scratchComplex(n / 2 + 1);
+  const auto fb = scratchComplex(n / 2 + 1);
+  gccPhatSpectra(a, b, fa, fb);
+  return gccPhatFromSpectra(fa, fb, a.size(), b.size());
 }
 
 double estimateDelayGccPhat(std::span<const double> a,

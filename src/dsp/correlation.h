@@ -1,7 +1,10 @@
 #pragma once
 
+#include <cstddef>
 #include <span>
 #include <vector>
+
+#include "dsp/fft.h"
 
 namespace uniq::dsp {
 
@@ -52,9 +55,28 @@ double pearson(std::span<const double> a, std::span<const double> b);
 
 /// GCC-PHAT cross-correlation: phase-transform-weighted generalized cross
 /// correlation. Returns the correlation sequence with the same lag layout as
-/// crossCorrelate. Robust delay estimation for wideband signals.
+/// crossCorrelate. Robust delay estimation for wideband signals. Runs
+/// gccPhatSpectra, then gccPhatFromSpectra.
 std::vector<double> gccPhat(std::span<const double> a,
                             std::span<const double> b);
+
+/// FFT length GCC-PHAT transforms signals of these lengths at:
+/// nextPowerOfTwo(aSize + bSize - 1).
+std::size_t gccPhatSize(std::size_t aSize, std::size_t bSize);
+
+/// GCC-PHAT's first step: the half spectra of `a` and `b` at
+/// gccPhatSize(a.size(), b.size()) into caller storage of n/2 + 1 bins each
+/// (for example scratchComplex()). A caller that needs the same spectra for
+/// something else reads them here instead of transforming again.
+void gccPhatSpectra(std::span<const double> a, std::span<const double> b,
+                    std::span<Complex> fa, std::span<Complex> fb);
+
+/// GCC-PHAT's second step on gccPhatSpectra's output for signals of
+/// lengths aSize and bSize: PHAT-weights the cross spectrum (overwriting
+/// `fa`) and transforms it back. gccPhat(a, b) equals this bit for bit.
+std::vector<double> gccPhatFromSpectra(std::span<Complex> fa,
+                                       std::span<const Complex> fb,
+                                       std::size_t aSize, std::size_t bSize);
 
 /// Time-difference estimate (in samples, sub-sample accurate) of b relative
 /// to a using GCC-PHAT. Positive means b lags a.

@@ -26,6 +26,22 @@ std::vector<double> deconvolve(std::span<const double> received,
                                std::span<const double> source,
                                const DeconvolutionOptions& opts = {});
 
+/// deconvolve() against a source already transformed: `sourceSpectrum` is
+/// the source's half spectrum at an FFT size n (n/2 + 1 bins, n a power of
+/// two of at least received.size() plus the source length) and `floor` its
+/// regularizationFloor(). Returns the first min(keep, n) samples of h, bit
+/// for bit what deconvolve() returns for the same n and regularization. A
+/// caller that deconvolves several recordings by one source transforms the
+/// source and scans its floor once.
+std::vector<double> deconvolveSpectrum(std::span<const double> received,
+                                       std::span<const Complex> sourceSpectrum,
+                                       double floor, std::size_t keep);
+
+/// The Tikhonov term added to |den(f)|^2: relativeRegularization *
+/// max_f |den(f)|^2 (the maximum floored at 1e-300).
+double regularizationFloor(std::span<const Complex> denominator,
+                           double relativeRegularization);
+
 /// Frequency-domain division of two spectra with Tikhonov regularization:
 /// out(f) = num(f) * conj(den(f)) / (|den(f)|^2 + eps * max|den|^2).
 std::vector<Complex> regularizedSpectralDivide(

@@ -126,23 +126,6 @@ FftPlan::FftPlan(std::size_t n) : n_(n), pow2_(isPowerOfTwo(n)) {
                      convPlan_->stageTwRe(), convPlan_->stageTwIm(false));
 }
 
-void FftPlan::gatherSplit(const Complex* input, double* re, double* im) const {
-  // One pass replaces deinterleave + permutation + first butterfly stage:
-  // the pair written to (2t, 2t+1) reads bit-reversed inputs j and j + n/2,
-  // and the len == 2 twiddle is exactly 1.
-  const std::size_t h = n_ / 2;
-  const auto* d = reinterpret_cast<const double*>(input);
-  for (std::size_t t = 0; t < h; ++t) {
-    const std::size_t j = bitrev_[2 * t];
-    const double ur = d[2 * j], ui = d[2 * j + 1];
-    const double vr = d[2 * (j + h)], vi = d[2 * (j + h) + 1];
-    re[2 * t] = ur + vr;
-    im[2 * t] = ui + vi;
-    re[2 * t + 1] = ur - vr;
-    im[2 * t + 1] = ui - vi;
-  }
-}
-
 void FftPlan::transformPow2(std::span<Complex> data, bool inverse) const {
   transformCounter().inc();
   const std::size_t n = n_;
@@ -152,21 +135,12 @@ void FftPlan::transformPow2(std::span<Complex> data, bool inverse) const {
   const std::size_t lane = common::alignedCount(n, sizeof(double));
   double* re = arena.allocDoubles(2 * lane);
   double* im = re + lane;
-  gatherSplit(data.data(), re, im);
+  // The gather fuses deinterleave, permutation and the len == 2 stage.
+  kernels::gatherBitReversed(data.data(), bitrev_.data(), n, re, im);
   kernels::ditStagesFrom(re, im, n, stageTwRe(), stageTwIm(inverse), 4);
-  auto* d = reinterpret_cast<double*>(data.data());
-  if (inverse) {
-    const double s = 1.0 / static_cast<double>(n);
-    for (std::size_t k = 0; k < n; ++k) {
-      d[2 * k] = re[k] * s;
-      d[2 * k + 1] = im[k] * s;
-    }
-  } else {
-    for (std::size_t k = 0; k < n; ++k) {
-      d[2 * k] = re[k];
-      d[2 * k + 1] = im[k];
-    }
-  }
+  kernels::interleaveScaled(re, im, n,
+                            inverse ? 1.0 / static_cast<double>(n) : 1.0,
+                            reinterpret_cast<double*>(data.data()));
 }
 
 void FftPlan::forwardInPlace(std::span<Complex> data) const {
@@ -301,36 +275,18 @@ void FftPlan::rfft(std::span<const double> input,
       zRe[0] = x[0];
       zIm[0] = x[1];
     } else {
-      // Gather in the half plan's bit-reversed order with its len == 2
-      // stage fused, like gatherSplit().
-      for (std::size_t t = 0; t < h / 2; ++t) {
-        const std::size_t j = rev[2 * t];
-        const double ur = x[2 * j], ui = x[2 * j + 1];
-        const double vr = x[2 * (j + h / 2)];
-        const double vi = x[2 * (j + h / 2) + 1];
-        zRe[2 * t] = ur + vr;
-        zIm[2 * t] = ui + vi;
-        zRe[2 * t + 1] = ur - vr;
-        zIm[2 * t + 1] = ui - vi;
-      }
+      // x read as h complex values, gathered in the half plan's
+      // bit-reversed order with its len == 2 stage fused.
+      kernels::gatherBitReversed(reinterpret_cast<const Complex*>(x),
+                                 rev.data(), h, zRe, zIm);
       kernels::ditStagesFrom(zRe, zIm, h, halfPlan_->stageTwRe(),
                              halfPlan_->stageTwIm(false), 4);
     }
   }
 
   // Split twiddles exp(-2*pi*i*k/n) are exactly the len == n stage slice.
-  const double* wr = twRe_.data() + (h - 1);
-  const double* wi = twIm_.data() + (h - 1);
-  out[0] = Complex(zRe[0] + zIm[0], 0.0);
-  out[h] = Complex(zRe[0] - zIm[0], 0.0);
-  for (std::size_t k = 1; k < h; ++k) {
-    const double er = 0.5 * (zRe[k] + zRe[h - k]);
-    const double ei = 0.5 * (zIm[k] - zIm[h - k]);
-    const double odr = 0.5 * (zIm[k] + zIm[h - k]);
-    const double odi = -0.5 * (zRe[k] - zRe[h - k]);
-    out[k] = Complex(er + odr * wr[k] - odi * wi[k],
-                     ei + odr * wi[k] + odi * wr[k]);
-  }
+  kernels::rfftSplit(zRe, zIm, h, twRe_.data() + (h - 1),
+                     twIm_.data() + (h - 1), out.data());
 }
 
 std::vector<double> FftPlan::irfft(std::span<const Complex> halfSpectrum) const {
@@ -356,49 +312,24 @@ void FftPlan::irfft(std::span<const Complex> halfSpectrum,
   auto& arena = common::simdScratch();
   common::ArenaScope scope(arena);
   const std::size_t lane = common::alignedCount(h, sizeof(double));
-  double* nzRe = arena.allocDoubles(4 * lane);
-  double* nzIm = nzRe + lane;
-  double* zRe = nzRe + 2 * lane;
-  double* zIm = nzRe + 3 * lane;
+  auto* z = reinterpret_cast<Complex*>(arena.allocDoubles(2 * lane));
+  double* zRe = arena.allocDoubles(2 * lane);
+  double* zIm = zRe + lane;
   // Natural-order z, then gather into bit-reversed order for the inverse
-  // cascade. Undo the rfft split twiddle with the conjugate table slice:
-  // O[k] = (X[k] - E[k]) * exp(+2*pi*i*k/n).
-  const double* wr = twRe_.data() + (h - 1);
-  const double* wi = invTwIm_.data() + (h - 1);
-  for (std::size_t k = 0; k < h; ++k) {
-    const std::size_t nk = h - k;
-    const double xkr = halfSpectrum[k].real(), xki = halfSpectrum[k].imag();
-    const double xnr = halfSpectrum[nk].real(), xni = -halfSpectrum[nk].imag();
-    const double er = 0.5 * (xkr + xnr), ei = 0.5 * (xki + xni);
-    const double dr = 0.5 * (xkr - xnr), di = 0.5 * (xki - xni);
-    const double odr = dr * wr[k] - di * wi[k];
-    const double odi = dr * wi[k] + di * wr[k];
-    nzRe[k] = er - odi;
-    nzIm[k] = ei + odr;
-  }
+  // cascade. The merge undoes the rfft split twiddle with the conjugate
+  // table slice.
+  kernels::irfftMerge(halfSpectrum.data(), h, twRe_.data() + (h - 1),
+                      invTwIm_.data() + (h - 1), z);
   if (h == 1) {
-    zRe[0] = nzRe[0];
-    zIm[0] = nzIm[0];
+    zRe[0] = z[0].real();
+    zIm[0] = z[0].imag();
   } else {
-    const auto& rev = halfPlan_->bitrev_;
-    for (std::size_t t = 0; t < h / 2; ++t) {
-      const std::size_t j = rev[2 * t];
-      const double ur = nzRe[j], ui = nzIm[j];
-      const double vr = nzRe[j + h / 2], vi = nzIm[j + h / 2];
-      zRe[2 * t] = ur + vr;
-      zIm[2 * t] = ui + vi;
-      zRe[2 * t + 1] = ur - vr;
-      zIm[2 * t + 1] = ui - vi;
-    }
+    kernels::gatherBitReversed(z, halfPlan_->bitrev_.data(), h, zRe, zIm);
     kernels::ditStagesFrom(zRe, zIm, h, halfPlan_->stageTwRe(),
                            halfPlan_->stageTwIm(true), 4);
   }
-
-  const double s = 1.0 / static_cast<double>(h);
-  for (std::size_t j = 0; j < h; ++j) {
-    out[2 * j] = zRe[j] * s;
-    out[2 * j + 1] = zIm[j] * s;
-  }
+  kernels::interleaveScaled(zRe, zIm, h, 1.0 / static_cast<double>(h),
+                            out.data());
 }
 
 std::span<Complex> scratchComplex(std::size_t n) {

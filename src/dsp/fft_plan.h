@@ -78,9 +78,6 @@ class FftPlan {
 
  private:
   void transformPow2(std::span<Complex> data, bool inverse) const;
-  /// Deinterleave `input` into split re/im lanes in bit-reversed order with
-  /// the len == 2 butterfly fused, ready for ditStagesFrom(..., 4).
-  void gatherSplit(const Complex* input, double* re, double* im) const;
   std::vector<Complex> forwardBluestein(std::span<const Complex> input) const;
 
   /// Packed single-transform stage-table base pointers (stage for `len`

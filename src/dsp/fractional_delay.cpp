@@ -5,6 +5,7 @@
 
 #include "common/constants.h"
 #include "common/error.h"
+#include "dsp/kernels/kernels.h"
 #include "obs/metrics.h"
 
 namespace uniq::dsp {
@@ -84,7 +85,7 @@ std::vector<double> fractionalShift(std::span<const double> signal,
         windowedSinc(frac + static_cast<double>(halfWidth - j), halfWidth);
 
   const long computed = std::min(n, static_cast<long>(out.size()));
-  for (long t = 0; t < computed; ++t) {
+  const auto edgeOutput = [&](long t) {
     const long k0 = t + c0 - halfWidth;
     const long jHi = std::min(taps - 1, n - 1 - k0);
     double acc = 0.0;
@@ -92,7 +93,17 @@ std::vector<double> fractionalShift(std::span<const double> signal,
       acc += signal[static_cast<std::size_t>(k0 + j)] *
              weights[static_cast<std::size_t>(j)];
     out[static_cast<std::size_t>(t)] = acc;
-  }
+  };
+  // Outputs [lo, hi) read all their taps inside the signal: one FIR run
+  // on the kernel layer, which sums each in the same order as edgeOutput.
+  const long lo = std::clamp(halfWidth - c0, 0L, computed);
+  const long hi = std::clamp(n - taps + halfWidth - c0 + 1, lo, computed);
+  for (long t = 0; t < lo; ++t) edgeOutput(t);
+  if (hi > lo)
+    kernels::firFilter(signal.data() + (lo + c0 - halfWidth), weights.data(),
+                       static_cast<std::size_t>(taps),
+                       static_cast<std::size_t>(hi - lo), out.data() + lo);
+  for (long t = hi; t < computed; ++t) edgeOutput(t);
   return out;
 }
 

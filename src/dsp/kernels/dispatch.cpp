@@ -110,6 +110,31 @@ void scaleInPlace(double* x, std::size_t n, double s) {
   detail::table().scaleInPlace(x, n, s);
 }
 
+void gatherBitReversed(const std::complex<double>* in,
+                       const std::uint32_t* rev, std::size_t n, double* re,
+                       double* im) {
+  detail::table().gatherBitReversed(in, rev, n, re, im);
+}
+
+void interleaveScaled(const double* re, const double* im, std::size_t n,
+                      double s, double* out) {
+  detail::table().interleaveScaled(re, im, n, s, out);
+}
+
+void rfftSplit(const double* zRe, const double* zIm, std::size_t h,
+               const double* wr, const double* wi, std::complex<double>* out) {
+  detail::table().rfftSplit(zRe, zIm, h, wr, wi, out);
+}
+
+void irfftMerge(const std::complex<double>* x, std::size_t h,
+                const double* wr, const double* wi, std::complex<double>* z) {
+  detail::table().irfftMerge(x, h, wr, wi, z);
+}
+
+void magnitudes(const std::complex<double>* x, std::size_t n, double* out) {
+  detail::table().magnitudes(x, n, out);
+}
+
 void cmulSplit(double* aRe, double* aIm, const double* bRe, const double* bIm,
                std::size_t n) {
   detail::table().cmulSplit(aRe, aIm, bRe, bIm, n);
@@ -137,6 +162,16 @@ double maxNorm(const std::complex<double>* x, std::size_t n) {
 
 double dotProduct(const double* a, const double* b, std::size_t n) {
   return detail::table().dotProduct(a, b, n);
+}
+
+void lagDotProducts(const double* a, std::size_t la, const double* b,
+                    std::size_t lb, long lo, long hi, double* out) {
+  detail::table().lagDotProducts(a, la, b, lb, lo, hi, out);
+}
+
+void firFilter(const double* x, const double* w, std::size_t taps,
+               std::size_t count, double* out) {
+  detail::table().firFilter(x, w, taps, count, out);
 }
 
 double sumSquares(const double* x, std::size_t n) {

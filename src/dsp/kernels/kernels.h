@@ -2,6 +2,7 @@
 
 #include <complex>
 #include <cstddef>
+#include <cstdint>
 #include <string>
 
 namespace uniq::dsp::kernels {
@@ -73,6 +74,45 @@ void difStages(double* re, double* im, std::size_t n, const double* stageTwRe,
 void scaleInPlace(double* x, std::size_t n, double s);
 
 // ---------------------------------------------------------------------------
+// Transform packing kernels (FftPlan's gathers, copy-outs and the real-FFT
+// split/merge). Every one is mul/add/sub/sqrt only, never fused, so all
+// tiers produce the same bits.
+// ---------------------------------------------------------------------------
+
+/// Bit-reversal gather of n interleaved complex values (n a power of two
+/// >= 2) into split lanes with the len == 2 butterfly fused: for t < n/2,
+/// with j = rev[2t], u = in[j] and v = in[j + n/2],
+/// (re, im)[2t] = u + v and (re, im)[2t + 1] = u - v. `rev` is the length-n
+/// bit-reversal table.
+void gatherBitReversed(const std::complex<double>* in,
+                       const std::uint32_t* rev, std::size_t n, double* re,
+                       double* im);
+
+/// out[2k] = re[k] * s, out[2k + 1] = im[k] * s for k < n: split lanes
+/// back to interleaved complex (s == 1 copies them exactly).
+void interleaveScaled(const double* re, const double* im, std::size_t n,
+                      double s, double* out);
+
+/// rfft split: z = Z[0..h) (h >= 1) is the length-h transform of the real
+/// signal's even/odd samples packed as re/im, in split lanes. Writes the
+/// half spectrum out[0..h] of the length-2h real transform,
+/// X[k] = E[k] + w[k] O[k] with E, O the even/odd parts of Z and
+/// w[k] = (wr[k], wi[k]) = exp(-2*pi*i*k/(2h)).
+void rfftSplit(const double* zRe, const double* zIm, std::size_t h,
+               const double* wr, const double* wi, std::complex<double>* out);
+
+/// Inverse of rfftSplit: from the half spectrum x[0..h] to the h
+/// interleaved values z[k] = E[k] + i O[k] whose length-h inverse transform
+/// packs the real signal's even/odd samples as re/im. (wr, wi) are the
+/// conjugate twiddles exp(+2*pi*i*k/(2h)).
+void irfftMerge(const std::complex<double>* x, std::size_t h,
+                const double* wr, const double* wi, std::complex<double>* z);
+
+/// out[k] = sqrt(re^2 + im^2) of x[k] (std::abs's value without hypot's
+/// rescaling: the square root of std::norm).
+void magnitudes(const std::complex<double>* x, std::size_t n, double* out);
+
+// ---------------------------------------------------------------------------
 // Complex pointwise kernels.
 // ---------------------------------------------------------------------------
 
@@ -91,6 +131,7 @@ void cmulConjInterleaved(std::complex<double>* a,
 
 /// out[i] = num[i] * conj(den[i]) / (|den[i]|^2 + eps) — the regularized
 /// spectral division at the heart of deconvolution / channel extraction.
+/// `out` may be `num` (in-place division).
 void spectralDivide(const std::complex<double>* num,
                     const std::complex<double>* den, double eps,
                     std::complex<double>* out, std::size_t n);
@@ -104,6 +145,20 @@ double maxNorm(const std::complex<double>* x, std::size_t n);
 
 /// sum_i a[i] * b[i].
 double dotProduct(const double* a, const double* b, std::size_t n);
+
+/// Cross-correlation over a lag window: for lag in [lo, hi],
+/// out[lag - lo] = sum_t a[t] * b[t + lag] over the t where both are in
+/// range (0 where there is none), each equal bit for bit to dotProduct() of
+/// that overlap on the same tier.
+void lagDotProducts(const double* a, std::size_t la, const double* b,
+                    std::size_t lb, long lo, long hi, double* out);
+
+/// FIR correlation: out[t] = sum_{j < taps} x[t + j] * w[j] for t < count,
+/// each summed from 0.0 in ascending j with a separate multiply and add
+/// (never fused), so every tier gives the same bits. Reads
+/// x[0 .. count + taps - 1).
+void firFilter(const double* x, const double* w, std::size_t taps,
+               std::size_t count, double* out);
 
 /// sum_i x[i]^2.
 double sumSquares(const double* x, std::size_t n);

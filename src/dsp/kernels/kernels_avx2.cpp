@@ -1,19 +1,24 @@
 // AVX2 + FMA tier of the kernel layer. This translation unit is the only
-// one compiled with -mavx2 -mfma (see src/dsp/CMakeLists.txt); it must
-// never be entered unless the runtime dispatcher verified CPU support, so
-// no function here re-checks cpuid.
+// one compiled with -mavx2 -mfma (see src/dsp/CMakeLists.txt); the
+// kernels that must match the scalar tier bit for bit live in
+// kernels_avx2_nofma.cpp instead. Neither may be entered unless the
+// runtime dispatcher verified CPU support, so no function here re-checks
+// cpuid.
 //
 // Precision notes (the documented ulp story for tests/test_kernels.cpp):
 //  - Butterflies and complex multiplies use FMA, so individual elements can
 //    differ from the scalar tier by the usual fused-rounding ulp; the FFT
-//    cascade amplifies this to ~1e-13 relative at n = 16384.
+//    cascade amplifies this to ~1e-13 relative at n = 16384. The DIT
+//    cascade runs two stages per pass; each element still meets the same
+//    butterflies in the same order as with one stage per pass.
 //  - The visibility kernel deliberately uses mul+sub (no FMA) so its g
 //    values match the scalar tier bit-for-bit on the same inputs, keeping
 //    crossing counts — and therefore geometry decisions — identical across
 //    dispatch tiers.
 //  - Reductions use 4-way split accumulators; the final horizontal combine
 //    reorders additions relative to the scalar tier (relative error within
-//    ~4 ulp of the condition number of the sum).
+//    ~4 ulp of the condition number of the sum). lagDotProducts gives each
+//    lag exactly dotProductImpl's bits.
 
 #if defined(UNIQ_HAVE_AVX2)
 
@@ -58,25 +63,6 @@ inline void stage2(double* re, double* im, std::size_t n) {
   }
 }
 
-/// len == 4 DIT stage via 128-bit lanes (half == 2 butterflies per block).
-inline void stage4Dit(double* re, double* im, std::size_t n,
-                      const double* twRe, const double* twIm) {
-  const __m128d wr = _mm_loadu_pd(twRe);  // (1, 0/∓1) exact factors
-  const __m128d wi = _mm_loadu_pd(twIm);
-  for (std::size_t i = 0; i + 3 < n; i += 4) {
-    const __m128d br = _mm_loadu_pd(re + i + 2);
-    const __m128d bi = _mm_loadu_pd(im + i + 2);
-    const __m128d vr = _mm_fnmadd_pd(bi, wi, _mm_mul_pd(br, wr));
-    const __m128d vi = _mm_fmadd_pd(bi, wr, _mm_mul_pd(br, wi));
-    const __m128d ur = _mm_loadu_pd(re + i);
-    const __m128d ui = _mm_loadu_pd(im + i);
-    _mm_storeu_pd(re + i, _mm_add_pd(ur, vr));
-    _mm_storeu_pd(im + i, _mm_add_pd(ui, vi));
-    _mm_storeu_pd(re + i + 2, _mm_sub_pd(ur, vr));
-    _mm_storeu_pd(im + i + 2, _mm_sub_pd(ui, vi));
-  }
-}
-
 /// len == 4 DIF stage: u' = u + v, v' = (u - v) * w.
 inline void stage4Dif(double* re, double* im, std::size_t n,
                       const double* twRe, const double* twIm) {
@@ -96,33 +82,140 @@ inline void stage4Dif(double* re, double* im, std::size_t n,
   }
 }
 
+/// One DIT butterfly on four lanes: (u, v) -> (u + v*w, u - v*w), with
+/// v*w spelled as the stage loops have always computed it:
+/// re = fnmadd(vi, wi, vr*wr), im = fmadd(vi, wr, vr*wi).
+inline void butterflyDit(__m256d& ur, __m256d& ui, __m256d& br, __m256d& bi,
+                         __m256d wr, __m256d wi) {
+  const __m256d vr = _mm256_fnmadd_pd(bi, wi, _mm256_mul_pd(br, wr));
+  const __m256d vi = _mm256_fmadd_pd(bi, wr, _mm256_mul_pd(br, wi));
+  br = _mm256_sub_pd(ur, vr);
+  bi = _mm256_sub_pd(ui, vi);
+  ur = _mm256_add_pd(ur, vr);
+  ui = _mm256_add_pd(ui, vi);
+}
+
+/// The len == 4 DIT stage on one 4-element block held in registers
+/// (u = lanes 0-1, v = lanes 2-3, w = the two stage factors twice).
+inline void stage4Lanes(__m256d& xr, __m256d& xi, __m256d wr, __m256d wi) {
+  const __m256d ur = _mm256_permute2f128_pd(xr, xr, 0x00);
+  const __m256d ui = _mm256_permute2f128_pd(xi, xi, 0x00);
+  const __m256d br = _mm256_permute2f128_pd(xr, xr, 0x11);
+  const __m256d bi = _mm256_permute2f128_pd(xi, xi, 0x11);
+  const __m256d vr = _mm256_fnmadd_pd(bi, wi, _mm256_mul_pd(br, wr));
+  const __m256d vi = _mm256_fmadd_pd(bi, wr, _mm256_mul_pd(br, wi));
+  xr = _mm256_blend_pd(_mm256_add_pd(ur, vr), _mm256_sub_pd(ur, vr), 0xC);
+  xi = _mm256_blend_pd(_mm256_add_pd(ui, vi), _mm256_sub_pd(ui, vi), 0xC);
+}
+
+/// Stage len == 4 alone (n == 4), or stages 4 and 8 in one pass over
+/// 8-element blocks (n >= 8).
+void stages4And8Dit(double* re, double* im, std::size_t n, const double* twRe,
+                    const double* twIm) {
+  const __m256d w4r =
+      _mm256_broadcast_pd(reinterpret_cast<const __m128d*>(twRe));
+  const __m256d w4i =
+      _mm256_broadcast_pd(reinterpret_cast<const __m128d*>(twIm));
+  if (n == 4) {
+    __m256d xr = _mm256_loadu_pd(re), xi = _mm256_loadu_pd(im);
+    stage4Lanes(xr, xi, w4r, w4i);
+    _mm256_storeu_pd(re, xr);
+    _mm256_storeu_pd(im, xi);
+    return;
+  }
+  const __m256d w8r = _mm256_loadu_pd(twRe + 2);
+  const __m256d w8i = _mm256_loadu_pd(twIm + 2);
+  for (std::size_t i = 0; i < n; i += 8) {
+    __m256d ur = _mm256_loadu_pd(re + i), ui = _mm256_loadu_pd(im + i);
+    __m256d br = _mm256_loadu_pd(re + i + 4), bi = _mm256_loadu_pd(im + i + 4);
+    stage4Lanes(ur, ui, w4r, w4i);
+    stage4Lanes(br, bi, w4r, w4i);
+    butterflyDit(ur, ui, br, bi, w8r, w8i);
+    _mm256_storeu_pd(re + i, ur);
+    _mm256_storeu_pd(im + i, ui);
+    _mm256_storeu_pd(re + i + 4, br);
+    _mm256_storeu_pd(im + i + 4, bi);
+  }
+}
+
+/// One multiplying stage `len` (>= 8) over the whole array.
+void stageDit(double* re, double* im, std::size_t n, const double* twRe,
+              const double* twIm, std::size_t len) {
+  const std::size_t half = len / 2;
+  const double* wr = twRe + (half - 2);
+  const double* wi = twIm + (half - 2);
+  for (std::size_t i = 0; i < n; i += len) {
+    for (std::size_t k = 0; k < half; k += 4) {
+      const __m256d wrv = _mm256_loadu_pd(wr + k);
+      const __m256d wiv = _mm256_loadu_pd(wi + k);
+      __m256d ur = _mm256_loadu_pd(re + i + k);
+      __m256d ui = _mm256_loadu_pd(im + i + k);
+      __m256d br = _mm256_loadu_pd(re + i + k + half);
+      __m256d bi = _mm256_loadu_pd(im + i + k + half);
+      butterflyDit(ur, ui, br, bi, wrv, wiv);
+      _mm256_storeu_pd(re + i + k, ur);
+      _mm256_storeu_pd(im + i + k, ui);
+      _mm256_storeu_pd(re + i + k + half, br);
+      _mm256_storeu_pd(im + i + k + half, bi);
+    }
+  }
+}
+
+/// Stages `len` (>= 8) and 2 * len in one pass: each group of four
+/// elements x0..x3 at offsets k, k + len/2, k + len, k + 3*len/2 of a
+/// 2*len block takes stage len's butterflies (x0, x1) and (x2, x3), then
+/// stage 2*len's (x0, x2) and (x1, x3) — the same butterflies, with the
+/// same twiddles and in the same order, as two single-stage passes.
+void stagePairDit(double* re, double* im, std::size_t n, const double* twRe,
+                  const double* twIm, std::size_t len) {
+  const std::size_t half = len / 2;
+  const double* w1r = twRe + (half - 2);
+  const double* w1i = twIm + (half - 2);
+  const double* w2r = twRe + (len - 2);
+  const double* w2i = twIm + (len - 2);
+  for (std::size_t i = 0; i < n; i += 2 * len) {
+    double* r = re + i;
+    double* m = im + i;
+    for (std::size_t k = 0; k < half; k += 4) {
+      __m256d r0 = _mm256_loadu_pd(r + k), i0 = _mm256_loadu_pd(m + k);
+      __m256d r1 = _mm256_loadu_pd(r + k + half);
+      __m256d i1 = _mm256_loadu_pd(m + k + half);
+      __m256d r2 = _mm256_loadu_pd(r + k + len);
+      __m256d i2 = _mm256_loadu_pd(m + k + len);
+      __m256d r3 = _mm256_loadu_pd(r + k + len + half);
+      __m256d i3 = _mm256_loadu_pd(m + k + len + half);
+      const __m256d a = _mm256_loadu_pd(w1r + k);
+      const __m256d b = _mm256_loadu_pd(w1i + k);
+      butterflyDit(r0, i0, r1, i1, a, b);
+      butterflyDit(r2, i2, r3, i3, a, b);
+      butterflyDit(r0, i0, r2, i2, _mm256_loadu_pd(w2r + k),
+                   _mm256_loadu_pd(w2i + k));
+      butterflyDit(r1, i1, r3, i3, _mm256_loadu_pd(w2r + k + half),
+                   _mm256_loadu_pd(w2i + k + half));
+      _mm256_storeu_pd(r + k, r0);
+      _mm256_storeu_pd(m + k, i0);
+      _mm256_storeu_pd(r + k + half, r1);
+      _mm256_storeu_pd(m + k + half, i1);
+      _mm256_storeu_pd(r + k + len, r2);
+      _mm256_storeu_pd(m + k + len, i2);
+      _mm256_storeu_pd(r + k + len + half, r3);
+      _mm256_storeu_pd(m + k + len + half, i3);
+    }
+  }
+}
+
 void ditStagesImpl(double* re, double* im, std::size_t n, const double* twRe,
                    const double* twIm, std::size_t firstLen) {
   if (n < 2) return;
   if (firstLen <= 2) stage2(re, im, n);
-  if (n >= 4 && firstLen <= 4) stage4Dit(re, im, n, twRe, twIm);
-  for (std::size_t len = std::max<std::size_t>(firstLen, 8); len <= n;
-       len <<= 1) {
-    const std::size_t half = len / 2;  // >= 4: full 256-bit butterflies
-    const double* wr = twRe + (half - 2);
-    const double* wi = twIm + (half - 2);
-    for (std::size_t i = 0; i < n; i += len) {
-      for (std::size_t k = 0; k < half; k += 4) {
-        const __m256d wrv = _mm256_loadu_pd(wr + k);
-        const __m256d wiv = _mm256_loadu_pd(wi + k);
-        const __m256d br = _mm256_loadu_pd(re + i + k + half);
-        const __m256d bi = _mm256_loadu_pd(im + i + k + half);
-        const __m256d vr = _mm256_fnmadd_pd(bi, wiv, _mm256_mul_pd(br, wrv));
-        const __m256d vi = _mm256_fmadd_pd(bi, wrv, _mm256_mul_pd(br, wiv));
-        const __m256d ur = _mm256_loadu_pd(re + i + k);
-        const __m256d ui = _mm256_loadu_pd(im + i + k);
-        _mm256_storeu_pd(re + i + k, _mm256_add_pd(ur, vr));
-        _mm256_storeu_pd(im + i + k, _mm256_add_pd(ui, vi));
-        _mm256_storeu_pd(re + i + k + half, _mm256_sub_pd(ur, vr));
-        _mm256_storeu_pd(im + i + k + half, _mm256_sub_pd(ui, vi));
-      }
-    }
+  std::size_t len = std::max<std::size_t>(firstLen, 8);
+  if (firstLen <= 4 && n >= 4) {
+    stages4And8Dit(re, im, n, twRe, twIm);
+    len = 16;
   }
+  // Two stages per pass over the data, then the odd one out.
+  for (; 2 * len <= n; len <<= 2) stagePairDit(re, im, n, twRe, twIm, len);
+  if (len <= n) stageDit(re, im, n, twRe, twIm, len);
 }
 
 void difStagesImpl(double* re, double* im, std::size_t n, const double* twRe,
@@ -286,6 +379,21 @@ inline double hsum(__m256d v) {
   return _mm_cvtsd_f64(_mm_add_sd(s, _mm_unpackhi_pd(s, s)));
 }
 
+/// dotProductImpl's tail from element i to n (fewer than 8 elements),
+/// spelled out as GCC has always compiled the plain `s += a[i] * b[i]`
+/// loop in this -mfma file: each product rounded and then added, in order,
+/// except an odd count's last element, which is fused. The sd intrinsics
+/// are builtins the compiler cannot re-contract.
+inline double dotTail(const double* a, const double* b, std::size_t i,
+                      std::size_t n, double s) {
+  __m128d acc = _mm_set_sd(s);
+  const std::size_t unfused = i + ((n - i) & ~std::size_t{1});
+  for (; i < unfused; ++i)
+    acc = _mm_add_sd(acc, _mm_mul_sd(_mm_load_sd(a + i), _mm_load_sd(b + i)));
+  if (i < n) acc = _mm_fmadd_sd(_mm_load_sd(a + i), _mm_load_sd(b + i), acc);
+  return _mm_cvtsd_f64(acc);
+}
+
 double dotProductImpl(const double* a, const double* b, std::size_t n) {
   __m256d acc0 = _mm256_setzero_pd();
   __m256d acc1 = _mm256_setzero_pd();
@@ -296,9 +404,59 @@ double dotProductImpl(const double* a, const double* b, std::size_t n) {
     acc1 = _mm256_fmadd_pd(_mm256_loadu_pd(a + i + 4),
                            _mm256_loadu_pd(b + i + 4), acc1);
   }
-  double s = hsum(_mm256_add_pd(acc0, acc1));
-  for (; i < n; ++i) s += a[i] * b[i];
-  return s;
+  return dotTail(a, b, i, n, hsum(_mm256_add_pd(acc0, acc1)));
+}
+
+void lagDotProductsImpl(const double* a, std::size_t la, const double* b,
+                        std::size_t lb, long lo, long hi, double* out) {
+  // Four lags at a time: their dotProductImpl accumulator pairs advance
+  // together over the 8-blocks all four have (eight independent FMA
+  // chains instead of two), then each lag finishes its own blocks, sum and
+  // tail exactly as dotProductImpl would.
+  constexpr int kGroup = 4;
+  const long na = static_cast<long>(la), nb = static_cast<long>(lb);
+  for (long first = lo; first <= hi; first += kGroup) {
+    const int count = static_cast<int>(std::min<long>(kGroup, hi - first + 1));
+    const double* pa[kGroup];
+    const double* pb[kGroup];
+    std::size_t len[kGroup];
+    std::size_t common = ~std::size_t{0};
+    for (int g = 0; g < count; ++g) {
+      const long lag = first + g;
+      const long t0 = std::max(0L, -lag);
+      const long t1 = std::min(na, nb - lag);
+      len[g] = t1 > t0 ? static_cast<std::size_t>(t1 - t0) : 0;
+      pa[g] = a + t0;
+      pb[g] = b + t0 + lag;
+      common = std::min(common, len[g] / 8 * 8);
+    }
+    __m256d acc0[kGroup], acc1[kGroup];
+    for (int g = 0; g < count; ++g)
+      acc0[g] = acc1[g] = _mm256_setzero_pd();
+    for (std::size_t i = 0; i < common; i += 8) {
+      for (int g = 0; g < count; ++g) {
+        acc0[g] = _mm256_fmadd_pd(_mm256_loadu_pd(pa[g] + i),
+                                  _mm256_loadu_pd(pb[g] + i), acc0[g]);
+        acc1[g] = _mm256_fmadd_pd(_mm256_loadu_pd(pa[g] + i + 4),
+                                  _mm256_loadu_pd(pb[g] + i + 4), acc1[g]);
+      }
+    }
+    for (int g = 0; g < count; ++g) {
+      if (len[g] == 0) {
+        out[first + g - lo] = 0.0;
+        continue;
+      }
+      std::size_t i = common;
+      for (; i + 8 <= len[g]; i += 8) {
+        acc0[g] = _mm256_fmadd_pd(_mm256_loadu_pd(pa[g] + i),
+                                  _mm256_loadu_pd(pb[g] + i), acc0[g]);
+        acc1[g] = _mm256_fmadd_pd(_mm256_loadu_pd(pa[g] + i + 4),
+                                  _mm256_loadu_pd(pb[g] + i + 4), acc1[g]);
+      }
+      out[first + g - lo] = dotTail(pa[g], pb[g], i, len[g],
+                                    hsum(_mm256_add_pd(acc0[g], acc1[g])));
+    }
+  }
 }
 
 double sumSquaresImpl(const double* x, std::size_t n) {
@@ -441,12 +599,19 @@ const KernelTable& avx2Table() {
       &ditStagesImpl,
       &difStagesImpl,
       &scaleInPlaceImpl,
+      &avx2_nofma::gatherBitReversed,
+      &avx2_nofma::interleaveScaled,
+      &avx2_nofma::rfftSplit,
+      &avx2_nofma::irfftMerge,
+      &avx2_nofma::magnitudes,
       &cmulSplitImpl,
       &cmulInterleavedImpl,
       &cmulConjInterleavedImpl,
       &spectralDivideImpl,
       &maxNormImpl,
       &dotProductImpl,
+      &lagDotProductsImpl,
+      &avx2_nofma::firFilter,
       &sumSquaresImpl,
       &sumImpl,
       &pearsonAccumImpl,

@@ -1,6 +1,6 @@
 // Portable scalar tier of the kernel layer. Every kernel here is the
-// reference implementation the SIMD tiers are tested against (ulp-bounded
-// equality, see tests/test_kernels.cpp). Loops are written with explicit
+// reference implementation the SIMD tiers are tested against (bitwise or
+// ulp-bounded equality, see tests/test_kernels.cpp). Loops are written with explicit
 // double temporaries — the same form PR 1 found keeps GCC from emitting
 // hybrid packed/scalar code with stack round-trips on the butterflies.
 
@@ -8,6 +8,7 @@
 #include <cmath>
 #include <complex>
 #include <cstddef>
+#include <cstdint>
 
 #include "dsp/kernels/kernel_table.h"
 
@@ -94,6 +95,67 @@ void scaleInPlaceImpl(double* x, std::size_t n, double s) {
   for (std::size_t i = 0; i < n; ++i) x[i] *= s;
 }
 
+// --- Transform packing -----------------------------------------------------
+
+void gatherBitReversedImpl(const Complex* in, const std::uint32_t* rev,
+                           std::size_t n, double* re, double* im) {
+  // One pass replaces deinterleave + permutation + first butterfly stage:
+  // the pair written to (2t, 2t+1) reads bit-reversed inputs j and j + n/2,
+  // and the len == 2 twiddle is exactly 1.
+  const std::size_t h = n / 2;
+  const auto* d = reinterpret_cast<const double*>(in);
+  for (std::size_t t = 0; t < h; ++t) {
+    const std::size_t j = rev[2 * t];
+    const double ur = d[2 * j], ui = d[2 * j + 1];
+    const double vr = d[2 * (j + h)], vi = d[2 * (j + h) + 1];
+    re[2 * t] = ur + vr;
+    im[2 * t] = ui + vi;
+    re[2 * t + 1] = ur - vr;
+    im[2 * t + 1] = ui - vi;
+  }
+}
+
+void interleaveScaledImpl(const double* re, const double* im, std::size_t n,
+                          double s, double* out) {
+  for (std::size_t k = 0; k < n; ++k) {
+    out[2 * k] = re[k] * s;
+    out[2 * k + 1] = im[k] * s;
+  }
+}
+
+void rfftSplitImpl(const double* zRe, const double* zIm, std::size_t h,
+                   const double* wr, const double* wi, Complex* out) {
+  out[0] = Complex(zRe[0] + zIm[0], 0.0);
+  out[h] = Complex(zRe[0] - zIm[0], 0.0);
+  for (std::size_t k = 1; k < h; ++k) {
+    const double er = 0.5 * (zRe[k] + zRe[h - k]);
+    const double ei = 0.5 * (zIm[k] - zIm[h - k]);
+    const double odr = 0.5 * (zIm[k] + zIm[h - k]);
+    const double odi = -0.5 * (zRe[k] - zRe[h - k]);
+    out[k] = Complex(er + odr * wr[k] - odi * wi[k],
+                     ei + odr * wi[k] + odi * wr[k]);
+  }
+}
+
+void irfftMergeImpl(const Complex* x, std::size_t h, const double* wr,
+                    const double* wi, Complex* z) {
+  // O[k] = (X[k] - E[k]) * exp(+2*pi*i*k/n) undoes the split twiddle.
+  for (std::size_t k = 0; k < h; ++k) {
+    const std::size_t nk = h - k;
+    const double xkr = x[k].real(), xki = x[k].imag();
+    const double xnr = x[nk].real(), xni = -x[nk].imag();
+    const double er = 0.5 * (xkr + xnr), ei = 0.5 * (xki + xni);
+    const double dr = 0.5 * (xkr - xnr), di = 0.5 * (xki - xni);
+    const double odr = dr * wr[k] - di * wi[k];
+    const double odi = dr * wi[k] + di * wr[k];
+    z[k] = Complex(er - odi, ei + odr);
+  }
+}
+
+void magnitudesImpl(const Complex* x, std::size_t n, double* out) {
+  for (std::size_t k = 0; k < n; ++k) out[k] = std::sqrt(std::norm(x[k]));
+}
+
 // --- Complex pointwise ----------------------------------------------------
 
 void cmulSplitImpl(double* aRe, double* aIm, const double* bRe,
@@ -155,6 +217,28 @@ double dotProductImpl(const double* a, const double* b, std::size_t n) {
   double s = 0.0;
   for (std::size_t i = 0; i < n; ++i) s += a[i] * b[i];
   return s;
+}
+
+void lagDotProductsImpl(const double* a, std::size_t la, const double* b,
+                        std::size_t lb, long lo, long hi, double* out) {
+  const long na = static_cast<long>(la), nb = static_cast<long>(lb);
+  for (long lag = lo; lag <= hi; ++lag) {
+    const long t0 = std::max(0L, -lag);
+    const long t1 = std::min(na, nb - lag);
+    out[lag - lo] =
+        t1 > t0 ? dotProductImpl(a + t0, b + t0 + lag,
+                                 static_cast<std::size_t>(t1 - t0))
+                : 0.0;
+  }
+}
+
+void firFilterImpl(const double* x, const double* w, std::size_t taps,
+                   std::size_t count, double* out) {
+  for (std::size_t t = 0; t < count; ++t) {
+    double acc = 0.0;
+    for (std::size_t j = 0; j < taps; ++j) acc += x[t + j] * w[j];
+    out[t] = acc;
+  }
 }
 
 double sumSquaresImpl(const double* x, std::size_t n) {
@@ -223,12 +307,19 @@ const KernelTable& scalarTable() {
       &ditStagesImpl,
       &difStagesImpl,
       &scaleInPlaceImpl,
+      &gatherBitReversedImpl,
+      &interleaveScaledImpl,
+      &rfftSplitImpl,
+      &irfftMergeImpl,
+      &magnitudesImpl,
       &cmulSplitImpl,
       &cmulInterleavedImpl,
       &cmulConjInterleavedImpl,
       &spectralDivideImpl,
       &maxNormImpl,
       &dotProductImpl,
+      &lagDotProductsImpl,
+      &firFilterImpl,
       &sumSquaresImpl,
       &sumImpl,
       &pearsonAccumImpl,

@@ -2,13 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <thread>
 #include <vector>
 
 #include "common/error.h"
 #include "common/math_util.h"
+#include "dsp/correlation.h"
+#include "dsp/fft_plan.h"
 #include "dsp/signal_generators.h"
+#include "dsp/spectrum.h"
 #include "eval/experiments.h"
 #include "head/hrtf_database.h"
 #include "obs/metrics.h"
@@ -92,6 +96,19 @@ TEST_P(KnownSourceSweep, TrueTemplatesGiveAccurateAoa) {
 INSTANTIATE_TEST_SUITE_P(Angles, KnownSourceSweep,
                          ::testing::Values(10.0, 35.0, 60.0, 90.0, 120.0,
                                            145.0, 170.0));
+
+TEST_F(AoaTest, KnownSourceTransformsTheSourceOnce) {
+  // Both ears share an FFT size: one source transform, then a forward and
+  // an inverse transform per ear.
+  const auto chirp = dsp::linearChirp(100.0, 20000.0, 4800, kFs);
+  const auto rec = record(40.0, chirp, true, 25.0, 12);
+  ASSERT_EQ(rec.left.size(), rec.right.size());
+  const AoaEstimator est(*table_);
+  const auto before = dsp::fftStats().transforms;
+  const auto result = est.estimateKnown(rec.left, rec.right, chirp);
+  ASSERT_FALSE(result.degraded);
+  EXPECT_EQ(dsp::fftStats().transforms - before, 5u);
+}
 
 TEST_F(AoaTest, KnownSourcePersonalBeatsWrongTemplates) {
   head::Subject other;
@@ -266,6 +283,51 @@ TEST_F(AoaTemplateCache, RepeatQueryRecomputesNoTemplate) {
   EXPECT_EQ(fills.value() - before, filled);
   EXPECT_EQ(second.angleDeg, first.angleDeg);
   EXPECT_EQ(second.score, first.score);
+}
+
+TEST_F(AoaTemplateCache, UnknownSourceReadsBandMagnitudesFromGccPhatSpectra) {
+  // A recording of at most one frame, equal on both ears, at GCC-PHAT's FFT
+  // size: the band magnitudes come from the two spectra GCC-PHAT computed.
+  Pcg32 sigRng(4);
+  const auto noise = dsp::whiteNoise(4800, sigRng, 0.25);
+  const auto rec = record(65.0, noise, false, 25.0, 10);
+  ASSERT_EQ(rec.left.size(), rec.right.size());
+  const std::size_t n = dsp::gccPhatSize(rec.left.size(), rec.right.size());
+  ASSERT_EQ(n, dsp::nextPowerOfTwo(2 * std::max<std::size_t>(
+                   rec.left.size(), table_->byDegree[0].left.size())));
+
+  const AoaEstimator est(*table_);
+  est.estimateUnknown(rec.left, rec.right);  // fills the templates it needs
+  const auto before = dsp::fftStats().transforms;
+  const auto got = est.estimateUnknown(rec.left, rec.right);
+  // Two forward transforms and GCC-PHAT's inverse; no band transforms.
+  EXPECT_EQ(dsp::fftStats().transforms - before, 3u);
+
+  // The winner's Eq. 11 score, with every spectrum transformed on its own.
+  const AoaEstimatorOptions opts;
+  const auto plan = dsp::fftPlan(n);
+  const std::size_t bLo = dsp::frequencyToBin(opts.bandLoHz, n, kFs);
+  const std::size_t bHi =
+      std::min(dsp::frequencyToBin(opts.bandHiHz, n, kFs), n / 2);
+  const auto band = [&](const std::vector<double>& x) {
+    const auto spectrum = plan->rfft(x);
+    std::vector<double> m;
+    for (std::size_t k = bLo; k <= bHi; ++k)
+      m.push_back(std::sqrt(std::norm(spectrum[k])));
+    return m;
+  };
+  const auto& tmpl =
+      table_->byDegree[static_cast<std::size_t>(std::lround(got.angleDeg))];
+  const auto l = band(rec.left), r = band(rec.right);
+  const auto hl = band(tmpl.left), hr = band(tmpl.right);
+  double num = 0.0, den = 0.0;
+  for (std::size_t k = 0; k < l.size(); ++k) {
+    const double lhs = l[k] * hr[k];
+    const double rhs = r[k] * hl[k];
+    num += square(lhs - rhs);
+    den += square(lhs) + square(rhs);
+  }
+  EXPECT_EQ(got.score, den > 1e-30 ? num / den : 2.0);
 }
 
 }  // namespace

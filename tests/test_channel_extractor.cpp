@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <thread>
 #include <vector>
@@ -9,7 +10,9 @@
 #include "common/constants.h"
 #include "common/error.h"
 #include "dsp/convolution.h"
+#include "dsp/deconvolution.h"
 #include "dsp/fft.h"
+#include "dsp/fft_plan.h"
 #include "dsp/signal_generators.h"
 #include "eval/metrics.h"
 #include "geometry/polar.h"
@@ -185,6 +188,45 @@ TEST_F(ChannelExtractorTest, KeptSourceSpectrumFollowsSourceAndFftSize) {
                         fresh.extract(rec.left, *right, *source));
     }
   }
+}
+
+TEST_F(ChannelExtractorTest, ExtractIsDeconvolutionByTheCompensatedSource) {
+  // Each ear is the recording deconvolved by the source spectrum times the
+  // hardware estimate (nearest bin), regularized by that product's floor:
+  // every sample the room window keeps has exactly those bits.
+  sim::BinauralRecorder::Options recOpts;
+  recOpts.snrDb = 30.0;
+  const sim::BinauralRecorder recorder(db_, hardware_, room_, recOpts);
+  Pcg32 rng(12);
+  const auto rec = recorder.recordNearField(
+      geo::pointFromPolarDeg(60.0, 0.3), chirp_, rng);
+  Pcg32 hwRng(13);
+  const auto hw = hardware_.estimateResponse(35.0, hwRng);
+  const ChannelExtractor extractor(hw, kFs);
+  const auto got = extractor.extract(rec.left, rec.right, chirp_);
+
+  const std::size_t n =
+      dsp::nextPowerOfTwo(rec.left.size() + chirp_.size());
+  auto fx = dsp::fftPlan(n)->rfft(chirp_);
+  for (std::size_t k = 0; k <= n / 2; ++k) {
+    const double frac = static_cast<double>(k) / static_cast<double>(n);
+    const auto rk = static_cast<std::size_t>(std::min<double>(
+        std::lround(frac * static_cast<double>(hw.size())),
+        static_cast<double>(hw.size() / 2)));
+    fx[k] *= hw[rk];
+  }
+  const ChannelExtractorOptions opts;
+  const auto want = dsp::deconvolveSpectrum(
+      rec.left, fx, dsp::regularizationFloor(fx, opts.relativeRegularization),
+      opts.channelLength);
+  ASSERT_EQ(got.left.size(), want.size());
+  std::size_t kept = 0;
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    if (got.left[i] == 0.0) continue;
+    ++kept;
+    EXPECT_EQ(got.left[i], want[i]) << "sample " << i;
+  }
+  EXPECT_GT(kept, 50u);
 }
 
 TEST(ChannelExtractorConcurrency, ParallelStopsMatchSerial) {

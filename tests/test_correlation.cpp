@@ -4,10 +4,14 @@
 
 #include <cmath>
 #include <limits>
+#include <utility>
+#include <vector>
 
 #include "common/error.h"
 #include "common/math_util.h"
 #include "common/random.h"
+#include "dsp/fft.h"
+#include "dsp/fft_plan.h"
 #include "dsp/fractional_delay.h"
 #include "dsp/signal_generators.h"
 
@@ -284,6 +288,58 @@ TEST(GccPhat, ShortInputEqualsExplicitlyPaddedInput) {
       EXPECT_EQ(got[static_cast<std::size_t>(lag + lb - 1)],
                 want[static_cast<std::size_t>(lag + lpb - 1)])
           << "lag " << lag << (shortFirst ? " (short a)" : " (short b)");
+  }
+}
+
+TEST(GccPhat, SpectraStepsReproduceTheOneCallForm) {
+  // gccPhatSpectra is the two transforms at gccPhatSize, and
+  // gccPhatFromSpectra the PHAT weighting, inverse transform and lag
+  // unwrap: composed, or spelled out here, they give gccPhat's bits.
+  Pcg32 rng(12);
+  for (const auto& [na, nb] : std::vector<std::pair<std::size_t, std::size_t>>{
+           {600, 40}, {40, 600}, {1000, 1000}, {4800, 4810}, {1, 1}}) {
+    const auto a = whiteNoise(na, rng);
+    const auto b = whiteNoise(nb, rng);
+    const auto want = gccPhat(a, b);
+
+    const std::size_t n = gccPhatSize(na, nb);
+    ASSERT_EQ(n, nextPowerOfTwo(na + nb - 1));
+    const auto plan = fftPlan(n);
+    std::vector<Complex> fa(n / 2 + 1), fb(n / 2 + 1);
+    gccPhatSpectra(a, b, fa, fb);
+    const auto ra = plan->rfft(a);
+    const auto rb = plan->rfft(b);
+    for (std::size_t k = 0; k <= n / 2; ++k) {
+      ASSERT_EQ(fa[k], ra[k]) << "bin " << k;
+      ASSERT_EQ(fb[k], rb[k]) << "bin " << k;
+    }
+
+    auto cross = ra;
+    for (std::size_t k = 0; k < cross.size(); ++k) {
+      const Complex c = cross[k] * std::conj(rb[k]);
+      const double mag = std::abs(c);
+      cross[k] = mag > 1e-15 ? c / mag : Complex(0, 0);
+    }
+    const auto r = plan->irfft(cross);
+    // Index k holds lag k - (nb - 1); lags outside [-(na - 1), nb - 1]
+    // are zero, lag <= 0 reads r[-lag] and lag > 0 wraps to r[n - lag].
+    std::vector<double> spelled(na + nb - 1, 0.0);
+    for (std::size_t k = 0; k < spelled.size(); ++k) {
+      const long lag = static_cast<long>(k) - static_cast<long>(nb - 1);
+      if (lag < -(static_cast<long>(na) - 1) ||
+          lag > static_cast<long>(nb) - 1)
+        continue;
+      spelled[k] = lag <= 0 ? r[static_cast<std::size_t>(-lag)]
+                            : r[n - static_cast<std::size_t>(lag)];
+    }
+
+    const auto composed = gccPhatFromSpectra(fa, fb, na, nb);
+    ASSERT_EQ(composed.size(), want.size());
+    ASSERT_EQ(spelled.size(), want.size());
+    for (std::size_t k = 0; k < want.size(); ++k) {
+      EXPECT_EQ(composed[k], want[k]) << na << "/" << nb << " index " << k;
+      EXPECT_EQ(spelled[k], want[k]) << na << "/" << nb << " index " << k;
+    }
   }
 }
 

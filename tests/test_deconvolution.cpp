@@ -7,6 +7,7 @@
 #include "common/error.h"
 #include "common/random.h"
 #include "dsp/convolution.h"
+#include "dsp/fft_plan.h"
 #include "dsp/peak_picking.h"
 #include "dsp/signal_generators.h"
 
@@ -125,6 +126,27 @@ TEST(Deconvolve, ShortInputEqualsExplicitlyPaddedInput) {
   for (std::size_t i = 0; i < opts.responseLength; ++i) {
     EXPECT_EQ(shortReceived[i], paddedReceived[i]) << "i=" << i;
     EXPECT_EQ(shortSource[i], paddedSource[i]) << "i=" << i;
+  }
+}
+
+TEST(Deconvolve, SpectrumFormMatchesDeconvolveBitwise) {
+  // deconvolve() is the source transform, its floor and deconvolveSpectrum;
+  // a caller holding the transform and floor gets the same bits.
+  Pcg32 rng(8);
+  const auto chirp = linearChirp(200.0, 9000.0, 900, 48000.0);
+  const auto received = whiteNoise(2000, rng);
+  for (const std::size_t length : {0u, 64u, 512u, 2000u}) {
+    DeconvolutionOptions opts;
+    opts.responseLength = length;
+    const auto want = deconvolve(received, chirp, opts);
+    const std::size_t n = nextPowerOfTwo(received.size() + chirp.size());
+    const auto fx = fftPlan(n)->rfft(chirp);
+    const auto got = deconvolveSpectrum(
+        received, fx, regularizationFloor(fx, opts.relativeRegularization),
+        length == 0 ? received.size() : length);
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t i = 0; i < want.size(); ++i)
+      ASSERT_EQ(got[i], want[i]) << "length " << length << " sample " << i;
   }
 }
 

@@ -6,11 +6,13 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "common/constants.h"
 #include "common/error.h"
 #include "common/random.h"
+#include "dsp/kernels/kernels.h"
 #include "dsp/signal_generators.h"
 #include "test_util.h"
 
@@ -194,6 +196,86 @@ TEST(FractionalShift, OutputLengthIsBitwiseShiftThenResize) {
         want.resize(len, 0.0);
         EXPECT_TRUE(bitwiseEqual(fractionalShift(sig, shift, w, len), want))
             << "shift " << shift << " halfWidth " << w << " length " << len;
+      }
+    }
+  }
+}
+
+/// The per-output loop fractionalShift ran before its interior outputs
+/// moved onto the kernel layer: weights computed once per call, every
+/// output summed over its in-range taps in ascending order.
+std::vector<double> perOutputShift(const std::vector<double>& signal,
+                                   double shiftSamples, int halfWidth,
+                                   std::size_t outputLength) {
+  const long n = static_cast<long>(signal.size());
+  std::vector<double> out(outputLength, 0.0);
+  if (!std::isfinite(shiftSamples) ||
+      std::fabs(shiftSamples) >= static_cast<double>(n + halfWidth))
+    return out;
+  const long c0 = static_cast<long>(std::ceil(-shiftSamples));
+  const double frac = -shiftSamples - static_cast<double>(c0);
+  const long taps = 2L * halfWidth + 1;
+  std::vector<double> weights(static_cast<std::size_t>(taps));
+  for (long j = 0; j < taps; ++j)
+    weights[static_cast<std::size_t>(j)] =
+        referenceSinc(frac + static_cast<double>(halfWidth - j), halfWidth);
+  const long computed = std::min(n, static_cast<long>(out.size()));
+  for (long t = 0; t < computed; ++t) {
+    const long k0 = t + c0 - halfWidth;
+    const long jHi = std::min(taps - 1, n - 1 - k0);
+    double acc = 0.0;
+    for (long j = std::max(0L, -k0); j <= jHi; ++j)
+      acc += signal[static_cast<std::size_t>(k0 + j)] *
+             weights[static_cast<std::size_t>(j)];
+    out[static_cast<std::size_t>(t)] = acc;
+  }
+  return out;
+}
+
+/// Runs on each kernel tier; the AVX2 half skips itself when the tier is
+/// unavailable.
+class FractionalShiftTiers
+    : public ::testing::TestWithParam<kernels::Isa> {
+ protected:
+  void SetUp() override {
+    natural_ = kernels::activeIsa();
+    if (!kernels::setIsaOverride(GetParam()))
+      GTEST_SKIP() << kernels::isaName(GetParam()) << " tier unavailable";
+  }
+  void TearDown() override { kernels::setIsaOverride(natural_); }
+  kernels::Isa natural_ = kernels::Isa::kScalar;
+};
+
+INSTANTIATE_TEST_SUITE_P(Tiers, FractionalShiftTiers,
+                         ::testing::Values(kernels::Isa::kScalar,
+                                           kernels::Isa::kAvx2),
+                         [](const auto& info) {
+                           return std::string(kernels::isaName(info.param));
+                         });
+
+TEST_P(FractionalShiftTiers, MatchesThePerOutputLoopBitwise) {
+  Pcg32 rng(31);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (std::size_t n : {0u, 1u, 5u, 192u, 700u}) {
+    std::vector<double> sig(n);
+    for (auto& v : sig) v = rng.gaussian();
+    for (int w : {1, 4, 16}) {
+      // Shifts that leave every output interior, every output on an edge,
+      // the last in-range shifts either way, and out-of-range ones.
+      const double edge = static_cast<double>(n) + w - 0.5;
+      const double out = static_cast<double>(n + w);
+      for (double shift : {0.0, 0.5, -0.5, 1.25, -4.5, 10.0, 31.999, 1e-13,
+                           -0.0, edge, -edge, edge - 1.0, 1.0 - edge, out,
+                           -out, nan}) {
+        for (std::size_t len : {n, n / 2, n + 9}) {
+          const auto got = fractionalShift(sig, shift, w, len);
+          const auto want = perOutputShift(sig, shift, w, len);
+          ASSERT_EQ(got.size(), want.size());
+          for (std::size_t t = 0; t < got.size(); ++t)
+            ASSERT_EQ(got[t], want[t])
+                << "n " << n << " halfWidth " << w << " shift " << shift
+                << " length " << len << " t " << t;
+        }
       }
     }
   }

@@ -15,6 +15,16 @@
 //  - Reductions (dot/sumSquares/sum/pearson): the AVX2 tier reorders the
 //    sum into 8 partial accumulators. Budget: 1e-12 relative to the sum of
 //    absolute terms.
+//  - Transform packing (gatherBitReversed, interleaveScaled, rfftSplit,
+//    irfftMerge, magnitudes) and firFilter: the AVX2 tier repeats the
+//    scalar tier's multiplies, adds and square roots lane by lane, in a
+//    file that cannot emit FMA, so results are asserted BITWISE equal.
+//  - The AVX2 DIT cascade runs two stages per pass over the data; each
+//    element meets the same butterflies in the same order as one stage per
+//    pass, so it is asserted BITWISE equal to a one-stage-per-pass
+//    reference kept here (std::fma standing in for fmadd/fnmadd).
+//  - lagDotProducts: every lag BITWISE equal to dotProduct on its overlap,
+//    on each tier.
 //  - visibilityCrossings: both tiers compute the classifier with explicit
 //    mul/sub (never FMA — the AVX2 translation unit uses intrinsics the
 //    compiler cannot contract), so crossing counts and fractions are
@@ -32,7 +42,9 @@
 
 #include <cmath>
 #include <complex>
+#include <cstdint>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "common/constants.h"
@@ -65,6 +77,16 @@ class KernelTiers : public ::testing::Test {
     auto result = f();
     kn::setIsaOverride(natural_);
     return result;
+  }
+
+  /// run() under each tier must return the same values (compared with ==).
+  template <class F>
+  void expectTiersEqual(F&& run) {
+    const std::vector<double> s = under(kn::Isa::kScalar, run);
+    const std::vector<double> v = under(kn::Isa::kAvx2, run);
+    ASSERT_EQ(s.size(), v.size());
+    for (std::size_t i = 0; i < s.size(); ++i)
+      ASSERT_EQ(s[i], v[i]) << "element " << i;
   }
 
   bool haveAvx2_ = false;
@@ -104,6 +126,22 @@ void expectSpectraClose(const std::vector<dsp::Complex>& a,
   for (std::size_t i = 0; i < a.size(); ++i) {
     EXPECT_NEAR(a[i].real(), b[i].real(), tol) << "bin " << i;
     EXPECT_NEAR(a[i].imag(), b[i].imag(), tol) << "bin " << i;
+  }
+}
+
+/// The packed DIT stage tables for len = 4..n (stage len at offset
+/// len/2 - 2).
+void stageTables(std::size_t n, std::vector<double>& twRe,
+                 std::vector<double>& twIm) {
+  twRe.clear();
+  twIm.clear();
+  for (std::size_t len = 4; len <= n; len <<= 1) {
+    for (std::size_t k = 0; k < len / 2; ++k) {
+      const double ang =
+          -kTwoPi * static_cast<double>(k) / static_cast<double>(len);
+      twRe.push_back(std::cos(ang));
+      twIm.push_back(std::sin(ang));
+    }
   }
 }
 
@@ -168,17 +206,9 @@ TEST_F(KernelTiers, DitStagesFromResumesTheFullCascadeBitwise) {
   if (haveAvx2_) tiers.push_back(kn::Isa::kAvx2);
   for (const kn::Isa isa : tiers) {
     for (std::size_t n = 2; n <= 1024; n <<= 1) {
-      // Packed stage tables for len = 4..n (stage len at offset len/2 - 2);
-      // a block of length m < n reads the len <= m prefix of the same table.
+      // A block of length m < n reads the len <= m prefix of the tables.
       std::vector<double> twRe, twIm;
-      for (std::size_t len = 4; len <= n; len <<= 1) {
-        for (std::size_t k = 0; k < len / 2; ++k) {
-          const double ang =
-              -kTwoPi * static_cast<double>(k) / static_cast<double>(len);
-          twRe.push_back(std::cos(ang));
-          twIm.push_back(std::sin(ang));
-        }
-      }
+      stageTables(n, twRe, twIm);
       const auto z = testSpectrum(n, static_cast<int>(n));
       std::vector<double> re0(n), im0(n);
       for (std::size_t i = 0; i < n; ++i) {
@@ -352,6 +382,198 @@ TEST_F(KernelTiers, SolveRobustEndToEndTiersMatch) {
   EXPECT_DOUBLE_EQ(rs.headParams.c, rv.headParams.c);
   EXPECT_DOUBLE_EQ(rs.finalObjectiveDeg2, rv.finalObjectiveDeg2);
   EXPECT_EQ(rs.localizedCount, rv.localizedCount);
+}
+
+// --- Bitwise kernels ------------------------------------------------------
+
+/// Runs f(isa) for the scalar tier, and for the AVX2 tier when present;
+/// the AVX2 half of a test skips itself when the tier is unavailable.
+class BitwiseKernels : public KernelTiers,
+                       public ::testing::WithParamInterface<kn::Isa> {
+ protected:
+  void SetUp() override {
+    KernelTiers::SetUp();
+    if (GetParam() == kn::Isa::kAvx2 && !haveAvx2_)
+      GTEST_SKIP() << "AVX2 tier unavailable";
+    ASSERT_TRUE(kn::setIsaOverride(GetParam()));
+  }
+};
+
+INSTANTIATE_TEST_SUITE_P(Tiers, BitwiseKernels,
+                         ::testing::Values(kn::Isa::kScalar, kn::Isa::kAvx2),
+                         [](const auto& info) {
+                           return std::string(kn::isaName(info.param));
+                         });
+
+/// DIT stages firstLen..n, one stage per pass. `fused` computes v*w as the
+/// AVX2 tier's fnmadd/fmadd do (one rounding each), else as the scalar
+/// tier's separate multiplies and adds.
+void oneStagePerPass(std::vector<double>& re, std::vector<double>& im,
+                     std::size_t n, const std::vector<double>& twRe,
+                     const std::vector<double>& twIm, std::size_t firstLen,
+                     bool fused) {
+  for (std::size_t len = std::max<std::size_t>(firstLen, 2); len <= n;
+       len <<= 1) {
+    const std::size_t half = len / 2;
+    for (std::size_t i = 0; i < n; i += len) {
+      for (std::size_t k = 0; k < half; ++k) {
+        const double br = re[i + k + half], bi = im[i + k + half];
+        double vr = br, vi = bi;  // len == 2: twiddle 1
+        if (len >= 4) {
+          const double wr = twRe[half - 2 + k], wi = twIm[half - 2 + k];
+          vr = fused ? std::fma(-bi, wi, br * wr) : br * wr - bi * wi;
+          vi = fused ? std::fma(bi, wr, br * wi) : br * wi + bi * wr;
+        }
+        const double ur = re[i + k], ui = im[i + k];
+        re[i + k] = ur + vr;
+        im[i + k] = ui + vi;
+        re[i + k + half] = ur - vr;
+        im[i + k + half] = ui - vi;
+      }
+    }
+  }
+}
+
+TEST_P(BitwiseKernels, DitCascadeMatchesOneStagePerPass) {
+  const bool fused = GetParam() == kn::Isa::kAvx2;
+  std::vector<double> twRe, twIm;
+  stageTables(65536, twRe, twIm);  // a prefix serves every smaller n
+  for (std::size_t n = 2; n <= 65536; n <<= 1) {
+    const auto z = testSpectrum(n, static_cast<int>(n % 97));
+    std::vector<double> re0(n), im0(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      re0[i] = z[i].real();
+      im0[i] = z[i].imag();
+    }
+    for (std::size_t firstLen = 2; firstLen <= 2 * n; firstLen <<= 1) {
+      auto re = re0, im = im0;
+      kn::ditStagesFrom(re.data(), im.data(), n, twRe.data(), twIm.data(),
+                        firstLen);
+      auto wantRe = re0, wantIm = im0;
+      oneStagePerPass(wantRe, wantIm, n, twRe, twIm, firstLen, fused);
+      std::size_t mismatches = 0;
+      for (std::size_t i = 0; i < n; ++i)
+        mismatches += (re[i] != wantRe[i]) + (im[i] != wantIm[i]);
+      EXPECT_EQ(mismatches, 0u) << "n=" << n << " from " << firstLen;
+    }
+  }
+}
+
+// Each AVX2 kernel below must give the scalar tier's bits. Lengths run
+// through every vector-tail remainder.
+
+TEST_F(KernelTiers, GatherBitReversedBitwiseAcrossTiers) {
+  if (!haveAvx2_) GTEST_SKIP() << "AVX2 tier unavailable";
+  for (std::size_t n = 2; n <= 1024; n <<= 1) {
+    std::vector<std::uint32_t> rev(n);
+    for (std::size_t i = 1, j = 0; i < n; ++i) {
+      std::size_t bit = n >> 1;
+      for (; j & bit; bit >>= 1) j ^= bit;
+      j ^= bit;
+      rev[i] = static_cast<std::uint32_t>(j);
+    }
+    const auto in = testSpectrum(n, 8);
+    expectTiersEqual([&] {
+      std::vector<double> out(2 * n);
+      kn::gatherBitReversed(in.data(), rev.data(), n, out.data(),
+                            out.data() + n);
+      return out;
+    });
+  }
+}
+
+TEST_F(KernelTiers, InterleaveScaledBitwiseAcrossTiers) {
+  if (!haveAvx2_) GTEST_SKIP() << "AVX2 tier unavailable";
+  for (std::size_t n = 0; n <= 37; ++n) {
+    const auto re = testSignal(n, 9), im = testSignal(n, 10);
+    for (const double scale : {1.0, 1.0 / 3.0}) {
+      expectTiersEqual([&] {
+        std::vector<double> out(2 * n);
+        kn::interleaveScaled(re.data(), im.data(), n, scale, out.data());
+        return out;
+      });
+    }
+  }
+}
+
+TEST_F(KernelTiers, RfftSplitAndIrfftMergeBitwiseAcrossTiers) {
+  if (!haveAvx2_) GTEST_SKIP() << "AVX2 tier unavailable";
+  for (std::size_t h = 1; h <= 41; ++h) {
+    const auto zRe = testSignal(h, 11), zIm = testSignal(h, 12);
+    const auto w = testSpectrum(h, 13);
+    std::vector<double> wr(h), wi(h);
+    for (std::size_t k = 0; k < h; ++k) {
+      wr[k] = w[k].real();
+      wi[k] = w[k].imag();
+    }
+    expectTiersEqual([&] {
+      std::vector<dsp::Complex> out(h + 1);
+      kn::rfftSplit(zRe.data(), zIm.data(), h, wr.data(), wi.data(),
+                    out.data());
+      const auto* d = reinterpret_cast<const double*>(out.data());
+      return std::vector<double>(d, d + 2 * (h + 1));
+    });
+    const auto x = testSpectrum(h + 1, 14);
+    expectTiersEqual([&] {
+      std::vector<dsp::Complex> z(h);
+      kn::irfftMerge(x.data(), h, wr.data(), wi.data(), z.data());
+      const auto* d = reinterpret_cast<const double*>(z.data());
+      return std::vector<double>(d, d + 2 * h);
+    });
+  }
+}
+
+TEST_F(KernelTiers, MagnitudesBitwiseAcrossTiers) {
+  if (!haveAvx2_) GTEST_SKIP() << "AVX2 tier unavailable";
+  for (std::size_t n = 0; n <= 37; ++n) {
+    auto x = testSpectrum(n, 15);
+    if (n > 2) x[1] = {0.0, -0.0};
+    expectTiersEqual([&] {
+      std::vector<double> out(n);
+      kn::magnitudes(x.data(), n, out.data());
+      return out;
+    });
+  }
+}
+
+TEST_F(KernelTiers, FirFilterBitwiseAcrossTiers) {
+  if (!haveAvx2_) GTEST_SKIP() << "AVX2 tier unavailable";
+  for (const std::size_t taps : {1ul, 3ul, 9ul, 33ul}) {
+    const auto w = testSignal(taps, 16);
+    for (std::size_t count = 0; count <= 40; ++count) {
+      const auto x = testSignal(count + taps, 17);
+      expectTiersEqual([&] {
+        std::vector<double> out(count);
+        kn::firFilter(x.data(), w.data(), taps, count, out.data());
+        return out;
+      });
+    }
+  }
+}
+
+TEST_P(BitwiseKernels, LagWindowMatchesPerLagDotProduct) {
+  for (const std::size_t la : {0ul, 1ul, 7ul, 8ul, 23ul, 256ul, 261ul}) {
+    for (const std::size_t lb : {1ul, 9ul, 31ul, 256ul}) {
+      const auto a = testSignal(la, 18);
+      const auto b = testSignal(lb, 19);
+      for (const long reach : {1L, 9L, 40L}) {
+        const long lo = -reach - 3, hi = reach;
+        std::vector<double> got(static_cast<std::size_t>(hi - lo + 1), -1.0);
+        kn::lagDotProducts(a.data(), la, b.data(), lb, lo, hi, got.data());
+        for (long lag = lo; lag <= hi; ++lag) {
+          const long t0 = std::max(0L, -lag);
+          const long t1 =
+              std::min(static_cast<long>(la), static_cast<long>(lb) - lag);
+          const double want =
+              t1 > t0 ? kn::dotProduct(a.data() + t0, b.data() + t0 + lag,
+                                       static_cast<std::size_t>(t1 - t0))
+                      : 0.0;
+          EXPECT_EQ(got[static_cast<std::size_t>(lag - lo)], want)
+              << "la " << la << " lb " << lb << " lag " << lag;
+        }
+      }
+    }
+  }
 }
 
 }  // namespace
