@@ -22,7 +22,6 @@
 #include "core/table_io.h"
 #include "dsp/convolution.h"
 #include "dsp/deconvolution.h"
-#include "dsp/fft.h"
 #include "dsp/fft_plan.h"
 #include "dsp/fractional_delay.h"
 #include "dsp/signal_generators.h"
@@ -44,41 +43,8 @@ using namespace uniq;
 
 namespace {
 
-void BM_FftPow2(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  Pcg32 rng(1);
-  std::vector<dsp::Complex> data(n);
-  for (auto& v : data) v = dsp::Complex(rng.gaussian(), rng.gaussian());
-  for (auto _ : state) {
-    // The out-of-place API every call site uses; the reference below pays
-    // the same input copy via `auto copy = data`.
-    auto out = dsp::fft(data, false);
-    benchmark::DoNotOptimize(out);
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(n));
-}
-BENCHMARK(BM_FftPow2)->Arg(256)->Arg(1024)->Arg(4096)->Arg(16384);
-
-// Seed implementation (twiddles recomputed every call): the baseline the
-// plan cache is measured against. Same input, same transform.
-void BM_FftPow2Reference(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  Pcg32 rng(1);
-  std::vector<dsp::Complex> data(n);
-  for (auto& v : data) v = dsp::Complex(rng.gaussian(), rng.gaussian());
-  for (auto _ : state) {
-    auto copy = data;
-    dsp::fftPow2ReferenceInPlace(copy, false);
-    benchmark::DoNotOptimize(copy);
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(n));
-}
-BENCHMARK(BM_FftPow2Reference)->Arg(256)->Arg(1024)->Arg(4096)->Arg(16384);
-
-// Real-input fast path: one half-length complex FFT instead of a
-// full-length one on a zero-imag signal.
+// Forward real transform (n samples in, half spectrum out), computed as
+// one half-length complex FFT plus a split pass.
 void BM_Rfft(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   Pcg32 rng(8);
@@ -106,18 +72,6 @@ void BM_Irfft(benchmark::State& state) {
                           static_cast<int64_t>(n));
 }
 BENCHMARK(BM_Irfft)->Arg(8192)->Arg(16384);
-
-void BM_FftBluestein(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  Pcg32 rng(2);
-  std::vector<dsp::Complex> data(n);
-  for (auto& v : data) v = dsp::Complex(rng.gaussian(), 0);
-  for (auto _ : state) {
-    auto out = dsp::fft(data, false);
-    benchmark::DoNotOptimize(out);
-  }
-}
-BENCHMARK(BM_FftBluestein)->Arg(1000)->Arg(4097);
 
 void BM_ConvolveFft(benchmark::State& state) {
   Pcg32 rng(3);

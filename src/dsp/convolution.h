@@ -16,13 +16,6 @@ std::vector<double> convolveDirect(std::span<const double> a,
 std::vector<double> convolveFft(std::span<const double> a,
                                 std::span<const double> b);
 
-/// Overlap-add convolution for long signals with moderate-size kernels.
-/// blockSize is the input partition length (a power of two is chosen
-/// internally for the FFTs).
-std::vector<double> convolveOverlapAdd(std::span<const double> signal,
-                                       std::span<const double> kernel,
-                                       std::size_t blockSize = 4096);
-
 /// Shorter-signal length at or below which convolve() picks the direct
 /// O(N*M) kernel over the FFT path. Chosen from the crossover of
 /// BM_ConvolveDirectSmall vs BM_ConvolveFftSmall in bench/perf_micro.cpp,

@@ -147,19 +147,6 @@ CorrelationPeak boundedNormalizedCorrelationPeak(std::span<const double> a,
   return peakSearch(c, static_cast<double>(lo), maxLagSamples);
 }
 
-double pearson(std::span<const double> a, std::span<const double> b) {
-  UNIQ_REQUIRE(a.size() == b.size() && !a.empty(),
-               "pearson needs equal non-empty sizes");
-  const double n = static_cast<double>(a.size());
-  const double ma = kernels::sum(a.data(), a.size()) / n;
-  const double mb = kernels::sum(b.data(), b.size()) / n;
-  double acc[3];
-  kernels::pearsonAccum(a.data(), b.data(), a.size(), ma, mb, acc);
-  const double sab = acc[0], saa = acc[1], sbb = acc[2];
-  if (saa < 1e-30 || sbb < 1e-30) return 0.0;
-  return sab / std::sqrt(saa * sbb);
-}
-
 std::size_t gccPhatSize(std::size_t aSize, std::size_t bSize) {
   return nextPowerOfTwo(aSize + bSize - 1);
 }

@@ -50,9 +50,6 @@ CorrelationPeak boundedNormalizedCorrelationPeak(std::span<const double> a,
                                                  double bNorm,
                                                  double maxLagSamples);
 
-/// Pearson correlation of two equal-length signals at zero lag.
-double pearson(std::span<const double> a, std::span<const double> b);
-
 /// GCC-PHAT cross-correlation: phase-transform-weighted generalized cross
 /// correlation. Returns the correlation sequence with the same lag layout as
 /// crossCorrelate. Robust delay estimation for wideband signals. Runs

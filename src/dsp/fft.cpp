@@ -5,7 +5,6 @@
 
 #include "common/constants.h"
 #include "common/error.h"
-#include "dsp/fft_plan.h"
 
 namespace uniq::dsp {
 
@@ -20,17 +19,6 @@ std::size_t nextPowerOfTwo(std::size_t n) {
 }
 
 bool isPowerOfTwo(std::size_t n) { return n >= 1 && (n & (n - 1)) == 0; }
-
-void fftPow2InPlace(std::span<Complex> data, bool inverse) {
-  const std::size_t n = data.size();
-  UNIQ_REQUIRE(isPowerOfTwo(n), "fftPow2InPlace needs a power-of-two size");
-  const auto plan = fftPlan(n);
-  if (inverse) {
-    plan->inverseInPlace(data);
-  } else {
-    plan->forwardInPlace(data);
-  }
-}
 
 void fftPow2ReferenceInPlace(std::span<Complex> data, bool inverse) {
   const std::size_t n = data.size();
@@ -65,36 +53,6 @@ void fftPow2ReferenceInPlace(std::span<Complex> data, bool inverse) {
     const double scale = 1.0 / static_cast<double>(n);
     for (auto& x : data) x *= scale;
   }
-}
-
-std::vector<Complex> fft(std::span<const Complex> input, bool inverse) {
-  UNIQ_REQUIRE(!input.empty(), "fft of empty signal");
-  const auto plan = fftPlan(input.size());
-  return inverse ? plan->inverse(input) : plan->forward(input);
-}
-
-std::vector<Complex> fftReal(std::span<const double> input) {
-  UNIQ_REQUIRE(!input.empty(), "fft of empty signal");
-  const std::size_t n = input.size();
-  if (isPowerOfTwo(n)) {
-    // Real fast path: transform the half spectrum, mirror the rest.
-    const auto half = fftPlan(n)->rfft(input);
-    std::vector<Complex> out(n);
-    for (std::size_t k = 0; k < half.size(); ++k) out[k] = half[k];
-    for (std::size_t k = 1; k < n - n / 2; ++k)
-      out[n - k] = std::conj(half[k]);
-    return out;
-  }
-  std::vector<Complex> data(n);
-  for (std::size_t i = 0; i < n; ++i) data[i] = Complex(input[i], 0);
-  return fft(data, false);
-}
-
-std::vector<double> ifftReal(std::span<const Complex> spectrum) {
-  auto time = fft(spectrum, true);
-  std::vector<double> out(time.size());
-  for (std::size_t i = 0; i < time.size(); ++i) out[i] = time[i].real();
-  return out;
 }
 
 }  // namespace uniq::dsp

@@ -2,7 +2,6 @@
 
 #include <complex>
 #include <span>
-#include <vector>
 
 namespace uniq::dsp {
 
@@ -16,28 +15,11 @@ std::size_t nextPowerOfTwo(std::size_t n);
 /// True when n is a power of two (n >= 1).
 bool isPowerOfTwo(std::size_t n);
 
-/// In-place iterative radix-2 Cooley-Tukey FFT. data.size() must be a power
-/// of two. `inverse` applies the conjugate transform and scales by 1/N, so
-/// fft(ifft(x)) == x. Uses the process-wide plan cache (dsp::fftPlan) for
-/// precomputed bit-reversal and twiddle tables.
-void fftPow2InPlace(std::span<Complex> data, bool inverse);
-
-/// The seed's table-free radix-2 FFT, which recomputes twiddles on every
-/// call. Kept as the independent reference the plan-cache tests and the
-/// before/after perf benchmarks compare against; production code should use
-/// fftPow2InPlace.
+/// The seed's table-free in-place radix-2 complex FFT (data.size() a power
+/// of two; `inverse` applies the conjugate transform and the 1/N scaling),
+/// which recomputes twiddles on every call. Production code transforms
+/// through FftPlan::rfft/irfft (dsp/fft_plan.h); this is kept as the
+/// independent reference the rfft/irfft tests compare against.
 void fftPow2ReferenceInPlace(std::span<Complex> data, bool inverse);
-
-/// FFT of arbitrary length (Bluestein's chirp-z algorithm for non powers of
-/// two). Returns a new vector; `inverse` includes the 1/N scaling.
-std::vector<Complex> fft(std::span<const Complex> input, bool inverse = false);
-
-/// Forward FFT of a real signal. Returns the full complex spectrum of the
-/// same length as the input (conjugate-symmetric for real input).
-std::vector<Complex> fftReal(std::span<const double> input);
-
-/// Inverse FFT returning only the real part (imaginary residue discarded;
-/// callers feeding conjugate-symmetric spectra lose nothing).
-std::vector<double> ifftReal(std::span<const Complex> spectrum);
 
 }  // namespace uniq::dsp

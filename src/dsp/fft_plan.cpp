@@ -43,9 +43,8 @@ obs::Gauge& cachedPlansGauge() {
   static obs::Gauge& g = obs::registry().gauge("fft.plan.cached");
   return g;
 }
-// Executed-transform counter: every user-visible transform (a Bluestein
-// transform counts once, not per inner convolution FFT). The fusion stage
-// reads deltas of it to report FFT work per objective evaluation.
+// Executed-transform counter: every rfft/irfft. The fusion stage reads
+// deltas of it to report FFT work per objective evaluation.
 obs::Counter& transformCounter() {
   static obs::Counter& c = obs::registry().counter("fft.transforms");
   return c;
@@ -58,161 +57,36 @@ constexpr std::size_t kMaxCachedPlans = 128;
 
 }  // namespace
 
-FftPlan::FftPlan(std::size_t n) : n_(n), pow2_(isPowerOfTwo(n)) {
-  UNIQ_REQUIRE(n >= 1, "FftPlan needs n >= 1");
-  if (pow2_) {
-    UNIQ_REQUIRE(n <= (std::size_t{1} << 31),
-                 "FftPlan pow2 size exceeds table range");
-    bitrev_.resize(n);
-    bitrev_[0] = 0;
-    for (std::size_t i = 1, j = 0; i < n; ++i) {
-      std::size_t bit = n >> 1;
-      for (; j & bit; bit >>= 1) j ^= bit;
-      j ^= bit;
-      bitrev_[i] = static_cast<std::uint32_t>(j);
-    }
-    if (n >= 2) {
-      // Packed per-stage twiddles: stage len at offset len/2 - 1, entries
-      // exp(-2*pi*i*k/len) for k < len/2. The offsets telescope
-      // (1 + 2 + ... + len/4 == len/2 - 1), n - 1 entries total.
-      twRe_.resizeDiscard(n - 1);
-      twIm_.resizeDiscard(n - 1);
-      invTwIm_.resizeDiscard(n - 1);
-      for (std::size_t len = 2; len <= n; len <<= 1) {
-        const std::size_t half = len / 2;
-        for (std::size_t k = 0; k < half; ++k) {
-          const double ang =
-              -kTwoPi * static_cast<double>(k) / static_cast<double>(len);
-          twRe_[half - 1 + k] = std::cos(ang);
-          twIm_[half - 1 + k] = std::sin(ang);
-          invTwIm_[half - 1 + k] = -twIm_[half - 1 + k];
-        }
-      }
-      halfPlan_ = fftPlan(n / 2);
-    }
-    return;
+FftPlan::FftPlan(std::size_t n) : n_(n) {
+  UNIQ_REQUIRE(isPowerOfTwo(n), "FftPlan needs a power-of-two size");
+  UNIQ_REQUIRE(n <= (std::size_t{1} << 31),
+               "FftPlan size exceeds table range");
+  bitrev_.resize(n);
+  bitrev_[0] = 0;
+  for (std::size_t i = 1, j = 0; i < n; ++i) {
+    std::size_t bit = n >> 1;
+    for (; j & bit; bit >>= 1) j ^= bit;
+    j ^= bit;
+    bitrev_[i] = static_cast<std::uint32_t>(j);
   }
-
-  // Bluestein: DFT_n as a circular convolution of length m = 2^k >= 2n+1.
-  m_ = nextPowerOfTwo(2 * n + 1);
-  chirpRe_.resizeDiscard(n);
-  chirpIm_.resizeDiscard(n);
-  for (std::size_t k = 0; k < n; ++k) {
-    // k^2 mod 2n avoids precision loss for large k.
-    const double kk = static_cast<double>(
-        (static_cast<unsigned long long>(k) * k) % (2 * n));
-    const double phase = -kPi * kk / static_cast<double>(n);
-    chirpRe_[k] = std::cos(phase);
-    chirpIm_[k] = std::sin(phase);
-  }
-  convPlan_ = fftPlan(m_);
-  // Kernel spectrum, stored in the convolution plan's bit-reversed (DIF
-  // output) order: transform time multiplies it pointwise against the DIF
-  // forward output and feeds the product straight into the DIT inverse —
-  // no permutation passes anywhere in the convolution.
-  kernRe_.resizeDiscard(m_);
-  kernIm_.resizeDiscard(m_);
-  std::fill(kernRe_.data(), kernRe_.data() + m_, 0.0);
-  std::fill(kernIm_.data(), kernIm_.data() + m_, 0.0);
-  kernRe_[0] = chirpRe_[0];
-  kernIm_[0] = -chirpIm_[0];
-  for (std::size_t k = 1; k < n; ++k) {
-    kernRe_[k] = chirpRe_[k];
-    kernIm_[k] = -chirpIm_[k];
-    kernRe_[m_ - k] = kernRe_[k];
-    kernIm_[m_ - k] = kernIm_[k];
-  }
-  kernels::difStages(kernRe_.data(), kernIm_.data(), m_,
-                     convPlan_->stageTwRe(), convPlan_->stageTwIm(false));
-}
-
-void FftPlan::transformPow2(std::span<Complex> data, bool inverse) const {
-  transformCounter().inc();
-  const std::size_t n = n_;
   if (n < 2) return;
-  auto& arena = common::simdScratch();
-  common::ArenaScope scope(arena);
-  const std::size_t lane = common::alignedCount(n, sizeof(double));
-  double* re = arena.allocDoubles(2 * lane);
-  double* im = re + lane;
-  // The gather fuses deinterleave, permutation and the len == 2 stage.
-  kernels::gatherBitReversed(data.data(), bitrev_.data(), n, re, im);
-  kernels::ditStagesFrom(re, im, n, stageTwRe(), stageTwIm(inverse), 4);
-  kernels::interleaveScaled(re, im, n,
-                            inverse ? 1.0 / static_cast<double>(n) : 1.0,
-                            reinterpret_cast<double*>(data.data()));
-}
-
-void FftPlan::forwardInPlace(std::span<Complex> data) const {
-  UNIQ_REQUIRE(pow2_, "in-place transform needs a power-of-two plan");
-  UNIQ_REQUIRE(data.size() == n_, "data length does not match plan");
-  transformPow2(data, false);
-}
-
-void FftPlan::inverseInPlace(std::span<Complex> data) const {
-  UNIQ_REQUIRE(pow2_, "in-place transform needs a power-of-two plan");
-  UNIQ_REQUIRE(data.size() == n_, "data length does not match plan");
-  transformPow2(data, true);
-}
-
-std::vector<Complex> FftPlan::forwardBluestein(
-    std::span<const Complex> input) const {
-  auto& arena = common::simdScratch();
-  common::ArenaScope scope(arena);
-  const std::size_t lane = common::alignedCount(m_, sizeof(double));
-  double* re = arena.allocDoubles(2 * lane);
-  double* im = re + lane;
-  // Chirp premultiply in natural order (DIF input order), zero-padded to m.
-  for (std::size_t k = 0; k < n_; ++k) {
-    const double xr = input[k].real(), xi = input[k].imag();
-    const double cr = chirpRe_[k], ci = chirpIm_[k];
-    re[k] = xr * cr - xi * ci;
-    im[k] = xr * ci + xi * cr;
+  // Packed per-stage twiddles: stage len at offset len/2 - 1, entries
+  // exp(-2*pi*i*k/len) for k < len/2. The offsets telescope
+  // (1 + 2 + ... + len/4 == len/2 - 1), n - 1 entries total.
+  twRe_.resizeDiscard(n - 1);
+  twIm_.resizeDiscard(n - 1);
+  invTwIm_.resizeDiscard(n - 1);
+  for (std::size_t len = 2; len <= n; len <<= 1) {
+    const std::size_t half = len / 2;
+    for (std::size_t k = 0; k < half; ++k) {
+      const double ang =
+          -kTwoPi * static_cast<double>(k) / static_cast<double>(len);
+      twRe_[half - 1 + k] = std::cos(ang);
+      twIm_[half - 1 + k] = std::sin(ang);
+      invTwIm_[half - 1 + k] = -twIm_[half - 1 + k];
+    }
   }
-  std::fill(re + n_, re + m_, 0.0);
-  std::fill(im + n_, im + m_, 0.0);
-  kernels::difStages(re, im, m_, convPlan_->stageTwRe(),
-                     convPlan_->stageTwIm(false));
-  kernels::cmulSplit(re, im, kernRe_.data(), kernIm_.data(), m_);
-  kernels::ditStages(re, im, m_, convPlan_->stageTwRe(),
-                     convPlan_->stageTwIm(true));
-  // Chirp postmultiply folds in the inverse convolution's 1/m scaling.
-  const double s = 1.0 / static_cast<double>(m_);
-  std::vector<Complex> out(n_);
-  for (std::size_t k = 0; k < n_; ++k) {
-    const double ar = re[k] * s, ai = im[k] * s;
-    const double cr = chirpRe_[k], ci = chirpIm_[k];
-    out[k] = Complex(ar * cr - ai * ci, ar * ci + ai * cr);
-  }
-  return out;
-}
-
-std::vector<Complex> FftPlan::forward(std::span<const Complex> input) const {
-  UNIQ_REQUIRE(input.size() == n_, "input length does not match plan");
-  if (pow2_) {
-    std::vector<Complex> data(input.begin(), input.end());
-    transformPow2(data, false);
-    return data;
-  }
-  transformCounter().inc();
-  return forwardBluestein(input);
-}
-
-std::vector<Complex> FftPlan::inverse(std::span<const Complex> input) const {
-  UNIQ_REQUIRE(input.size() == n_, "input length does not match plan");
-  if (pow2_) {
-    std::vector<Complex> data(input.begin(), input.end());
-    transformPow2(data, true);
-    return data;
-  }
-  transformCounter().inc();
-  // ifft(x) = conj(fft(conj(x))) / n reuses the forward chirp tables.
-  std::vector<Complex> conjIn(n_);
-  for (std::size_t k = 0; k < n_; ++k) conjIn[k] = std::conj(input[k]);
-  auto out = forwardBluestein(conjIn);
-  const double scale = 1.0 / static_cast<double>(n_);
-  for (auto& x : out) x = std::conj(x) * scale;
-  return out;
+  halfPlan_ = fftPlan(n / 2);
 }
 
 std::vector<Complex> FftPlan::rfft(std::span<const double> input) const {
@@ -223,7 +97,6 @@ std::vector<Complex> FftPlan::rfft(std::span<const double> input) const {
 
 void FftPlan::rfft(std::span<const double> input,
                    std::span<Complex> out) const {
-  UNIQ_REQUIRE(pow2_, "rfft needs a power-of-two plan");
   const std::size_t len = input.size();
   UNIQ_REQUIRE(len >= 1 && len <= n_, "rfft input must hold 1..n samples");
   UNIQ_REQUIRE(out.size() == n_ / 2 + 1,
@@ -297,7 +170,6 @@ std::vector<double> FftPlan::irfft(std::span<const Complex> halfSpectrum) const 
 
 void FftPlan::irfft(std::span<const Complex> halfSpectrum,
                     std::span<double> out) const {
-  UNIQ_REQUIRE(pow2_, "irfft needs a power-of-two plan");
   UNIQ_REQUIRE(halfSpectrum.size() == n_ / 2 + 1,
                "half spectrum length does not match plan");
   UNIQ_REQUIRE(out.size() == n_, "irfft output must hold n samples");
@@ -343,7 +215,7 @@ std::span<double> scratchDoubles(std::size_t n) {
 }
 
 std::shared_ptr<const FftPlan> fftPlan(std::size_t n) {
-  UNIQ_REQUIRE(n >= 1, "fftPlan needs n >= 1");
+  UNIQ_REQUIRE(isPowerOfTwo(n), "fftPlan needs a power-of-two size");
   {
     std::lock_guard<std::mutex> lock(cacheMutex());
     auto& cache = planCache();
@@ -354,8 +226,8 @@ std::shared_ptr<const FftPlan> fftPlan(std::size_t n) {
     }
   }
   planMissCounter().inc();
-  // Build outside the lock: construction may recurse into fftPlan() for the
-  // half-length / convolution-length sub-plans.
+  // Build outside the lock: construction recurses into fftPlan() for the
+  // half-length sub-plan.
   auto plan = std::make_shared<const FftPlan>(n);
   std::lock_guard<std::mutex> lock(cacheMutex());
   auto& cache = planCache();
@@ -382,15 +254,11 @@ void resetFftStats() {
 }
 
 std::vector<Complex> rfft(std::span<const double> input) {
-  UNIQ_REQUIRE(!input.empty(), "rfft of empty signal");
-  UNIQ_REQUIRE(isPowerOfTwo(input.size()),
-               "rfft needs a power-of-two length");
   return fftPlan(input.size())->rfft(input);
 }
 
 std::vector<double> irfft(std::span<const Complex> halfSpectrum,
                           std::size_t n) {
-  UNIQ_REQUIRE(isPowerOfTwo(n), "irfft needs a power-of-two length");
   return fftPlan(n)->irfft(halfSpectrum);
 }
 

@@ -21,17 +21,12 @@ struct FftStats {
   std::size_t cachedPlans = 0;
 };
 
-/// A precomputed transform plan for one FFT length.
+/// A precomputed real-FFT plan for one power-of-two length.
 ///
-/// Power-of-two plans hold packed per-stage twiddle tables in split re/im
-/// (SoA) form; the butterfly cascades run through the runtime-dispatched
-/// kernel layer (dsp/kernels/), so they execute as AVX2+FMA vector code on
-/// capable CPUs and as portable scalar code elsewhere. Arbitrary lengths
-/// use Bluestein's algorithm with a permutation-free convolution: a
-/// decimation-in-frequency forward transform feeds a pointwise multiply
-/// against the pre-permuted kernel spectrum, and a decimation-in-time
-/// inverse transform restores natural order — no bit-reversal passes at
-/// transform time.
+/// Plans hold packed per-stage twiddle tables in split re/im (SoA) form;
+/// the butterfly cascades run through the runtime-dispatched kernel layer
+/// (dsp/kernels/), so they execute as AVX2+FMA vector code on capable CPUs
+/// and as portable scalar code elsewhere.
 ///
 /// Plans are immutable after construction and safe to share across threads;
 /// transform scratch comes from the per-thread arena (common/aligned.h).
@@ -39,29 +34,20 @@ struct FftStats {
 /// of constructing plans directly.
 class FftPlan {
  public:
+  /// Throws uniq::InvalidArgument unless n is a power of two (n >= 1).
   explicit FftPlan(std::size_t n);
 
   std::size_t size() const { return n_; }
-  bool isPow2() const { return pow2_; }
 
-  /// In-place transforms; only valid for power-of-two plans.
-  void forwardInPlace(std::span<Complex> data) const;
-  void inverseInPlace(std::span<Complex> data) const;
-
-  /// Out-of-place transforms for any plan length. `inverse` includes the
-  /// 1/N scaling, matching dsp::fft().
-  std::vector<Complex> forward(std::span<const Complex> input) const;
-  std::vector<Complex> inverse(std::span<const Complex> input) const;
-
-  /// Real-input fast path (power-of-two plans only): transforms real input
-  /// via one complex FFT of length n/2 and returns the non-redundant half
-  /// spectrum X[0..n/2] (size n/2 + 1). The remaining bins are the
-  /// conjugate mirror X[n-k] = conj(X[k]). `input` may hold 1..n samples;
-  /// the missing tail counts as zeros, so callers never build padded
-  /// copies. Every bin == the transform of the explicitly padded signal
-  /// (only the sign of an exact zero may differ), and a short input skips
-  /// the butterfly stages that would only move zeros: with at most n/2^s
-  /// samples (s >= 2), the first s of the half plan's log2(n/2) stages.
+  /// Transforms real input via one complex FFT of length n/2 and returns
+  /// the non-redundant half spectrum X[0..n/2] (size n/2 + 1). The
+  /// remaining bins are the conjugate mirror X[n-k] = conj(X[k]). `input`
+  /// may hold 1..n samples; the missing tail counts as zeros, so callers
+  /// never build padded copies. Every bin == the transform of the
+  /// explicitly padded signal (only the sign of an exact zero may differ),
+  /// and a short input skips the butterfly stages that would only move
+  /// zeros: with at most n/2^s samples (s >= 2), the first s of the half
+  /// plan's log2(n/2) stages.
   std::vector<Complex> rfft(std::span<const double> input) const;
   /// rfft() into caller storage of n/2 + 1 bins (for example
   /// scratchComplex()), so a transform does no heap allocation. Same bits
@@ -77,9 +63,6 @@ class FftPlan {
              std::span<double> out) const;
 
  private:
-  void transformPow2(std::span<Complex> data, bool inverse) const;
-  std::vector<Complex> forwardBluestein(std::span<const Complex> input) const;
-
   /// Packed single-transform stage-table base pointers (stage for `len`
   /// starts at offset len/2 - 2; see dsp/kernels/kernels.h). Null for
   /// plans of length < 4, where no multiplying stage exists.
@@ -92,9 +75,6 @@ class FftPlan {
   }
 
   std::size_t n_;
-  bool pow2_;
-
-  // Power-of-two tables.
   std::vector<std::uint32_t> bitrev_;
   /// Packed per-stage twiddles (stages len = 2..n, stage offset
   /// len/2 - 1, n - 1 entries): exp(-2*pi*i*k/len) split into re and im
@@ -107,21 +87,10 @@ class FftPlan {
   common::AlignedBuffer<double> twIm_;
   common::AlignedBuffer<double> invTwIm_;
   std::shared_ptr<const FftPlan> halfPlan_;  ///< length n/2, for rfft/irfft
-
-  // Bluestein tables (non power of two).
-  std::size_t m_ = 0;  ///< inner convolution length (pow2)
-  common::AlignedBuffer<double> chirpRe_;  ///< exp(-i*pi*k^2/n), split
-  common::AlignedBuffer<double> chirpIm_;
-  /// Spectrum of the chirp kernel in the convolution plan's bit-reversed
-  /// order (DIF output order), so the pointwise multiply needs no
-  /// permutation.
-  common::AlignedBuffer<double> kernRe_;
-  common::AlignedBuffer<double> kernIm_;
-  std::shared_ptr<const FftPlan> convPlan_;  ///< length m_
 };
 
 /// Process-wide, mutex-guarded plan cache. Returns a shared immutable plan
-/// for length n, building it on first use. Thread-safe.
+/// for length n (a power of two), building it on first use. Thread-safe.
 std::shared_ptr<const FftPlan> fftPlan(std::size_t n);
 
 /// Current plan-cache and transform counters (observability; logged by the

@@ -90,24 +90,10 @@ namespace detail {
 const KernelTable& table() { return *dispatch().table; }
 }  // namespace detail
 
-void ditStages(double* re, double* im, std::size_t n, const double* stageTwRe,
-               const double* stageTwIm) {
-  detail::table().ditStages(re, im, n, stageTwRe, stageTwIm, 2);
-}
-
 void ditStagesFrom(double* re, double* im, std::size_t n,
                    const double* stageTwRe, const double* stageTwIm,
                    std::size_t firstLen) {
   detail::table().ditStages(re, im, n, stageTwRe, stageTwIm, firstLen);
-}
-
-void difStages(double* re, double* im, std::size_t n, const double* stageTwRe,
-               const double* stageTwIm) {
-  detail::table().difStages(re, im, n, stageTwRe, stageTwIm);
-}
-
-void scaleInPlace(double* x, std::size_t n, double s) {
-  detail::table().scaleInPlace(x, n, s);
 }
 
 void gatherBitReversed(const std::complex<double>* in,
@@ -133,11 +119,6 @@ void irfftMerge(const std::complex<double>* x, std::size_t h,
 
 void magnitudes(const std::complex<double>* x, std::size_t n, double* out) {
   detail::table().magnitudes(x, n, out);
-}
-
-void cmulSplit(double* aRe, double* aIm, const double* bRe, const double* bIm,
-               std::size_t n) {
-  detail::table().cmulSplit(aRe, aIm, bRe, bIm, n);
 }
 
 void cmulInterleaved(std::complex<double>* a, const std::complex<double>* b,
@@ -176,15 +157,6 @@ void firFilter(const double* x, const double* w, std::size_t taps,
 
 double sumSquares(const double* x, std::size_t n) {
   return detail::table().sumSquares(x, n);
-}
-
-double sum(const double* x, std::size_t n) {
-  return detail::table().sum(x, n);
-}
-
-void pearsonAccum(const double* a, const double* b, std::size_t n, double ma,
-                  double mb, double out[3]) {
-  detail::table().pearsonAccum(a, b, n, ma, mb, out);
 }
 
 int visibilityCrossings(const double* nx, const double* ny, const double* cdot,

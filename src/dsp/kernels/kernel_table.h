@@ -14,9 +14,6 @@ namespace uniq::dsp::kernels::detail {
 struct KernelTable {
   void (*ditStages)(double*, double*, std::size_t, const double*,
                     const double*, std::size_t firstLen);
-  void (*difStages)(double*, double*, std::size_t, const double*,
-                    const double*);
-  void (*scaleInPlace)(double*, std::size_t, double);
   void (*gatherBitReversed)(const std::complex<double>*, const std::uint32_t*,
                             std::size_t, double*, double*);
   void (*interleaveScaled)(const double*, const double*, std::size_t, double,
@@ -26,8 +23,6 @@ struct KernelTable {
   void (*irfftMerge)(const std::complex<double>*, std::size_t, const double*,
                      const double*, std::complex<double>*);
   void (*magnitudes)(const std::complex<double>*, std::size_t, double*);
-  void (*cmulSplit)(double*, double*, const double*, const double*,
-                    std::size_t);
   void (*cmulInterleaved)(std::complex<double>*, const std::complex<double>*,
                           std::size_t);
   void (*cmulConjInterleaved)(std::complex<double>*,
@@ -42,9 +37,6 @@ struct KernelTable {
   void (*firFilter)(const double*, const double*, std::size_t, std::size_t,
                     double*);
   double (*sumSquares)(const double*, std::size_t);
-  double (*sum)(const double*, std::size_t);
-  void (*pearsonAccum)(const double*, const double*, std::size_t, double,
-                       double, double[3]);
   int (*visibilityCrossings)(const double*, const double*, const double*,
                              std::size_t, double, double,
                              VisibilityCrossing*, int);

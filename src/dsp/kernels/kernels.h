@@ -49,29 +49,15 @@ bool setIsaOverride(Isa isa);
 // ---------------------------------------------------------------------------
 
 /// Decimation-in-time butterfly cascade: input in bit-reversed order,
-/// output in natural order. Runs stages len = 2, 4, then 8..n from the
-/// packed tables.
-void ditStages(double* re, double* im, std::size_t n, const double* stageTwRe,
-               const double* stageTwIm);
-
-/// As ditStages but starting at stage `firstLen` (a power of two >= 2):
-/// the caller has already produced every length-firstLen/2 sub-transform,
+/// output in natural order. Runs stages len = firstLen (a power of two
+/// >= 2), 2 * firstLen, ..., n; firstLen == 2 is the whole cascade. The
+/// caller has already produced every length-firstLen/2 sub-transform,
 /// either by fusing the len == 2 stage into its gather (firstLen == 4) or
 /// because each sub-block holds a single nonzero sample, whose transform is
 /// that sample repeated. Runs no stage when firstLen > n.
 void ditStagesFrom(double* re, double* im, std::size_t n,
                    const double* stageTwRe, const double* stageTwIm,
                    std::size_t firstLen);
-
-/// Decimation-in-frequency cascade: natural-order input, bit-reversed
-/// output. Same packed tables as ditStages (stages run n..8, then 4, 2).
-/// Together with ditStages this gives permutation-free convolution:
-/// DIF forward -> pointwise multiply in bit-reversed order -> DIT inverse.
-void difStages(double* re, double* im, std::size_t n, const double* stageTwRe,
-               const double* stageTwIm);
-
-/// Multiply every element by `s` (inverse-FFT 1/n scaling).
-void scaleInPlace(double* x, std::size_t n, double s);
 
 // ---------------------------------------------------------------------------
 // Transform packing kernels (FftPlan's gathers, copy-outs and the real-FFT
@@ -116,10 +102,6 @@ void magnitudes(const std::complex<double>* x, std::size_t n, double* out);
 // Complex pointwise kernels.
 // ---------------------------------------------------------------------------
 
-/// a[i] *= b[i] over split lanes (Bluestein kernel-spectrum multiply).
-void cmulSplit(double* aRe, double* aIm, const double* bRe, const double* bIm,
-               std::size_t n);
-
 /// a[i] *= b[i] over interleaved std::complex<double> arrays (spectral
 /// convolution).
 void cmulInterleaved(std::complex<double>* a, const std::complex<double>* b,
@@ -162,14 +144,6 @@ void firFilter(const double* x, const double* w, std::size_t taps,
 
 /// sum_i x[i]^2.
 double sumSquares(const double* x, std::size_t n);
-
-/// sum_i x[i].
-double sum(const double* x, std::size_t n);
-
-/// Centered second-moment accumulations for Pearson correlation:
-/// out[0] = sum (a-ma)(b-mb), out[1] = sum (a-ma)^2, out[2] = sum (b-mb)^2.
-void pearsonAccum(const double* a, const double* b, std::size_t n, double ma,
-                  double mb, double out[3]);
 
 // ---------------------------------------------------------------------------
 // Geometry kernel: boundary visibility scan (the DSF solve hot loop).

@@ -39,8 +39,8 @@ using Complex = std::complex<double>;
 
 // --- FFT butterfly cascades -----------------------------------------------
 
-/// len == 2 stage (twiddle-free) in both DIT and DIF cascades: adjacent
-/// (u, v) pairs become (u + v, u - v).
+/// len == 2 stage (twiddle-free): adjacent (u, v) pairs become
+/// (u + v, u - v).
 inline void stage2(double* re, double* im, std::size_t n) {
   std::size_t i = 0;
   for (; i + 4 <= n; i += 4) {
@@ -60,25 +60,6 @@ inline void stage2(double* re, double* im, std::size_t n) {
     im[i] = ui + vi;
     re[i + 1] = ur - vr;
     im[i + 1] = ui - vi;
-  }
-}
-
-/// len == 4 DIF stage: u' = u + v, v' = (u - v) * w.
-inline void stage4Dif(double* re, double* im, std::size_t n,
-                      const double* twRe, const double* twIm) {
-  const __m128d wr = _mm_loadu_pd(twRe);
-  const __m128d wi = _mm_loadu_pd(twIm);
-  for (std::size_t i = 0; i + 3 < n; i += 4) {
-    const __m128d ur = _mm_loadu_pd(re + i);
-    const __m128d ui = _mm_loadu_pd(im + i);
-    const __m128d br = _mm_loadu_pd(re + i + 2);
-    const __m128d bi = _mm_loadu_pd(im + i + 2);
-    const __m128d tr = _mm_sub_pd(ur, br);
-    const __m128d ti = _mm_sub_pd(ui, bi);
-    _mm_storeu_pd(re + i, _mm_add_pd(ur, br));
-    _mm_storeu_pd(im + i, _mm_add_pd(ui, bi));
-    _mm_storeu_pd(re + i + 2, _mm_fnmadd_pd(ti, wi, _mm_mul_pd(tr, wr)));
-    _mm_storeu_pd(im + i + 2, _mm_fmadd_pd(ti, wr, _mm_mul_pd(tr, wi)));
   }
 }
 
@@ -218,64 +199,7 @@ void ditStagesImpl(double* re, double* im, std::size_t n, const double* twRe,
   if (len <= n) stageDit(re, im, n, twRe, twIm, len);
 }
 
-void difStagesImpl(double* re, double* im, std::size_t n, const double* twRe,
-                   const double* twIm) {
-  if (n < 2) return;
-  for (std::size_t len = n; len >= 8; len >>= 1) {
-    const std::size_t half = len / 2;
-    const double* wr = twRe + (half - 2);
-    const double* wi = twIm + (half - 2);
-    for (std::size_t i = 0; i < n; i += len) {
-      for (std::size_t k = 0; k < half; k += 4) {
-        const __m256d wrv = _mm256_loadu_pd(wr + k);
-        const __m256d wiv = _mm256_loadu_pd(wi + k);
-        const __m256d ur = _mm256_loadu_pd(re + i + k);
-        const __m256d ui = _mm256_loadu_pd(im + i + k);
-        const __m256d br = _mm256_loadu_pd(re + i + k + half);
-        const __m256d bi = _mm256_loadu_pd(im + i + k + half);
-        const __m256d tr = _mm256_sub_pd(ur, br);
-        const __m256d ti = _mm256_sub_pd(ui, bi);
-        _mm256_storeu_pd(re + i + k, _mm256_add_pd(ur, br));
-        _mm256_storeu_pd(im + i + k, _mm256_add_pd(ui, bi));
-        _mm256_storeu_pd(re + i + k + half,
-                         _mm256_fnmadd_pd(ti, wiv, _mm256_mul_pd(tr, wrv)));
-        _mm256_storeu_pd(im + i + k + half,
-                         _mm256_fmadd_pd(ti, wrv, _mm256_mul_pd(tr, wiv)));
-      }
-    }
-  }
-  if (n >= 4) stage4Dif(re, im, n, twRe, twIm);
-  stage2(re, im, n);
-}
-
-void scaleInPlaceImpl(double* x, std::size_t n, double s) {
-  const __m256d sv = _mm256_set1_pd(s);
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4)
-    _mm256_storeu_pd(x + i, _mm256_mul_pd(_mm256_loadu_pd(x + i), sv));
-  for (; i < n; ++i) x[i] *= s;
-}
-
 // --- Complex pointwise ----------------------------------------------------
-
-void cmulSplitImpl(double* aRe, double* aIm, const double* bRe,
-                   const double* bIm, std::size_t n) {
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256d ar = _mm256_loadu_pd(aRe + i);
-    const __m256d ai = _mm256_loadu_pd(aIm + i);
-    const __m256d br = _mm256_loadu_pd(bRe + i);
-    const __m256d bi = _mm256_loadu_pd(bIm + i);
-    _mm256_storeu_pd(aRe + i, _mm256_fnmadd_pd(ai, bi, _mm256_mul_pd(ar, br)));
-    _mm256_storeu_pd(aIm + i, _mm256_fmadd_pd(ai, br, _mm256_mul_pd(ar, bi)));
-  }
-  for (; i < n; ++i) {
-    const double ar = aRe[i], ai = aIm[i];
-    const double br = bRe[i], bi = bIm[i];
-    aRe[i] = ar * br - ai * bi;
-    aIm[i] = ar * bi + ai * br;
-  }
-}
 
 void cmulInterleavedImpl(Complex* a, const Complex* b, std::size_t n) {
   auto* ad = reinterpret_cast<double*>(a);
@@ -474,47 +398,6 @@ double sumSquaresImpl(const double* x, std::size_t n) {
   return s;
 }
 
-double sumImpl(const double* x, std::size_t n) {
-  __m256d acc0 = _mm256_setzero_pd();
-  __m256d acc1 = _mm256_setzero_pd();
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    acc0 = _mm256_add_pd(acc0, _mm256_loadu_pd(x + i));
-    acc1 = _mm256_add_pd(acc1, _mm256_loadu_pd(x + i + 4));
-  }
-  double s = hsum(_mm256_add_pd(acc0, acc1));
-  for (; i < n; ++i) s += x[i];
-  return s;
-}
-
-void pearsonAccumImpl(const double* a, const double* b, std::size_t n,
-                      double ma, double mb, double out[3]) {
-  const __m256d mav = _mm256_set1_pd(ma);
-  const __m256d mbv = _mm256_set1_pd(mb);
-  __m256d sab = _mm256_setzero_pd();
-  __m256d saa = _mm256_setzero_pd();
-  __m256d sbb = _mm256_setzero_pd();
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256d da = _mm256_sub_pd(_mm256_loadu_pd(a + i), mav);
-    const __m256d db = _mm256_sub_pd(_mm256_loadu_pd(b + i), mbv);
-    sab = _mm256_fmadd_pd(da, db, sab);
-    saa = _mm256_fmadd_pd(da, da, saa);
-    sbb = _mm256_fmadd_pd(db, db, sbb);
-  }
-  double rab = hsum(sab), raa = hsum(saa), rbb = hsum(sbb);
-  for (; i < n; ++i) {
-    const double da = a[i] - ma;
-    const double db = b[i] - mb;
-    rab += da * db;
-    raa += da * da;
-    rbb += db * db;
-  }
-  out[0] = rab;
-  out[1] = raa;
-  out[2] = rbb;
-}
-
 // --- Geometry visibility scan ---------------------------------------------
 
 int visibilityCrossingsImpl(const double* nx, const double* ny,
@@ -597,14 +480,11 @@ int visibilityCrossingsImpl(const double* nx, const double* ny,
 const KernelTable& avx2Table() {
   static const KernelTable t = {
       &ditStagesImpl,
-      &difStagesImpl,
-      &scaleInPlaceImpl,
       &avx2_nofma::gatherBitReversed,
       &avx2_nofma::interleaveScaled,
       &avx2_nofma::rfftSplit,
       &avx2_nofma::irfftMerge,
       &avx2_nofma::magnitudes,
-      &cmulSplitImpl,
       &cmulInterleavedImpl,
       &cmulConjInterleavedImpl,
       &spectralDivideImpl,
@@ -613,8 +493,6 @@ const KernelTable& avx2Table() {
       &lagDotProductsImpl,
       &avx2_nofma::firFilter,
       &sumSquaresImpl,
-      &sumImpl,
-      &pearsonAccumImpl,
       &visibilityCrossingsImpl,
   };
   return t;

@@ -65,36 +65,6 @@ void ditStagesImpl(double* re, double* im, std::size_t n, const double* twRe,
                        std::max<std::size_t>(firstLen, 4));
 }
 
-void difStagesImpl(double* re, double* im, std::size_t n, const double* twRe,
-                   const double* twIm) {
-  if (n < 2) return;
-  // Descending stages: butterfly u' = u + v, v' = (u - v) * w.
-  for (std::size_t len = n; len >= 4; len >>= 1) {
-    const std::size_t half = len / 2;
-    const double* wr = twRe + (half - 2);
-    const double* wi = twIm + (half - 2);
-    for (std::size_t i = 0; i < n; i += len) {
-      for (std::size_t k = 0; k < half; ++k) {
-        const double ur = re[i + k];
-        const double ui = im[i + k];
-        const double br = re[i + k + half];
-        const double bi = im[i + k + half];
-        const double tr = ur - br;
-        const double ti = ui - bi;
-        re[i + k] = ur + br;
-        im[i + k] = ui + bi;
-        re[i + k + half] = tr * wr[k] - ti * wi[k];
-        im[i + k + half] = tr * wi[k] + ti * wr[k];
-      }
-    }
-  }
-  stage2Dit(re, im, n);  // len == 2: same add/sub butterfly both directions
-}
-
-void scaleInPlaceImpl(double* x, std::size_t n, double s) {
-  for (std::size_t i = 0; i < n; ++i) x[i] *= s;
-}
-
 // --- Transform packing -----------------------------------------------------
 
 void gatherBitReversedImpl(const Complex* in, const std::uint32_t* rev,
@@ -157,16 +127,6 @@ void magnitudesImpl(const Complex* x, std::size_t n, double* out) {
 }
 
 // --- Complex pointwise ----------------------------------------------------
-
-void cmulSplitImpl(double* aRe, double* aIm, const double* bRe,
-                   const double* bIm, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) {
-    const double ar = aRe[i], ai = aIm[i];
-    const double br = bRe[i], bi = bIm[i];
-    aRe[i] = ar * br - ai * bi;
-    aIm[i] = ar * bi + ai * br;
-  }
-}
 
 void cmulInterleavedImpl(Complex* a, const Complex* b, std::size_t n) {
   auto* ad = reinterpret_cast<double*>(a);
@@ -247,27 +207,6 @@ double sumSquaresImpl(const double* x, std::size_t n) {
   return s;
 }
 
-double sumImpl(const double* x, std::size_t n) {
-  double s = 0.0;
-  for (std::size_t i = 0; i < n; ++i) s += x[i];
-  return s;
-}
-
-void pearsonAccumImpl(const double* a, const double* b, std::size_t n,
-                      double ma, double mb, double out[3]) {
-  double sab = 0.0, saa = 0.0, sbb = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    const double da = a[i] - ma;
-    const double db = b[i] - mb;
-    sab += da * db;
-    saa += da * da;
-    sbb += db * db;
-  }
-  out[0] = sab;
-  out[1] = saa;
-  out[2] = sbb;
-}
-
 // --- Geometry visibility scan ---------------------------------------------
 
 int visibilityCrossingsImpl(const double* nx, const double* ny,
@@ -305,14 +244,11 @@ int visibilityCrossingsImpl(const double* nx, const double* ny,
 const KernelTable& scalarTable() {
   static const KernelTable t = {
       &ditStagesImpl,
-      &difStagesImpl,
-      &scaleInPlaceImpl,
       &gatherBitReversedImpl,
       &interleaveScaledImpl,
       &rfftSplitImpl,
       &irfftMergeImpl,
       &magnitudesImpl,
-      &cmulSplitImpl,
       &cmulInterleavedImpl,
       &cmulConjInterleavedImpl,
       &spectralDivideImpl,
@@ -321,8 +257,6 @@ const KernelTable& scalarTable() {
       &lagDotProductsImpl,
       &firFilterImpl,
       &sumSquaresImpl,
-      &sumImpl,
-      &pearsonAccumImpl,
       &visibilityCrossingsImpl,
   };
   return t;

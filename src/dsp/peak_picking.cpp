@@ -62,14 +62,4 @@ std::optional<Tap> findFirstTap(std::span<const double> h,
   return taps.front();
 }
 
-std::optional<Tap> findStrongestTap(std::span<const double> h,
-                                    const FirstTapOptions& opts) {
-  auto taps = findTaps(h, opts);
-  if (taps.empty()) return std::nullopt;
-  return *std::max_element(taps.begin(), taps.end(),
-                           [](const Tap& a, const Tap& b) {
-                             return a.amplitude < b.amplitude;
-                           });
-}
-
 }  // namespace uniq::dsp

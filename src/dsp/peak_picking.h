@@ -31,8 +31,4 @@ std::optional<Tap> findFirstTap(std::span<const double> h,
 std::vector<Tap> findTaps(std::span<const double> h,
                           const FirstTapOptions& opts = {});
 
-/// The largest-magnitude tap.
-std::optional<Tap> findStrongestTap(std::span<const double> h,
-                                    const FirstTapOptions& opts = {});
-
 }  // namespace uniq::dsp

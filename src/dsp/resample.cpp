@@ -53,10 +53,4 @@ std::vector<double> resample(std::span<const double> input, double inputRate,
   return out;
 }
 
-std::vector<double> upsampleInteger(std::span<const double> input, int factor,
-                                    int halfWidth) {
-  UNIQ_REQUIRE(factor >= 1, "factor must be >= 1");
-  return resample(input, 1.0, static_cast<double>(factor), halfWidth);
-}
-
 }  // namespace uniq::dsp

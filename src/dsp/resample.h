@@ -11,8 +11,4 @@ namespace uniq::dsp {
 std::vector<double> resample(std::span<const double> input, double inputRate,
                              double outputRate, int halfWidth = 16);
 
-/// Upsample a signal by an integer factor (zero-stuff + windowed sinc).
-std::vector<double> upsampleInteger(std::span<const double> input, int factor,
-                                    int halfWidth = 16);
-
 }  // namespace uniq::dsp

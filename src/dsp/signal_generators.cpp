@@ -41,23 +41,6 @@ std::vector<double> linearChirp(double f0, double f1, std::size_t samples,
   return s;
 }
 
-std::vector<double> exponentialChirp(double f0, double f1, std::size_t samples,
-                                     double sampleRate, double amplitude) {
-  UNIQ_REQUIRE(samples >= 2, "chirp needs >= 2 samples");
-  UNIQ_REQUIRE(f0 > 0 && f1 > f0, "exponential chirp needs 0 < f0 < f1");
-  std::vector<double> s(samples);
-  const double duration = static_cast<double>(samples) / sampleRate;
-  const double logRatio = std::log(f1 / f0);
-  for (std::size_t i = 0; i < samples; ++i) {
-    const double t = static_cast<double>(i) / sampleRate;
-    const double phase =
-        kTwoPi * f0 * duration / logRatio * (std::exp(t / duration * logRatio) - 1.0);
-    s[i] = amplitude * std::sin(phase);
-  }
-  fadeEdges(s, samples / 16);
-  return s;
-}
-
 std::vector<double> whiteNoise(std::size_t samples, Pcg32& rng,
                                double amplitude) {
   std::vector<double> s(samples);

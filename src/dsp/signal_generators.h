@@ -13,11 +13,6 @@ namespace uniq::dsp {
 std::vector<double> linearChirp(double f0, double f1, std::size_t samples,
                                 double sampleRate, double amplitude = 1.0);
 
-/// Exponential (logarithmic) sweep — constant energy per octave.
-std::vector<double> exponentialChirp(double f0, double f1, std::size_t samples,
-                                     double sampleRate,
-                                     double amplitude = 1.0);
-
 /// White Gaussian noise.
 std::vector<double> whiteNoise(std::size_t samples, Pcg32& rng,
                                double amplitude = 1.0);

@@ -4,23 +4,9 @@
 #include <cmath>
 
 #include "common/error.h"
-#include "common/math_util.h"
 #include "dsp/fft_plan.h"
 
 namespace uniq::dsp {
-
-std::vector<double> magnitudeSpectrum(std::span<const Complex> spectrum) {
-  std::vector<double> m(spectrum.size());
-  for (std::size_t i = 0; i < spectrum.size(); ++i) m[i] = std::abs(spectrum[i]);
-  return m;
-}
-
-std::vector<double> magnitudeSpectrumDb(std::span<const Complex> spectrum) {
-  std::vector<double> m(spectrum.size());
-  for (std::size_t i = 0; i < spectrum.size(); ++i)
-    m[i] = amplitudeToDb(std::abs(spectrum[i]));
-  return m;
-}
 
 double binFrequency(std::size_t bin, std::size_t fftSize, double sampleRate) {
   UNIQ_REQUIRE(fftSize > 0, "fftSize must be positive");

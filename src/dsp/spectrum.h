@@ -7,12 +7,6 @@
 
 namespace uniq::dsp {
 
-/// Magnitude of each spectral bin.
-std::vector<double> magnitudeSpectrum(std::span<const Complex> spectrum);
-
-/// Magnitude in dB (20*log10), floored at -300 dB.
-std::vector<double> magnitudeSpectrumDb(std::span<const Complex> spectrum);
-
 /// Center frequency of bin k for an N-point FFT at `sampleRate`.
 double binFrequency(std::size_t bin, std::size_t fftSize, double sampleRate);
 

@@ -51,10 +51,4 @@ std::vector<double> makeWindow(WindowType type, std::size_t n,
   return w;
 }
 
-void applyWindow(std::span<double> signal, std::span<const double> window) {
-  UNIQ_REQUIRE(signal.size() == window.size(),
-               "signal and window sizes differ");
-  for (std::size_t i = 0; i < signal.size(); ++i) signal[i] *= window[i];
-}
-
 }  // namespace uniq::dsp

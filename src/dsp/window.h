@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstddef>
-#include <span>
 #include <vector>
 
 namespace uniq::dsp {
@@ -13,8 +12,5 @@ enum class WindowType { kRectangular, kHann, kHamming, kBlackman, kTukey };
 /// (fraction of the window inside the cosine tapers, in [0,1]).
 std::vector<double> makeWindow(WindowType type, std::size_t n,
                                double tukeyAlpha = 0.5);
-
-/// Multiply `signal` by `window` element-wise (sizes must match).
-void applyWindow(std::span<double> signal, std::span<const double> window);
 
 }  // namespace uniq::dsp

@@ -21,7 +21,6 @@ TEST(Convolution, RejectsEmptyInputs) {
   std::vector<double> empty;
   EXPECT_THROW(convolveDirect(a, empty), InvalidArgument);
   EXPECT_THROW(convolveFft(empty, a), InvalidArgument);
-  EXPECT_THROW(convolveOverlapAdd(empty, a), InvalidArgument);
 }
 
 TEST(Convolution, KnownSmallExample) {
@@ -73,19 +72,6 @@ TEST_P(ConvolutionEquivalence, FftMatchesDirect) {
   const auto viaFft = convolveFft(a, b);
   ASSERT_EQ(direct.size(), viaFft.size());
   EXPECT_LT(uniq::test::maxAbsDiff(direct, viaFft), 1e-8);
-}
-
-TEST_P(ConvolutionEquivalence, OverlapAddMatchesDirect) {
-  const auto p = GetParam();
-  const auto a = randomSignal(p.signal, p.signal + 7);
-  const auto b = randomSignal(p.kernel, p.kernel + 11);
-  const auto direct = convolveDirect(a, b);
-  for (std::size_t block : {16ul, 64ul, 1000ul}) {
-    const auto ola = convolveOverlapAdd(a, b, block);
-    ASSERT_EQ(direct.size(), ola.size());
-    EXPECT_LT(uniq::test::maxAbsDiff(direct, ola), 1e-8)
-        << "block size " << block;
-  }
 }
 
 INSTANTIATE_TEST_SUITE_P(

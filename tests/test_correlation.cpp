@@ -225,26 +225,6 @@ TEST(BoundedCorrelationPeak, SilenceGivesZeroAndBadWindowThrows) {
                  InvalidArgument);
 }
 
-TEST(Pearson, PerfectCorrelationAndAnticorrelation) {
-  std::vector<double> a{1, 2, 3, 4, 5};
-  std::vector<double> b{2, 4, 6, 8, 10};
-  std::vector<double> c{5, 4, 3, 2, 1};
-  EXPECT_NEAR(pearson(a, b), 1.0, 1e-12);
-  EXPECT_NEAR(pearson(a, c), -1.0, 1e-12);
-}
-
-TEST(Pearson, RejectsMismatchedSizes) {
-  std::vector<double> a{1, 2, 3};
-  std::vector<double> b{1, 2};
-  EXPECT_THROW(pearson(a, b), InvalidArgument);
-}
-
-TEST(Pearson, ConstantSignalGivesZero) {
-  std::vector<double> a{1, 1, 1, 1};
-  std::vector<double> b{1, 2, 3, 4};
-  EXPECT_DOUBLE_EQ(pearson(a, b), 0.0);
-}
-
 class GccPhatDelay : public ::testing::TestWithParam<double> {};
 
 TEST_P(GccPhatDelay, RecoversDelayOnNoisySignals) {

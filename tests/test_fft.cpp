@@ -7,6 +7,7 @@
 #include "common/constants.h"
 #include "common/error.h"
 #include "common/random.h"
+#include "dsp/fft_plan.h"
 
 namespace uniq::dsp {
 namespace {
@@ -30,20 +31,25 @@ TEST(FftHelpers, IsPowerOfTwo) {
 }
 
 TEST(Fft, RejectsNonPowerOfTwoInPlace) {
+  EXPECT_THROW(FftPlan(3), InvalidArgument);
+  EXPECT_THROW(fftPlan(100), InvalidArgument);
+  EXPECT_THROW(rfft(std::vector<double>(3)), InvalidArgument);
+  EXPECT_THROW(irfft(std::vector<Complex>(3), 6), InvalidArgument);
   std::vector<Complex> data(3);
-  EXPECT_THROW(fftPow2InPlace(data, false), InvalidArgument);
+  EXPECT_THROW(fftPow2ReferenceInPlace(data, false), InvalidArgument);
 }
 
 TEST(Fft, RejectsEmpty) {
-  std::vector<Complex> empty;
-  EXPECT_THROW(fft(empty), InvalidArgument);
+  EXPECT_THROW(rfft(std::vector<double>()), InvalidArgument);
+  EXPECT_THROW(FftPlan(0), InvalidArgument);
 }
 
 TEST(Fft, ImpulseHasFlatSpectrum) {
-  std::vector<Complex> data(64, Complex(0, 0));
-  data[0] = Complex(1, 0);
-  fftPow2InPlace(data, false);
-  for (const auto& v : data) {
+  std::vector<double> data(64, 0.0);
+  data[0] = 1.0;
+  const auto spectrum = rfft(data);
+  ASSERT_EQ(spectrum.size(), 33u);
+  for (const auto& v : spectrum) {
     EXPECT_NEAR(v.real(), 1.0, 1e-12);
     EXPECT_NEAR(v.imag(), 0.0, 1e-12);
   }
@@ -52,50 +58,53 @@ TEST(Fft, ImpulseHasFlatSpectrum) {
 TEST(Fft, SinusoidConcentratesInOneBin) {
   const std::size_t n = 256;
   const std::size_t bin = 12;
-  std::vector<Complex> data(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    data[i] = Complex(
-        std::cos(kTwoPi * static_cast<double>(bin * i) / static_cast<double>(n)),
-        0);
-  }
-  fftPow2InPlace(data, false);
-  EXPECT_NEAR(std::abs(data[bin]), static_cast<double>(n) / 2, 1e-9);
-  EXPECT_NEAR(std::abs(data[n - bin]), static_cast<double>(n) / 2, 1e-9);
-  for (std::size_t k = 0; k < n; ++k) {
-    if (k == bin || k == n - bin) continue;
-    EXPECT_LT(std::abs(data[k]), 1e-9) << "leakage at bin " << k;
+  std::vector<double> data(n);
+  for (std::size_t i = 0; i < n; ++i)
+    data[i] = std::cos(kTwoPi * static_cast<double>(bin * i) /
+                       static_cast<double>(n));
+  const auto spectrum = rfft(data);
+  EXPECT_NEAR(std::abs(spectrum[bin]), static_cast<double>(n) / 2, 1e-9);
+  for (std::size_t k = 0; k < spectrum.size(); ++k) {
+    if (k == bin) continue;
+    EXPECT_LT(std::abs(spectrum[k]), 1e-9) << "leakage at bin " << k;
   }
 }
 
+/// A signal of n samples transformed at plan size nextPowerOfTwo(n), as
+/// every caller transforms arbitrary lengths: rfft reads the samples as a
+/// prefix and zero-pads the rest.
 class FftRoundTrip : public ::testing::TestWithParam<std::size_t> {};
 
 TEST_P(FftRoundTrip, ForwardInverseIsIdentity) {
   const std::size_t n = GetParam();
+  const auto plan = fftPlan(nextPowerOfTwo(n));
   Pcg32 rng(n * 31 + 1);
-  std::vector<Complex> input(n);
-  for (auto& v : input) v = Complex(rng.gaussian(), rng.gaussian());
-  const auto spectrum = fft(input, false);
-  const auto back = fft(spectrum, true);
-  ASSERT_EQ(back.size(), n);
-  for (std::size_t i = 0; i < n; ++i) {
-    EXPECT_NEAR(back[i].real(), input[i].real(), 1e-9);
-    EXPECT_NEAR(back[i].imag(), input[i].imag(), 1e-9);
-  }
+  std::vector<double> input(n);
+  for (auto& v : input) v = rng.gaussian();
+  const auto back = plan->irfft(plan->rfft(input));
+  ASSERT_EQ(back.size(), plan->size());
+  for (std::size_t i = 0; i < back.size(); ++i)
+    EXPECT_NEAR(back[i], i < n ? input[i] : 0.0, 1e-9) << "i=" << i;
 }
 
 TEST_P(FftRoundTrip, ParsevalHolds) {
   const std::size_t n = GetParam();
+  const std::size_t size = nextPowerOfTwo(n);
   Pcg32 rng(n * 7 + 3);
-  std::vector<Complex> input(n);
+  std::vector<double> input(n);
   double timeEnergy = 0.0;
   for (auto& v : input) {
-    v = Complex(rng.gaussian(), 0);
-    timeEnergy += std::norm(v);
+    v = rng.gaussian();
+    timeEnergy += v * v;
   }
-  const auto spectrum = fft(input, false);
+  const auto half = fftPlan(size)->rfft(input);
+  // Bins 1 .. size/2 - 1 stand for themselves and their conjugate mirror.
   double freqEnergy = 0.0;
-  for (const auto& v : spectrum) freqEnergy += std::norm(v);
-  freqEnergy /= static_cast<double>(n);
+  for (std::size_t k = 0; k < half.size(); ++k) {
+    const bool unpaired = k == 0 || k == size / 2;
+    freqEnergy += (unpaired ? 1.0 : 2.0) * std::norm(half[k]);
+  }
+  freqEnergy /= static_cast<double>(size);
   EXPECT_NEAR(freqEnergy, timeEnergy, 1e-6 * std::max(1.0, timeEnergy));
 }
 
@@ -106,58 +115,34 @@ INSTANTIATE_TEST_SUITE_P(PowersAndOddSizes, FftRoundTrip,
 TEST(Fft, LinearityOfTransform) {
   Pcg32 rng(5);
   const std::size_t n = 128;
-  std::vector<Complex> a(n), b(n), sum(n);
+  std::vector<double> a(n), b(n), sum(n);
   for (std::size_t i = 0; i < n; ++i) {
-    a[i] = Complex(rng.gaussian(), 0);
-    b[i] = Complex(rng.gaussian(), 0);
+    a[i] = rng.gaussian();
+    b[i] = rng.gaussian();
     sum[i] = a[i] + 2.0 * b[i];
   }
-  const auto fa = fft(a);
-  const auto fb = fft(b);
-  const auto fsum = fft(sum);
-  for (std::size_t k = 0; k < n; ++k) {
+  const auto fa = rfft(a);
+  const auto fb = rfft(b);
+  const auto fsum = rfft(sum);
+  for (std::size_t k = 0; k < fsum.size(); ++k) {
     EXPECT_NEAR(std::abs(fsum[k] - (fa[k] + 2.0 * fb[k])), 0.0, 1e-9);
   }
 }
 
 TEST(Fft, RealInputGivesConjugateSymmetricSpectrum) {
+  // The full complex spectrum of a real signal mirrors rfft's half:
+  // X[n-k] = conj(X[k]), with DC and Nyquist real.
   Pcg32 rng(11);
-  std::vector<double> x(128);
+  const std::size_t n = 128;
+  std::vector<double> x(n);
   for (auto& v : x) v = rng.gaussian();
-  const auto spec = fftReal(x);
-  for (std::size_t k = 1; k < x.size() / 2; ++k) {
-    EXPECT_NEAR(std::abs(spec[k] - std::conj(spec[x.size() - k])), 0.0, 1e-9);
-  }
-}
-
-TEST(Fft, IfftRealRecoversRealSignal) {
-  Pcg32 rng(13);
-  std::vector<double> x(200);  // non power of two: exercises Bluestein
-  for (auto& v : x) v = rng.gaussian();
-  const auto spec = fftReal(x);
-  const auto back = ifftReal(spec);
-  ASSERT_EQ(back.size(), x.size());
-  for (std::size_t i = 0; i < x.size(); ++i)
-    EXPECT_NEAR(back[i], x[i], 1e-8);
-}
-
-TEST(Fft, BluesteinMatchesPow2OnSharedSizes) {
-  // Size 256 runs through the pow-2 path; embed it in a 256-point Bluestein
-  // run by comparing DFT results computed both ways on the same data.
-  Pcg32 rng(17);
-  const std::size_t n = 256;
-  std::vector<Complex> x(n);
-  for (auto& v : x) v = Complex(rng.gaussian(), rng.gaussian());
-  auto viaPow2 = fft(x);
-  // Naive DFT as ground truth on a few bins.
-  for (std::size_t k : {0ul, 1ul, 17ul, 128ul, 255ul}) {
-    Complex acc(0, 0);
-    for (std::size_t t = 0; t < n; ++t) {
-      const double ang = -kTwoPi * static_cast<double>(k * t) /
-                         static_cast<double>(n);
-      acc += x[t] * Complex(std::cos(ang), std::sin(ang));
-    }
-    EXPECT_NEAR(std::abs(viaPow2[k] - acc), 0.0, 1e-7);
+  std::vector<Complex> full(x.begin(), x.end());
+  fftPow2ReferenceInPlace(full, false);
+  const auto half = rfft(x);
+  EXPECT_EQ(half[0].imag(), 0.0);
+  EXPECT_EQ(half[n / 2].imag(), 0.0);
+  for (std::size_t k = 1; k < n / 2; ++k) {
+    EXPECT_NEAR(std::abs(full[n - k] - std::conj(half[k])), 0.0, 1e-9);
   }
 }
 

@@ -19,82 +19,59 @@
 namespace uniq::dsp {
 namespace {
 
-std::vector<Complex> randomComplex(std::size_t n, std::uint64_t seed) {
+std::vector<double> randomReal(std::size_t n, std::uint64_t seed) {
   Pcg32 rng(seed);
-  std::vector<Complex> v(n);
-  for (auto& x : v) x = Complex(rng.gaussian(), rng.gaussian());
+  std::vector<double> v(n);
+  for (auto& x : v) x = rng.gaussian();
   return v;
 }
 
-/// O(n^2) DFT, the independent ground truth both FFT paths are checked
-/// against.
-std::vector<Complex> naiveDft(const std::vector<Complex>& in, bool inverse) {
+/// O(n^2) DFT bins 0..n/2 of a real signal, the independent ground truth
+/// the plan cache's transforms are checked against.
+std::vector<Complex> naiveHalfDft(const std::vector<double>& in) {
   const std::size_t n = in.size();
-  std::vector<Complex> out(n);
-  const double sign = inverse ? 1.0 : -1.0;
-  for (std::size_t k = 0; k < n; ++k) {
+  std::vector<Complex> out(n / 2 + 1);
+  for (std::size_t k = 0; k < out.size(); ++k) {
     Complex sum(0.0, 0.0);
     for (std::size_t t = 0; t < n; ++t) {
-      const double angle = sign * kTwoPi * static_cast<double>(k) *
+      const double angle = -kTwoPi * static_cast<double>(k) *
                            static_cast<double>(t) / static_cast<double>(n);
       sum += in[t] * Complex(std::cos(angle), std::sin(angle));
     }
-    if (inverse) sum /= static_cast<double>(n);
     out[k] = sum;
   }
   return out;
 }
 
-double maxAbsDiff(const std::vector<Complex>& a,
-                  const std::vector<Complex>& b) {
-  EXPECT_EQ(a.size(), b.size());
-  double m = 0.0;
-  for (std::size_t i = 0; i < a.size(); ++i)
-    m = std::max(m, std::abs(a[i] - b[i]));
-  return m;
-}
-
-TEST(FftPlan, Pow2MatchesSeedReferenceImplementation) {
-  for (const std::size_t n : {2u, 8u, 64u, 1024u}) {
-    auto planned = randomComplex(n, 10 + n);
-    auto reference = planned;
-    const auto plan = fftPlan(n);
-    plan->forwardInPlace(planned);
-    fftPow2ReferenceInPlace(reference, false);
-    EXPECT_LT(maxAbsDiff(planned, reference), 1e-9) << "n=" << n;
-
-    plan->inverseInPlace(planned);
-    fftPow2ReferenceInPlace(reference, true);
-    EXPECT_LT(maxAbsDiff(planned, reference), 1e-9) << "n=" << n;
-  }
-}
-
-TEST(FftPlan, BluesteinMatchesNaiveDft) {
-  for (const std::size_t n : {3u, 7u, 12u, 100u, 129u}) {
-    const auto in = randomComplex(n, 20 + n);
-    const auto plan = fftPlan(n);
-    EXPECT_FALSE(plan->isPow2());
-    EXPECT_LT(maxAbsDiff(plan->forward(in), naiveDft(in, false)), 1e-8)
-        << "n=" << n;
-    EXPECT_LT(maxAbsDiff(plan->inverse(in), naiveDft(in, true)), 1e-8)
-        << "n=" << n;
-  }
-}
-
 TEST(FftPlan, RfftMatchesFullComplexFft) {
-  for (const std::size_t n : {2u, 4u, 16u, 1024u}) {
-    Pcg32 rng(30 + n);
-    std::vector<double> signal(n);
-    for (auto& s : signal) s = rng.gaussian();
-
-    std::vector<Complex> full(n);
-    for (std::size_t i = 0; i < n; ++i) full[i] = Complex(signal[i], 0.0);
+  for (const std::size_t n : {2u, 4u, 8u, 16u, 64u, 1024u}) {
+    const auto signal = randomReal(n, 30 + n);
+    std::vector<Complex> full(signal.begin(), signal.end());
     fftPow2ReferenceInPlace(full, false);
 
     const auto half = rfft(signal);
     ASSERT_EQ(half.size(), n / 2 + 1) << "n=" << n;
     for (std::size_t k = 0; k <= n / 2; ++k)
       EXPECT_LT(std::abs(half[k] - full[k]), 1e-9) << "n=" << n << " k=" << k;
+  }
+}
+
+TEST(FftPlan, IrfftMatchesSeedReferenceInverse) {
+  for (const std::size_t n : {2u, 8u, 64u, 1024u}) {
+    // A conjugate-symmetric spectrum: the transform of a real signal.
+    std::vector<Complex> full(n);
+    const auto signal = randomReal(n, 35 + n);
+    for (std::size_t i = 0; i < n; ++i) full[i] = signal[i];
+    fftPow2ReferenceInPlace(full, false);
+    const std::vector<Complex> half(full.begin(), full.begin() + n / 2 + 1);
+
+    const auto planned = irfft(half, n);
+    fftPow2ReferenceInPlace(full, true);
+    ASSERT_EQ(planned.size(), n);
+    for (std::size_t i = 0; i < n; ++i) {
+      EXPECT_NEAR(planned[i], full[i].real(), 1e-9) << "n=" << n << " i=" << i;
+      EXPECT_NEAR(full[i].imag(), 0.0, 1e-9) << "n=" << n << " i=" << i;
+    }
   }
 }
 
@@ -208,14 +185,14 @@ TEST(FftPlan, CacheCountsHitsAndMisses) {
 
 TEST(FftPlan, ConcurrentLookupsAndTransformsAreRaceFree) {
   // Several threads hammer the cache with overlapping sizes while
-  // transforming; every thread must see results identical to the serial
-  // reference.
-  const std::vector<std::size_t> sizes = {64, 100, 256, 1000};
-  std::vector<std::vector<Complex>> inputs;
+  // transforming both ways; every thread must see results identical to the
+  // serial reference.
+  const std::vector<std::size_t> sizes = {64, 128, 256, 1024};
+  std::vector<std::vector<double>> inputs;
   std::vector<std::vector<Complex>> expected;
   for (const auto n : sizes) {
-    inputs.push_back(randomComplex(n, 50 + n));
-    expected.push_back(naiveDft(inputs.back(), false));
+    inputs.push_back(randomReal(n, 50 + n));
+    expected.push_back(naiveHalfDft(inputs.back()));
   }
 
   constexpr int kThreads = 8;
@@ -230,9 +207,12 @@ TEST(FftPlan, ConcurrentLookupsAndTransformsAreRaceFree) {
         const std::size_t which = static_cast<std::size_t>(t + round) %
                                   sizes.size();
         const auto plan = fftPlan(sizes[which]);
-        const auto out = plan->forward(inputs[which]);
+        const auto out = plan->rfft(inputs[which]);
         for (std::size_t i = 0; i < out.size(); ++i)
           worst = std::max(worst, std::abs(out[i] - expected[which][i]));
+        const auto back = plan->irfft(out);
+        for (std::size_t i = 0; i < back.size(); ++i)
+          worst = std::max(worst, std::abs(back[i] - inputs[which][i]));
       }
       worstPerThread[static_cast<std::size_t>(t)] = worst;
     });

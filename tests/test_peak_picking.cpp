@@ -92,16 +92,6 @@ TEST(FindTaps, MultipleTapsSortedByPosition) {
   EXPECT_LT(taps[1].position, taps[2].position);
 }
 
-TEST(FindStrongestTap, PicksLargest) {
-  std::vector<double> h(128, 0.0);
-  h[20] = 0.6;
-  h[50] = -1.0;
-  h[80] = 0.5;
-  const auto tap = findStrongestTap(h);
-  ASSERT_TRUE(tap.has_value());
-  EXPECT_NEAR(tap->position, 50.0, 1e-9);
-}
-
 TEST(FindTaps, PlateauHandled) {
   // Two equal adjacent samples: should produce exactly one tap (the
   // earlier sample wins via >=, > comparison pair).

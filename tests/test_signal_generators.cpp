@@ -6,13 +6,25 @@
 
 #include "common/constants.h"
 #include "common/error.h"
-#include "dsp/fft.h"
+#include "dsp/fft_plan.h"
 #include "dsp/spectrum.h"
 
 namespace uniq::dsp {
 namespace {
 
 constexpr double kFs = 48000.0;
+
+/// Full spectrum of `x` zero-padded to the next power of two, the layout
+/// bandAverageMagnitude reads: rfft's half spectrum plus its conjugate
+/// mirror.
+std::vector<Complex> paddedSpectrum(const std::vector<double>& x) {
+  const std::size_t n = nextPowerOfTwo(x.size());
+  const auto half = fftPlan(n)->rfft(x);
+  std::vector<Complex> full(n);
+  for (std::size_t k = 0; k < half.size(); ++k) full[k] = half[k];
+  for (std::size_t k = 1; k < n - n / 2; ++k) full[n - k] = std::conj(half[k]);
+  return full;
+}
 
 TEST(Chirp, LengthAndAmplitudeBounds) {
   const auto c = linearChirp(100.0, 20000.0, 960, kFs, 0.8);
@@ -28,7 +40,7 @@ TEST(Chirp, StartsAndEndsFaded) {
 
 TEST(Chirp, EnergySpreadAcrossBand) {
   const auto c = linearChirp(1000.0, 10000.0, 4096, kFs);
-  const auto spec = fftReal(c);
+  const auto spec = paddedSpectrum(c);
   const double inBand = bandAverageMagnitude(spec, kFs, 2000.0, 9000.0);
   const double below = bandAverageMagnitude(spec, kFs, 50.0, 500.0);
   const double above = bandAverageMagnitude(spec, kFs, 15000.0, 22000.0);
@@ -39,21 +51,6 @@ TEST(Chirp, EnergySpreadAcrossBand) {
 TEST(Chirp, RejectsBadParameters) {
   EXPECT_THROW(linearChirp(100.0, 1000.0, 1, kFs), InvalidArgument);
   EXPECT_THROW(linearChirp(100.0, -5.0, 100, kFs), InvalidArgument);
-  EXPECT_THROW(exponentialChirp(0.0, 1000.0, 100, kFs), InvalidArgument);
-  EXPECT_THROW(exponentialChirp(2000.0, 1000.0, 100, kFs), InvalidArgument);
-}
-
-TEST(ExponentialChirp, SweepsLowToHigh) {
-  const auto c = exponentialChirp(200.0, 16000.0, 9600, kFs);
-  EXPECT_EQ(c.size(), 9600u);
-  // Count zero crossings in the first and last quarter: frequency rises.
-  auto crossings = [&](std::size_t lo, std::size_t hi) {
-    int count = 0;
-    for (std::size_t i = lo + 1; i < hi; ++i)
-      if ((c[i - 1] < 0) != (c[i] < 0)) ++count;
-    return count;
-  };
-  EXPECT_GT(crossings(7200, 9600), 3 * crossings(0, 2400));
 }
 
 TEST(WhiteNoise, StatisticsRoughlyGaussian) {
@@ -74,7 +71,7 @@ TEST(SpeechLike, LowFrequencyDominated) {
   const auto s = speechLike(24000, kFs, rng);
   EXPECT_EQ(s.size(), 24000u);
   EXPECT_GT(rms(s), 0.1);
-  const auto spec = fftReal(s);
+  const auto spec = paddedSpectrum(s);
   const double low = bandAverageMagnitude(spec, kFs, 100.0, 3500.0);
   const double high = bandAverageMagnitude(spec, kFs, 8000.0, 20000.0);
   EXPECT_GT(low, 10.0 * high);
