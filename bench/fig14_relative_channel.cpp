@@ -5,7 +5,7 @@
 #include <iostream>
 #include <vector>
 
-#include "core/near_far.h"
+#include "core/aoa.h"
 #include "dsp/correlation.h"
 #include "dsp/peak_picking.h"
 #include "eval/experiments.h"
@@ -47,9 +47,7 @@ int main() {
   eval::printSeries(std::cout, "relative channel (source at 40 deg)",
                     {"lag_ms", "amplitude"}, {lagMs, value});
 
-  dsp::FirstTapOptions peakOpts;
-  peakOpts.relativeThreshold = 0.45;
-  const auto taps = dsp::findTaps(rel, peakOpts);
+  const auto taps = dsp::findTaps(rel, core::kAoaPeakRelativeThreshold);
   std::cout << "peaks above threshold within +/-1.2 ms:\n";
   int shown = 0;
   for (const auto& tap : taps) {

@@ -9,7 +9,7 @@
 
 #include "common/constants.h"
 #include "common/error.h"
-#include "common/math_util.h"  // square, clamp, angularDistanceDeg
+#include "common/math_util.h"  // square, clamp
 #include "common/thread_pool.h"
 #include "dsp/correlation.h"
 #include "dsp/deconvolution.h"
@@ -25,6 +25,18 @@
 namespace uniq::core {
 
 namespace {
+
+/// Weight of the first-tap delay term in the known-source objective (paper
+/// Eq. 9's lambda, chosen "after training"), in units of [1/seconds] so the
+/// delay mismatch is commensurate with the correlation terms.
+constexpr double kLambdaPerSecond = 3000.0;
+/// Angle grid step for the known-source search (degrees).
+constexpr double kSearchStepDeg = 1.0;
+/// Max correlation lag when matching channel shapes (samples). The channels
+/// are pre-aligned, so the shape match computes only these lags (plus one
+/// neighbour each side) as direct dot products.
+constexpr double kShapeMaxLagSamples = 8.0;
+static_assert(kShapeMaxLagSamples >= 1.0);
 
 /// Argmin over (angle, score) pairs plus the decision margin: the best
 /// score among candidates >= 10 degrees from the winner. Scanned in grid
@@ -83,9 +95,6 @@ std::vector<double> bandMagnitudes(const dsp::FftPlan& plan,
 AoaEstimator::AoaEstimator(const FarFieldTable& table, Options opts)
     : table_(table), opts_(opts) {
   UNIQ_REQUIRE(table_.byDegree.size() == 181, "table must cover 0..180");
-  UNIQ_REQUIRE(opts_.lambdaPerSecond >= 0, "lambda must be >= 0");
-  UNIQ_REQUIRE(opts_.shapeMaxLagSamples >= 1.0,
-               "shapeMaxLagSamples must be >= 1");
   normLeft_.reserve(table_.byDegree.size());
   normRight_.reserve(table_.byDegree.size());
   for (const auto& tmpl : table_.byDegree) {
@@ -151,16 +160,14 @@ struct ExtractedChannel {
 /// spectrum `fx` and regularization floor the caller supplies.
 ExtractedChannel extractChannel(const std::vector<double>& recording,
                                 std::span<const dsp::Complex> fx,
-                                double floor, double sampleRate,
-                                double headWindowSec) {
+                                double floor, double sampleRate) {
   ExtractedChannel out;
   out.h = dsp::deconvolveSpectrum(recording, fx, floor, 512);
-  dsp::FirstTapOptions tapOpts;
-  const auto tap = dsp::findFirstTap(out.h, tapOpts);
+  const auto tap = dsp::findFirstTap(out.h);
   if (!tap) return out;
   out.tapSec = tap->position / sampleRate;
   const auto hi = static_cast<long>(
-      std::ceil(tap->position + headWindowSec * sampleRate));
+      std::ceil(tap->position + kHeadWindowSec * sampleRate));
   const auto lo = static_cast<long>(std::floor(tap->position - 16.0));
   for (long i = 0; i < static_cast<long>(out.h.size()); ++i) {
     if (i < lo || i > hi) out.h[static_cast<std::size_t>(i)] = 0.0;
@@ -174,8 +181,7 @@ ExtractedChannel extractChannel(const std::vector<double>& recording,
 /// once when the two recordings share an FFT size.
 std::pair<ExtractedChannel, ExtractedChannel> extractChannels(
     const std::vector<double>& left, const std::vector<double>& right,
-    const std::vector<double>& source, double sampleRate,
-    double regularization, double headWindowSec) {
+    const std::vector<double>& source, double sampleRate) {
   common::ArenaScope scope(common::simdScratch());
   std::size_t n = 0;
   std::span<dsp::Complex> fx;
@@ -187,9 +193,9 @@ std::pair<ExtractedChannel, ExtractedChannel> extractChannels(
       n = earN;
       fx = dsp::scratchComplex(n / 2 + 1);
       dsp::fftPlan(n)->rfft(source, fx);
-      floor = dsp::regularizationFloor(fx, regularization);
+      floor = dsp::regularizationFloor(fx, dsp::kRelativeRegularization);
     }
-    return extractChannel(recording, fx, floor, sampleRate, headWindowSec);
+    return extractChannel(recording, fx, floor, sampleRate);
   };
   auto chL = ear(left);
   return {std::move(chL), ear(right)};
@@ -203,10 +209,10 @@ double AoaEstimator::knownSourceObjective(
   const auto& tmpl = table_.byDegree[degreeIndex];
   const double tTheta = templateDelaySec(static_cast<double>(degreeIndex));
   const auto cL = dsp::boundedNormalizedCorrelationPeak(
-      hLeft, tmpl.left, normLeft_[degreeIndex], opts_.shapeMaxLagSamples);
+      hLeft, tmpl.left, normLeft_[degreeIndex], kShapeMaxLagSamples);
   const auto cR = dsp::boundedNormalizedCorrelationPeak(
-      hRight, tmpl.right, normRight_[degreeIndex], opts_.shapeMaxLagSamples);
-  return opts_.lambdaPerSecond * std::fabs(t0Sec - tTheta) +
+      hRight, tmpl.right, normRight_[degreeIndex], kShapeMaxLagSamples);
+  return kLambdaPerSecond * std::fabs(t0Sec - tTheta) +
          (1.0 - cL.value) + (1.0 - cR.value);
 }
 
@@ -220,8 +226,7 @@ AoaEstimate AoaEstimator::estimateKnown(
                "empty input");
   const double fs = table_.sampleRate;
   const auto [chL, chR] =
-      extractChannels(leftRecording, rightRecording, source, fs,
-                      opts_.relativeRegularization, opts_.headWindowSec);
+      extractChannels(leftRecording, rightRecording, source, fs);
   if (!chL.valid || !chR.valid) {
     // No usable first taps (dropout, dead channel, buried chirp): the Eq. 9
     // objective has nothing to anchor on. Degrade to the unknown-source
@@ -246,7 +251,7 @@ AoaEstimate AoaEstimator::estimateKnown(
   // The alignments, then the angles, fan out across the pool; the argmin
   // below scans in grid order, giving thread-count-independent results.
   std::vector<double> thetas;
-  for (double theta = 0.0; theta <= 180.0; theta += opts_.searchStepDeg)
+  for (double theta = 0.0; theta <= 180.0; theta += kSearchStepDeg)
     thetas.push_back(theta);
   struct Alignment {
     const std::vector<double>* h;
@@ -346,9 +351,9 @@ AoaEstimate AoaEstimator::estimateUnknown(
   const std::size_t n = dsp::nextPowerOfTwo(
       std::max(std::min(total, frameLen), table_.byDegree[0].left.size()) *
       2);
-  const std::size_t bLo = dsp::frequencyToBin(opts_.bandLoHz, n, fs);
+  const std::size_t bLo = dsp::frequencyToBin(kAoaBandLoHz, n, fs);
   const std::size_t bHi =
-      std::min(dsp::frequencyToBin(opts_.bandHiHz, n, fs), n / 2);
+      std::min(dsp::frequencyToBin(kAoaBandHiHz, n, fs), n / 2);
 
   common::ArenaScope scope(common::simdScratch());
   const std::size_t gccN =
@@ -382,9 +387,7 @@ AoaEstimate AoaEstimator::estimateUnknown(
   const double maxItdSec = 1.2e-3;  // generous physical bound for a head
   const auto rel = dsp::gccPhatFromSpectra(
       specL, specR, leftRecording.size(), rightRecording.size());
-  dsp::FirstTapOptions peakOpts;
-  peakOpts.relativeThreshold = opts_.peakRelativeThreshold;
-  const auto taps = dsp::findTaps(rel, peakOpts);
+  const auto taps = dsp::findTaps(rel, kAoaPeakRelativeThreshold);
   const double zeroLag = static_cast<double>(rightRecording.size() - 1);
 
   std::vector<double> candidates;
@@ -437,37 +440,6 @@ AoaEstimate AoaEstimator::estimateUnknown(
       });
 
   return pickBest(candidates, scores, "aoa.unknown.margin");
-}
-
-double trainLambda(const FarFieldTable& table, const std::vector<double>& grid,
-                   const std::vector<double>& trueAnglesDeg,
-                   const std::vector<std::vector<double>>& leftRecordings,
-                   const std::vector<std::vector<double>>& rightRecordings,
-                   const std::vector<double>& source,
-                   const AoaEstimatorOptions& baseOpts) {
-  UNIQ_REQUIRE(!grid.empty(), "empty lambda grid");
-  UNIQ_REQUIRE(trueAnglesDeg.size() == leftRecordings.size() &&
-                   trueAnglesDeg.size() == rightRecordings.size(),
-               "mismatched training set sizes");
-  double bestLambda = grid.front();
-  double bestErr = std::numeric_limits<double>::infinity();
-  for (double lambda : grid) {
-    AoaEstimatorOptions opts = baseOpts;
-    opts.lambdaPerSecond = lambda;
-    const AoaEstimator est(table, opts);
-    double err = 0.0;
-    for (std::size_t i = 0; i < trueAnglesDeg.size(); ++i) {
-      const auto result =
-          est.estimateKnown(leftRecordings[i], rightRecordings[i], source);
-      err += angularDistanceDeg(result.angleDeg, trueAnglesDeg[i]);
-    }
-    err /= static_cast<double>(trueAnglesDeg.size());
-    if (err < bestErr) {
-      bestErr = err;
-      bestLambda = lambda;
-    }
-  }
-  return bestLambda;
 }
 
 }  // namespace uniq::core

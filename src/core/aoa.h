@@ -33,26 +33,13 @@ struct AoaEstimate {
   bool degraded = false;
 };
 
+/// Relative-channel peak threshold for the unknown-source path.
+inline constexpr double kAoaPeakRelativeThreshold = 0.45;
+/// Spectral band used by the Eq. 11 residual (Hz).
+inline constexpr double kAoaBandLoHz = 300.0;
+inline constexpr double kAoaBandHiHz = 14000.0;
+
 struct AoaEstimatorOptions {
-  /// Weight of the first-tap delay term in the known-source objective
-  /// (paper Eq. 9's lambda), in units of [1/seconds] so the delay mismatch
-  /// is commensurate with the correlation terms.
-  double lambdaPerSecond = 3000.0;
-  /// Angle grid step for the known-source search (degrees).
-  double searchStepDeg = 1.0;
-  /// Max correlation lag when matching channel shapes (samples). Must be
-  /// >= 1: the channels are pre-aligned, so the shape match computes only
-  /// these lags (plus one neighbour each side) as direct dot products.
-  double shapeMaxLagSamples = 8.0;
-  /// Deconvolution regularization for known-source channel extraction.
-  double relativeRegularization = 1e-3;
-  /// Keep this much channel after the first tap (room stripping).
-  double headWindowSec = 2.5e-3;
-  /// Relative-channel peak threshold for the unknown-source path.
-  double peakRelativeThreshold = 0.45;
-  /// Spectral band used by the Eq. 11 residual (Hz).
-  double bandLoHz = 300.0;
-  double bandHiHz = 14000.0;
   /// Aggregate the Eq. 11 residual over short frames instead of one
   /// whole-signal spectrum (helps tonal sources; ablation knob).
   bool frameAggregation = true;
@@ -86,9 +73,9 @@ class AoaEstimator {
   /// delay); the multiplicative-form residual
   ///   || L x HRTF_R(theta) - R x HRTF_L(theta) ||
   /// picks the true one. The residual compares band magnitudes
-  /// (|L||H_R| against |R||H_L| over [bandLoHz, bandHiHz]); the template
-  /// magnitudes are cached in the estimator per FFT size, so later queries
-  /// of the same recording length against one estimator reuse them.
+  /// (|L||H_R| against |R||H_L| over [kAoaBandLoHz, kAoaBandHiHz]); the
+  /// template magnitudes are cached in the estimator per FFT size, so later
+  /// queries of the same recording length against one estimator reuse them.
   AoaEstimate estimateUnknown(const std::vector<double>& leftRecording,
                               const std::vector<double>& rightRecording) const;
 
@@ -132,16 +119,5 @@ class AoaEstimator {
   mutable std::size_t magN_ = 0;
   mutable std::vector<std::shared_ptr<const TemplateMagnitudes>> mag_;
 };
-
-/// Train the Eq. 9 lambda weight on labelled far-field recordings
-/// (the paper: "after training for the appropriate lambda"). Returns the
-/// lambda from `grid` with the lowest mean absolute AoA error.
-double trainLambda(const FarFieldTable& table,
-                   const std::vector<double>& grid,
-                   const std::vector<double>& trueAnglesDeg,
-                   const std::vector<std::vector<double>>& leftRecordings,
-                   const std::vector<std::vector<double>>& rightRecordings,
-                   const std::vector<double>& source,
-                   const AoaEstimatorOptions& baseOpts = {});
 
 }  // namespace uniq::core

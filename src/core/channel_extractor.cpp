@@ -15,6 +15,9 @@ namespace uniq::core {
 
 namespace {
 
+/// Guard window kept before the first tap (hardware ringing).
+constexpr double kPreGuardSec = 0.3e-3;
+
 /// Fraction of samples flat at the waveform peak (within 0.5%): the
 /// signature a limiter or ADC overdrive leaves. Clean noisy audio touches
 /// its peak only a handful of times.
@@ -54,7 +57,6 @@ ChannelExtractor::ChannelExtractor(
       sampleRate_(sampleRate),
       opts_(opts) {
   UNIQ_REQUIRE(sampleRate_ > 8000, "sample rate too low");
-  UNIQ_REQUIRE(opts_.channelLength >= 64, "channel length too short");
 }
 
 std::shared_ptr<const ChannelExtractor::SourceSpectrum>
@@ -81,7 +83,7 @@ ChannelExtractor::sourceSpectrum(const std::vector<double>& source,
     }
   }
   auto entry = std::make_shared<SourceSpectrum>();
-  entry->floor = dsp::regularizationFloor(fx, opts_.relativeRegularization);
+  entry->floor = dsp::regularizationFloor(fx, dsp::kRelativeRegularization);
   entry->bins = std::move(fx);
   kept = std::move(entry);
   return kept;
@@ -95,8 +97,8 @@ std::vector<double> ChannelExtractor::extractEar(
   const auto fx = sourceSpectrum(
       source, dsp::nextPowerOfTwo(recording.size() + source.size()));
   auto h = dsp::deconvolveSpectrum(recording, fx->bins, fx->floor,
-                                   opts_.channelLength);
-  h.resize(opts_.channelLength, 0.0);
+                                   kChannelLength);
+  h.resize(kChannelLength, 0.0);
   return h;
 }
 
@@ -123,20 +125,18 @@ BinauralChannel ChannelExtractor::extract(
   out.quality.tapSnrLeftDb = tapSnrDb(out.left);
   out.quality.tapSnrRightDb = tapSnrDb(out.right);
   out.quality.clipped =
-      out.quality.clipFractionLeft > opts_.maxClipFraction ||
-      out.quality.clipFractionRight > opts_.maxClipFraction;
-  out.quality.lowSnr = out.quality.tapSnrLeftDb < opts_.minTapSnrDb ||
-                       out.quality.tapSnrRightDb < opts_.minTapSnrDb;
+      out.quality.clipFractionLeft > kMaxClipFraction ||
+      out.quality.clipFractionRight > kMaxClipFraction;
+  out.quality.lowSnr = out.quality.tapSnrLeftDb < kMinTapSnrDb ||
+                       out.quality.tapSnrRightDb < kMinTapSnrDb;
 
-  dsp::FirstTapOptions tapOpts;
-  tapOpts.relativeThreshold = opts_.firstTapRelativeThreshold;
-  const double preGuard = opts_.preGuardSec * sampleRate_;
-  const double window = opts_.headWindowSec * sampleRate_;
+  const double preGuard = kPreGuardSec * sampleRate_;
+  const double window = kHeadWindowSec * sampleRate_;
 
   for (int e = 0; e < 2; ++e) {
     auto& channel = e == 0 ? out.left : out.right;
     auto& tapOut = e == 0 ? out.firstTapLeftSec : out.firstTapRightSec;
-    const auto tap = dsp::findFirstTap(channel, tapOpts);
+    const auto tap = dsp::findFirstTap(channel);
     if (!tap) {
       tapMisses.inc();
       tapOut = std::nullopt;

@@ -47,28 +47,24 @@ struct BinauralChannel {
   StopQuality quality;
 };
 
+/// Keep this much channel after the first tap; everything later is a room
+/// reflection and is zeroed (paper Section 4.6, "Tackling room
+/// reflections": head diffraction and pinna multipath arrive earlier than
+/// room reflections). Known-source AoA strips rooms with the same window.
+inline constexpr double kHeadWindowSec = 2.5e-3;
+/// Extracted channel length in samples.
+inline constexpr std::size_t kChannelLength = 256;
+/// Quality gate: a stop whose raw recording spends more than this fraction
+/// of samples flat at the waveform peak is marked clipped.
+inline constexpr double kMaxClipFraction = 5e-3;
+/// Quality gate: minimum deconvolved-channel peak-to-floor ratio (dB)
+/// before the stop's taps are considered trustworthy.
+inline constexpr double kMinTapSnrDb = 14.0;
+
 struct ChannelExtractorOptions {
-  /// Tikhonov regularization for the spectral division.
-  double relativeRegularization = 1e-3;
-  /// Keep this much channel after the first tap; everything later is a room
-  /// reflection and is zeroed (paper Section 4.6, "Tackling room
-  /// reflections": head diffraction and pinna multipath arrive earlier than
-  /// room reflections).
-  double headWindowSec = 2.5e-3;
-  /// Guard window kept before the first tap (hardware ringing).
-  double preGuardSec = 0.3e-3;
-  /// Output channel length in samples.
-  std::size_t channelLength = 256;
-  /// First-tap detection threshold relative to the channel peak.
-  double firstTapRelativeThreshold = 0.35;
-  /// Compensate the speaker-mic frequency response (Section 4.6).
+  /// Compensate the speaker-mic frequency response (Section 4.6). Turned
+  /// off only by the ablation bench.
   bool compensateHardware = true;
-  /// Quality gate: a stop whose raw recording spends more than this
-  /// fraction of samples flat at the waveform peak is marked clipped.
-  double maxClipFraction = 5e-3;
-  /// Quality gate: minimum deconvolved-channel peak-to-floor ratio (dB)
-  /// before the stop's taps are considered trustworthy.
-  double minTapSnrDb = 14.0;
 };
 
 /// Estimates binaural channels from raw earbud recordings of the known
@@ -88,10 +84,8 @@ class ChannelExtractor {
                           const std::vector<double>& rightRecording,
                           const std::vector<double>& source) const;
 
-  const Options& options() const { return opts_; }
-
  private:
-  /// One ear's deconvolved channel (channelLength samples).
+  /// One ear's deconvolved channel (kChannelLength samples).
   std::vector<double> extractEar(const std::vector<double>& recording,
                                  const std::vector<double>& source) const;
   /// A kept source spectrum and its deconvolution regularization floor.

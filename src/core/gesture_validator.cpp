@@ -6,7 +6,27 @@
 
 namespace uniq::core {
 
-GestureValidator::GestureValidator(Options opts) : opts_(opts) {}
+namespace {
+
+/// Minimum acceptable median phone radius (m): closer and the model's
+/// point-source assumptions and SNR degrade.
+constexpr double kMinMedianRadiusM = 0.22;
+/// Minimum acceptable single-stop radius (m).
+constexpr double kMinStopRadiusM = 0.16;
+/// Maximum acceptable RMS IMU-vs-acoustic disagreement (deg).
+constexpr double kMaxRmsResidualDeg = 8.0;
+/// Minimum fraction of stops the localizer must place.
+constexpr double kMinLocalizedFraction = 0.7;
+/// IMU-log checks (validateImuLog): minimum total angular span (deg) a
+/// sweep must cover to be worth calibrating from.
+constexpr double kMinSweepSpanDeg = 120.0;
+/// Largest tolerated mid-arc backtrack (deg): the sweep should be monotonic
+/// ear-to-ear; a reversal beyond this means the user swung the phone back.
+constexpr double kMaxReversalDeg = 15.0;
+/// Minimum number of IMU samples for a usable log.
+constexpr std::size_t kMinImuSamples = 4;
+
+}  // namespace
 
 GestureReport GestureValidator::validate(
     const SensorFusionResult& fusion) const {
@@ -16,7 +36,7 @@ GestureReport GestureValidator::validate(
   for (const auto& stop : fusion.stops) {
     if (!stop.localized) continue;
     radii.push_back(stop.radiusM);
-    if (stop.radiusM < opts_.minStopRadiusM) ++tooClose;
+    if (stop.radiusM < kMinStopRadiusM) ++tooClose;
   }
 
   const double localizedFraction =
@@ -24,7 +44,7 @@ GestureReport GestureValidator::validate(
           ? 0.0
           : static_cast<double>(fusion.localizedCount) /
                 static_cast<double>(fusion.stops.size());
-  if (localizedFraction < opts_.minLocalizedFraction) {
+  if (localizedFraction < kMinLocalizedFraction) {
     std::ostringstream os;
     os << "only " << fusion.localizedCount << "/" << fusion.stops.size()
        << " stops could be localized — redo the sweep";
@@ -34,7 +54,7 @@ GestureReport GestureValidator::validate(
   if (!radii.empty()) {
     std::sort(radii.begin(), radii.end());
     const double median = radii[radii.size() / 2];
-    if (median < opts_.minMedianRadiusM) {
+    if (median < kMinMedianRadiusM) {
       std::ostringstream os;
       os << "phone held too close to the head (median radius " << median
          << " m) — extend the arm further";
@@ -48,7 +68,7 @@ GestureReport GestureValidator::validate(
   }
 
   const double rmsResidual = std::sqrt(fusion.meanSquaredResidualDeg2);
-  if (rmsResidual > opts_.maxRmsResidualDeg) {
+  if (rmsResidual > kMaxRmsResidualDeg) {
     std::ostringstream os;
     os << "IMU and acoustic angles disagree (RMS " << rmsResidual
        << " deg) — face the phone screen toward the eyes and redo";
@@ -75,7 +95,7 @@ GestureReport GestureValidator::validateImuLog(
     report.ok = false;
     return report;
   }
-  if (anglesDeg.size() < opts_.minImuSamples) {
+  if (anglesDeg.size() < kMinImuSamples) {
     std::ostringstream os;
     os << "IMU log has only " << anglesDeg.size()
        << " sample(s) — too short to describe a sweep";
@@ -103,7 +123,7 @@ GestureReport GestureValidator::validateImuLog(
       lo = std::min(lo, a);
       hi = std::max(hi, a);
     }
-    if (hi - lo < opts_.minSweepSpanDeg) {
+    if (hi - lo < kMinSweepSpanDeg) {
       std::ostringstream os;
       os << "sweep covers only " << (hi - lo)
          << " deg — move the phone across the full ear-to-ear arc";
@@ -125,7 +145,7 @@ GestureReport GestureValidator::validateImuLog(
           worstBacktrack = std::max(worstBacktrack, a - extreme);
         }
       }
-      if (worstBacktrack > opts_.maxReversalDeg) {
+      if (worstBacktrack > kMaxReversalDeg) {
         std::ostringstream os;
         os << "sweep reversed direction mid-arc by " << worstBacktrack
            << " deg — keep the motion one-way and redo";

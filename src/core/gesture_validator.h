@@ -16,34 +16,9 @@ struct GestureReport {
   std::vector<std::string> issues;
 };
 
-struct GestureValidatorOptions {
-  /// Minimum acceptable median phone radius (m): closer and the model's
-  /// point-source assumptions and SNR degrade.
-  double minMedianRadiusM = 0.22;
-  /// Minimum acceptable single-stop radius (m).
-  double minStopRadiusM = 0.16;
-  /// Maximum acceptable RMS IMU-vs-acoustic disagreement (deg).
-  double maxRmsResidualDeg = 8.0;
-  /// Minimum fraction of stops the localizer must place.
-  double minLocalizedFraction = 0.7;
-  /// IMU-log checks (validateImuLog): minimum total angular span (deg) a
-  /// sweep must cover to be worth calibrating from.
-  double minSweepSpanDeg = 120.0;
-  /// Largest tolerated mid-arc backtrack (deg): the sweep should be
-  /// monotonic ear-to-ear; a reversal beyond this means the user swung the
-  /// phone back.
-  double maxReversalDeg = 15.0;
-  /// Minimum number of IMU samples for a usable log.
-  std::size_t minImuSamples = 4;
-};
-
 /// Validates a fusion result against the gesture-quality rules.
 class GestureValidator {
  public:
-  using Options = GestureValidatorOptions;
-
-  explicit GestureValidator(Options opts = {});
-
   GestureReport validate(const SensorFusionResult& fusion) const;
 
   /// Validates the raw gyro-integrated log BEFORE any acoustic processing,
@@ -54,9 +29,6 @@ class GestureValidator {
   /// comes back as ok = false with one issue per defect.
   GestureReport validateImuLog(const std::vector<double>& timesSec,
                                const std::vector<double>& anglesDeg) const;
-
- private:
-  Options opts_;
 };
 
 }  // namespace uniq::core

@@ -16,6 +16,22 @@ namespace uniq::core {
 
 namespace {
 
+/// Largest radius (m) the localizer searches for the phone.
+constexpr double kMaxRadiusM = 1.2;
+static_assert(kMaxRadiusM > kLocalizerMinRadiusM);
+/// Step of the coarse angle scan grid (degrees).
+constexpr double kScanStepDeg = 3.0;
+/// Allow angles slightly outside [0, 180] (gesture overshoot).
+constexpr double kAngleMarginDeg = 25.0;
+static_assert(kScanStepDeg > 0.0 &&
+                  kScanStepDeg <= 180.0 + 2.0 * kAngleMarginDeg,
+              "the scan needs at least one bracket");
+/// When the two iso-delay curves do not intersect exactly (model mismatch
+/// on a real head), accept the closest-approach point if the remaining
+/// path-length discrepancy is below this (meters); otherwise report
+/// failure.
+constexpr double kApproximateResidualM = 0.02;
+
 double pathLength(const geo::HeadBoundary& head, geo::Vec2 p, geo::Ear ear) {
   return geo::nearFieldPath(head, p, ear).length;
 }
@@ -25,35 +41,24 @@ bool signChange(double f0, double f1) {
   return !std::isnan(f0) && !std::isnan(f1) && (f0 < 0) != (f1 < 0);
 }
 
-/// The coarse angle scan: `count` angles from -margin in `step` increments,
-/// the last one no farther than 180 + margin.
-struct ScanGrid {
-  explicit ScanGrid(const LocalizerOptions& opts)
-      : lo(-opts.angleMarginDeg),
-        step(opts.scanStepDeg),
-        count(static_cast<int>(std::floor(
-                  (180.0 + 2.0 * opts.angleMarginDeg + 1e-9) / step)) +
-              1) {}
-  double angle(int k) const { return lo + step * k; }
-  geo::Vec2 direction(int k) const {
-    return geo::directionFromAzimuthDeg(angle(k));
-  }
-  double lo;
-  double step;
-  int count;
-};
+/// The coarse angle scan: kScanCount angles from -margin in kScanStepDeg
+/// increments, the last one no farther than 180 + margin.
+constexpr double kScanLo = -kAngleMarginDeg;
+constexpr int kScanCount =
+    static_cast<int>((180.0 + 2.0 * kAngleMarginDeg + 1e-9) / kScanStepDeg) +
+    1;
+double scanAngle(int k) { return kScanLo + kScanStepDeg * k; }
+geo::Vec2 scanDirection(int k) {
+  return geo::directionFromAzimuthDeg(scanAngle(k));
+}
 
 }  // namespace
 
-Localizer::Localizer(const geo::HeadBoundary& head, Options opts)
-    : head_(head), opts_(opts) {
-  UNIQ_REQUIRE(opts_.minRadiusM > head.a() && opts_.minRadiusM > head.b() &&
-                   opts_.minRadiusM > head.c(),
+Localizer::Localizer(const geo::HeadBoundary& head) : head_(head) {
+  UNIQ_REQUIRE(kLocalizerMinRadiusM > head.a() &&
+                   kLocalizerMinRadiusM > head.b() &&
+                   kLocalizerMinRadiusM > head.c(),
                "minRadius must clear the head");
-  UNIQ_REQUIRE(opts_.maxRadiusM > opts_.minRadiusM, "bad radius range");
-  UNIQ_REQUIRE(opts_.scanStepDeg > 0 &&
-                   opts_.scanStepDeg <= 180.0 + 2.0 * opts_.angleMarginDeg,
-               "scan needs at least one bracket");
 }
 
 std::optional<double> Localizer::radiusForLeftPath(
@@ -72,8 +77,8 @@ std::optional<double> Localizer::radiusForLeftPath(
   // bracketing window sufficient — there is only one root to find.
   if (hint) {
     constexpr double kWindowM = 0.03;
-    const double lo = std::max(opts_.minRadiusM, *hint - kWindowM);
-    const double hi = std::min(opts_.maxRadiusM, *hint + kWindowM);
+    const double lo = std::max(kLocalizerMinRadiusM, *hint - kWindowM);
+    const double hi = std::min(kMaxRadiusM, *hint + kWindowM);
     if (lo < hi) {
       const double fLo = f(lo);
       if (fLo <= 0.0) {
@@ -82,12 +87,12 @@ std::optional<double> Localizer::radiusForLeftPath(
       }
     }
   }
-  const double fLo = f(opts_.minRadiusM);
+  const double fLo = f(kLocalizerMinRadiusM);
   if (fLo > 0.0) return std::nullopt;
-  const double fHi = f(opts_.maxRadiusM);
+  const double fHi = f(kMaxRadiusM);
   if (fHi < 0.0) return std::nullopt;
-  return optim::brentBracketed(f, opts_.minRadiusM, opts_.maxRadiusM, fLo, fHi,
-                               ropts);
+  return optim::brentBracketed(f, kLocalizerMinRadiusM, kMaxRadiusM,
+                               fLo, fHi, ropts);
 }
 
 double Localizer::rightPathResidual(geo::Vec2 dir, double targetLenLeft,
@@ -142,16 +147,14 @@ std::vector<PolarFix> Localizer::locateAll(double delayLeftSec,
   UNIQ_REQUIRE(delayLeftSec > 0 && delayRightSec > 0, "delays must be > 0");
   const double dL = delayLeftSec * kSpeedOfSound;
   const double dR = delayRightSec * kSpeedOfSound;
-  const ScanGrid grid(opts_);
-
   std::vector<PolarFix> fixes;
   // Coarse scan for sign changes of the right-ear residual, each refined in
   // place.
-  double prevRes = rightPathResidual(grid.direction(0), dL, dR);
-  for (int k = 1; k < grid.count; ++k) {
-    const double res = rightPathResidual(grid.direction(k), dL, dR);
+  double prevRes = rightPathResidual(scanDirection(0), dL, dR);
+  for (int k = 1; k < kScanCount; ++k) {
+    const double res = rightPathResidual(scanDirection(k), dL, dR);
     if (signChange(prevRes, res)) {
-      if (const auto fix = refineBracket(grid.angle(k - 1), grid.angle(k),
+      if (const auto fix = refineBracket(scanAngle(k - 1), scanAngle(k),
                                          prevRes, res, dL, dR))
         fixes.push_back(*fix);
     }
@@ -166,8 +169,6 @@ std::optional<PolarFix> Localizer::locate(double delayLeftSec,
   UNIQ_REQUIRE(delayLeftSec > 0 && delayRightSec > 0, "delays must be > 0");
   const double dL = delayLeftSec * kSpeedOfSound;
   const double dR = delayRightSec * kSpeedOfSound;
-  const ScanGrid grid(opts_);
-
   // The fix nearest the IMU angle among locateAll's, found by walking the
   // scan grid outward from the bracket holding the IMU angle: a root lies
   // strictly inside its bracket, so once both unvisited edges are farther
@@ -175,19 +176,19 @@ std::optional<PolarFix> Localizer::locate(double delayLeftSec,
   // go to the lower angle, as in a full ascending scan. Grid residuals and
   // refinements depend only on their angles, so the fix is the very one
   // locateAll finds.
-  const int last = grid.count - 1;
-  const double pos = (imuAngleDeg - grid.lo) / grid.step;
+  const int last = kScanCount - 1;
+  const double pos = (imuAngleDeg - kScanLo) / kScanStepDeg;
   int down = pos >= last - 1 ? last - 1 : pos > 0 ? static_cast<int>(pos) : 0;
   int up = down + 1;
-  double resDown = rightPathResidual(grid.direction(down), dL, dR);
-  double resUp = rightPathResidual(grid.direction(up), dL, dR);
+  double resDown = rightPathResidual(scanDirection(down), dL, dR);
+  double resUp = rightPathResidual(scanDirection(up), dL, dR);
 
   std::optional<PolarFix> best;
   double bestErr = std::numeric_limits<double>::infinity();
   const auto consider = [&](int k, double fLo, double fHi) {
     if (!signChange(fLo, fHi)) return;
     const auto fix =
-        refineBracket(grid.angle(k), grid.angle(k + 1), fLo, fHi, dL, dR);
+        refineBracket(scanAngle(k), scanAngle(k + 1), fLo, fHi, dL, dR);
     if (!fix) return;
     const double err = std::fabs(fix->angleDeg - imuAngleDeg);
     if (!best || err < bestErr ||
@@ -198,17 +199,17 @@ std::optional<PolarFix> Localizer::locate(double delayLeftSec,
   };
   consider(down, resDown, resUp);
   while (down > 0 || up < last) {
-    const double downGap = imuAngleDeg - grid.angle(down);
-    const double upGap = grid.angle(up) - imuAngleDeg;
+    const double downGap = imuAngleDeg - scanAngle(down);
+    const double upGap = scanAngle(up) - imuAngleDeg;
     const bool goDown = up == last || (down > 0 && downGap <= upGap);
     // Negated so a NaN IMU angle ends the walk.
     if (!((goDown ? downGap : upGap) <= bestErr)) break;
     if (goDown) {
-      const double res = rightPathResidual(grid.direction(--down), dL, dR);
+      const double res = rightPathResidual(scanDirection(--down), dL, dR);
       consider(down, res, resDown);
       resDown = res;
     } else {
-      const double res = rightPathResidual(grid.direction(++up), dL, dR);
+      const double res = rightPathResidual(scanDirection(++up), dL, dR);
       consider(up - 1, resUp, res);
       resUp = res;
     }
@@ -217,11 +218,11 @@ std::optional<PolarFix> Localizer::locate(double delayLeftSec,
 
   // No exact intersection (slight model mismatch): fall back to the angle
   // of closest approach between the two iso-delay curves.
-  const double lo = -opts_.angleMarginDeg;
-  const double hi = 180.0 + opts_.angleMarginDeg;
+  const double lo = -kAngleMarginDeg;
+  const double hi = 180.0 + kAngleMarginDeg;
   double bestAngle = 0.0;
   double bestAbs = std::numeric_limits<double>::infinity();
-  const double fineStep = opts_.scanStepDeg / 3.0;
+  const double fineStep = kScanStepDeg / 3.0;
   std::optional<double> warm;
   for (double ang = lo; ang <= hi + 1e-9; ang += fineStep) {
     const double res =
@@ -232,7 +233,7 @@ std::optional<PolarFix> Localizer::locate(double delayLeftSec,
       bestAngle = ang;
     }
   }
-  if (bestAbs > opts_.approximateResidualM) return std::nullopt;
+  if (bestAbs > kApproximateResidualM) return std::nullopt;
   const auto r =
       radiusForLeftPath(geo::directionFromAzimuthDeg(bestAngle), dL, warm);
   if (!r) return std::nullopt;

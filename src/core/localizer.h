@@ -14,21 +14,9 @@ struct PolarFix {
   double radiusM = 0.0;
 };
 
-struct LocalizerOptions {
-  double minRadiusM = 0.13;
-  double maxRadiusM = 1.2;
-  /// Step of the coarse angle scan grid (degrees).
-  double scanStepDeg = 3.0;
-  /// Allow angles slightly outside [0, 180] (gesture overshoot).
-  double angleMarginDeg = 25.0;
-  /// Convergence threshold on the residual path-length error (meters).
-  double residualToleranceM = 2e-4;
-  /// When the two iso-delay curves do not intersect exactly (model
-  /// mismatch on a real head), accept the closest-approach point if the
-  /// remaining path-length discrepancy is below this (meters); otherwise
-  /// report failure.
-  double approximateResidualM = 0.02;
-};
+/// Smallest radius (m) the localizer searches for the phone; the head must
+/// fit inside it.
+inline constexpr double kLocalizerMinRadiusM = 0.13;
 
 /// Localizes the phone from the two first-tap (diffraction path) delays,
 /// given a candidate head geometry — the intersection of two iso-delay
@@ -37,9 +25,9 @@ struct LocalizerOptions {
 /// ambiguity with the IMU angle, while `locateAll` exposes every solution.
 class Localizer {
  public:
-  using Options = LocalizerOptions;
-
-  explicit Localizer(const geo::HeadBoundary& head, Options opts = {});
+  /// Throws InvalidArgument unless kLocalizerMinRadiusM clears every head
+  /// axis.
+  explicit Localizer(const geo::HeadBoundary& head);
 
   /// All iso-delay intersections for left/right first-tap delays (seconds).
   std::vector<PolarFix> locateAll(double delayLeftSec,
@@ -85,7 +73,6 @@ class Localizer {
                                         double targetLenRight) const;
 
   const geo::HeadBoundary& head_;
-  Options opts_;
 };
 
 }  // namespace uniq::core

@@ -21,15 +21,13 @@ const head::Hrir& FarFieldTable::at(double thetaDeg) const {
   return byDegree[idx];
 }
 
-NearFarConverter::NearFarConverter(Options opts) : opts_(opts) {
-  UNIQ_REQUIRE(opts_.outputLength >= 64, "output length too short");
-}
+NearFarConverter::NearFarConverter(Options opts) : opts_(opts) {}
 
 FarFieldTable NearFarConverter::convert(const NearFieldTable& nearTable) const {
   UNIQ_SPAN("nearfar.convert");
   UNIQ_REQUIRE(nearTable.byDegree.size() == 181, "near table must cover 0-180");
   const auto& E = nearTable.headParams;
-  const geo::HeadBoundary boundary(E.a, E.b, E.c, opts_.boundaryResolution);
+  const geo::HeadBoundary boundary(E.a, E.b, E.c, kTableBoundaryResolution);
   const double fs = nearTable.sampleRate;
   const double radius = nearTable.medianRadiusM;
 
@@ -42,10 +40,11 @@ FarFieldTable NearFarConverter::convert(const NearFieldTable& nearTable) const {
 
   // Precompute measurement-circle positions for all near-table angles, each
   // ear's near-field attenuation there, and each near-field channel moved
-  // from its own first tap to alignSample: none depends on the far-field
-  // degree. The aligned channels are outputLength samples each (zero past
-  // a shorter input), ear-major in one block of the thread scratch arena.
-  const std::size_t len = opts_.outputLength;
+  // from its own first tap to kFarFieldAlignSample: none depends on the
+  // far-field degree. The aligned channels are kHrirLength samples each
+  // (zero past a shorter input), ear-major in one block of the thread
+  // scratch arena.
+  const std::size_t len = kHrirLength;
   auto& arena = common::simdScratch();
   const common::ArenaScope scope(arena);
   double* const alignedLeft = arena.allocDoubles(2 * 181 * len);
@@ -59,13 +58,13 @@ FarFieldTable NearFarConverter::convert(const NearFieldTable& nearTable) const {
       const auto nearPath = geo::nearFieldPath(boundary, positions[psi], ear);
       (left ? ampNearLeft : ampNearRight)[psi] =
           (1.0 / std::max(nearPath.length, 0.05)) *
-          std::exp(-opts_.arcAttenuationNepersPerMeter * nearPath.arcLength);
+          std::exp(-kArcAttenuationNepersPerMeter * nearPath.arcLength);
       const auto& src = left ? nearTable.byDegree[psi].left
                              : nearTable.byDegree[psi].right;
       const double tap = (left ? nearTable.tapLeftSamples
                                : nearTable.tapRightSamples)[psi];
       const auto shifted = dsp::fractionalShift(
-          src, opts_.alignSample - tap, dsp::kDefaultSincHalfWidth, len);
+          src, kFarFieldAlignSample - tap, dsp::kDefaultSincHalfWidth, len);
       std::copy(shifted.begin(), shifted.end(),
                 (left ? alignedLeft : alignedRight) +
                     static_cast<std::size_t>(psi) * len);
@@ -83,16 +82,16 @@ FarFieldTable NearFarConverter::convert(const NearFieldTable& nearTable) const {
 
     head::Hrir hrir;
     hrir.sampleRate = fs;
-    hrir.left.assign(opts_.outputLength, 0.0);
-    hrir.right.assign(opts_.outputLength, 0.0);
+    hrir.left.assign(len, 0.0);
+    hrir.right.assign(len, 0.0);
 
     const auto pathL = geo::farFieldPath(boundary, d, geo::Ear::kLeft);
     const auto pathR = geo::farFieldPath(boundary, d, geo::Ear::kRight);
     const double dMin = std::min(pathL.length, pathR.length);
     const double tapLFar =
-        opts_.alignSample + (pathL.length - dMin) / kSpeedOfSound * fs;
+        kFarFieldAlignSample + (pathL.length - dMin) / kSpeedOfSound * fs;
     const double tapRFar =
-        opts_.alignSample + (pathR.length - dMin) / kSpeedOfSound * fs;
+        kFarFieldAlignSample + (pathR.length - dMin) / kSpeedOfSound * fs;
 
     for (geo::Ear ear : {geo::Ear::kLeft, geo::Ear::kRight}) {
       const auto& path = ear == geo::Ear::kLeft ? pathL : pathR;
@@ -102,7 +101,7 @@ FarFieldTable NearFarConverter::convert(const NearFieldTable& nearTable) const {
       const auto& ampNear =
           ear == geo::Ear::kLeft ? ampNearLeft : ampNearRight;
       // Adds the aligned channel at near-table angle `psi`, scaled. The
-      // zero tail of a channel shorter than outputLength adds +0.0 to sums
+      // zero tail of a channel shorter than kHrirLength adds +0.0 to sums
       // that are never -0.0, so it changes no bit.
       const auto addAligned = [&](int psi, double weight) {
         const double* src = aligned + static_cast<std::size_t>(psi) * len;
@@ -123,7 +122,7 @@ FarFieldTable NearFarConverter::convert(const NearFieldTable& nearTable) const {
       const double sigma =
           std::max((sHi - sLo) / opts_.raySigmaDivisor, 1e-4);
       const double ampFar =
-          std::exp(-opts_.arcAttenuationNepersPerMeter * path.arcLength);
+          std::exp(-kArcAttenuationNepersPerMeter * path.arcLength);
 
       // Each near-field contribution is rescaled by the model's far/near
       // attenuation ratio. This converts the geometric (distance + creep)
@@ -150,7 +149,7 @@ FarFieldTable NearFarConverter::convert(const NearFieldTable& nearTable) const {
       for (auto& v : channel) v /= weightSum;
 
       const double targetTap = ear == geo::Ear::kLeft ? tapLFar : tapRFar;
-      channel = dsp::fractionalShift(channel, targetTap - opts_.alignSample);
+      channel = dsp::fractionalShift(channel, targetTap - kFarFieldAlignSample);
     }
 
     far.tapLeftSamples[deg] = tapLFar;
@@ -160,9 +159,7 @@ FarFieldTable NearFarConverter::convert(const NearFieldTable& nearTable) const {
   return far;
 }
 
-FarFieldTable farTableFromDatabase(const head::HrtfDatabase& db,
-                                   double alignSample,
-                                   std::size_t outputLength) {
+FarFieldTable farTableFromDatabase(const head::HrtfDatabase& db) {
   const auto& boundary = db.boundary();
   const double fs = db.options().sampleRate;
   FarFieldTable far;
@@ -177,18 +174,21 @@ FarFieldTable farTableFromDatabase(const head::HrtfDatabase& db,
     const auto pathL = geo::farFieldPath(boundary, d, geo::Ear::kLeft);
     const auto pathR = geo::farFieldPath(boundary, d, geo::Ear::kRight);
     const double dMin = std::min(pathL.length, pathR.length);
-    const double tapL = alignSample + (pathL.length - dMin) / kSpeedOfSound * fs;
-    const double tapR = alignSample + (pathR.length - dMin) / kSpeedOfSound * fs;
+    const double tapL =
+        kFarFieldAlignSample + (pathL.length - dMin) / kSpeedOfSound * fs;
+    const double tapR =
+        kFarFieldAlignSample + (pathR.length - dMin) / kSpeedOfSound * fs;
     auto hrir = db.farField(theta);
     // The database anchors taps at leadSec + path/v; move the earlier ear's
-    // tap to alignSample while preserving the interaural delay exactly.
+    // tap to kFarFieldAlignSample while preserving the interaural delay
+    // exactly.
     const double currentMinTap =
         (db.options().farFieldLeadSec + dMin / kSpeedOfSound) * fs;
-    const double shift = alignSample - currentMinTap;
+    const double shift = kFarFieldAlignSample - currentMinTap;
     hrir.left = dsp::fractionalShift(hrir.left, shift);
     hrir.right = dsp::fractionalShift(hrir.right, shift);
-    hrir.left.resize(outputLength, 0.0);
-    hrir.right.resize(outputLength, 0.0);
+    hrir.left.resize(kHrirLength, 0.0);
+    hrir.right.resize(kHrirLength, 0.0);
     far.tapLeftSamples[deg] = tapL;
     far.tapRightSamples[deg] = tapR;
     far.byDegree[deg] = std::move(hrir);
@@ -197,8 +197,7 @@ FarFieldTable farTableFromDatabase(const head::HrtfDatabase& db,
 }
 
 NearFieldTable nearTableFromDatabase(const head::HrtfDatabase& db,
-                                     double radiusM, double alignSample,
-                                     std::size_t outputLength) {
+                                     double radiusM) {
   UNIQ_REQUIRE(radiusM > 0.0, "radius must be positive");
   const auto& boundary = db.boundary();
   const double fs = db.options().sampleRate;
@@ -217,16 +216,17 @@ NearFieldTable nearTableFromDatabase(const head::HrtfDatabase& db,
     const double dMin = std::min(pathL.length, pathR.length);
     auto hrir = db.nearField(theta, radiusM);
     // The database's time origin is the source emission instant; move the
-    // earlier ear's tap to alignSample, preserving the interaural delay.
-    const double shift = alignSample - dMin / kSpeedOfSound * fs;
+    // earlier ear's tap to kNearFieldAlignSample, preserving the interaural
+    // delay.
+    const double shift = kNearFieldAlignSample - dMin / kSpeedOfSound * fs;
     hrir.left = dsp::fractionalShift(hrir.left, shift);
     hrir.right = dsp::fractionalShift(hrir.right, shift);
-    hrir.left.resize(outputLength, 0.0);
-    hrir.right.resize(outputLength, 0.0);
+    hrir.left.resize(kHrirLength, 0.0);
+    hrir.right.resize(kHrirLength, 0.0);
     table.tapLeftSamples[deg] =
-        alignSample + (pathL.length - dMin) / kSpeedOfSound * fs;
+        kNearFieldAlignSample + (pathL.length - dMin) / kSpeedOfSound * fs;
     table.tapRightSamples[deg] =
-        alignSample + (pathR.length - dMin) / kSpeedOfSound * fs;
+        kNearFieldAlignSample + (pathR.length - dMin) / kSpeedOfSound * fs;
     table.byDegree[deg] = std::move(hrir);
     // Synthesized at every degree: full coverage, no interpolation gaps.
     table.sourceAnglesDeg.push_back(theta);

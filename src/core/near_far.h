@@ -20,18 +20,16 @@ struct FarFieldTable {
   const head::Hrir& at(double thetaDeg) const;
 };
 
+/// Anchor sample where the earlier ear's first tap sits in a far-field
+/// table entry.
+inline constexpr double kFarFieldAlignSample = 32.0;
+
 struct NearFarConverterOptions {
-  double alignSample = 32.0;
-  std::size_t outputLength = 192;
-  /// Creeping-wave attenuation used for the model fine-tuning (must mirror
-  /// the physical constant, not fitted).
-  double arcAttenuationNepersPerMeter = 8.0;
   /// Sharpness of the ray-proximity weighting across the contribution arc:
   /// sigma = band / raySigmaDivisor. Larger = more selective around the
   /// ray that reaches the ear; ~1 reproduces the paper's plain arc average
   /// (ablation knob).
   double raySigmaDivisor = 5.0;
-  std::size_t boundaryResolution = 256;
 };
 
 /// Synthesizes the far-field HRTF from the near-field table (paper
@@ -54,10 +52,9 @@ class NearFarConverter {
 };
 
 /// Build a far-field table directly from a ground-truth database (used for
-/// the paper's upper-bound comparisons and for the "global HRTF" baseline).
-FarFieldTable farTableFromDatabase(const head::HrtfDatabase& db,
-                                   double alignSample = 32.0,
-                                   std::size_t outputLength = 192);
+/// the paper's upper-bound comparisons and for the "global HRTF" baseline),
+/// laid out as NearFarConverter lays out its tables.
+FarFieldTable farTableFromDatabase(const head::HrtfDatabase& db);
 
 /// Build a near-field table directly from a ground-truth database at radius
 /// `radiusM`. Besides upper-bound comparisons, this is the pipeline's
@@ -65,8 +62,6 @@ FarFieldTable farTableFromDatabase(const head::HrtfDatabase& db,
 /// personalize, the listener still gets a working (generic) table instead
 /// of an exception.
 NearFieldTable nearTableFromDatabase(const head::HrtfDatabase& db,
-                                     double radiusM,
-                                     double alignSample = 24.0,
-                                     std::size_t outputLength = 192);
+                                     double radiusM);
 
 }  // namespace uniq::core

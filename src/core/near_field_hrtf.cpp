@@ -22,33 +22,34 @@ const head::Hrir& NearFieldTable::at(double thetaDeg) const {
   return byDegree[idx];
 }
 
-NearFieldHrtfBuilder::NearFieldHrtfBuilder(Options opts) : opts_(opts) {
-  UNIQ_REQUIRE(opts_.outputLength >= 64, "output length too short");
-  UNIQ_REQUIRE(opts_.amplitudeBlend >= 0.0 && opts_.amplitudeBlend <= 1.0,
-               "amplitudeBlend must be in [0,1]");
-}
+NearFieldHrtfBuilder::NearFieldHrtfBuilder(Options opts) : opts_(opts) {}
 
 namespace {
 
+/// Model level correction: 0 keeps the measured interaural level
+/// difference, 1 forces the model's; in between blends in the
+/// log-amplitude domain.
+constexpr double kAmplitudeBlend = 0.5;
+static_assert(kAmplitudeBlend >= 0.0 && kAmplitudeBlend <= 1.0);
+
 /// One usable calibration stop, with each ear's channel re-anchored so its
-/// own first tap sits at `alignSample` (per-ear alignment makes linear
+/// own first tap sits at kNearFieldAlignSample (per-ear alignment makes linear
 /// interpolation between neighboring angles meaningful — the paper aligns
 /// HRIRs "carefully along their first taps before the interpolation").
 struct AlignedStop {
   double angleDeg;
   double radiusM;
-  std::vector<double> left;   // first tap at alignSample
-  std::vector<double> right;  // first tap at alignSample
+  std::vector<double> left;   // first tap at kNearFieldAlignSample
+  std::vector<double> right;  // first tap at kNearFieldAlignSample
   double energyLeft;
   double energyRight;
 };
 
 std::vector<double> alignChannel(const std::vector<double>& channel,
-                                 double tapSeconds, double sampleRate,
-                                 double alignSample, std::size_t length) {
-  const double shift = alignSample - tapSeconds * sampleRate;
+                                 double tapSeconds, double sampleRate) {
+  const double shift = kNearFieldAlignSample - tapSeconds * sampleRate;
   auto shifted = dsp::fractionalShift(channel, shift);
-  shifted.resize(length, 0.0);
+  shifted.resize(kHrirLength, 0.0);
   return shifted;
 }
 
@@ -74,10 +75,8 @@ NearFieldTable NearFieldHrtfBuilder::build(
     AlignedStop a;
     a.angleDeg = stop.angleDeg;
     a.radiusM = stop.radiusM;
-    a.left = alignChannel(ch.left, *ch.firstTapLeftSec, ch.sampleRate,
-                          opts_.alignSample, opts_.outputLength);
-    a.right = alignChannel(ch.right, *ch.firstTapRightSec, ch.sampleRate,
-                           opts_.alignSample, opts_.outputLength);
+    a.left = alignChannel(ch.left, *ch.firstTapLeftSec, ch.sampleRate);
+    a.right = alignChannel(ch.right, *ch.firstTapRightSec, ch.sampleRate);
     a.energyLeft = head::channelEnergy(a.left);
     a.energyRight = head::channelEnergy(a.right);
     if (a.energyLeft < 1e-12 || a.energyRight < 1e-12) continue;
@@ -105,7 +104,7 @@ NearFieldTable NearFieldHrtfBuilder::build(
   table.tapRightSamples.resize(181);
 
   const geo::HeadBoundary boundary(headParams.a, headParams.b, headParams.c,
-                                   opts_.boundaryResolution);
+                                   kTableBoundaryResolution);
 
   // Each degree reads shared immutable state (`usable`, the boundary) and
   // writes only its own table entries, so the 181 angles fan out across the
@@ -132,9 +131,9 @@ NearFieldTable NearFieldHrtfBuilder::build(
 
     head::Hrir hrir;
     hrir.sampleRate = sampleRate;
-    hrir.left.resize(opts_.outputLength);
-    hrir.right.resize(opts_.outputLength);
-    for (std::size_t s = 0; s < opts_.outputLength; ++s) {
+    hrir.left.resize(kHrirLength);
+    hrir.right.resize(kHrirLength);
+    for (std::size_t s = 0; s < kHrirLength; ++s) {
       hrir.left[s] = lerp(usable[lo].left[s], usable[hi].left[s], w);
       hrir.right[s] = lerp(usable[lo].right[s], usable[hi].right[s], w);
     }
@@ -144,42 +143,42 @@ NearFieldTable NearFieldHrtfBuilder::build(
     const auto pathL = geo::nearFieldPath(boundary, p, geo::Ear::kLeft);
     const auto pathR = geo::nearFieldPath(boundary, p, geo::Ear::kRight);
     const double dMin = std::min(pathL.length, pathR.length);
-    const double tapL =
-        opts_.alignSample + (pathL.length - dMin) / kSpeedOfSound * sampleRate;
-    const double tapR =
-        opts_.alignSample + (pathR.length - dMin) / kSpeedOfSound * sampleRate;
+    const double tapL = kNearFieldAlignSample +
+                        (pathL.length - dMin) / kSpeedOfSound * sampleRate;
+    const double tapR = kNearFieldAlignSample +
+                        (pathR.length - dMin) / kSpeedOfSound * sampleRate;
 
     if (opts_.modelCorrection) {
       // Re-impose the model's interaural time difference: both channels
-      // currently have their first taps at alignSample.
-      hrir.left = dsp::fractionalShift(hrir.left, tapL - opts_.alignSample);
-      hrir.right = dsp::fractionalShift(hrir.right, tapR - opts_.alignSample);
+      // currently have their first taps at kNearFieldAlignSample.
+      hrir.left = dsp::fractionalShift(hrir.left, tapL - kNearFieldAlignSample);
+      hrir.right =
+          dsp::fractionalShift(hrir.right, tapR - kNearFieldAlignSample);
 
       // Blend the measured interaural level difference toward the model's.
       const double eL = head::channelEnergy(hrir.left);
       const double eR = head::channelEnergy(hrir.right);
-      if (eL > 1e-12 && eR > 1e-12 && opts_.amplitudeBlend > 0.0) {
-        const double beta = 8.0;  // same creeping attenuation as the model
-        const double ampL = (1.0 / std::max(pathL.length, 0.05)) *
-                            std::exp(-beta * pathL.arcLength);
-        const double ampR = (1.0 / std::max(pathR.length, 0.05)) *
-                            std::exp(-beta * pathR.arcLength);
+      if (eL > 1e-12 && eR > 1e-12) {
+        const double ampL =
+            (1.0 / std::max(pathL.length, 0.05)) *
+            std::exp(-kArcAttenuationNepersPerMeter * pathL.arcLength);
+        const double ampR =
+            (1.0 / std::max(pathR.length, 0.05)) *
+            std::exp(-kArcAttenuationNepersPerMeter * pathR.arcLength);
         const double measuredIldDb = 10.0 * std::log10(eL / eR);
         const double modelIldDb = 20.0 * std::log10(ampL / ampR);
         const double correctionDb =
-            opts_.amplitudeBlend * (modelIldDb - measuredIldDb);
+            kAmplitudeBlend * (modelIldDb - measuredIldDb);
         const double gain = std::pow(10.0, correctionDb / 40.0);
         for (auto& v : hrir.left) v *= gain;
         for (auto& v : hrir.right) v /= gain;
       }
-    } else {
-      // No correction: keep per-ear alignment (taps at alignSample).
     }
-
-    table.tapLeftSamples[deg] = opts_.modelCorrection ? tapL
-                                                      : opts_.alignSample;
-    table.tapRightSamples[deg] = opts_.modelCorrection ? tapR
-                                                       : opts_.alignSample;
+    // Without correction each ear keeps its per-ear alignment.
+    table.tapLeftSamples[deg] =
+        opts_.modelCorrection ? tapL : kNearFieldAlignSample;
+    table.tapRightSamples[deg] =
+        opts_.modelCorrection ? tapR : kNearFieldAlignSample;
     table.byDegree[deg] = std::move(hrir);
   });
   return table;

@@ -29,18 +29,23 @@ struct NearFieldTable {
   const head::Hrir& at(double thetaDeg) const;
 };
 
+/// HRIR length (samples) of every near- and far-field table entry.
+inline constexpr std::size_t kHrirLength = 192;
+/// Anchor sample where the earlier ear's first tap sits in a near-field
+/// table entry.
+inline constexpr double kNearFieldAlignSample = 24.0;
+/// Boundary discretization of the head model the near-field and near-far
+/// stages trace their diffraction paths on (finer than fusion's).
+inline constexpr std::size_t kTableBoundaryResolution = 256;
+/// Creeping-wave attenuation (nepers per meter of arc) of the model level
+/// corrections; mirrors the physical constant, not fitted.
+inline constexpr double kArcAttenuationNepersPerMeter = 8.0;
+
 struct NearFieldBuilderOptions {
-  /// Anchor sample where the earlier ear's first tap is placed.
-  double alignSample = 24.0;
-  std::size_t outputLength = 192;
   /// Re-impose model-expected relative delays and blend amplitudes
   /// (Section 4.2: "adjust the channel taps to match the expected
   /// time-difference and the amplitudes"). Disable for ablation.
   bool modelCorrection = true;
-  /// 0 = keep measured interaural level difference, 1 = force the model's;
-  /// in between blends in the log-amplitude domain.
-  double amplitudeBlend = 0.5;
-  std::size_t boundaryResolution = 256;
 };
 
 /// Builds the interpolated near-field HRTF from fused stops and their

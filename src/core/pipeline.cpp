@@ -19,6 +19,10 @@ namespace uniq::core {
 
 namespace {
 
+/// Angular span (deg) between consecutive usable stops beyond which the
+/// near-field interpolation is flagged as spanning a coverage gap.
+constexpr double kGapWarnDeg = 25.0;
+
 /// RMS error (microseconds) between each usable stop's measured interaural
 /// first-tap delay and the delay the fused diffraction model predicts at
 /// that stop's fused position — the per-angle tap-alignment residual the
@@ -28,7 +32,7 @@ double tapAlignmentRmsUs(const std::vector<FusedStop>& stops,
                          const std::vector<BinauralChannel>& channels,
                          const head::HeadParameters& headParams) {
   const geo::HeadBoundary boundary(headParams.a, headParams.b, headParams.c,
-                                   128);
+                                   kFusionBoundaryResolution);
   double sumSq = 0.0;
   std::size_t n = 0;
   for (std::size_t i = 0; i < stops.size(); ++i) {
@@ -378,7 +382,7 @@ PersonalHrtf CalibrationPipeline::runFromChannels(
       for (std::size_t i = 1; i < angles.size(); ++i)
         consider(angles[i - 1], angles[i]);
       consider(angles.back(), 180.0);
-      if (worstGap > opts_.gapWarnDeg) {
+      if (worstGap > kGapWarnDeg) {
         std::ostringstream os;
         os << "near-field interpolation spans a "
            << static_cast<int>(std::lround(worstGap))
@@ -399,7 +403,7 @@ PersonalHrtf CalibrationPipeline::runFromChannels(
     farTimer.stop();
 
     obs::StageTimer gestureTimer(report, "gesture");
-    const GestureValidator validator(opts_.gesture);
+    const GestureValidator validator;
     auto gestureReport = validator.validate(fusionResult);
     if (auto* stage = gestureTimer.stage()) {
       stage->set("ok", gestureReport.ok ? 1.0 : 0.0);
@@ -439,12 +443,8 @@ PersonalHrtf CalibrationPipeline::populationFallback(
   head::HrtfDatabaseOptions dbOpts;
   if (capture.sampleRate > 8000.0) dbOpts.sampleRate = capture.sampleRate;
   const head::HrtfDatabase db(head::globalTemplateSubject(), dbOpts);
-  auto nearTable =
-      nearTableFromDatabase(db, dbOpts.referenceDistance,
-                            opts_.nearField.alignSample,
-                            opts_.nearField.outputLength);
-  auto farTable = farTableFromDatabase(db, opts_.nearFar.alignSample,
-                                       opts_.nearFar.outputLength);
+  auto nearTable = nearTableFromDatabase(db, dbOpts.referenceDistance);
+  auto farTable = farTableFromDatabase(db);
 
   SensorFusionResult fusion;
   fusion.usable = false;

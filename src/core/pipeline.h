@@ -89,13 +89,9 @@ struct CalibrationPipelineOptions {
   SensorFusionOptions fusion{};
   NearFieldBuilderOptions nearField{};
   NearFarConverterOptions nearFar{};
-  GestureValidatorOptions gesture{};
   /// Fewest quality-gated stops the pipeline will attempt to personalize
   /// from; below this the run fails over to the population-average table.
   std::size_t minUsableStops = 6;
-  /// Angular span (deg) between consecutive usable stops beyond which the
-  /// near-field interpolation is flagged as spanning a coverage gap.
-  double gapWarnDeg = 25.0;
 };
 
 /// End-to-end UNIQ pipeline (paper Figure 6): channel extraction ->

@@ -9,7 +9,6 @@
 #include "common/error.h"
 #include "common/math_util.h"
 #include "common/thread_pool.h"
-#include "dsp/fft_plan.h"
 #include "dsp/kernels/kernels.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -18,6 +17,9 @@
 namespace uniq::core {
 
 namespace {
+
+/// Levenberg-Marquardt iterations per start before it gives up.
+constexpr std::size_t kMaxIterations = 120;
 
 /// Map unconstrained optimizer coordinates into the plausible head-parameter
 /// box via a smooth logistic squashing, so the solver never proposes an
@@ -73,8 +75,7 @@ std::shared_ptr<const SensorFusion::CachedGeometry> SensorFusion::geometryFor(
       }
     }
   }
-  auto built = std::make_shared<const CachedGeometry>(
-      candidate, opts_.boundaryResolution, opts_.localizer);
+  auto built = std::make_shared<const CachedGeometry>(candidate);
   std::lock_guard<std::mutex> lock(geometryMutex_);
   geometryLru_.emplace_front(candidate, built);
   if (geometryLru_.size() > kMaxCachedGeometries) geometryLru_.pop_back();
@@ -95,7 +96,7 @@ std::vector<double> SensorFusion::residuals(
   // count.
   const auto count = static_cast<double>(measurements.size());
   const double scale = 1.0 / std::sqrt(count);
-  const double unlocalized = std::sqrt(opts_.unlocalizedPenalty) * scale;
+  const double unlocalized = std::sqrt(kUnlocalizedPenaltyDeg2) * scale;
   std::vector<double> r(measurements.size() + 3);
   common::parallelFor(
       0, measurements.size(),
@@ -126,8 +127,7 @@ SensorFusionResult SensorFusion::solve(
   UNIQ_SPAN("dsf.solve");
   UNIQ_REQUIRE(measurements.size() >= 6,
                "sensor fusion needs at least 6 usable stops");
-  UNIQ_REQUIRE(opts_.restarts >= 1, "sensor fusion needs >= 1 restart");
-  return solveWith(measurements, opts_.restarts);
+  return solveWith(measurements, kFusionRestarts);
 }
 
 SensorFusionResult SensorFusion::solveIncremental(
@@ -156,6 +156,8 @@ SensorFusionResult SensorFusion::solveWith(
   // count flags an unexpected code path.)
   static obs::Counter& evalCounter =
       obs::registry().counter("dsf.objective.evals");
+  static obs::Counter& transforms =
+      obs::registry().counter("fft.transforms");
   static obs::Counter& fftCounter =
       obs::registry().counter("dsf.solve.fft_transforms");
   static obs::Gauge& fftPerEval =
@@ -164,7 +166,7 @@ SensorFusionResult SensorFusion::solveWith(
       .counter(std::string("dsf.solve.kernel.") +
                dsp::kernels::isaName(dsp::kernels::activeIsa()))
       .inc();
-  const auto fftBefore = dsp::fftStats();
+  const std::uint64_t fftBefore = transforms.value();
   const std::uint64_t evalsBefore = evalCounter.value();
 
   SensorFusionResult result;
@@ -183,7 +185,7 @@ SensorFusionResult SensorFusion::solveWith(
         start[j] += 0.45 * (((r >> j) & 1) ? 1.0 : -1.0);
     }
     auto min = optim::levenbergMarquardt(residualsAt, start,
-                                         opts_.maxIterations);
+                                         kMaxIterations);
     iterHist.observe(static_cast<double>(min.iterations));
     result.iterations += min.iterations;
     if (r == 0 || min.fValue < best.fValue) best = std::move(min);
@@ -222,10 +224,9 @@ SensorFusionResult SensorFusion::solveWith(
   result.meanSquaredResidualDeg2 =
       result.localizedCount > 0
           ? residual / static_cast<double>(result.localizedCount)
-          : opts_.unlocalizedPenalty;
+          : kUnlocalizedPenaltyDeg2;
 
-  const auto fftAfter = dsp::fftStats();
-  const std::uint64_t fftDelta = fftAfter.transforms - fftBefore.transforms;
+  const std::uint64_t fftDelta = transforms.value() - fftBefore;
   const std::uint64_t evalDelta = evalCounter.value() - evalsBefore;
   fftCounter.inc(fftDelta);
   fftPerEval.set(evalDelta > 0 ? static_cast<double>(fftDelta) /
@@ -243,18 +244,18 @@ SensorFusionResult SensorFusion::solveRobust(
       obs::registry().gauge("dsf.reject.margin_deg");
 
   SensorFusionResult result;
-  if (measurements.size() < opts_.minMeasurements || opts_.restarts < 1) {
+  if (measurements.size() < opts_.minMeasurements) {
     result.usable = false;
     result.converged = false;
     return result;
   }
 
   std::vector<FusionMeasurement> kept = measurements;
-  result = solveWith(kept, opts_.restarts);
+  result = solveWith(kept, kFusionRestarts);
   std::vector<std::size_t> rejected;
   double margin = std::numeric_limits<double>::quiet_NaN();
 
-  for (std::size_t round = 0; round < opts_.maxRejectRounds; ++round) {
+  for (std::size_t round = 0; round < kMaxRejectRounds; ++round) {
     if (kept.size() <= opts_.minMeasurements) break;
 
     // Absolute IMU-vs-acoustic residual per localized stop. A corrupted
@@ -272,8 +273,7 @@ SensorFusionResult SensorFusion::solveRobust(
     for (double r : residuals) deviations.push_back(std::fabs(r - med));
     const double mad = medianOf(deviations);
     const double threshold =
-        std::max(opts_.rejectMadMultiplier * 1.4826 * mad,
-                 opts_.rejectMinResidualDeg);
+        std::max(kRejectMadMultiplier * 1.4826 * mad, kRejectMinResidualDeg);
     margin = std::numeric_limits<double>::infinity();
     for (double r : residuals)
       margin = std::min(margin, std::fabs(r - threshold));
@@ -303,16 +303,16 @@ SensorFusionResult SensorFusion::solveRobust(
     // Dropping a few stops moves the optimum only a little: start the
     // re-solve from the previous answer.
     const auto previous = result.headParams;
-    result = solveWith(kept, opts_.restarts, &previous);
+    result = solveWith(kept, kFusionRestarts, &previous);
     result.rejectRounds = round + 1;
   }
 
   // Non-convergence fallback: re-solve from widened deterministic starts
   // and keep whichever attempt scored the better objective. Degraded, not
   // dead.
-  if (!result.converged && opts_.widenedRestarts > opts_.restarts) {
+  if (!result.converged) {
     const std::size_t rounds = result.rejectRounds;
-    auto widenedResult = solveWith(kept, opts_.widenedRestarts);
+    auto widenedResult = solveWith(kept, kWidenedRestarts);
     if (widenedResult.converged ||
         widenedResult.finalObjectiveDeg2 < result.finalObjectiveDeg2) {
       result = std::move(widenedResult);

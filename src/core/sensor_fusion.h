@@ -47,7 +47,8 @@ struct SensorFusionResult {
   /// round replaces the result, so this is the last re-solve's count;
   /// `dsf.objective.evals` counts every evaluation.
   std::size_t iterations = 0;
-  /// Number of optimizer restarts run (== SensorFusionOptions::restarts).
+  /// Number of optimizer restarts run (kFusionRestarts, or kWidenedRestarts
+  /// when the widened re-solve won).
   std::size_t restartsUsed = 0;
   bool converged = false;
   /// solveRobust bookkeeping. `usable` is false when too few measurements
@@ -65,44 +66,42 @@ struct SensorFusionResult {
   bool widened = false;
 };
 
+/// Boundary discretization used inside the optimization loop (coarser than
+/// the tables' kTableBoundaryResolution, for speed).
+inline constexpr std::size_t kFusionBoundaryResolution = 128;
+/// Penalty (deg^2) charged for a stop the localizer cannot place.
+inline constexpr double kUnlocalizedPenaltyDeg2 = 400.0;
+/// Levenberg-Marquardt starts of a solve: one, at the population-average
+/// head.
+inline constexpr std::size_t kFusionRestarts = 1;
+
+// --- solveRobust (degraded-capture) constants ---
+/// Reject-and-retry rounds: after each solve, stops whose IMU-vs-acoustic
+/// residual is a MAD outlier are dropped and E is re-solved, at most this
+/// many times.
+inline constexpr std::size_t kMaxRejectRounds = 2;
+/// A localized stop is an outlier when its absolute residual exceeds
+/// kRejectMadMultiplier * 1.4826 * MAD of all residuals...
+inline constexpr double kRejectMadMultiplier = 3.5;
+/// ...and also exceeds this absolute floor (deg). Clean captures have
+/// tightly clustered residuals, so a pure MAD rule would reject healthy
+/// stops; a corrupted stop disagrees by tens of degrees.
+inline constexpr double kRejectMinResidualDeg = 10.0;
+/// Restart count of the widened re-solve that solveRobust runs when the
+/// primary solve fails to converge: restart 0 begins at the
+/// population-average head, later restarts at deterministically perturbed
+/// corners of the squashed parameter box; the best final objective wins.
+inline constexpr std::size_t kWidenedRestarts = 8;
+static_assert(kWidenedRestarts > kFusionRestarts);
+
 struct SensorFusionOptions {
-  /// Boundary discretization used inside the optimization loop (coarser
-  /// than the final rendering resolution for speed).
-  std::size_t boundaryResolution = 128;
-  /// Levenberg-Marquardt iterations per start before it gives up.
-  std::size_t maxIterations = 120;
-  /// Penalty (deg^2) charged for a stop the localizer cannot place.
-  double unlocalizedPenalty = 400.0;
   /// Anthropometric prior pulling E toward the population average
   /// (deg^2 per m^2 of axis deviation); keeps the head estimate from
   /// drifting to the bounds when the IMU is noisy.
   double priorWeight = 5.0e4;
-  /// Independent Levenberg-Marquardt starts: restart 0 begins at the
-  /// population-average head, later restarts at deterministically
-  /// perturbed corners of the squashed parameter box; the best final
-  /// objective wins. 1 (the default) reproduces the single-start behaviour
-  /// exactly. Each restart is wrapped in a "dsf.restart" trace span.
-  std::size_t restarts = 1;
-  LocalizerOptions localizer{};
-
-  // --- solveRobust (degraded-capture) knobs ---
   /// Fewest measurements worth solving with; below this solveRobust returns
-  /// usable = false (and strict solve() throws).
+  /// usable = false. Reject rounds never drop below it.
   std::size_t minMeasurements = 6;
-  /// Reject-and-retry rounds: after each solve, stops whose IMU-vs-acoustic
-  /// residual is a MAD outlier are dropped and E is re-solved, at most this
-  /// many times.
-  std::size_t maxRejectRounds = 2;
-  /// A localized stop is an outlier when its absolute residual exceeds
-  /// rejectMadMultiplier * 1.4826 * MAD of all residuals...
-  double rejectMadMultiplier = 3.5;
-  /// ...and also exceeds this absolute floor (deg). Clean captures have
-  /// tightly clustered residuals, so a pure MAD rule would reject healthy
-  /// stops; a corrupted stop disagrees by tens of degrees.
-  double rejectMinResidualDeg = 10.0;
-  /// Restart count used by the widened re-solve that solveRobust runs when
-  /// the primary solve fails to converge.
-  std::size_t widenedRestarts = 8;
 };
 
 /// Diffraction-aware sensor fusion (paper Section 4.1): jointly estimates
@@ -150,8 +149,8 @@ class SensorFusion {
                    const std::vector<FusionMeasurement>& measurements) const;
 
   /// The Eq. 2 residual vector the solver minimizes: one entry per stop,
-  /// (alpha_i - theta_i(E)) / sqrt(N), or sqrt(unlocalizedPenalty / N) for
-  /// a stop the localizer cannot place; then three prior entries,
+  /// (alpha_i - theta_i(E)) / sqrt(N), or sqrt(kUnlocalizedPenaltyDeg2 / N)
+  /// for a stop the localizer cannot place; then three prior entries,
   /// sqrt(priorWeight) * (E - E_avg) per axis. Each call is one objective
   /// evaluation (`dsf.objective.evals`).
   std::vector<double> residuals(
@@ -177,9 +176,9 @@ class SensorFusion {
   struct CachedGeometry {
     geo::HeadBoundary boundary;
     Localizer localizer;
-    CachedGeometry(const head::HeadParameters& p, std::size_t resolution,
-                   const LocalizerOptions& lopts)
-        : boundary(p.a, p.b, p.c, resolution), localizer(boundary, lopts) {}
+    explicit CachedGeometry(const head::HeadParameters& p)
+        : boundary(p.a, p.b, p.c, kFusionBoundaryResolution),
+          localizer(boundary) {}
     CachedGeometry(const CachedGeometry&) = delete;
     CachedGeometry& operator=(const CachedGeometry&) = delete;
   };

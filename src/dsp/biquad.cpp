@@ -58,10 +58,6 @@ std::vector<double> Biquad::process(std::span<const double> input) {
 
 void Biquad::reset() { z1_ = z2_ = 0.0; }
 
-double Biquad::magnitudeAt(double freqHz, double sampleRate) const {
-  return std::abs(responseAt(freqHz, sampleRate));
-}
-
 std::complex<double> Biquad::responseAt(double freqHz,
                                         double sampleRate) const {
   const double w = kTwoPi * freqHz / sampleRate;

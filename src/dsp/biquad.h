@@ -25,9 +25,6 @@ class Biquad {
   /// Clear the internal delay line.
   void reset();
 
-  /// Complex magnitude response at frequency f (Hz).
-  double magnitudeAt(double freqHz, double sampleRate) const;
-
   /// Complex frequency response at f (Hz).
   std::complex<double> responseAt(double freqHz, double sampleRate) const;
 

@@ -54,8 +54,7 @@ std::vector<double> deconvolveSpectrum(std::span<const double> received,
 }
 
 std::vector<double> deconvolve(std::span<const double> received,
-                               std::span<const double> source,
-                               const DeconvolutionOptions& opts) {
+                               std::span<const double> source) {
   UNIQ_REQUIRE(!received.empty() && !source.empty(),
                "deconvolve of empty signal");
   const std::size_t n = nextPowerOfTwo(received.size() + source.size());
@@ -66,9 +65,9 @@ std::vector<double> deconvolve(std::span<const double> received,
   common::ArenaScope scope(common::simdScratch());
   const auto fx = scratchComplex(n / 2 + 1);
   fftPlan(n)->rfft(source, fx);
-  return deconvolveSpectrum(
-      received, fx, regularizationFloor(fx, opts.relativeRegularization),
-      opts.responseLength == 0 ? received.size() : opts.responseLength);
+  return deconvolveSpectrum(received, fx,
+                            regularizationFloor(fx, kRelativeRegularization),
+                            received.size());
 }
 
 }  // namespace uniq::dsp

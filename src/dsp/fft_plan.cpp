@@ -29,8 +29,7 @@ std::unordered_map<std::size_t, std::shared_ptr<const FftPlan>>& planCache() {
 }
 
 // Cache counters live in the process-wide metrics registry so the CLI and
-// the exporters report them alongside everything else; fftStats() reads
-// them back for the legacy struct API.
+// the exporters report them alongside everything else.
 obs::Counter& planHitCounter() {
   static obs::Counter& c = obs::registry().counter("fft.plan.hits");
   return c;
@@ -61,15 +60,16 @@ FftPlan::FftPlan(std::size_t n) : n_(n) {
   UNIQ_REQUIRE(isPowerOfTwo(n), "FftPlan needs a power-of-two size");
   UNIQ_REQUIRE(n <= (std::size_t{1} << 31),
                "FftPlan size exceeds table range");
-  bitrev_.resize(n);
-  bitrev_[0] = 0;
-  for (std::size_t i = 1, j = 0; i < n; ++i) {
-    std::size_t bit = n >> 1;
+  if (n < 2) return;
+  const std::size_t h = n / 2;
+  halfBitrev_.resize(h);
+  halfBitrev_[0] = 0;
+  for (std::size_t i = 1, j = 0; i < h; ++i) {
+    std::size_t bit = h >> 1;
     for (; j & bit; bit >>= 1) j ^= bit;
     j ^= bit;
-    bitrev_[i] = static_cast<std::uint32_t>(j);
+    halfBitrev_[i] = static_cast<std::uint32_t>(j);
   }
-  if (n < 2) return;
   // Packed per-stage twiddles: stage len at offset len/2 - 1, entries
   // exp(-2*pi*i*k/len) for k < len/2. The offsets telescope
   // (1 + 2 + ... + len/4 == len/2 - 1), n - 1 entries total.
@@ -86,7 +86,6 @@ FftPlan::FftPlan(std::size_t n) : n_(n) {
       invTwIm_[half - 1 + k] = -twIm_[half - 1 + k];
     }
   }
-  halfPlan_ = fftPlan(n / 2);
 }
 
 std::vector<Complex> FftPlan::rfft(std::span<const double> input) const {
@@ -117,7 +116,7 @@ void FftPlan::rfft(std::span<const double> input,
   const std::size_t lane = common::alignedCount(h, sizeof(double));
   double* zRe = arena.allocDoubles(2 * lane);
   double* zIm = zRe + lane;
-  const auto& rev = halfPlan_->bitrev_;
+  const auto& rev = halfBitrev_;
   // z has its nonzeros in [0, nz). In bit-reversed order, each length-block
   // sub-transform then holds one nonzero, z[rev[b]], at its start, so its
   // transform is that sample repeated: fill the blocks and start the
@@ -133,8 +132,8 @@ void FftPlan::rfft(std::span<const double> input,
       std::fill(zRe + b, zRe + b + block, vr);
       std::fill(zIm + b, zIm + b + block, vi);
     }
-    kernels::ditStagesFrom(zRe, zIm, h, halfPlan_->stageTwRe(),
-                           halfPlan_->stageTwIm(false), 2 * block);
+    kernels::ditStagesFrom(zRe, zIm, h, stageTwRe(), stageTwIm(false),
+                           2 * block);
   } else {
     // Too few stages to skip: gather the full padded signal.
     const double* x = input.data();
@@ -148,12 +147,11 @@ void FftPlan::rfft(std::span<const double> input,
       zRe[0] = x[0];
       zIm[0] = x[1];
     } else {
-      // x read as h complex values, gathered in the half plan's
-      // bit-reversed order with its len == 2 stage fused.
+      // x read as h complex values, gathered in length-h bit-reversed
+      // order with the len == 2 stage fused.
       kernels::gatherBitReversed(reinterpret_cast<const Complex*>(x),
                                  rev.data(), h, zRe, zIm);
-      kernels::ditStagesFrom(zRe, zIm, h, halfPlan_->stageTwRe(),
-                             halfPlan_->stageTwIm(false), 4);
+      kernels::ditStagesFrom(zRe, zIm, h, stageTwRe(), stageTwIm(false), 4);
     }
   }
 
@@ -196,9 +194,8 @@ void FftPlan::irfft(std::span<const Complex> halfSpectrum,
     zRe[0] = z[0].real();
     zIm[0] = z[0].imag();
   } else {
-    kernels::gatherBitReversed(z, halfPlan_->bitrev_.data(), h, zRe, zIm);
-    kernels::ditStagesFrom(zRe, zIm, h, halfPlan_->stageTwRe(),
-                           halfPlan_->stageTwIm(true), 4);
+    kernels::gatherBitReversed(z, halfBitrev_.data(), h, zRe, zIm);
+    kernels::ditStagesFrom(zRe, zIm, h, stageTwRe(), stageTwIm(true), 4);
   }
   kernels::interleaveScaled(zRe, zIm, h, 1.0 / static_cast<double>(h),
                             out.data());
@@ -226,8 +223,7 @@ std::shared_ptr<const FftPlan> fftPlan(std::size_t n) {
     }
   }
   planMissCounter().inc();
-  // Build outside the lock: construction recurses into fftPlan() for the
-  // half-length sub-plan.
+  // Build outside the lock so a large plan does not stall other lookups.
   auto plan = std::make_shared<const FftPlan>(n);
   std::lock_guard<std::mutex> lock(cacheMutex());
   auto& cache = planCache();
@@ -235,22 +231,6 @@ std::shared_ptr<const FftPlan> fftPlan(std::size_t n) {
   const auto [it, inserted] = cache.emplace(n, std::move(plan));
   cachedPlansGauge().set(static_cast<double>(cache.size()));
   return it->second;
-}
-
-FftStats fftStats() {
-  FftStats s;
-  s.planHits = planHitCounter().value();
-  s.planMisses = planMissCounter().value();
-  s.transforms = transformCounter().value();
-  std::lock_guard<std::mutex> lock(cacheMutex());
-  s.cachedPlans = planCache().size();
-  return s;
-}
-
-void resetFftStats() {
-  planHitCounter().reset();
-  planMissCounter().reset();
-  transformCounter().reset();
 }
 
 std::vector<Complex> rfft(std::span<const double> input) {

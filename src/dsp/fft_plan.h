@@ -10,17 +10,6 @@
 
 namespace uniq::dsp {
 
-/// Snapshot of the process-wide FFT plan cache counters (cheap atomics; see
-/// fftStats()). `planHits`/`planMisses` count fftPlan() lookups; a miss
-/// builds and caches a new plan. `transforms` counts every executed
-/// transform.
-struct FftStats {
-  std::uint64_t planHits = 0;
-  std::uint64_t planMisses = 0;
-  std::uint64_t transforms = 0;
-  std::size_t cachedPlans = 0;
-};
-
 /// A precomputed real-FFT plan for one power-of-two length.
 ///
 /// Plans hold packed per-stage twiddle tables in split re/im (SoA) form;
@@ -46,8 +35,8 @@ class FftPlan {
   /// never build padded copies. Every bin == the transform of the
   /// explicitly padded signal (only the sign of an exact zero may differ),
   /// and a short input skips the butterfly stages that would only move
-  /// zeros: with at most n/2^s samples (s >= 2), the first s of the half
-  /// plan's log2(n/2) stages.
+  /// zeros: with at most n/2^s samples (s >= 2), the first s of the n/2
+  /// transform's log2(n/2) stages.
   std::vector<Complex> rfft(std::span<const double> input) const;
   /// rfft() into caller storage of n/2 + 1 bins (for example
   /// scratchComplex()), so a transform does no heap allocation. Same bits
@@ -75,31 +64,28 @@ class FftPlan {
   }
 
   std::size_t n_;
-  std::vector<std::uint32_t> bitrev_;
+  /// Bit-reversal permutation of length n/2: the order in which the
+  /// length-n/2 complex transform inside rfft/irfft gathers its input.
+  std::vector<std::uint32_t> halfBitrev_;
   /// Packed per-stage twiddles (stages len = 2..n, stage offset
   /// len/2 - 1, n - 1 entries): exp(-2*pi*i*k/len) split into re and im
   /// lanes. The kernels, which handle the twiddle-free len == 2 stage
   /// themselves, take the storage shifted by one entry
-  /// (stageTwRe/stageTwIm); the rfft split twiddles are the len == n stage
-  /// slice at offset n/2 - 1. `invTwIm_` is the negated im lane (conjugate
+  /// (stageTwRe/stageTwIm); the length-n/2 transform reads the stages up to
+  /// len == n/2, and the rfft split twiddles are the len == n stage slice
+  /// at offset n/2 - 1. `invTwIm_` is the negated im lane (conjugate
   /// tables) for inverse transforms.
   common::AlignedBuffer<double> twRe_;
   common::AlignedBuffer<double> twIm_;
   common::AlignedBuffer<double> invTwIm_;
-  std::shared_ptr<const FftPlan> halfPlan_;  ///< length n/2, for rfft/irfft
 };
 
 /// Process-wide, mutex-guarded plan cache. Returns a shared immutable plan
 /// for length n (a power of two), building it on first use. Thread-safe.
+/// Lookups count into the `fft.plan.hits`/`fft.plan.misses` registry
+/// counters, the cache size into the `fft.plan.cached` gauge, and every
+/// executed rfft/irfft into `fft.transforms`.
 std::shared_ptr<const FftPlan> fftPlan(std::size_t n);
-
-/// Current plan-cache and transform counters (observability; logged by the
-/// CLI).
-FftStats fftStats();
-
-/// Reset the hit/miss/transform counters (the cached plans themselves are
-/// kept).
-void resetFftStats();
 
 /// `n` values from the calling thread's common::simdScratch() arena, valid
 /// until the enclosing common::ArenaScope unwinds: transient spectra and

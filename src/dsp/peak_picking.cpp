@@ -36,18 +36,15 @@ std::vector<double> magnitude(std::span<const double> h) {
 }  // namespace
 
 std::vector<Tap> findTaps(std::span<const double> h,
-                          const FirstTapOptions& opts) {
+                          double relativeThreshold) {
   std::vector<Tap> taps;
   if (h.size() < 3) return taps;
   const auto mag = magnitude(h);
-  const std::size_t start = std::min(opts.skipSamples, mag.size());
   double peak = 0.0;
-  for (std::size_t i = start; i < mag.size(); ++i)
-    peak = std::max(peak, mag[i]);
+  for (const double m : mag) peak = std::max(peak, m);
   if (peak <= 0.0) return taps;
-  const double threshold = opts.relativeThreshold * peak;
-  for (std::size_t i = std::max<std::size_t>(start, 1); i + 1 < mag.size();
-       ++i) {
+  const double threshold = relativeThreshold * peak;
+  for (std::size_t i = 1; i + 1 < mag.size(); ++i) {
     if (mag[i] >= threshold && mag[i] >= mag[i - 1] && mag[i] > mag[i + 1]) {
       taps.push_back(refine(mag, i));
     }
@@ -56,8 +53,8 @@ std::vector<Tap> findTaps(std::span<const double> h,
 }
 
 std::optional<Tap> findFirstTap(std::span<const double> h,
-                                const FirstTapOptions& opts) {
-  auto taps = findTaps(h, opts);
+                                double relativeThreshold) {
+  auto taps = findTaps(h, relativeThreshold);
   if (taps.empty()) return std::nullopt;
   return taps.front();
 }

@@ -22,22 +22,6 @@ std::size_t frequencyToBin(double freqHz, std::size_t fftSize,
       std::clamp(bin, 0L, static_cast<long>(fftSize) - 1));
 }
 
-double bandAverageMagnitude(std::span<const Complex> spectrum,
-                            double sampleRate, double fLo, double fHi) {
-  UNIQ_REQUIRE(fLo < fHi, "bad band");
-  const std::size_t n = spectrum.size();
-  const std::size_t bLo = frequencyToBin(fLo, n, sampleRate);
-  const std::size_t bHi =
-      std::min(frequencyToBin(fHi, n, sampleRate), n / 2);
-  double acc = 0.0;
-  std::size_t count = 0;
-  for (std::size_t b = bLo; b <= bHi && b < n; ++b) {
-    acc += std::abs(spectrum[b]);
-    ++count;
-  }
-  return count > 0 ? acc / static_cast<double>(count) : 0.0;
-}
-
 std::vector<double> applyFrequencyResponse(std::span<const double> signal,
                                            std::span<const Complex> response,
                                            std::size_t tailSamples) {

@@ -14,10 +14,6 @@ double binFrequency(std::size_t bin, std::size_t fftSize, double sampleRate);
 std::size_t frequencyToBin(double freqHz, std::size_t fftSize,
                            double sampleRate);
 
-/// Average magnitude (linear) of `spectrum` over [fLo, fHi] Hz.
-double bandAverageMagnitude(std::span<const Complex> spectrum,
-                            double sampleRate, double fLo, double fHi);
-
 /// Apply a complex frequency response to a time-domain signal (zero-padded
 /// FFT filtering; `response` is resampled onto the FFT grid by nearest bin
 /// if sizes differ). Output has the same length as the input plus the

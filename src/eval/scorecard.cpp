@@ -6,7 +6,6 @@
 #include <sstream>
 
 #include "core/near_far.h"
-#include "dsp/fft_plan.h"
 #include "dsp/kernels/kernels.h"
 #include "eval/experiments.h"
 #include "eval/metrics.h"
@@ -91,6 +90,7 @@ ScorecardCell scoreCell(const Volunteer& volunteer,
                         sim::CalibrationCapture capture,
                         std::string captureName, std::size_t index) {
   static obs::Counter& evals = obs::registry().counter("dsf.objective.evals");
+  static obs::Counter& transforms = obs::registry().counter("fft.transforms");
   static obs::Counter& shifts =
       obs::registry().counter("dsp.fractional_shift.calls");
   ScorecardCell cell;
@@ -99,11 +99,11 @@ ScorecardCell scoreCell(const Volunteer& volunteer,
 
   const core::CalibrationPipeline pipeline;
   const std::uint64_t evalsBefore = evals.value();
-  const std::uint64_t fftBefore = dsp::fftStats().transforms;
+  const std::uint64_t fftBefore = transforms.value();
   const std::uint64_t shiftsBefore = shifts.value();
   auto hrtf = pipeline.run(capture);
   cell.objectiveEvals = evals.value() - evalsBefore;
-  cell.fftTransforms = dsp::fftStats().transforms - fftBefore;
+  cell.fftTransforms = transforms.value() - fftBefore;
   cell.fractionalShifts = shifts.value() - shiftsBefore;
   cell.rejectedStops = hrtf.fusion.rejectedSourceIndices.size();
   cell.widened = hrtf.fusion.widened ? 1 : 0;

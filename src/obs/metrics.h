@@ -21,7 +21,7 @@ class Counter {
   std::uint64_t value() const {
     return value_.load(std::memory_order_relaxed);
   }
-  /// Reset to zero (used by stat-reset hooks such as dsp::resetFftStats).
+  /// Reset to zero (Registry::resetAll).
   void reset() { value_.store(0, std::memory_order_relaxed); }
 
  private:

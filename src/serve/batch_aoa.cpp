@@ -11,9 +11,7 @@
 
 namespace uniq::serve {
 
-BatchAoaEngine::BatchAoaEngine(TableCache& cache,
-                               core::AoaEstimatorOptions opts)
-    : cache_(cache), opts_(opts) {}
+BatchAoaEngine::BatchAoaEngine(TableCache& cache) : cache_(cache) {}
 
 std::vector<AoaBatchItem> BatchAoaEngine::run(
     const std::vector<AoaQuery>& queries, std::size_t numThreads) const {
@@ -43,7 +41,7 @@ std::vector<AoaBatchItem> BatchAoaEngine::run(
     const auto table = cache_.getOrFallback(userId, kDefaultSampleRate, &tier);
     const bool personalized = tier != CacheTier::kFallback;
     if (!personalized) fallbackQueries.inc(indices.size());
-    const core::AoaEstimator estimator(table->farTable(), opts_);
+    const core::AoaEstimator estimator(table->farTable());
     common::parallelFor(
         0, indices.size(),
         [&](std::size_t k) {

@@ -35,9 +35,8 @@ struct AoaBatchItem {
 /// to calling AoaEstimator once per query.
 class BatchAoaEngine {
  public:
-  /// `cache` must outlive the engine. `opts` applies to every query.
-  explicit BatchAoaEngine(TableCache& cache,
-                          core::AoaEstimatorOptions opts = {});
+  /// `cache` must outlive the engine.
+  explicit BatchAoaEngine(TableCache& cache);
 
   /// Run every query; results come back in query order. `numThreads` caps
   /// the query-level fan-out (0 = whole global pool, 1 = serial). Queries
@@ -49,7 +48,6 @@ class BatchAoaEngine {
 
  private:
   TableCache& cache_;
-  core::AoaEstimatorOptions opts_;
 };
 
 }  // namespace uniq::serve

@@ -106,8 +106,7 @@ TEST_F(ChannelExtractorTest, RoomReflectionsRemoved) {
   ASSERT_TRUE(channel.firstTapLeftSec.has_value());
   // No energy beyond firstTap + headWindow.
   const auto cutoff = static_cast<std::size_t>(
-      (*channel.firstTapLeftSec + extractor.options().headWindowSec) * kFs +
-      2);
+      (*channel.firstTapLeftSec + kHeadWindowSec) * kFs + 2);
   for (std::size_t i = cutoff; i < channel.left.size(); ++i)
     EXPECT_DOUBLE_EQ(channel.left[i], 0.0);
 }
@@ -147,9 +146,6 @@ TEST_F(ChannelExtractorTest, SilenceYieldsNoTap) {
 
 TEST_F(ChannelExtractorTest, RejectsBadConstruction) {
   EXPECT_THROW(ChannelExtractor({}, 100.0), InvalidArgument);
-  ChannelExtractorOptions opts;
-  opts.channelLength = 8;
-  EXPECT_THROW(ChannelExtractor({}, kFs, opts), InvalidArgument);
 }
 
 /// Both ears' channels and taps equal, bit for bit.
@@ -215,10 +211,9 @@ TEST_F(ChannelExtractorTest, ExtractIsDeconvolutionByTheCompensatedSource) {
         static_cast<double>(hw.size() / 2)));
     fx[k] *= hw[rk];
   }
-  const ChannelExtractorOptions opts;
   const auto want = dsp::deconvolveSpectrum(
-      rec.left, fx, dsp::regularizationFloor(fx, opts.relativeRegularization),
-      opts.channelLength);
+      rec.left, fx, dsp::regularizationFloor(fx, dsp::kRelativeRegularization),
+      kChannelLength);
   ASSERT_EQ(got.left.size(), want.size());
   std::size_t kept = 0;
   for (std::size_t i = 0; i < want.size(); ++i) {

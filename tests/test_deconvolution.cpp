@@ -37,10 +37,9 @@ TEST(Deconvolve, RecoversSparseChannelFromChirp) {
   channel[30] = 1.0;
   channel[55] = -0.5;
   const auto received = convolve(chirp, channel);
-  DeconvolutionOptions opts;
-  opts.responseLength = 128;
-  const auto estimated = deconvolve(received, chirp, opts);
-  ASSERT_EQ(estimated.size(), 128u);
+  auto estimated = deconvolve(received, chirp);
+  ASSERT_EQ(estimated.size(), received.size());
+  estimated.resize(128);
   // The chirp only probes 100 Hz - 20 kHz, so the regularized estimate
   // loses the out-of-band part of each tap; the relative tap structure is
   // preserved accurately.
@@ -66,9 +65,8 @@ TEST(Deconvolve, StableUnderNoise) {
   channel[20] = 1.0;
   auto received = convolve(chirp, channel);
   addNoiseSnrDb(received, 20.0, rng);
-  DeconvolutionOptions opts;
-  opts.responseLength = 64;
-  const auto estimated = deconvolve(received, chirp, opts);
+  auto estimated = deconvolve(received, chirp);
+  estimated.resize(64);
   const auto tap = findFirstTap(estimated);
   ASSERT_TRUE(tap.has_value());
   EXPECT_NEAR(tap->position, 20.0, 0.5);
@@ -87,9 +85,8 @@ TEST(Deconvolve, FractionalTapPositionRecoveredSubSample) {
     channel[static_cast<std::size_t>(33 + k)] += sinc;
   }
   const auto received = convolve(chirp, channel);
-  DeconvolutionOptions opts;
-  opts.responseLength = 96;
-  const auto estimated = deconvolve(received, chirp, opts);
+  auto estimated = deconvolve(received, chirp);
+  estimated.resize(96);
   const auto tap = findFirstTap(estimated);
   ASSERT_TRUE(tap.has_value());
   EXPECT_NEAR(tap->position, 33.37, 0.15);
@@ -111,22 +108,23 @@ TEST(Deconvolve, ShortInputEqualsExplicitlyPaddedInput) {
   const auto burst = whiteNoise(64, rng);
   const auto shortRecording = whiteNoise(100, rng);
   const auto longRecording = whiteNoise(1500, rng);
-  DeconvolutionOptions opts;
-  opts.responseLength = 256;
   const auto padded = [](std::vector<double> x, std::size_t len) {
     x.resize(len, 0.0);
     return x;
   };
-  const auto shortReceived = deconvolve(shortRecording, chirp, opts);
+  // The padded recording's response is longer; its prefix must match.
+  const auto shortReceived = deconvolve(shortRecording, chirp);
   const auto paddedReceived =
-      deconvolve(padded(shortRecording, 2048 - 960), chirp, opts);
-  const auto shortSource = deconvolve(longRecording, burst, opts);
+      deconvolve(padded(shortRecording, 2048 - 960), chirp);
+  const auto shortSource = deconvolve(longRecording, burst);
   const auto paddedSource =
-      deconvolve(longRecording, padded(burst, 2048 - 1500), opts);
-  for (std::size_t i = 0; i < opts.responseLength; ++i) {
+      deconvolve(longRecording, padded(burst, 2048 - 1500));
+  ASSERT_EQ(shortReceived.size(), shortRecording.size());
+  ASSERT_EQ(shortSource.size(), paddedSource.size());
+  for (std::size_t i = 0; i < shortReceived.size(); ++i)
     EXPECT_EQ(shortReceived[i], paddedReceived[i]) << "i=" << i;
+  for (std::size_t i = 0; i < shortSource.size(); ++i)
     EXPECT_EQ(shortSource[i], paddedSource[i]) << "i=" << i;
-  }
 }
 
 TEST(Deconvolve, SpectrumFormMatchesDeconvolveBitwise) {
@@ -135,17 +133,15 @@ TEST(Deconvolve, SpectrumFormMatchesDeconvolveBitwise) {
   Pcg32 rng(8);
   const auto chirp = linearChirp(200.0, 9000.0, 900, 48000.0);
   const auto received = whiteNoise(2000, rng);
-  for (const std::size_t length : {0u, 64u, 512u, 2000u}) {
-    DeconvolutionOptions opts;
-    opts.responseLength = length;
-    const auto want = deconvolve(received, chirp, opts);
-    const std::size_t n = nextPowerOfTwo(received.size() + chirp.size());
-    const auto fx = fftPlan(n)->rfft(chirp);
-    const auto got = deconvolveSpectrum(
-        received, fx, regularizationFloor(fx, opts.relativeRegularization),
-        length == 0 ? received.size() : length);
-    ASSERT_EQ(got.size(), want.size());
-    for (std::size_t i = 0; i < want.size(); ++i)
+  const auto want = deconvolve(received, chirp);
+  ASSERT_EQ(want.size(), received.size());
+  const std::size_t n = nextPowerOfTwo(received.size() + chirp.size());
+  const auto fx = fftPlan(n)->rfft(chirp);
+  const double floor = regularizationFloor(fx, kRelativeRegularization);
+  for (const std::size_t length : {64u, 512u, 2000u}) {
+    const auto got = deconvolveSpectrum(received, fx, floor, length);
+    ASSERT_EQ(got.size(), length);
+    for (std::size_t i = 0; i < length; ++i)
       ASSERT_EQ(got[i], want[i]) << "length " << length << " sample " << i;
   }
 }

@@ -15,6 +15,7 @@
 #include "common/random.h"
 #include "dsp/fft.h"
 #include "dsp/kernels/kernels.h"
+#include "obs/metrics.h"
 
 namespace uniq::dsp {
 namespace {
@@ -171,16 +172,15 @@ TEST(FftPlan, CacheCountsHitsAndMisses) {
   // tests already cached.
   const std::size_t n = 1 << 14;
   fftPlan(n);  // warm: miss on first-ever use, hit otherwise
-  resetFftStats();
-  const auto before = fftStats();
-  EXPECT_EQ(before.planHits, 0u);
-  EXPECT_EQ(before.planMisses, 0u);
+  auto& hits = obs::registry().counter("fft.plan.hits");
+  auto& misses = obs::registry().counter("fft.plan.misses");
+  const auto hitsBefore = hits.value();
+  const auto missesBefore = misses.value();
   fftPlan(n);
   fftPlan(n);
-  const auto after = fftStats();
-  EXPECT_EQ(after.planHits, 2u);
-  EXPECT_EQ(after.planMisses, 0u);
-  EXPECT_GE(after.cachedPlans, 1u);
+  EXPECT_EQ(hits.value() - hitsBefore, 2u);
+  EXPECT_EQ(misses.value() - missesBefore, 0u);
+  EXPECT_GE(obs::registry().gauge("fft.plan.cached").value(), 1.0);
 }
 
 TEST(FftPlan, ConcurrentLookupsAndTransformsAreRaceFree) {

@@ -158,16 +158,5 @@ TEST(GestureValidator, ImuLogRejectsShortSpan) {
   EXPECT_TRUE(span);
 }
 
-TEST(GestureValidator, CustomThresholds) {
-  GestureValidatorOptions opts;
-  opts.minMedianRadiusM = 0.10;  // lax
-  opts.maxRmsResidualDeg = 30.0;
-  const GestureValidator lax(opts);
-  auto fusion = goodFusion();
-  for (auto& s : fusion.stops) s.radiusM = 0.18;
-  fusion.meanSquaredResidualDeg2 = 200.0;
-  EXPECT_TRUE(lax.validate(fusion).ok);
-}
-
 }  // namespace
 }  // namespace uniq::core

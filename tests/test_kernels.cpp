@@ -333,12 +333,9 @@ TEST_F(KernelTiers, SolveRobustEndToEndTiersMatch) {
     m.sourceIndex = i;
     measurements.push_back(m);
   }
-  core::SensorFusionOptions opts;
-  opts.maxIterations = 60;
-  opts.restarts = 1;
   const auto solveUnder = [&](kn::Isa isa) {
     return under(isa, [&] {
-      const core::SensorFusion fusion(opts);
+      const core::SensorFusion fusion;
       return fusion.solveRobust(measurements);
     });
   };

@@ -264,15 +264,11 @@ TEST(LocalizerRefine, FixesSitOnTheRightEarCurveAtTheTrueAngle) {
 }
 
 TEST_F(LocalizerTest, RejectsBadOptions) {
-  LocalizerOptions opts;
-  opts.minRadiusM = 0.05;  // inside the head
-  EXPECT_THROW(Localizer(head_, opts), InvalidArgument);
-  LocalizerOptions opts2;
-  opts2.maxRadiusM = opts2.minRadiusM;
-  EXPECT_THROW(Localizer(head_, opts2), InvalidArgument);
-  LocalizerOptions opts3;
-  opts3.scanStepDeg = 0.0;
-  EXPECT_THROW(Localizer(head_, opts3), InvalidArgument);
+  // The smallest searched radius must clear the head: a head whose c axis
+  // reaches past it puts part of the search range inside the head.
+  const geo::HeadBoundary bigHead(0.075, 0.1, kLocalizerMinRadiusM + 0.01,
+                                  128);
+  EXPECT_THROW(Localizer{bigHead}, InvalidArgument);
 }
 
 }  // namespace

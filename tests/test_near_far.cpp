@@ -159,8 +159,8 @@ TEST_F(NearFarTest, RejectsWrongTableSize) {
 
 /// The converter as it was before each near-field channel was aligned
 /// once: every (degree, ear, psi) contribution shifts its channel from the
-/// channel's own tap to alignSample on its own. Counts the degree-ears that
-/// take the sparse-coverage fallback in `fallbackHits`.
+/// channel's own tap to kFarFieldAlignSample on its own. Counts the
+/// degree-ears that take the sparse-coverage fallback in `fallbackHits`.
 FarFieldTable perContributionConvert(const NearFieldTable& nearTable,
                                      const NearFarConverterOptions& opts,
                                      int& fallbackHits) {
@@ -173,7 +173,7 @@ FarFieldTable perContributionConvert(const NearFieldTable& nearTable,
       acc[i] += weight * shifted[i];
   };
   const auto& E = nearTable.headParams;
-  const geo::HeadBoundary boundary(E.a, E.b, E.c, opts.boundaryResolution);
+  const geo::HeadBoundary boundary(E.a, E.b, E.c, kTableBoundaryResolution);
   const double fs = nearTable.sampleRate;
   FarFieldTable far;
   far.byDegree.resize(181);
@@ -188,7 +188,7 @@ FarFieldTable perContributionConvert(const NearFieldTable& nearTable,
       const auto nearPath = geo::nearFieldPath(boundary, positions[psi], ear);
       (ear == geo::Ear::kLeft ? ampNearLeft : ampNearRight)[psi] =
           (1.0 / std::max(nearPath.length, 0.05)) *
-          std::exp(-opts.arcAttenuationNepersPerMeter * nearPath.arcLength);
+          std::exp(-kArcAttenuationNepersPerMeter * nearPath.arcLength);
     }
   }
   for (int deg = 0; deg <= 180; ++deg) {
@@ -196,15 +196,15 @@ FarFieldTable perContributionConvert(const NearFieldTable& nearTable,
     const geo::Vec2 e = d.perp();
     const double sQ = dot(boundary.pointAt(boundary.indexWithNormal(-d)), e);
     head::Hrir hrir;
-    hrir.left.assign(opts.outputLength, 0.0);
-    hrir.right.assign(opts.outputLength, 0.0);
+    hrir.left.assign(kHrirLength, 0.0);
+    hrir.right.assign(kHrirLength, 0.0);
     const auto pathL = geo::farFieldPath(boundary, d, geo::Ear::kLeft);
     const auto pathR = geo::farFieldPath(boundary, d, geo::Ear::kRight);
     const double dMin = std::min(pathL.length, pathR.length);
     const double tapLFar =
-        opts.alignSample + (pathL.length - dMin) / kSpeedOfSound * fs;
+        kFarFieldAlignSample + (pathL.length - dMin) / kSpeedOfSound * fs;
     const double tapRFar =
-        opts.alignSample + (pathR.length - dMin) / kSpeedOfSound * fs;
+        kFarFieldAlignSample + (pathR.length - dMin) / kSpeedOfSound * fs;
     for (geo::Ear ear : {geo::Ear::kLeft, geo::Ear::kRight}) {
       const bool left = ear == geo::Ear::kLeft;
       const auto& path = left ? pathL : pathR;
@@ -218,7 +218,7 @@ FarFieldTable perContributionConvert(const NearFieldTable& nearTable,
       const double sHi = std::max(sQ, sEar);
       const double sigma = std::max((sHi - sLo) / opts.raySigmaDivisor, 1e-4);
       const double ampFar =
-          std::exp(-opts.arcAttenuationNepersPerMeter * path.arcLength);
+          std::exp(-kArcAttenuationNepersPerMeter * path.arcLength);
       double weightSum = 0.0;
       for (int psi = 0; psi <= 180; ++psi) {
         const geo::Vec2 p = positions[psi];
@@ -228,7 +228,7 @@ FarFieldTable perContributionConvert(const NearFieldTable& nearTable,
         const double w = std::exp(-0.5 * square((s - sEar) / sigma));
         const auto& src = left ? nearTable.byDegree[psi].left
                                : nearTable.byDegree[psi].right;
-        accumulate(channel, src, nearTaps[psi], opts.alignSample,
+        accumulate(channel, src, nearTaps[psi], kFarFieldAlignSample,
                    w * ampFar / ampNear[psi]);
         weightSum += w;
       }
@@ -236,13 +236,14 @@ FarFieldTable perContributionConvert(const NearFieldTable& nearTable,
         ++fallbackHits;
         const auto& src = left ? nearTable.byDegree[deg].left
                                : nearTable.byDegree[deg].right;
-        accumulate(channel, src, nearTaps[deg], opts.alignSample,
+        accumulate(channel, src, nearTaps[deg], kFarFieldAlignSample,
                    ampFar / ampNear[deg]);
         weightSum = 1.0;
       }
       for (auto& v : channel) v /= weightSum;
       const double targetTap = left ? tapLFar : tapRFar;
-      channel = dsp::fractionalShift(channel, targetTap - opts.alignSample);
+      channel =
+          dsp::fractionalShift(channel, targetTap - kFarFieldAlignSample);
     }
     far.tapLeftSamples[deg] = tapLFar;
     far.tapRightSamples[deg] = tapRFar;
@@ -307,18 +308,18 @@ TEST(FarTableFromDatabase, TapsAnchoredAtAlignSample) {
   head::HrtfDatabase::Options dbOpts;
   dbOpts.sampleRate = kFs;
   const head::HrtfDatabase db(testSubject(), dbOpts);
-  const auto table = farTableFromDatabase(db, 32.0, 192);
+  const auto table = farTableFromDatabase(db);
   for (int deg : {0, 45, 90, 135, 180}) {
     const double minTap =
         std::min(table.tapLeftSamples[deg], table.tapRightSamples[deg]);
-    EXPECT_NEAR(minTap, 32.0, 1e-9) << deg;
+    EXPECT_NEAR(minTap, kFarFieldAlignSample, 1e-9) << deg;
     // Verify the actual channel energy starts near the declared tap.
     const auto& earlier = table.tapLeftSamples[deg] < table.tapRightSamples[deg]
                               ? table.byDegree[deg].left
                               : table.byDegree[deg].right;
     const auto tap = dsp::findFirstTap(earlier);
     ASSERT_TRUE(tap.has_value());
-    EXPECT_NEAR(tap->position, 32.0, 2.0) << deg;
+    EXPECT_NEAR(tap->position, kFarFieldAlignSample, 2.0) << deg;
   }
 }
 

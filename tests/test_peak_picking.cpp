@@ -59,26 +59,13 @@ TEST(FindTaps, ThresholdSuppressesSmallPeaks) {
   std::vector<double> h(64, 0.0);
   h[10] = 0.2;   // below 0.35 * 1.0
   h[30] = 1.0;
-  FirstTapOptions opts;
-  const auto first = findFirstTap(h, opts);
+  const auto first = findFirstTap(h);
   ASSERT_TRUE(first.has_value());
   EXPECT_NEAR(first->position, 30.0, 1e-9);
   // Lower the threshold and the early tap becomes the first.
-  opts.relativeThreshold = 0.1;
-  const auto lowered = findFirstTap(h, opts);
+  const auto lowered = findFirstTap(h, 0.1);
   ASSERT_TRUE(lowered.has_value());
   EXPECT_NEAR(lowered->position, 10.0, 1e-9);
-}
-
-TEST(FindTaps, SkipSamplesIgnoresEdgeArtifacts) {
-  std::vector<double> h(64, 0.0);
-  h[1] = 2.0;  // deconvolution edge artifact
-  h[30] = 1.0;
-  FirstTapOptions opts;
-  opts.skipSamples = 5;
-  const auto tap = findFirstTap(h, opts);
-  ASSERT_TRUE(tap.has_value());
-  EXPECT_NEAR(tap->position, 30.0, 1e-9);
 }
 
 TEST(FindTaps, MultipleTapsSortedByPosition) {

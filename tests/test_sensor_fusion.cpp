@@ -197,10 +197,9 @@ TEST(SensorFusion, RejectMarginIsTheLastRoundsClosestCall) {
   const double med = medianOf(residuals);
   std::vector<double> deviations;
   for (const double r : residuals) deviations.push_back(std::fabs(r - med));
-  const SensorFusionOptions opts;
   const double threshold =
-      std::max(opts.rejectMadMultiplier * 1.4826 * medianOf(deviations),
-               opts.rejectMinResidualDeg);
+      std::max(kRejectMadMultiplier * 1.4826 * medianOf(deviations),
+               kRejectMinResidualDeg);
   double margin = std::numeric_limits<double>::infinity();
   for (const double r : residuals)
     margin = std::min(margin, std::fabs(r - threshold));

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/constants.h"
@@ -24,6 +25,21 @@ std::vector<Complex> paddedSpectrum(const std::vector<double>& x) {
   for (std::size_t k = 0; k < half.size(); ++k) full[k] = half[k];
   for (std::size_t k = 1; k < n - n / 2; ++k) full[n - k] = std::conj(half[k]);
   return full;
+}
+
+/// Average magnitude (linear) of a full `spectrum` over [fLo, fHi] Hz.
+double bandAverageMagnitude(const std::vector<Complex>& spectrum,
+                            double sampleRate, double fLo, double fHi) {
+  const std::size_t n = spectrum.size();
+  const std::size_t bLo = frequencyToBin(fLo, n, sampleRate);
+  const std::size_t bHi = std::min(frequencyToBin(fHi, n, sampleRate), n / 2);
+  double acc = 0.0;
+  std::size_t count = 0;
+  for (std::size_t b = bLo; b <= bHi; ++b) {
+    acc += std::abs(spectrum[b]);
+    ++count;
+  }
+  return count > 0 ? acc / static_cast<double>(count) : 0.0;
 }
 
 TEST(Chirp, LengthAndAmplitudeBounds) {

@@ -176,9 +176,7 @@ TEST(ThreadPool, SensorFusionSolveBitwiseIdenticalSerialVsParallel) {
     measurements.push_back(m);
   }
 
-  core::SensorFusionOptions opts;
-  opts.maxIterations = 60;
-  const core::SensorFusion fusion(opts);
+  const core::SensorFusion fusion;
 
   // Nested inside another parallelFor the objective runs inline (serial);
   // on this thread it is the outermost call and fans out.
