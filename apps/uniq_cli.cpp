@@ -10,9 +10,8 @@
 //       summary table; the *-out flags dump Chrome trace / metrics JSON.
 //   inspect --table table.uniq
 //       Print the table's head parameters and structural summary.
-//   render --table table.uniq --in mono.wav --out binaural.wav
-//          --angle DEG [--elevation DEG]
-//       Render a mono WAV through the personalized HRTF.
+//   render --table table.uniq --in mono.wav --out binaural.wav --angle DEG
+//       Render a mono WAV through the personalized far-field HRTF.
 //   demo-render --table table.uniq --out binaural.wav --angle DEG
 //       Same as render with a built-in test signal (no input file needed).
 //   serve-batch --users N [--workers W] [--queue Q] [--stops N] [--seed N]
@@ -45,8 +44,12 @@
 //   convert --in table.uniq --out table.uniqq [--format quantized|float64]
 //       Re-encode an HRTF table between the float64 and quantized
 //       containers and print the size ratio.
+//
+// Numeric flags must parse in full (no sign on a count, no trailing
+// characters); a bad value exits 1 with an error that names the flag.
 #include <algorithm>
 #include <array>
+#include <charconv>
 #include <chrono>
 #include <cmath>
 #include <cstring>
@@ -55,6 +58,7 @@
 #include <iomanip>
 #include <iostream>
 #include <map>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -68,6 +72,7 @@
 #include "core/table_io.h"
 #include "dsp/resample.h"
 #include "dsp/signal_generators.h"
+#include "eval/metrics.h"
 #include "head/subject.h"
 #include "obs/export.h"
 #include "obs/json.h"
@@ -79,11 +84,9 @@
 #include "obs/telemetry.h"
 #include "serve/batch_aoa.h"
 #include "serve/calibration_service.h"
-#include "serve/latency_stats.h"
 #include "serve/table_cache.h"
 #include "sim/fault_injector.h"
 #include "sim/measurement_session.h"
-#include "spatial3d/elevation_renderer.h"
 #include "stream/streaming_session.h"
 
 using namespace uniq;
@@ -130,6 +133,48 @@ std::string optional(const Args& args, const std::string& key,
   return it == args.end() ? fallback : it->second;
 }
 
+/// Parses the whole of --key's value as a finite T, or throws
+/// InvalidArgument naming the flag: junk, trailing characters, inf/nan or
+/// (for an unsigned T) a sign never reach the program. std::stoull would
+/// read "-1" as 2^64 - 1 and let std::invalid_argument escape main.
+template <typename T>
+T parseFlag(const std::string& key, const std::string& text,
+            const char* expected) {
+  T value{};
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc() || ptr != end ||
+      !std::isfinite(static_cast<double>(value)))
+    throw uniq::InvalidArgument("--" + key + " expects " + expected +
+                                ", got: " + text);
+  return value;
+}
+
+/// --key as a non-negative integer; required unless a fallback is given.
+std::uint64_t unsignedFlag(const Args& args, const std::string& key,
+                           std::optional<std::uint64_t> fallback = {}) {
+  if (fallback && args.count(key) == 0) return *fallback;
+  return parseFlag<std::uint64_t>(key, require(args, key),
+                                  "a non-negative integer");
+}
+
+/// --key as a finite real number; required unless a fallback is given.
+double realFlag(const Args& args, const std::string& key,
+                std::optional<double> fallback = {}) {
+  if (fallback && args.count(key) == 0) return *fallback;
+  return parseFlag<double>(key, require(args, key), "a finite number");
+}
+
+/// --key as a TCP port; 0 asks the OS for an ephemeral one.
+std::uint16_t portFlag(const Args& args, const std::string& key,
+                       std::optional<std::uint64_t> fallback = {}) {
+  const auto port = unsignedFlag(args, key, fallback);
+  if (port > 65535)
+    throw uniq::InvalidArgument("--" + key + " expects a port, got: " +
+                                std::to_string(port));
+  return static_cast<std::uint16_t>(port);
+}
+
 /// Parse-check and write one observability JSON export. The CLI parses
 /// its own output so a malformed exporter fails the run (and the CI smoke
 /// test) instead of producing a file chrome://tracing rejects.
@@ -158,18 +203,14 @@ sim::CalibrationCapture simulateCaptureFromArgs(const Args& args,
   const sim::MeasurementSession session;
   auto gesture = args.count("constrained") > 0 ? sim::constrainedGesture()
                                                : sim::defaultGesture();
-  if (args.count("stops") > 0) {
-    gesture.stops = static_cast<std::size_t>(
-        std::stoull(require(args, "stops")));
-  }
+  gesture.stops = unsignedFlag(args, "stops", gesture.stops);
   auto capture = session.run(subject, gesture);
 
   // Optional fault injection: corrupt the clean capture the way a named
   // real-world defect would, to exercise the degraded paths end to end.
   if (args.count("fault") > 0) {
     const auto kind = sim::faultKindFromName(require(args, "fault"));
-    const double severity =
-        std::stod(optional(args, "fault-severity", "0.5"));
+    const double severity = realFlag(args, "fault-severity", 0.5);
     sim::FaultInjector injector(seed);
     injector.add(kind, severity);
     sim::FaultInjectionLog log;
@@ -183,17 +224,14 @@ sim::CalibrationCapture simulateCaptureFromArgs(const Args& args,
 
 core::CalibrationPipelineOptions pipelineOptionsFromArgs(const Args& args) {
   core::CalibrationPipelineOptions pipeOpts;
-  if (args.count("min-stops") > 0) {
-    pipeOpts.minUsableStops = static_cast<std::size_t>(
-        std::stoull(require(args, "min-stops")));
-  }
+  pipeOpts.minUsableStops =
+      unsignedFlag(args, "min-stops", pipeOpts.minUsableStops);
   return pipeOpts;
 }
 
 int cmdCalibrate(const Args& args) {
   const auto outPath = require(args, "out");
-  const auto seed =
-      static_cast<std::uint64_t>(std::stoull(optional(args, "seed", "42")));
+  const auto seed = unsignedFlag(args, "seed", 42);
   const bool wantReport = args.count("report") > 0;
   const bool failOnDegraded = args.count("fail-on-degraded") > 0;
   const auto traceOut = optional(args, "trace-out", "");
@@ -265,13 +303,12 @@ int cmdCalibrate(const Args& args) {
 
 int cmdCalibrateStream(const Args& args) {
   const auto outPath = require(args, "out");
-  const auto seed =
-      static_cast<std::uint64_t>(std::stoull(optional(args, "seed", "42")));
+  const auto seed = unsignedFlag(args, "seed", 42);
   const bool wantReport = args.count("report") > 0;
   const bool failOnDegraded = args.count("fail-on-degraded") > 0;
   const bool earlyStop = args.count("no-early-stop") == 0;
   const bool compareBatch = args.count("compare-batch") > 0;
-  const double intervalMs = std::stod(optional(args, "interval-ms", "0"));
+  const double intervalMs = realFlag(args, "interval-ms", 0.0);
   const auto traceOut = optional(args, "trace-out", "");
   const auto metricsOut = optional(args, "metrics-out", "");
 
@@ -435,8 +472,7 @@ int cmdInspect(const Args& args) {
 int cmdRender(const Args& args, bool demo) {
   const auto table = core::loadHrtfTable(require(args, "table"));
   const auto outPath = require(args, "out");
-  const double angle = std::stod(require(args, "angle"));
-  const double elevation = std::stod(optional(args, "elevation", "0"));
+  const double angle = realFlag(args, "angle");
 
   std::vector<double> mono;
   double fs = table.sampleRate();
@@ -454,53 +490,31 @@ int cmdRender(const Args& args, bool demo) {
     }
   }
 
-  head::BinauralSignal out;
-  if (elevation != 0.0) {
-    const auto seed = static_cast<std::uint64_t>(
-        std::stoull(optional(args, "seed", "42")));
-    const spatial3d::ElevationRenderer renderer(table.farTable(), seed);
-    out = renderer.render(angle, elevation, mono);
-  } else {
-    out = table.renderFar(angle, mono);
-  }
+  const auto out = table.renderFar(angle, mono);
   audio::writeStereoWav(outPath, out.left, out.right, fs);
   std::cout << "rendered " << out.left.size() << " samples from azimuth "
-            << angle << " deg"
-            << (elevation != 0.0
-                    ? ", elevation " + std::to_string(elevation) + " deg"
-                    : std::string())
-            << " -> " << outPath << "\n";
+            << angle << " deg -> " << outPath << "\n";
   return 0;
 }
 
 int cmdServeBatch(const Args& args) {
-  const auto users =
-      static_cast<std::size_t>(std::stoull(optional(args, "users", "32")));
-  const auto stops =
-      static_cast<std::size_t>(std::stoull(optional(args, "stops", "12")));
-  const auto seed =
-      static_cast<std::uint64_t>(std::stoull(optional(args, "seed", "42")));
-  const auto cancelCount =
-      static_cast<std::size_t>(std::stoull(optional(args, "cancel", "0")));
-  const auto aoaQueries = static_cast<std::size_t>(std::stoull(
-      optional(args, "aoa-queries", std::to_string(std::min<std::size_t>(
-                                        2 * users, 64)))));
-  const double deadlineMs = std::stod(optional(args, "deadline-ms", "0"));
+  const auto users = unsignedFlag(args, "users", 32);
+  const auto stops = unsignedFlag(args, "stops", 12);
+  const auto seed = unsignedFlag(args, "seed", 42);
+  const auto cancelCount = unsignedFlag(args, "cancel", 0);
+  const auto aoaQueries = unsignedFlag(
+      args, "aoa-queries", std::min<std::uint64_t>(2 * users, 64));
+  const double deadlineMs = realFlag(args, "deadline-ms", 0.0);
   const bool compareSerial = args.count("compare-serial") > 0;
   const auto metricsOut = optional(args, "metrics-out", "");
 
   serve::CalibrationServiceOptions serveOpts;
-  serveOpts.workers =
-      static_cast<std::size_t>(std::stoull(optional(args, "workers", "0")));
-  serveOpts.maxQueued = static_cast<std::size_t>(
-      std::stoull(optional(args, "queue", std::to_string(2 * users))));
-  serveOpts.cacheCapacity = static_cast<std::size_t>(std::stoull(
-      optional(args, "cache-capacity", std::to_string(users))));
+  serveOpts.workers = unsignedFlag(args, "workers", 0);
+  serveOpts.maxQueued = unsignedFlag(args, "queue", 2 * users);
+  serveOpts.cacheCapacity = unsignedFlag(args, "cache-capacity", users);
   serveOpts.persistDir = optional(args, "table-dir", "");
-  if (args.count("min-stops") > 0) {
-    serveOpts.pipeline.minUsableStops =
-        static_cast<std::size_t>(std::stoull(require(args, "min-stops")));
-  }
+  serveOpts.pipeline.minUsableStops =
+      unsignedFlag(args, "min-stops", serveOpts.pipeline.minUsableStops);
 
   UNIQ_REQUIRE(users >= 1, "--users must be >= 1");
 
@@ -511,8 +525,7 @@ int cmdServeBatch(const Args& args) {
   const sim::MeasurementSession session;
   auto gesture = sim::defaultGesture();
   gesture.stops = stops;
-  const auto faultEvery = static_cast<std::size_t>(
-      std::stoull(optional(args, "fault-every", "4")));
+  const auto faultEvery = unsignedFlag(args, "fault-every", 4);
   std::vector<std::shared_ptr<const sim::CalibrationCapture>> captures(users);
   std::vector<std::string> userIds(users);
   for (std::size_t i = 0; i < users; ++i) {
@@ -522,8 +535,7 @@ int cmdServeBatch(const Args& args) {
     auto capture = session.run(subjects[i], gesture);
     if (args.count("fault") > 0 && faultEvery > 0 && i % faultEvery == 0) {
       const auto kind = sim::faultKindFromName(require(args, "fault"));
-      const double severity =
-          std::stod(optional(args, "fault-severity", "0.5"));
+      const double severity = realFlag(args, "fault-severity", 0.5);
       sim::FaultInjector injector(seed + i);
       injector.add(kind, severity);
       capture = injector.apply(capture);
@@ -685,47 +697,69 @@ int cmdConvert(const Args& args) {
   return 0;
 }
 
-using serve::LatencyReservoir;
-using serve::percentileMs;
+/// One serve-load thread's lookup latencies, in bounded memory: past kCap
+/// kept samples it drops every other one and doubles its sampling stride.
+/// A table lookup takes about a microsecond, so a 30 s four-thread run on a
+/// 4-vCPU VM makes ~25-28M of them; keeping every one raised that run's
+/// peak RSS from ~280 MB to ~1.4 GB.
+struct LatencyReservoir {
+  static constexpr std::size_t kCap = 1u << 20;
+  std::vector<double> samples;
+  std::uint64_t stride = 1;
+  std::uint64_t seen = 0;
 
-std::string percentileJson(std::vector<double> samples) {
-  std::sort(samples.begin(), samples.end());
+  void record(double ms) {
+    if (seen++ % stride != 0) return;
+    if (samples.size() >= kCap) {
+      std::size_t w = 0;
+      for (std::size_t r = 0; r < samples.size(); r += 2)
+        samples[w++] = samples[r];
+      samples.resize(w);
+      stride *= 2;
+    }
+    samples.push_back(ms);
+  }
+};
+
+struct LatencyQuantiles {
+  double p50, p99, p999;
+};
+
+/// Exact quantiles of a latency sample. Sorting once up front makes each
+/// eval::percentile call's own sort a pass over already-ordered data.
+LatencyQuantiles latencyQuantiles(std::vector<double> ms) {
+  std::sort(ms.begin(), ms.end());
+  return {eval::percentile(ms, 50.0), eval::percentile(ms, 99.0),
+          eval::percentile(ms, 99.9)};
+}
+
+std::string quantileJson(const LatencyQuantiles& q) {
   std::ostringstream out;
-  out << std::setprecision(6) << "{\"p50_ms\": " << percentileMs(samples, 0.50)
-      << ", \"p99_ms\": " << percentileMs(samples, 0.99)
-      << ", \"p999_ms\": " << percentileMs(samples, 0.999) << "}";
+  out << std::setprecision(6) << "{\"p50_ms\": " << q.p50
+      << ", \"p99_ms\": " << q.p99 << ", \"p999_ms\": " << q.p999 << "}";
   return out.str();
 }
 
 int cmdServeLoad(const Args& args) {
-  const auto users = static_cast<std::size_t>(
-      std::stoull(optional(args, "users", "100000")));
-  const double durationS = std::stod(optional(args, "duration-s", "10"));
-  const auto threads = static_cast<std::size_t>(std::stoull(optional(
+  const auto users = unsignedFlag(args, "users", 100000);
+  const double durationS = realFlag(args, "duration-s", 10.0);
+  const auto threads = unsignedFlag(
       args, "threads",
-      std::to_string(std::clamp<unsigned>(
-          std::thread::hardware_concurrency() / 2, 2, 8)))));
-  const double skew = std::stod(optional(args, "skew", "1.0"));
-  const auto shards =
-      static_cast<std::size_t>(std::stoull(optional(args, "shards", "4")));
-  const auto cacheCapacity = static_cast<std::size_t>(
-      std::stoull(optional(args, "cache-capacity", "4096")));
-  const auto seed =
-      static_cast<std::uint64_t>(std::stoull(optional(args, "seed", "42")));
-  const auto warm = static_cast<std::size_t>(std::stoull(optional(
-      args, "warm", std::to_string(std::min(users, cacheCapacity)))));
+      std::clamp<unsigned>(std::thread::hardware_concurrency() / 2, 2, 8));
+  const double skew = realFlag(args, "skew", 1.0);
+  const auto shards = unsignedFlag(args, "shards", 4);
+  const auto cacheCapacity = unsignedFlag(args, "cache-capacity", 4096);
+  const auto seed = unsignedFlag(args, "seed", 42);
+  const auto warm = unsignedFlag(args, "warm", std::min(users, cacheCapacity));
   const double calibIntervalMs =
-      std::stod(optional(args, "calibrate-interval-ms", "2000"));
-  const auto aoaEvery = static_cast<std::uint64_t>(
-      std::stoull(optional(args, "aoa-every", "256")));
+      realFlag(args, "calibrate-interval-ms", 2000.0);
+  const auto aoaEvery = unsignedFlag(args, "aoa-every", 256);
   const auto tableDir = optional(args, "table-dir", "");
   const auto loadReport = optional(args, "load-report", "");
   const auto metricsOut = optional(args, "metrics-out", "");
   const bool scrapeEnabled = args.count("scrape-port") > 0;
-  const auto scrapePort = static_cast<std::uint16_t>(
-      std::stoul(optional(args, "scrape-port", "0")));
-  const auto sampleIntervalMs = static_cast<std::uint64_t>(
-      std::stoull(optional(args, "sample-interval-ms", "250")));
+  const auto scrapePort = portFlag(args, "scrape-port", 0);
+  const auto sampleIntervalMs = unsignedFlag(args, "sample-interval-ms", 250);
   const auto sloRulesPath = optional(args, "slo-rules", "");
   const bool failOnSlo = args.count("fail-on-slo") > 0;
   const auto expositionOut = optional(args, "exposition-out", "");
@@ -737,10 +771,8 @@ int cmdServeLoad(const Args& args) {
                "--sample-interval-ms must be >= 1");
 
   serve::CalibrationServiceOptions serveOpts;
-  serveOpts.workers =
-      static_cast<std::size_t>(std::stoull(optional(args, "workers", "0")));
-  serveOpts.maxQueued = static_cast<std::size_t>(
-      std::stoull(optional(args, "queue", "256")));
+  serveOpts.workers = unsignedFlag(args, "workers", 0);
+  serveOpts.maxQueued = unsignedFlag(args, "queue", 256);
   serveOpts.shards = shards;
   serveOpts.cacheCapacity = cacheCapacity;
   serveOpts.persistDir = tableDir;
@@ -962,7 +994,7 @@ int cmdServeLoad(const Args& args) {
   }
 
   // --- Aggregate. -------------------------------------------------------
-  std::vector<double> lookupMs, aoaMs;
+  std::vector<double> lookupMs, aoaMs, allMs;
   std::uint64_t opsLookup = 0, opsAoa = 0, opsBatch = 0, opsStream = 0,
                 rejected = 0;
   std::uint64_t tiers[4] = {0, 0, 0, 0};
@@ -972,6 +1004,11 @@ int cmdServeLoad(const Args& args) {
     lookupMs.insert(lookupMs.end(), st.lookup.samples.begin(),
                     st.lookup.samples.end());
     aoaMs.insert(aoaMs.end(), st.aoaMs.begin(), st.aoaMs.end());
+    // The overall mix takes this thread's AoA calls at its reservoir's
+    // stride: kept whole, they would outweigh the decimated lookups and
+    // pull the overall p99 up to an AoA latency.
+    for (std::size_t i = 0; i < st.aoaMs.size(); i += st.lookup.stride)
+      allMs.push_back(st.aoaMs[i]);
     opsLookup += st.opsLookup;
     opsAoa += st.opsAoa;
     opsBatch += st.opsBatch;
@@ -991,36 +1028,26 @@ int cmdServeLoad(const Args& args) {
           ? static_cast<double>(tiers[0]) / static_cast<double>(opsLookup)
           : 0.0;
 
-  // Overall latency percentiles over every sampled operation: lookups
-  // (stride-sampled), AoA calls, and calibration jobs.
-  std::vector<double> allMs;
-  allMs.reserve(lookupMs.size() + aoaMs.size() + jobMs.size());
+  // Overall latency percentiles over every sampled operation: lookups and
+  // AoA calls at each thread's reservoir stride, and every calibration job.
   allMs.insert(allMs.end(), lookupMs.begin(), lookupMs.end());
-  allMs.insert(allMs.end(), aoaMs.begin(), aoaMs.end());
   allMs.insert(allMs.end(), jobMs.begin(), jobMs.end());
-  auto sortedAll = allMs;
-  std::sort(sortedAll.begin(), sortedAll.end());
-  const double p50 = percentileMs(sortedAll, 0.50);
-  const double p99 = percentileMs(sortedAll, 0.99);
-  const double p999 = percentileMs(sortedAll, 0.999);
+  const auto all = latencyQuantiles(std::move(allMs));
 
   reg.gauge("serve.load.ops").set(static_cast<double>(opsTotal));
   reg.gauge("serve.load.throughput_ops_per_s").set(throughput);
   reg.gauge("serve.load.saturation_ops_per_s")
       .set(static_cast<double>(saturation));
-  reg.gauge("serve.load.p50_ms").set(p50);
-  reg.gauge("serve.load.p99_ms").set(p99);
-  reg.gauge("serve.load.p999_ms").set(p999);
+  reg.gauge("serve.load.p50_ms").set(all.p50);
+  reg.gauge("serve.load.p99_ms").set(all.p99);
+  reg.gauge("serve.load.p999_ms").set(all.p999);
   reg.gauge("serve.load.hit_rate").set(hitRate);
 
-  // Estimator cross-check: the exact (stride-sampled) reservoir versus the
-  // log-binned histogram over the same lookup-latency stream. Large drift
-  // here means the histogram bin layout no longer fits the workload; the
-  // nightly flags it from the report JSON.
-  auto sortedLookup = lookupMs;
-  std::sort(sortedLookup.begin(), sortedLookup.end());
-  const double reservoirP50 = percentileMs(sortedLookup, 0.50);
-  const double reservoirP99 = percentileMs(sortedLookup, 0.99);
+  // Estimator cross-check: the exact quantiles of the reservoir's samples
+  // versus the log-binned histogram over the same lookup-latency stream.
+  // Large drift here means the histogram bin layout no longer fits the
+  // workload; the nightly flags it from the report JSON.
+  const auto lookup = latencyQuantiles(std::move(lookupMs));
   const double histP50 = lookupHist.quantile(0.50);
   const double histP99 = lookupHist.quantile(0.99);
 
@@ -1051,16 +1078,16 @@ int cmdServeLoad(const Args& args) {
             << "  ops: " << opsLookup << " lookup, " << opsAoa << " aoa, "
             << opsBatch << " batch, " << opsStream << " stream, " << rejected
             << " rejected\n"
-            << "  latency: p50 " << p50 << " ms, p99 " << p99
-            << " ms, p999 " << p999 << " ms\n"
+            << "  latency: p50 " << all.p50 << " ms, p99 " << all.p99
+            << " ms, p999 " << all.p999 << " ms\n"
             << "  tiers: " << tiers[0] << " memory, " << tiers[1]
             << " disk, " << tiers[2] << " fallback, " << tiers[3]
             << " miss (memory hit rate " << 100.0 * hitRate << "%)\n";
   for (const auto& [state, count] : jobStates)
     std::cout << "  jobs " << state << ": " << count << "\n";
-  std::cout << "  lookup estimators: reservoir p50 " << reservoirP50
+  std::cout << "  lookup estimators: reservoir p50 " << lookup.p50
             << " ms / hist p50 " << histP50 << " ms, reservoir p99 "
-            << reservoirP99 << " ms / hist p99 " << histP99 << " ms\n"
+            << lookup.p99 << " ms / hist p99 " << histP99 << " ms\n"
             << "  telemetry: " << sampler.windowCount() << " window(s) at "
             << sampleIntervalMs << " ms\n";
   for (const auto& st : stageQuantiles)
@@ -1093,10 +1120,11 @@ int cmdServeLoad(const Args& args) {
          << rejected << "},\n";
     json << "  \"throughput_ops_per_s\": " << throughput << ",\n";
     json << "  \"saturation_ops_per_s\": " << saturation << ",\n";
-    json << "  \"percentiles\": " << percentileJson(allMs) << ",\n";
+    json << "  \"percentiles\": " << quantileJson(all) << ",\n";
     json << "  \"op_percentiles\": {\"lookup\": "
-         << percentileJson(lookupMs) << ", \"aoa\": " << percentileJson(aoaMs)
-         << ", \"job\": " << percentileJson(jobMs) << "},\n";
+         << quantileJson(lookup)
+         << ", \"aoa\": " << quantileJson(latencyQuantiles(aoaMs))
+         << ", \"job\": " << quantileJson(latencyQuantiles(jobMs)) << "},\n";
     json << "  \"tiers\": {\"memory\": " << tiers[0] << ", \"disk\": "
          << tiers[1] << ", \"fallback\": " << tiers[2] << ", \"miss\": "
          << tiers[3] << "},\n";
@@ -1114,9 +1142,9 @@ int cmdServeLoad(const Args& args) {
            << "}";
     }
     json << "],\n";
-    json << "  \"estimator_check\": {\"reservoir_p50_ms\": " << reservoirP50
+    json << "  \"estimator_check\": {\"reservoir_p50_ms\": " << lookup.p50
          << ", \"histogram_p50_ms\": " << histP50
-         << ", \"reservoir_p99_ms\": " << reservoirP99
+         << ", \"reservoir_p99_ms\": " << lookup.p99
          << ", \"histogram_p99_ms\": " << histP99 << "},\n";
     json << "  \"stages\": {";
     for (std::size_t i = 0; i < stageQuantiles.size(); ++i) {
@@ -1192,12 +1220,9 @@ int cmdServeLoad(const Args& args) {
 }
 
 int cmdMonitor(const Args& args) {
-  const auto port =
-      static_cast<std::uint16_t>(std::stoul(require(args, "port")));
-  const auto intervalMs = static_cast<std::uint64_t>(
-      std::stoull(optional(args, "interval-ms", "1000")));
-  const auto iterations = static_cast<std::uint64_t>(
-      std::stoull(optional(args, "iterations", "0")));
+  const auto port = portFlag(args, "port");
+  const auto intervalMs = unsignedFlag(args, "interval-ms", 1000);
+  const auto iterations = unsignedFlag(args, "iterations", 0);
 
   for (std::uint64_t iter = 0; iterations == 0 || iter < iterations; ++iter) {
     if (iter > 0)
@@ -1241,9 +1266,8 @@ void usage() {
       "             same exit codes as calibrate\n"
       "  inspect    --table table.uniq\n"
       "  render     --table table.uniq --in mono.wav --out out.wav\n"
-      "             --angle DEG [--elevation DEG]\n"
+      "             --angle DEG\n"
       "  demo-render --table table.uniq --out out.wav --angle DEG\n"
-      "              [--elevation DEG]\n"
       "  serve-batch [--users N] [--workers N] [--queue N] [--stops N]\n"
       "              [--seed N] [--deadline-ms X] [--cancel N]\n"
       "              [--cache-capacity N] [--table-dir DIR]\n"

@@ -498,7 +498,8 @@ BENCHMARK(BM_StreamingReplay)->Unit(benchmark::kMillisecond)->UseRealTime();
 // path (FFT plan cache warm after iteration one).
 void BM_ServeBatchAoa(benchmark::State& state) {
   const auto queries = static_cast<std::size_t>(state.range(0));
-  static serve::TableCache cache(4);
+  static serve::TableCache cache(serve::TableCacheOptions{
+      .capacity = 4, .persistDir = "", .shards = 1});
   const auto table = serve::TableCache::populationAverageTable(48000.0);
   const double fs = table->sampleRate();
   for (std::size_t u = 0; u < 4; ++u)
@@ -589,7 +590,9 @@ BENCHMARK(BM_AoaEstimateUnknownCold)->Unit(benchmark::kMillisecond);
 
 // Hit-path latency of the LRU table cache under a realistic key mix.
 void BM_TableCacheGet(benchmark::State& state) {
-  serve::TableCache cache(64);
+  serve::TableCacheOptions opts;
+  opts.capacity = 64;
+  serve::TableCache cache(opts);
   const auto table = serve::TableCache::populationAverageTable(48000.0);
   for (std::size_t u = 0; u < 64; ++u)
     cache.put("user" + std::to_string(u), table);

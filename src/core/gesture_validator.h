@@ -20,15 +20,6 @@ struct GestureReport {
 class GestureValidator {
  public:
   GestureReport validate(const SensorFusionResult& fusion) const;
-
-  /// Validates the raw gyro-integrated log BEFORE any acoustic processing,
-  /// so an obviously broken sweep (empty log, frozen clock, mid-arc
-  /// reversal) can be caught and redone without paying for a full pipeline
-  /// run. `timesSec` and `anglesDeg` are parallel arrays of integration
-  /// timestamps and unwrapped sweep angles. Never throws: a defective log
-  /// comes back as ok = false with one issue per defect.
-  GestureReport validateImuLog(const std::vector<double>& timesSec,
-                               const std::vector<double>& anglesDeg) const;
 };
 
 }  // namespace uniq::core

@@ -81,9 +81,6 @@ TableCache::TableCache(Options opts) : opts_(std::move(opts)) {
     shards_.push_back(std::make_unique<Shard>());
 }
 
-TableCache::TableCache(std::size_t capacity, std::string persistDir)
-    : TableCache(Options{capacity, std::move(persistDir), 1}) {}
-
 std::size_t TableCache::shardFor(const std::string& userId) const {
   // Power-of-two shard count makes the modulo a mask; std::hash spreads
   // sequential user ids well enough that shards stay balanced.

@@ -75,9 +75,6 @@ class TableCache {
   };
 
   explicit TableCache(Options opts);
-  /// Pre-sharding constructor shape: capacity + optional persist dir, one
-  /// shard.
-  explicit TableCache(std::size_t capacity, std::string persistDir = "");
 
   /// The user's table from memory or disk, or nullptr when neither has it.
   /// When `tier` is non-null it reports which tier answered (kMiss on

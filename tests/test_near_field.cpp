@@ -6,6 +6,7 @@
 
 #include "common/constants.h"
 #include "common/error.h"
+#include "core/hrtf_table.h"
 #include "dsp/peak_picking.h"
 #include "eval/metrics.h"
 #include "geometry/diffraction.h"
@@ -176,6 +177,43 @@ TEST(NearFieldTable, AtClampsOutOfRange) {
   EXPECT_EQ(&table.at(-20.0), &table.byDegree.front());
   EXPECT_EQ(&table.at(200.0), &table.byDegree.back());
   EXPECT_EQ(&table.at(90.4), &table.byDegree[90]);
+}
+
+TEST(HrtfTableTest, NearFieldRadiusChangesCues) {
+  // Companion feature: distance-aware near-field rendering.
+  head::Subject s;
+  s.headParams = {0.074, 0.104, 0.09};
+  s.pinnaSeed = 111;
+  const head::HrtfDatabase db(s, head::HrtfDatabase::Options{});
+  auto far = core::farTableFromDatabase(db);
+  core::NearFieldTable nearTable;
+  nearTable.sampleRate = far.sampleRate;
+  nearTable.headParams = far.headParams;
+  nearTable.medianRadiusM = 0.35;
+  nearTable.byDegree.resize(181);
+  nearTable.tapLeftSamples.assign(181, 24.0);
+  nearTable.tapRightSamples.assign(181, 28.0);
+  for (int deg = 0; deg <= 180; ++deg)
+    nearTable.byDegree[deg] = db.nearField(static_cast<double>(deg), 0.35);
+  const core::HrtfTable table(std::move(nearTable), std::move(far));
+
+  const auto closeHrir = table.nearHrirAt(60.0, 0.18);
+  const auto tableHrir = table.nearHrirAt(60.0, 0.35);
+  const auto farHrir = table.nearHrirAt(60.0, 0.8);
+  // Closer source: louder and earlier.
+  EXPECT_GT(head::channelEnergy(closeHrir.left),
+            head::channelEnergy(tableHrir.left));
+  EXPECT_LT(head::channelEnergy(farHrir.left),
+            head::channelEnergy(tableHrir.left));
+  const auto tapClose = dsp::findFirstTap(closeHrir.left);
+  const auto tapFar = dsp::findFirstTap(farHrir.left);
+  ASSERT_TRUE(tapClose && tapFar);
+  EXPECT_LT(tapClose->position, tapFar->position);
+  // At the table radius it's the untouched table entry.
+  const auto& raw = table.nearAt(60.0);
+  for (std::size_t i = 0; i < raw.left.size(); ++i)
+    EXPECT_DOUBLE_EQ(tableHrir.left[i], raw.left[i]);
+  EXPECT_THROW(table.nearHrirAt(60.0, 0.05), InvalidArgument);
 }
 
 }  // namespace

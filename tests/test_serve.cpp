@@ -90,7 +90,9 @@ TEST(RunAbortToken, PreCancelledPipelineRunReturnsAbortedFallback) {
 // --- TableCache ---------------------------------------------------------
 
 TEST(TableCache, LruEvictionOrderAndStats) {
-  serve::TableCache cache(2);
+  serve::TableCacheOptions opts;
+  opts.capacity = 2;
+  serve::TableCache cache(opts);
   const auto table = serve::TableCache::populationAverageTable(48000.0);
   cache.put("a", table);
   cache.put("b", table);
@@ -112,7 +114,9 @@ TEST(TableCache, LruEvictionOrderAndStats) {
 }
 
 TEST(TableCache, FallbackIsSharedAndNotCountedAsPersonalized) {
-  serve::TableCache cache(4);
+  serve::TableCacheOptions opts;
+  opts.capacity = 4;
+  serve::TableCache cache(opts);
   const auto fallback = cache.getOrFallback("nobody", 48000.0);
   ASSERT_NE(fallback, nullptr);
   // Same process-wide instance every time — uncalibrated users share it.
@@ -124,7 +128,10 @@ TEST(TableCache, FallbackIsSharedAndNotCountedAsPersonalized) {
 
 TEST(TableCache, DiskTierSurvivesEviction) {
   const std::string dir = ::testing::TempDir();
-  serve::TableCache cache(1, dir);
+  serve::TableCacheOptions opts;
+  opts.capacity = 1;
+  opts.persistDir = dir;
+  serve::TableCache cache(opts);
   const auto table = serve::TableCache::populationAverageTable(48000.0);
   cache.put("alice", table);
   cache.put("bob", table);  // evicts alice from memory, not from disk
@@ -137,7 +144,8 @@ TEST(TableCache, DiskTierSurvivesEviction) {
   EXPECT_EQ(reloaded->sampleRate(), table->sampleRate());
 
   // A fresh cache over the same directory is warm from disk too.
-  serve::TableCache second(4, dir);
+  opts.capacity = 4;
+  serve::TableCache second(opts);
   EXPECT_NE(second.get("bob"), nullptr);
   std::remove((dir + "/alice.uniqq").c_str());
   std::remove((dir + "/bob.uniqq").c_str());
@@ -645,7 +653,9 @@ TEST(CalibrationService, MetricsAccountForEveryTerminalState) {
 // --- BatchAoaEngine -----------------------------------------------------
 
 TEST(BatchAoaEngine, MatchesSingleEstimatorBitForBit) {
-  serve::TableCache cache(4);
+  serve::TableCacheOptions opts;
+  opts.capacity = 4;
+  serve::TableCache cache(opts);
   const auto table = serve::TableCache::populationAverageTable(48000.0);
   cache.put("alice", table);
 
@@ -710,7 +720,9 @@ TEST(AoaEstimator, KnownSourceShiftsOncePerDistinctTemplateTap) {
 }
 
 TEST(BatchAoaEngine, UncachedUserFallsBackAndIsFlagged) {
-  serve::TableCache cache(4);
+  serve::TableCacheOptions opts;
+  opts.capacity = 4;
+  serve::TableCache cache(opts);
   const auto table = serve::TableCache::populationAverageTable(48000.0);
   const double fs = table->sampleRate();
   const auto chirp =
@@ -735,7 +747,9 @@ TEST(BatchAoaEngine, UncachedUserFallsBackAndIsFlagged) {
 }
 
 TEST(BatchAoaEngine, UnknownSourceQueriesAreGroupedPerUser) {
-  serve::TableCache cache(4);
+  serve::TableCacheOptions opts;
+  opts.capacity = 4;
+  serve::TableCache cache(opts);
   const auto table = serve::TableCache::populationAverageTable(48000.0);
   cache.put("a", table);
   cache.put("b", table);

@@ -229,7 +229,10 @@ TEST(TableIo, RejectsEmptyFileAndDirectory) {
   // A directory squatting on a user's disk-tier path is a plain miss.
   const auto persistDir = tempPath("table_cache_dir");
   std::filesystem::create_directories(persistDir + "/squatter.uniqq");
-  serve::TableCache cache(1, persistDir);
+  serve::TableCacheOptions opts;
+  opts.capacity = 1;
+  opts.persistDir = persistDir;
+  serve::TableCache cache(opts);
   serve::CacheTier tier = serve::CacheTier::kDisk;
   EXPECT_EQ(cache.get("squatter", &tier), nullptr);
   EXPECT_EQ(tier, serve::CacheTier::kMiss);

@@ -1,5 +1,5 @@
 // Continuous-telemetry tests: Histogram::quantile accuracy against exact
-// reservoir percentiles, the TelemetrySampler window pipeline, declarative
+// percentiles, the TelemetrySampler window pipeline, declarative
 // SLO rules, the Prometheus exposition + scrape server, and trace-context
 // propagation through the thread pool and the calibration service.
 #include <gtest/gtest.h>
@@ -16,6 +16,7 @@
 
 #include "common/random.h"
 #include "common/thread_pool.h"
+#include "eval/metrics.h"
 #include "head/subject.h"
 #include "obs/export.h"
 #include "obs/json.h"
@@ -25,7 +26,6 @@
 #include "obs/telemetry.h"
 #include "obs/trace.h"
 #include "serve/calibration_service.h"
-#include "serve/latency_stats.h"
 #include "sim/measurement_session.h"
 
 namespace uniq {
@@ -93,25 +93,23 @@ TEST(HistogramQuantile, SnapshotEntryMatchesLiveHistogram) {
     EXPECT_DOUBLE_EQ(snap.histograms[0].quantile(q), h.quantile(q));
 }
 
-// The satellite pin: serve-load's exact LatencyReservoir and the log-binned
-// histogram must agree on the same latency stream within the bin-growth
-// budget — the estimator_check contract the nightly watches.
-TEST(HistogramQuantile, AgreesWithLatencyReservoirWithinGrowthBudget) {
+// serve-load's exact lookup quantiles (eval::percentile over every sample)
+// and the log-binned histogram must agree on the same latency stream within
+// the bin-growth budget — the estimator_check contract the nightly watches.
+TEST(HistogramQuantile, AgreesWithExactQuantileWithinGrowthBudget) {
   const obs::HistogramOptions opts{1e-4, 2.0, 32};  // serve.load.lookup_ms
   obs::Histogram hist(opts);
-  serve::LatencyReservoir reservoir;
+  std::vector<double> samples;
   Pcg32 rng(77, 13);
   for (int i = 0; i < 50000; ++i) {
     // Cache-lookup-shaped latencies: a fast mode around a few microseconds
     // with a heavy slow tail.
     const double ms = 0.002 * std::exp(std::abs(rng.gaussian()) * 2.0);
     hist.observe(ms);
-    reservoir.record(ms);
+    samples.push_back(ms);
   }
-  auto sorted = reservoir.samples;
-  std::sort(sorted.begin(), sorted.end());
   for (const double q : {0.50, 0.90, 0.99}) {
-    const double exact = serve::percentileMs(sorted, q);
+    const double exact = eval::percentile(samples, 100.0 * q);
     const double est = hist.quantile(q);
     ASSERT_GT(exact, 0.0);
     EXPECT_LE(est / exact, opts.growth * 1.01) << "q=" << q;
