@@ -46,7 +46,8 @@
 //       containers and print the size ratio.
 //
 // Numeric flags must parse in full (no sign on a count, no trailing
-// characters); a bad value exits 1 with an error that names the flag.
+// characters); a bad value exits 1 with an error that names the flag. A
+// flag the subcommand does not read exits 1 the same way.
 #include <algorithm>
 #include <array>
 #include <charconv>
@@ -59,6 +60,7 @@
 #include <iostream>
 #include <map>
 #include <optional>
+#include <set>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -1301,6 +1303,50 @@ void usage() {
       "              re-encode a table between containers\n";
 }
 
+/// A subcommand and every flag it reads; main rejects any other flag, so a
+/// typo (--sedd 7) or a retired flag cannot run on defaults in silence.
+/// Keep each set in step with what its command (and the *FromArgs helpers
+/// it calls) reads.
+struct Command {
+  const char* name;
+  int (*run)(const Args&);
+  std::set<std::string> flags;
+};
+
+/// `flags` plus the ones simulateCaptureFromArgs and
+/// pipelineOptionsFromArgs read.
+std::set<std::string> withCaptureFlags(std::set<std::string> flags) {
+  flags.insert({"constrained", "stops", "fault", "fault-severity",
+                "min-stops"});
+  return flags;
+}
+
+const Command kCommands[] = {
+    {"calibrate", &cmdCalibrate,
+     withCaptureFlags({"out", "seed", "report", "fail-on-degraded",
+                       "trace-out", "metrics-out"})},
+    {"calibrate-stream", &cmdCalibrateStream,
+     withCaptureFlags({"out", "seed", "report", "fail-on-degraded",
+                       "no-early-stop", "compare-batch", "interval-ms",
+                       "trace-out", "metrics-out"})},
+    {"inspect", &cmdInspect, {"table"}},
+    {"render", [](const Args& args) { return cmdRender(args, false); },
+     {"table", "in", "out", "angle"}},
+    {"demo-render", [](const Args& args) { return cmdRender(args, true); },
+     {"table", "out", "angle"}},
+    {"serve-batch", &cmdServeBatch,
+     {"users", "stops", "seed", "cancel", "aoa-queries", "deadline-ms",
+      "compare-serial", "metrics-out", "workers", "queue", "cache-capacity",
+      "table-dir", "min-stops", "fault-every", "fault", "fault-severity"}},
+    {"serve-load", &cmdServeLoad,
+     {"users", "duration-s", "threads", "skew", "shards", "cache-capacity",
+      "seed", "warm", "calibrate-interval-ms", "aoa-every", "table-dir",
+      "load-report", "metrics-out", "scrape-port", "sample-interval-ms",
+      "slo-rules", "fail-on-slo", "exposition-out", "workers", "queue"}},
+    {"monitor", &cmdMonitor, {"port", "interval-ms", "iterations"}},
+    {"convert", &cmdConvert, {"in", "out", "format"}},
+};
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -1309,19 +1355,20 @@ int main(int argc, char** argv) {
     return 2;
   }
   const std::string cmd = argv[1];
-  try {
-    const auto args = parseArgs(argc, argv, 2);
-    if (cmd == "calibrate") return cmdCalibrate(args);
-    if (cmd == "calibrate-stream") return cmdCalibrateStream(args);
-    if (cmd == "inspect") return cmdInspect(args);
-    if (cmd == "render") return cmdRender(args, false);
-    if (cmd == "demo-render") return cmdRender(args, true);
-    if (cmd == "serve-batch") return cmdServeBatch(args);
-    if (cmd == "serve-load") return cmdServeLoad(args);
-    if (cmd == "monitor") return cmdMonitor(args);
-    if (cmd == "convert") return cmdConvert(args);
+  const auto command = std::find_if(
+      std::begin(kCommands), std::end(kCommands),
+      [&](const Command& c) { return cmd == c.name; });
+  if (command == std::end(kCommands)) {
     usage();
     return 2;
+  }
+  try {
+    const auto args = parseArgs(argc, argv, 2);
+    for (const auto& [key, value] : args) {
+      if (command->flags.count(key) == 0)
+        throw uniq::InvalidArgument("unknown flag --" + key + " for " + cmd);
+    }
+    return command->run(args);
   } catch (const Error& e) {
     std::cerr << "error: " << e.what() << "\n";
     return 1;

@@ -73,9 +73,10 @@ class AoaEstimator {
   /// delay); the multiplicative-form residual
   ///   || L x HRTF_R(theta) - R x HRTF_L(theta) ||
   /// picks the true one. The residual compares band magnitudes
-  /// (|L||H_R| against |R||H_L| over [kAoaBandLoHz, kAoaBandHiHz]); the
-  /// template magnitudes are cached in the estimator per FFT size, so later
-  /// queries of the same recording length against one estimator reuse them.
+  /// (|L||H_R| against |R||H_L| over [kAoaBandLoHz, kAoaBandHiHz]). Each
+  /// template's magnitudes come from one fixed-size transform, cached in the
+  /// estimator and interpolated linearly onto the query's bins, so later
+  /// queries against one estimator reuse them whatever their length.
   AoaEstimate estimateUnknown(const std::vector<double>& leftRecording,
                               const std::vector<double>& rightRecording) const;
 
@@ -92,32 +93,33 @@ class AoaEstimator {
                               const std::vector<double>& hRight) const;
   std::vector<double> candidateAnglesForDelay(double deltaSec) const;
 
-  /// Left/right template magnitudes |H_L|, |H_R| for one table angle at one
-  /// FFT size, over the Eq. 11 band bins [bLo, bHi] only.
+  /// Left/right template magnitudes |H_L|, |H_R| for one table angle: the
+  /// whole half spectrum (magSize_ / 2 + 1 bins) of each ear's template at
+  /// magSize_ points, whatever the query's FFT size.
   struct TemplateMagnitudes {
     std::vector<double> left;
     std::vector<double> right;
   };
-  /// Band magnitudes of table entries `degreeIndices` zero-padded to `n`,
-  /// in the same order. Entries not yet cached at size `n` are computed
-  /// (one rfft per ear of the unpadded template) and kept for later calls,
-  /// so every estimator pays each template's transform once per FFT size.
-  /// A size change drops the previous generation: a batch has one
-  /// recording length, so thrash is not a concern. Entries are shared_ptrs,
-  /// so a concurrent size change cannot pull the data out from under a
-  /// running score. Thread-safe.
-  std::vector<std::shared_ptr<const TemplateMagnitudes>> templateMagnitudes(
-      const std::vector<std::size_t>& degreeIndices, std::size_t n,
-      std::size_t bLo, std::size_t bHi) const;
+  /// Magnitudes of table entries `degreeIndices`, in the same order.
+  /// Entries not yet cached are computed (one rfft per ear of the unpadded
+  /// template) and kept for the estimator's lifetime, so every estimator
+  /// pays each template's transform once; queries of any recording length
+  /// share them. An entry is never replaced once made, so scoring reads it
+  /// after the lock is released. Thread-safe.
+  std::vector<const TemplateMagnitudes*> templateMagnitudes(
+      const std::vector<std::size_t>& degreeIndices) const;
 
   const FarFieldTable& table_;
   Options opts_;
   /// dsp::l2Norm of each template channel, per degree (Eq. 9 shape match).
   std::vector<double> normLeft_;
   std::vector<double> normRight_;
+  /// Transform size of the cached template magnitudes: kTemplateFftSize
+  /// (aoa.cpp), or the longest template's power of two above it.
+  std::size_t magSize_;
   mutable std::mutex magMutex_;
-  mutable std::size_t magN_ = 0;
-  mutable std::vector<std::shared_ptr<const TemplateMagnitudes>> mag_;
+  /// Per degree; null until a query first needs that angle.
+  mutable std::vector<std::unique_ptr<const TemplateMagnitudes>> mag_;
 };
 
 }  // namespace uniq::core

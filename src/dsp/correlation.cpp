@@ -167,11 +167,7 @@ std::vector<double> gccPhatFromSpectra(std::span<Complex> fa,
   const std::size_t n = gccPhatSize(aSize, bSize);
   UNIQ_REQUIRE(fa.size() == n / 2 + 1 && fb.size() == n / 2 + 1,
                "gccPhat spectra must hold n/2 + 1 bins");
-  for (std::size_t i = 0; i < fa.size(); ++i) {
-    const Complex cross = fa[i] * std::conj(fb[i]);
-    const double mag = std::abs(cross);
-    fa[i] = mag > 1e-15 ? cross / mag : Complex(0, 0);
-  }
+  kernels::phatWeight(fa.data(), fb.data(), fa.size(), 1e-15);
   common::ArenaScope scope(common::simdScratch());
   const auto r = scratchDoubles(n);
   fftPlan(n)->irfft(fa, r);

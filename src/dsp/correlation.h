@@ -69,8 +69,9 @@ void gccPhatSpectra(std::span<const double> a, std::span<const double> b,
                     std::span<Complex> fa, std::span<Complex> fb);
 
 /// GCC-PHAT's second step on gccPhatSpectra's output for signals of
-/// lengths aSize and bSize: PHAT-weights the cross spectrum (overwriting
-/// `fa`) and transforms it back. gccPhat(a, b) equals this bit for bit.
+/// lengths aSize and bSize: PHAT-weights the cross spectrum with
+/// kernels::phatWeight (overwriting `fa`) and transforms it back.
+/// gccPhat(a, b) equals this bit for bit.
 std::vector<double> gccPhatFromSpectra(std::span<Complex> fa,
                                        std::span<const Complex> fb,
                                        std::size_t aSize, std::size_t bSize);

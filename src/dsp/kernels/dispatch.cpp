@@ -121,6 +121,11 @@ void magnitudes(const std::complex<double>* x, std::size_t n, double* out) {
   detail::table().magnitudes(x, n, out);
 }
 
+void phatWeight(std::complex<double>* a, const std::complex<double>* b,
+                std::size_t n, double minMagnitude) {
+  detail::table().phatWeight(a, b, n, minMagnitude);
+}
+
 void cmulInterleaved(std::complex<double>* a, const std::complex<double>* b,
                      std::size_t n) {
   detail::table().cmulInterleaved(a, b, n);

@@ -27,6 +27,8 @@ struct KernelTable {
                           std::size_t);
   void (*cmulConjInterleaved)(std::complex<double>*,
                               const std::complex<double>*, std::size_t);
+  void (*phatWeight)(std::complex<double>*, const std::complex<double>*,
+                     std::size_t, double);
   void (*spectralDivide)(const std::complex<double>*,
                          const std::complex<double>*, double,
                          std::complex<double>*, std::size_t);
@@ -64,6 +66,8 @@ void rfftSplit(const double* zRe, const double* zIm, std::size_t h,
 void irfftMerge(const std::complex<double>* x, std::size_t h,
                 const double* wr, const double* wi, std::complex<double>* z);
 void magnitudes(const std::complex<double>* x, std::size_t n, double* out);
+void phatWeight(std::complex<double>* a, const std::complex<double>* b,
+                std::size_t n, double minMagnitude);
 void firFilter(const double* x, const double* w, std::size_t taps,
                std::size_t count, double* out);
 }  // namespace avx2_nofma

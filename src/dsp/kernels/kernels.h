@@ -111,6 +111,12 @@ void cmulInterleaved(std::complex<double>* a, const std::complex<double>* b,
 void cmulConjInterleaved(std::complex<double>* a,
                          const std::complex<double>* b, std::size_t n);
 
+/// GCC-PHAT's weighting: a[i] = c / |c| with c = a[i] * conj(b[i]),
+/// spelled (ar*br + ai*bi, ai*br - ar*bi) and |c| = sqrt(re^2 + im^2), or 0
+/// where |c| <= minMagnitude (or is NaN). Every tier gives the same bits.
+void phatWeight(std::complex<double>* a, const std::complex<double>* b,
+                std::size_t n, double minMagnitude);
+
 /// out[i] = num[i] * conj(den[i]) / (|den[i]|^2 + eps) — the regularized
 /// spectral division at the heart of deconvolution / channel extraction.
 /// `out` may be `num` (in-place division).

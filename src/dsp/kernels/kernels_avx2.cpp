@@ -487,6 +487,7 @@ const KernelTable& avx2Table() {
       &avx2_nofma::magnitudes,
       &cmulInterleavedImpl,
       &cmulConjInterleavedImpl,
+      &avx2_nofma::phatWeight,
       &spectralDivideImpl,
       &maxNormImpl,
       &dotProductImpl,

@@ -184,6 +184,44 @@ void magnitudes(const Complex* x, std::size_t n, double* out) {
   for (; k < n; ++k) out[k] = std::sqrt(std::norm(x[k]));
 }
 
+void phatWeight(Complex* a, const Complex* b, std::size_t n,
+                double minMagnitude) {
+  auto* ad = reinterpret_cast<double*>(a);
+  const auto* bd = reinterpret_cast<const double*>(b);
+  const __m256d minMag = _mm256_set1_pd(minMagnitude);
+  std::size_t k = 0;
+  for (; k + 4 <= n; k += 4) {
+    // Bins k, k+1 in x0 / y0 and k+2, k+3 in x1 / y1, each (re, im, re, im).
+    const __m256d x0 = _mm256_loadu_pd(ad + 2 * k);
+    const __m256d x1 = _mm256_loadu_pd(ad + 2 * k + 4);
+    const __m256d y0 = _mm256_loadu_pd(bd + 2 * k);
+    const __m256d y1 = _mm256_loadu_pd(bd + 2 * k + 4);
+    // hadd of (ar*br, ai*bi) gives re; hsub of (ai*br, ar*bi) gives im, in
+    // bin order (k, k+2, k+1, k+3).
+    const __m256d re =
+        _mm256_hadd_pd(_mm256_mul_pd(x0, y0), _mm256_mul_pd(x1, y1));
+    const __m256d im =
+        _mm256_hsub_pd(_mm256_mul_pd(_mm256_permute_pd(x0, 0x5), y0),
+                       _mm256_mul_pd(_mm256_permute_pd(x1, 0x5), y1));
+    const __m256d mag = _mm256_sqrt_pd(
+        _mm256_add_pd(_mm256_mul_pd(re, re), _mm256_mul_pd(im, im)));
+    const __m256d keep = _mm256_cmp_pd(mag, minMag, _CMP_GT_OQ);
+    const __m256d wr = _mm256_and_pd(keep, _mm256_div_pd(re, mag));
+    const __m256d wi = _mm256_and_pd(keep, _mm256_div_pd(im, mag));
+    // unpacklo/hi pair lanes (0, 2) and (1, 3): bins (k, k+1), (k+2, k+3).
+    _mm256_storeu_pd(ad + 2 * k, _mm256_unpacklo_pd(wr, wi));
+    _mm256_storeu_pd(ad + 2 * k + 4, _mm256_unpackhi_pd(wr, wi));
+  }
+  for (; k < n; ++k) {
+    const double ar = a[k].real(), ai = a[k].imag();
+    const double br = b[k].real(), bi = b[k].imag();
+    const double re = ar * br + ai * bi;
+    const double im = ai * br - ar * bi;
+    const double mag = std::sqrt(re * re + im * im);
+    a[k] = mag > minMagnitude ? Complex(re / mag, im / mag) : Complex(0, 0);
+  }
+}
+
 void firFilter(const double* x, const double* w, std::size_t taps,
                std::size_t count, double* out) {
   // Outputs t .. t+15 in four registers: each lane's sum runs over j in

@@ -150,6 +150,18 @@ void cmulConjInterleavedImpl(Complex* a, const Complex* b, std::size_t n) {
   }
 }
 
+void phatWeightImpl(Complex* a, const Complex* b, std::size_t n,
+                    double minMagnitude) {
+  for (std::size_t i = 0; i < n; ++i) {
+    const double ar = a[i].real(), ai = a[i].imag();
+    const double br = b[i].real(), bi = b[i].imag();
+    const double re = ar * br + ai * bi;
+    const double im = ai * br - ar * bi;
+    const double mag = std::sqrt(re * re + im * im);
+    a[i] = mag > minMagnitude ? Complex(re / mag, im / mag) : Complex(0, 0);
+  }
+}
+
 void spectralDivideImpl(const Complex* num, const Complex* den, double eps,
                         Complex* out, std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) {
@@ -251,6 +263,7 @@ const KernelTable& scalarTable() {
       &magnitudesImpl,
       &cmulInterleavedImpl,
       &cmulConjInterleavedImpl,
+      &phatWeightImpl,
       &spectralDivideImpl,
       &maxNormImpl,
       &dotProductImpl,

@@ -10,13 +10,17 @@
 
 #include "common/error.h"
 #include "common/math_util.h"
+#include "core/pipeline.h"
+#include "dsp/convolution.h"
 #include "dsp/correlation.h"
 #include "dsp/fft_plan.h"
 #include "dsp/signal_generators.h"
 #include "dsp/spectrum.h"
 #include "eval/experiments.h"
 #include "head/hrtf_database.h"
+#include "head/subject.h"
 #include "obs/metrics.h"
+#include "sim/measurement_session.h"
 #include "sim/recorder.h"
 
 namespace uniq::core {
@@ -26,6 +30,48 @@ constexpr double kFs = 48000.0;
 
 std::uint64_t fftTransforms() {
   return obs::registry().counter("fft.transforms").value();
+}
+
+std::uint64_t templateFills() {
+  return obs::registry().counter("aoa.template_cache.fills").value();
+}
+
+/// The Eq. 11 band bins [bLo, bHi] at FFT size n, as estimateUnknown takes
+/// them.
+std::pair<std::size_t, std::size_t> aoaBand(std::size_t n, double fs) {
+  return {dsp::frequencyToBin(kAoaBandLoHz, n, fs),
+          std::min(dsp::frequencyToBin(kAoaBandHiHz, n, fs), n / 2)};
+}
+
+/// |X| over bins [bLo, bHi] of x's n-point transform.
+std::vector<double> exactBand(const std::vector<double>& x, std::size_t n,
+                              std::size_t bLo, std::size_t bHi) {
+  const auto spectrum = dsp::fftPlan(n)->rfft(x);
+  std::vector<double> m;
+  for (std::size_t k = bLo; k <= bHi; ++k)
+    m.push_back(std::sqrt(std::norm(spectrum[k])));
+  return m;
+}
+
+/// A template's magnitudes as the unknown-source residual defines them:
+/// |H| of the template's 2048-point transform, interpolated linearly onto
+/// bins [bLo, bHi] of an n-point one (bin k sits at coarse position
+/// k * 2048 / n).
+std::vector<double> templateBand(const std::vector<double>& x, std::size_t n,
+                                 std::size_t bLo, std::size_t bHi) {
+  constexpr std::size_t kCoarse = 2048;
+  const auto coarse = exactBand(x, kCoarse, 0, kCoarse / 2);
+  std::vector<double> m;
+  for (std::size_t k = bLo; k <= bHi; ++k) {
+    const double pos =
+        static_cast<double>(k) * kCoarse / static_cast<double>(n);
+    const auto i = static_cast<std::size_t>(pos);
+    const double t = pos - static_cast<double>(i);
+    const double lo = coarse[i];
+    const double hi = coarse[std::min(i + 1, kCoarse / 2)];
+    m.push_back(lo + t * (hi - lo));
+  }
+  return m;
 }
 
 head::Subject testSubject() {
@@ -202,8 +248,7 @@ TEST_F(AoaTest, EstimatorRejectsBadTable) {
 // The template-magnitude cache is on for every estimator, and candidate
 // scoring reads it from pool threads: parallel estimateUnknown calls
 // sharing one estimator must give the serial answers. Two recording
-// lengths (two FFT sizes) make the calls drop and refill the cache under
-// each other.
+// lengths per angle make the calls fill the cache under each other.
 class AoaTemplateCache : public AoaTest {};
 
 TEST_F(AoaTemplateCache, ParallelUnknownEstimatesMatchSerial) {
@@ -282,22 +327,15 @@ TEST_F(AoaTemplateCache, UnknownSourceReadsBandMagnitudesFromGccPhatSpectra) {
   // Two forward transforms and GCC-PHAT's inverse; no band transforms.
   EXPECT_EQ(fftTransforms() - before, 3u);
 
-  // The winner's Eq. 11 score, with every spectrum transformed on its own.
-  const auto plan = dsp::fftPlan(n);
-  const std::size_t bLo = dsp::frequencyToBin(kAoaBandLoHz, n, kFs);
-  const std::size_t bHi =
-      std::min(dsp::frequencyToBin(kAoaBandHiHz, n, kFs), n / 2);
-  const auto band = [&](const std::vector<double>& x) {
-    const auto spectrum = plan->rfft(x);
-    std::vector<double> m;
-    for (std::size_t k = bLo; k <= bHi; ++k)
-      m.push_back(std::sqrt(std::norm(spectrum[k])));
-    return m;
-  };
+  // The winner's Eq. 11 score, with every spectrum transformed on its own
+  // and the template magnitudes interpolated from 2048 points.
+  const auto [bLo, bHi] = aoaBand(n, kFs);
   const auto& tmpl =
       table_->byDegree[static_cast<std::size_t>(std::lround(got.angleDeg))];
-  const auto l = band(rec.left), r = band(rec.right);
-  const auto hl = band(tmpl.left), hr = band(tmpl.right);
+  const auto l = exactBand(rec.left, n, bLo, bHi);
+  const auto r = exactBand(rec.right, n, bLo, bHi);
+  const auto hl = templateBand(tmpl.left, n, bLo, bHi);
+  const auto hr = templateBand(tmpl.right, n, bLo, bHi);
   double num = 0.0, den = 0.0;
   for (std::size_t k = 0; k < l.size(); ++k) {
     const double lhs = l[k] * hr[k];
@@ -306,6 +344,84 @@ TEST_F(AoaTemplateCache, UnknownSourceReadsBandMagnitudesFromGccPhatSpectra) {
     den += square(lhs) + square(rhs);
   }
   EXPECT_EQ(got.score, den > 1e-30 ? num / den : 2.0);
+}
+
+TEST_F(AoaTemplateCache, RecordingLengthsShareOneEstimatorsFills) {
+  // Recordings whose residual runs at FFT sizes 16384 (frames), 4096 and
+  // 1024 (below the templates' 2048-point transform) read the same cached
+  // template magnitudes: once each length has been seen, alternating
+  // between them fills nothing, and every answer equals a fresh
+  // estimator's. Each recording is noise through the 100-degree template.
+  const auto& hrir = table_->byDegree[100];
+  std::vector<sim::BinauralRecording> recs;
+  const std::pair<std::size_t, std::size_t> lengths[] = {
+      {12000, 16384}, {1500, 4096}, {300, 1024}};  // noise samples, n
+  for (const auto& [samples, n] : lengths) {
+    Pcg32 sigRng(samples);
+    const auto noise = dsp::whiteNoise(samples, sigRng, 0.25);
+    sim::BinauralRecording rec;
+    rec.left = dsp::convolve(noise, hrir.left);
+    rec.right = dsp::convolve(noise, hrir.right);
+    ASSERT_EQ(dsp::nextPowerOfTwo(
+                  2 * std::min<std::size_t>(rec.left.size(), 8192)),
+              n);
+    recs.push_back(std::move(rec));
+  }
+  std::vector<AoaEstimate> fresh;
+  for (const auto& r : recs)
+    fresh.push_back(AoaEstimator(*table_).estimateUnknown(r.left, r.right));
+
+  const AoaEstimator shared(*table_);
+  for (const auto& r : recs) shared.estimateUnknown(r.left, r.right);
+  const auto before = templateFills();
+  for (int round = 0; round < 2; ++round) {
+    for (std::size_t i = 0; i < recs.size(); ++i) {
+      const auto got = shared.estimateUnknown(recs[i].left, recs[i].right);
+      EXPECT_EQ(got.angleDeg, fresh[i].angleDeg) << i;
+      EXPECT_EQ(got.score, fresh[i].score) << i;
+    }
+  }
+  EXPECT_EQ(templateFills() - before, 0u);
+}
+
+// The 2048-point template magnitudes, interpolated onto a 16384-point
+// query's band bins, against the exact 16384-point magnitudes: every angle
+// and both ears of the population-average table and of the table the
+// pipeline calibrates for seed 42.
+TEST(AoaTemplateMagnitudes, InterpolationTracksExactSpectrum) {
+  const head::HrtfDatabase averageDb(head::globalTemplateSubject());
+  const auto average = farTableFromDatabase(averageDb);
+  const auto subject = head::makePopulation(1, 42)[0];
+  const auto capture =
+      sim::MeasurementSession().run(subject, sim::defaultGesture());
+  const auto calibrated = CalibrationPipeline().run(capture).table.farTable();
+
+  constexpr std::size_t n = 16384;
+  for (const auto* table : {&average, &calibrated}) {
+    const auto [bLo, bHi] = aoaBand(n, table->sampleRate);
+    double worstRms = 0.0, worstMax = 0.0;
+    for (std::size_t deg = 0; deg < table->byDegree.size(); ++deg) {
+      for (const auto* ear :
+           {&table->byDegree[deg].left, &table->byDegree[deg].right}) {
+        const auto exact = exactBand(*ear, n, bLo, bHi);
+        const auto approx = templateBand(*ear, n, bLo, bHi);
+        double err2 = 0.0, ref2 = 0.0, errMax = 0.0;
+        for (std::size_t k = 0; k < exact.size(); ++k) {
+          const double e = approx[k] - exact[k];
+          err2 += e * e;
+          ref2 += exact[k] * exact[k];
+          errMax = std::max(errMax, std::fabs(e));
+        }
+        ASSERT_GT(ref2, 0.0) << deg;
+        const double bandRms = std::sqrt(ref2 / exact.size());
+        worstRms = std::max(worstRms, std::sqrt(err2 / ref2));
+        worstMax = std::max(worstMax, errMax / bandRms);
+      }
+    }
+    const char* name = table == &average ? "average" : "seed 42";
+    EXPECT_LE(worstRms, 2e-3) << name;
+    EXPECT_LE(worstMax, 0.05) << name;
+  }
 }
 
 }  // namespace

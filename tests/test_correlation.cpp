@@ -294,11 +294,16 @@ TEST(GccPhat, SpectraStepsReproduceTheOneCallForm) {
       ASSERT_EQ(fb[k], rb[k]) << "bin " << k;
     }
 
+    // PHAT weighting: the cross spectrum over its modulus, both spelled
+    // out (no std::complex operator* or std::abs).
     auto cross = ra;
     for (std::size_t k = 0; k < cross.size(); ++k) {
-      const Complex c = cross[k] * std::conj(rb[k]);
-      const double mag = std::abs(c);
-      cross[k] = mag > 1e-15 ? c / mag : Complex(0, 0);
+      const double ar = ra[k].real(), ai = ra[k].imag();
+      const double br = rb[k].real(), bi = rb[k].imag();
+      const double re = ar * br + ai * bi;
+      const double im = ai * br - ar * bi;
+      const double mag = std::sqrt(re * re + im * im);
+      cross[k] = mag > 1e-15 ? Complex(re / mag, im / mag) : Complex(0, 0);
     }
     const auto r = plan->irfft(cross);
     // Index k holds lag k - (nb - 1); lags outside [-(na - 1), nb - 1]

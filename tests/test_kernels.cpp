@@ -16,9 +16,10 @@
 //    sum into 8 partial accumulators. Budget: 1e-12 relative to the sum of
 //    absolute terms.
 //  - Transform packing (gatherBitReversed, interleaveScaled, rfftSplit,
-//    irfftMerge, magnitudes) and firFilter: the AVX2 tier repeats the
-//    scalar tier's multiplies, adds and square roots lane by lane, in a
-//    file that cannot emit FMA, so results are asserted BITWISE equal.
+//    irfftMerge, magnitudes), phatWeight and firFilter: the AVX2 tier
+//    repeats the scalar tier's multiplies, adds, divides and square roots
+//    lane by lane, in a file that cannot emit FMA, so results are asserted
+//    BITWISE equal.
 //  - The AVX2 DIT cascade runs two stages per pass over the data; each
 //    element meets the same butterflies in the same order as one stage per
 //    pass, so it is asserted BITWISE equal to a one-stage-per-pass
@@ -43,6 +44,7 @@
 #include <cmath>
 #include <complex>
 #include <cstdint>
+#include <cstring>
 #include <limits>
 #include <string>
 #include <vector>
@@ -498,6 +500,36 @@ TEST_F(KernelTiers, MagnitudesBitwiseAcrossTiers) {
       kn::magnitudes(x.data(), n, out.data());
       return out;
     });
+  }
+}
+
+TEST_F(KernelTiers, PhatWeightBitwiseAcrossTiers) {
+  if (!haveAvx2_) GTEST_SKIP() << "AVX2 tier unavailable";
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (std::size_t n = 0; n <= 37; ++n) {
+    auto a = testSpectrum(n, 20);
+    const auto b = testSpectrum(n, 21);
+    // Exact zeros, a cross term at the floor, one just above it and a NaN
+    // land in different vector lanes and in the scalar tail.
+    if (n > 1) a[1] = {0.0, -0.0};
+    if (n > 6) a[6] = b[6] * (1e-15 / std::norm(b[6]));
+    if (n > 9) a[9] = b[9] * (2e-15 / std::norm(b[9]));
+    if (n > 14) a[14] = {nan, 0.5};
+    const auto run = [&](kn::Isa isa) {
+      return under(isa, [&] {
+        auto x = a;
+        kn::phatWeight(x.data(), b.data(), n, 1e-15);
+        return x;
+      });
+    };
+    const auto s = run(kn::Isa::kScalar);
+    const auto v = run(kn::Isa::kAvx2);
+    // Bit patterns, so the sign of a zero counts too.
+    ASSERT_EQ(s.size(), v.size());
+    if (n > 0) {
+      EXPECT_EQ(std::memcmp(s.data(), v.data(), n * sizeof(dsp::Complex)), 0)
+          << "n = " << n;
+    }
   }
 }
 
