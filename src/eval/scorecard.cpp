@@ -1,11 +1,14 @@
 #include "eval/scorecard.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <iterator>
+#include <optional>
 #include <sstream>
 
 #include "core/near_far.h"
+#include "core/pipeline.h"
 #include "dsp/kernels/kernels.h"
 #include "eval/experiments.h"
 #include "eval/metrics.h"
@@ -59,10 +62,10 @@ constexpr const char* kWorkKeys[] = {
     "objective_evals",
     "fft_transforms",
     "fractional_shifts",
-    "rejected_stops",
     "widened",
     "fusion_iterations",
 };
+constexpr const char* kRejectedSetKey = "rejected_set";
 
 template <typename T>
 using Fields = std::vector<std::pair<std::string, T>>;
@@ -86,15 +89,51 @@ double farFieldCorrelation(const CalibratedVolunteer& run) {
   return 0.5 * (mean(series.uniqLeft) + mean(series.uniqRight));
 }
 
-ScorecardCell scoreCell(const Volunteer& volunteer,
+/// The head fusion finds on `capture` when it rejects exactly `rejected`:
+/// the pipeline's quality-gated measurements, the all-stop solve, then one
+/// re-solve without the rejected stops, warm-started from the first, as a
+/// solveRobust reject round runs it. nullopt when the capture leaves too
+/// few stops to solve.
+std::optional<head::HeadParameters> headUnderRejects(
+    const sim::CalibrationCapture& capture,
+    const std::vector<std::size_t>& rejected) {
+  const core::CalibrationPipeline pipeline;
+  const auto channels = pipeline.extractChannels(capture);
+  auto measurements =
+      core::CalibrationPipeline::toFusionMeasurements(capture, channels);
+  std::erase_if(measurements, [&](const core::FusionMeasurement& m) {
+    return channels[m.sourceIndex].quality.gated();
+  });
+  const core::SensorFusionOptions opts;
+  if (measurements.size() < opts.minMeasurements) return std::nullopt;
+  const core::SensorFusion fusion(opts);
+  const auto all = fusion.solve(measurements);
+  const auto removed =
+      std::erase_if(measurements, [&](const core::FusionMeasurement& m) {
+        return std::find(rejected.begin(), rejected.end(), m.sourceIndex) !=
+               rejected.end();
+      });
+  if (removed == 0) return all.headParams;
+  return fusion.solveIncremental(measurements, all.headParams).headParams;
+}
+
+void setHeadErr(double (&errMm)[3], const head::HeadParameters& head,
+                const head::HeadParameters& truth) {
+  errMm[0] = std::fabs(head.a - truth.a) * 1e3;
+  errMm[1] = std::fabs(head.b - truth.b) * 1e3;
+  errMm[2] = std::fabs(head.c - truth.c) * 1e3;
+}
+
+ScorecardCell scoreCell(const Volunteer& volunteer, std::string volunteerName,
                         sim::CalibrationCapture capture,
-                        std::string captureName, std::size_t index) {
+                        std::string captureName, std::size_t index,
+                        const RejectPins& pins) {
   static obs::Counter& evals = obs::registry().counter("dsf.objective.evals");
   static obs::Counter& transforms = obs::registry().counter("fft.transforms");
   static obs::Counter& shifts =
       obs::registry().counter("dsp.fractional_shift.calls");
   ScorecardCell cell;
-  cell.volunteer = volunteer.subject.name;
+  cell.volunteer = std::move(volunteerName);
   cell.capture = std::move(captureName);
 
   const core::CalibrationPipeline pipeline;
@@ -105,16 +144,20 @@ ScorecardCell scoreCell(const Volunteer& volunteer,
   cell.objectiveEvals = evals.value() - evalsBefore;
   cell.fftTransforms = transforms.value() - fftBefore;
   cell.fractionalShifts = shifts.value() - shiftsBefore;
-  cell.rejectedStops = hrtf.fusion.rejectedSourceIndices.size();
+  cell.rejectedSet = hrtf.fusion.rejectedSourceIndices;
   cell.widened = hrtf.fusion.widened ? 1 : 0;
   cell.fusionIterations = hrtf.fusion.iterations;
   cell.rejectMarginDeg = hrtf.fusion.rejectMarginDeg;
   cell.status = core::pipelineStatusName(hrtf.status);
 
   const auto& truth = volunteer.subject.headParams;
-  cell.headErrMm[0] = std::fabs(hrtf.headParams.a - truth.a) * 1e3;
-  cell.headErrMm[1] = std::fabs(hrtf.headParams.b - truth.b) * 1e3;
-  cell.headErrMm[2] = std::fabs(hrtf.headParams.c - truth.c) * 1e3;
+  setHeadErr(cell.unpinnedHeadErrMm, hrtf.headParams, truth);
+  setHeadErr(cell.headErrMm, hrtf.headParams, truth);
+  const auto pin = pins.find(cell.volunteer + "/" + cell.capture);
+  if (pin != pins.end() && pin->second != cell.rejectedSet) {
+    if (const auto pinned = headUnderRejects(capture, pin->second))
+      setHeadErr(cell.headErrMm, *pinned, truth);
+  }
 
   const CalibratedVolunteer run{volunteer, std::move(hrtf), std::move(capture)};
   cell.locMedianDeg = median(localizationAccuracy(run).absErrorDeg);
@@ -157,21 +200,38 @@ Fields<double> fidelityOf(const ScorecardCell& c) {
   };
 }
 
+Fields<double> unpinnedOf(const ScorecardCell& c) {
+  return {
+      {"unpinned_head_err_a_mm", c.unpinnedHeadErrMm[0]},
+      {"unpinned_head_err_b_mm", c.unpinnedHeadErrMm[1]},
+      {"unpinned_head_err_c_mm", c.unpinnedHeadErrMm[2]},
+  };
+}
+
 Fields<std::uint64_t> workOf(const ScorecardCell& c) {
   return {
       {"objective_evals", c.objectiveEvals},
       {"fft_transforms", c.fftTransforms},
       {"fractional_shifts", c.fractionalShifts},
-      {"rejected_stops", c.rejectedStops},
       {"widened", c.widened},
       {"fusion_iterations", c.fusionIterations},
   };
 }
 
-/// `{"k": v, ...}` for one cell section, then the `reported` fields.
+/// `[i, j, ...]`.
+std::string setJson(const std::vector<std::size_t>& set) {
+  std::string out = "[";
+  for (std::size_t k = 0; k < set.size(); ++k)
+    out += (k > 0 ? ", " : "") + std::to_string(set[k]);
+  return out + "]";
+}
+
+/// `{"k": v, ...}` for one cell section, then the `reported` fields, then
+/// `tail` (further `"key": value` text, verbatim).
 template <typename T>
 std::string objectJson(const Fields<T>& fields,
-                       const Fields<double>& reported = {}) {
+                       const Fields<double>& reported = {},
+                       const std::string& tail = "") {
   std::string out = "{";
   for (std::size_t k = 0; k < fields.size(); ++k) {
     if (k > 0) out += ", ";
@@ -179,6 +239,7 @@ std::string objectJson(const Fields<T>& fields,
   }
   for (const auto& [key, value] : reported)
     out += ", \"" + key + "\": " + number(value);
+  if (!tail.empty()) out += ", " + tail;
   return out + "}";
 }
 
@@ -201,9 +262,36 @@ std::string cellName(const obs::JsonValue& cell) {
   return (v ? v->str : "?") + "/" + (c ? c->str : "?");
 }
 
+/// The `work.rejected_set` of a parsed cell, or nullopt when it is missing
+/// or not an array of non-negative integers.
+std::optional<std::vector<std::size_t>> rejectedSetOf(
+    const obs::JsonValue& cell) {
+  const auto* work = member(cell, "work", Type::kObject);
+  const auto* set = work ? member(*work, kRejectedSetKey, Type::kArray)
+                         : nullptr;
+  if (!set) return std::nullopt;
+  std::vector<std::size_t> out;
+  for (const auto& item : set->items) {
+    if (item.type != Type::kNumber || !(item.number >= 0.0) ||
+        item.number != std::floor(item.number))
+      return std::nullopt;
+    out.push_back(static_cast<std::size_t>(item.number));
+  }
+  return out;
+}
+
 }  // namespace
 
-Scorecard runScorecard() {
+RejectPins rejectPinsOf(const obs::JsonValue& report) {
+  RejectPins pins;
+  const auto* cells = member(report, "cells", Type::kArray);
+  if (!cells) return pins;
+  for (const auto& cell : cells->items)
+    if (auto set = rejectedSetOf(cell)) pins[cellName(cell)] = std::move(*set);
+  return pins;
+}
+
+Scorecard runScorecard(const RejectPins& pins) {
   Scorecard card;
   card.isa = dsp::kernels::isaName(dsp::kernels::activeIsa());
   const auto population = makeStudyPopulation(ExperimentConfig{});
@@ -218,9 +306,11 @@ Scorecard runScorecard() {
     auto faulted = injector.apply(clean);
     const std::string faultName = sim::faultKindName(kind);
 
-    card.cells.push_back(scoreCell(volunteer, std::move(clean), "clean", i));
-    auto cell = scoreCell(volunteer, std::move(faulted), faultName, i);
-    card.cells.push_back(std::move(cell));
+    const auto& name = volunteer.subject.name;
+    card.cells.push_back(
+        scoreCell(volunteer, name, std::move(clean), "clean", i, pins));
+    card.cells.push_back(
+        scoreCell(volunteer, name, std::move(faulted), faultName, i, pins));
   }
   // The subject `uniq calibrate --seed 42` simulates, the repository's
   // reference calibration, so its work counts are pinned too.
@@ -229,9 +319,8 @@ Scorecard runScorecard() {
   reference.gesture = sim::defaultGesture();
   auto capture = session.run(reference.subject, reference.gesture);
   const std::size_t index = population.size();
-  auto cell = scoreCell(reference, std::move(capture), "clean", index);
-  cell.volunteer = "calibrate-seed-42";
-  card.cells.push_back(std::move(cell));
+  card.cells.push_back(scoreCell(reference, "calibrate-seed-42",
+                                 std::move(capture), "clean", index, pins));
   return card;
 }
 
@@ -246,9 +335,12 @@ std::string scorecardJson(const Scorecard& card) {
     os << "    {\"volunteer\": \"" << obs::jsonEscape(c.volunteer) << "\", ";
     os << "\"capture\": \"" << obs::jsonEscape(c.capture) << "\", ";
     os << "\"status\": \"" << obs::jsonEscape(c.status) << "\",\n";
-    os << "     \"fidelity\": " << objectJson(fidelityOf(c)) << ",\n";
+    os << "     \"fidelity\": " << objectJson(fidelityOf(c), unpinnedOf(c))
+       << ",\n";
     os << "     \"work\": "
-       << objectJson(workOf(c), {{"reject_margin_deg", c.rejectMarginDeg}})
+       << objectJson(workOf(c), {{"reject_margin_deg", c.rejectMarginDeg}},
+                     std::string("\"") + kRejectedSetKey +
+                         "\": " + setJson(c.rejectedSet))
        << "}";
   }
   os << "\n  ],\n  \"summary\": {";
@@ -273,6 +365,9 @@ std::string scorecardJson(const Scorecard& card) {
         if (k == key) sum += value;
     os << ",\n    \"total_" << key << "\": " << sum;
   }
+  std::size_t rejected = 0;
+  for (const auto& c : card.cells) rejected += c.rejectedSet.size();
+  os << ",\n    \"total_rejected_stops\": " << rejected;
   os << "\n  }\n}\n";
   return os.str();
 }
@@ -336,6 +431,15 @@ std::vector<std::string> compareScorecards(const obs::JsonValue& baseline,
         std::string line = name + ": " + key + " " + number(c->number);
         failures.push_back(line + " != baseline " + number(b->number));
       }
+    }
+    const auto baseSet = rejectedSetOf(base);
+    const auto curSet = rejectedSetOf(*cur);
+    if (!baseSet || !curSet) {
+      failures.push_back(name + ": work." + kRejectedSetKey + " missing");
+    } else if (*baseSet != *curSet) {
+      failures.push_back(name + ": " + kRejectedSetKey + " " +
+                         setJson(*curSet) + " != baseline " +
+                         setJson(*baseSet));
     }
   }
   return failures;

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -19,8 +20,12 @@ struct ScorecardCell {
   // Fidelity against ground truth: |a|, |b|, |c| head error; median fused
   // angle error (Fig. 17); mean HRIR correlation of the near- and
   // far-field tables (Fig. 18); median unknown-source white-noise AoA
-  // error (Fig. 22).
+  // error (Fig. 22). The gated head error is scored under the pinned
+  // reject set (see runScorecard); `unpinnedHeadErrMm` is the
+  // calibration's own, reported beside it and not gated. The two are
+  // equal whenever the calibration rejected exactly the pinned stops.
   double headErrMm[3] = {0.0, 0.0, 0.0};
+  double unpinnedHeadErrMm[3] = {0.0, 0.0, 0.0};
   double locMedianDeg = 0.0;
   double nearCorr = 0.0;
   double farCorr = 0.0;
@@ -28,15 +33,18 @@ struct ScorecardCell {
 
   // Work counts of the calibration alone (not the capture simulation or
   // the evaluation): `dsf.objective.evals`, `fft.transforms`,
-  // `dsp.fractional_shift.calls`, stops fusion dropped as outliers, 1 when
-  // fusion ran its widened re-solve, and the fusion report's iterations.
-  // They do not depend on the host or the thread count.
+  // `dsp.fractional_shift.calls`, 1 when fusion ran its widened re-solve,
+  // and the fusion report's iterations. They do not depend on the host or
+  // the thread count.
   std::uint64_t objectiveEvals = 0;
   std::uint64_t fftTransforms = 0;
   std::uint64_t fractionalShifts = 0;
-  std::uint64_t rejectedStops = 0;
   std::uint64_t widened = 0;
   std::uint64_t fusionIterations = 0;
+  /// Source indices of the stops fusion dropped as outliers, ascending.
+  /// Gated exactly as one work item, so a flipped reject decision fails
+  /// as one named change.
+  std::vector<std::size_t> rejectedSet;
   /// Fusion's reject margin (SensorFusionResult::rejectMarginDeg): written
   /// to the work block beside the counts, but not gated; it shows how near
   /// the cell is to flipping a reject decision.
@@ -61,7 +69,22 @@ struct Scorecard {
 /// Correlations are swept every 10 degrees. The caller picks the kernel
 /// tier; the scorecard binary pins the scalar tier so the work counts
 /// match on every host.
-Scorecard runScorecard();
+///
+/// Pinned reject decisions: one stop near fusion's outlier gate moves a
+/// cell's head error by millimetres when a tiny upstream change flips it
+/// in or out, while every grid mean moves far less. So when `pins` names
+/// a cell (the baseline's own rejected set) and its calibration rejected
+/// a different set, the cell's head error is scored on the head fusion
+/// finds when it rejects exactly the pinned stops: the all-stop solve,
+/// then one warm re-solve without them, as a reject round runs it. The
+/// flip itself shows in the gated `rejectedSet`.
+using RejectPins = std::map<std::string, std::vector<std::size_t>>;
+Scorecard runScorecard(const RejectPins& pins = {});
+
+/// Each cell's rejected set in a parsed scorecard report, keyed
+/// "volunteer/capture" as runScorecard's pins are. A cell without a
+/// readable set is left out (it is scored unpinned).
+RejectPins rejectPinsOf(const obs::JsonValue& report);
 
 /// The versioned report (schema "uniq-scorecard-v1"): one object per cell
 /// plus grid-wide summaries. A metric that is not finite is written as
@@ -71,9 +94,9 @@ std::string scorecardJson(const Scorecard& card);
 /// Gates `current` against `baseline` (both parsed scorecard reports).
 /// Fidelity uses the bench gate's ratio-plus-floor rule: a metric fails
 /// when it is worse than the baseline by more than its ratio AND by more
-/// than its absolute floor. Work counts must match exactly. Returns one
-/// line per failure; empty means the gate passes. A report that does not
-/// parse as a scorecard is a failure too.
+/// than its absolute floor. Work counts and the rejected set must match
+/// exactly. Returns one line per failure; empty means the gate passes. A
+/// report that does not parse as a scorecard is a failure too.
 std::vector<std::string> compareScorecards(const obs::JsonValue& baseline,
                                            const obs::JsonValue& current);
 

@@ -2,10 +2,12 @@
 // eval::runScorecard grid — the Fig. 19 five volunteers, each calibrated
 // from a clean and a moderately fault-injected capture — on the scalar
 // kernel tier, and gates it against the committed baseline: fidelity by
-// ratio plus floor, work counts (objective evaluations, FFT transforms,
-// fractional shifts, rejected stops, widened re-solves, fusion iterations)
-// exactly; each cell's reject margin is reported beside them, ungated. A
-// plain main() so the binary doubles as the tool that re-baselines:
+// ratio plus floor, with head errors scored under the baseline's rejected
+// stops; work counts (objective evaluations, FFT transforms, fractional
+// shifts, widened re-solves, fusion iterations) and the rejected set
+// exactly; each cell's reject margin and unpinned head errors are reported
+// beside them, ungated. A plain main() so the binary doubles as the tool
+// that re-baselines:
 //
 //   calibration_scorecard BASELINE.json
 //   calibration_scorecard BASELINE.json --write-baseline
@@ -35,9 +37,9 @@ int main(int argc, char** argv) {
   // Full-pipeline output is bitwise equal only within one kernel tier, and
   // the scalar tier exists on every host.
   dsp::kernels::setIsaOverride(dsp::kernels::Isa::kScalar);
-  const std::string report = eval::scorecardJson(eval::runScorecard());
-  std::cout << report;
   if (writeBaseline) {
+    const std::string report = eval::scorecardJson(eval::runScorecard());
+    std::cout << report;
     std::ofstream out(baselinePath);
     out << report;
     if (!out) {
@@ -57,6 +59,11 @@ int main(int argc, char** argv) {
     std::cerr << "cannot read " << baselinePath << ": " << error << "\n";
     return 2;
   }
+  // Head errors are scored under the baseline's reject decisions, so a
+  // flipped decision fails as `rejected_set` alone.
+  const std::string report =
+      eval::scorecardJson(eval::runScorecard(eval::rejectPinsOf(*baseline)));
+  std::cout << report;
   const auto current = obs::parseJson(report, &error);
   if (!current) {
     std::cerr << "the report does not parse: " << error << "\n";

@@ -90,6 +90,7 @@ Scorecard oneCellCard() {
   cell.headErrMm[0] = 1.0;
   cell.nearCorr = 0.9;
   cell.objectiveEvals = 40;
+  cell.rejectedSet = {19, 20};
   card.cells.push_back(cell);
   return card;
 }
@@ -115,6 +116,24 @@ TEST(Scorecard, GatesFidelityByRatioAndFloorAndWorkExactly) {
   current.cells[0].headErrMm[0] = 1.0;
   current.cells[0].objectiveEvals = 39;  // fewer is a mismatch too
   EXPECT_EQ(gate(baseline, current).size(), 1u);
+}
+
+TEST(Scorecard, RejectFlipFailsAsOneNamedChange) {
+  const auto baseline = oneCellCard();
+  auto current = baseline;
+  // Stop 19 slips back under the outlier gate. The head error is scored
+  // under the baseline's pinned set, so only the set itself differs.
+  current.cells[0].rejectedSet = {20};
+  current.cells[0].unpinnedHeadErrMm[2] = 4.5;
+  const auto failures = gate(baseline, current);
+  ASSERT_EQ(failures.size(), 1u);
+  EXPECT_EQ(failures[0], "v1/clean: rejected_set [20] != baseline [19, 20]");
+
+  const auto parsed = obs::parseJson(scorecardJson(baseline));
+  ASSERT_TRUE(parsed);
+  const auto pins = rejectPinsOf(*parsed);
+  ASSERT_EQ(pins.size(), 1u);
+  EXPECT_EQ(pins.at("v1/clean"), (std::vector<std::size_t>{19, 20}));
 }
 
 TEST(Scorecard, NonFiniteMetricIsWrittenAsNullAndFailsTheGate) {
