@@ -31,6 +31,16 @@ static_assert(kScanStepDeg > 0.0 &&
 /// path-length discrepancy is below this (meters); otherwise report
 /// failure.
 constexpr double kApproximateResidualM = 0.02;
+/// Finite-difference steps of angleGradient: a head axis and the fix's
+/// radius move by 1e-7 m, and its angle by 1e-5 degrees, which moves the
+/// phone ~6e-8 m at its typical 0.35 m.
+constexpr double kHeadAxisStepM = 1e-7;
+constexpr double kRadiusStepM = 1e-7;
+constexpr double kAngleStepDeg = 1e-5;
+/// angleGradient's singularity test: J is near singular when the gradients
+/// of L and R in the plane are closer to parallel than this sine (1e-3,
+/// about 0.06 degrees).
+constexpr double kMinCrossingSine = 1e-3;
 
 double pathLength(const geo::HeadBoundary& head, geo::Vec2 p, geo::Ear ear) {
   return geo::nearFieldPath(head, p, ear).length;
@@ -53,6 +63,13 @@ geo::Vec2 scanDirection(int k) {
 }
 
 }  // namespace
+
+PerturbedHeads perturbedHeads(const geo::HeadBoundary& head) {
+  const double a = head.a(), b = head.b(), c = head.c(), h = kHeadAxisStepM;
+  const std::size_t n = head.size();
+  return {geo::HeadBoundary(a + h, b, c, n), geo::HeadBoundary(a, b + h, c, n),
+          geo::HeadBoundary(a, b, c + h, n)};
+}
 
 Localizer::Localizer(const geo::HeadBoundary& head) : head_(head) {
   UNIQ_REQUIRE(kLocalizerMinRadiusM > head.a() &&
@@ -218,6 +235,11 @@ std::optional<PolarFix> Localizer::locate(double delayLeftSec,
 
   // No exact intersection (slight model mismatch): fall back to the angle
   // of closest approach between the two iso-delay curves.
+  static obs::Counter& scans =
+      obs::registry().counter("localizer.fallback.scans");
+  static obs::Counter& unlocalized =
+      obs::registry().counter("localizer.fallback.unlocalized");
+  scans.inc();
   const double lo = -kAngleMarginDeg;
   const double hi = 180.0 + kAngleMarginDeg;
   double bestAngle = 0.0;
@@ -233,11 +255,55 @@ std::optional<PolarFix> Localizer::locate(double delayLeftSec,
       bestAngle = ang;
     }
   }
-  if (bestAbs > kApproximateResidualM) return std::nullopt;
-  const auto r =
-      radiusForLeftPath(geo::directionFromAzimuthDeg(bestAngle), dL, warm);
-  if (!r) return std::nullopt;
-  return PolarFix{bestAngle, *r};
+  const auto r = bestAbs > kApproximateResidualM
+                     ? std::nullopt
+                     : radiusForLeftPath(
+                           geo::directionFromAzimuthDeg(bestAngle), dL, warm);
+  if (!r) {
+    unlocalized.inc();
+    return std::nullopt;
+  }
+  return PolarFix{bestAngle, *r, /*approximate=*/true};
+}
+
+std::optional<std::array<double, 3>> Localizer::angleGradient(
+    const PolarFix& fix, const PerturbedHeads& perturbed) const {
+  if (fix.approximate) return std::nullopt;
+  const geo::Vec2 p = geo::pointFromPolarDeg(fix.angleDeg, fix.radiusM);
+  const auto lengths = [&](const geo::HeadBoundary& head, geo::Vec2 at) {
+    return std::array<double, 2>{pathLength(head, at, geo::Ear::kLeft),
+                                 pathLength(head, at, geo::Ear::kRight)};
+  };
+  const auto base = lengths(head_, p);
+  const auto atAngle = lengths(
+      head_, geo::pointFromPolarDeg(fix.angleDeg + kAngleStepDeg, fix.radiusM));
+  const auto atRadius = lengths(
+      head_, geo::pointFromPolarDeg(fix.angleDeg, fix.radiusM + kRadiusStepM));
+  // J = d(L, R)/d(theta, r), theta in degrees; row k is ear k.
+  double dTheta[2], dR[2];
+  for (int k = 0; k < 2; ++k) {
+    dTheta[k] = (atAngle[k] - base[k]) / kAngleStepDeg;
+    dR[k] = (atRadius[k] - base[k]) / kRadiusStepM;
+  }
+  const double det = dTheta[0] * dR[1] - dR[0] * dTheta[1];
+  // The same determinant with theta as arc length (m), where each row is a
+  // path-length gradient in the plane of norm ~1: |det| over the norms is
+  // the sine of the angle at which the two iso-delay curves cross.
+  const double arcPerDeg = fix.radiusM * kPi / 180.0;
+  const double normL = std::hypot(dTheta[0] / arcPerDeg, dR[0]);
+  const double normR = std::hypot(dTheta[1] / arcPerDeg, dR[1]);
+  if (!(std::fabs(det / arcPerDeg) > kMinCrossingSine * normL * normR))
+    return std::nullopt;
+  // d theta / dE_j = -(J^-1 d(L, R)/dE_j)_theta
+  //                = -(dR_R * dL/dE_j - dR_L * dR/dE_j) / det.
+  std::array<double, 3> gradient{};
+  for (std::size_t j = 0; j < 3; ++j) {
+    const auto moved = lengths(perturbed[j], p);
+    const double dLdE = (moved[0] - base[0]) / kHeadAxisStepM;
+    const double dRdE = (moved[1] - base[1]) / kHeadAxisStepM;
+    gradient[j] = -(dR[1] * dLdE - dR[0] * dRdE) / det;
+  }
+  return gradient;
 }
 
 }  // namespace uniq::core

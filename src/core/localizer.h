@@ -1,5 +1,6 @@
 #pragma once
 
+#include <array>
 #include <optional>
 #include <vector>
 
@@ -12,11 +13,21 @@ namespace uniq::core {
 struct PolarFix {
   double angleDeg = 0.0;
   double radiusM = 0.0;
+  /// True when `locate` placed the phone at the closest approach of two
+  /// iso-delay curves that do not meet: a grid argmin, not a root.
+  bool approximate = false;
 };
 
 /// Smallest radius (m) the localizer searches for the phone; the head must
 /// fit inside it.
 inline constexpr double kLocalizerMinRadiusM = 0.13;
+
+/// The three heads Localizer::angleGradient differentiates against:
+/// `head`'s outline (no shape harmonics) at the same resolution, with the
+/// a, b or c axis longer by 1e-7 m. Built once per head and shared by
+/// every stop.
+using PerturbedHeads = std::array<geo::HeadBoundary, 3>;
+PerturbedHeads perturbedHeads(const geo::HeadBoundary& head);
 
 /// Localizes the phone from the two first-tap (diffraction path) delays,
 /// given a candidate head geometry — the intersection of two iso-delay
@@ -35,10 +46,26 @@ class Localizer {
 
   /// The intersection closest to the IMU angle estimate (the one locateAll
   /// would rank first, found by scanning outward from the IMU angle), the
-  /// closest-approach point when no intersection exists but the curves
-  /// nearly meet, or nullopt (inconsistent delays for this head candidate).
+  /// closest-approach point (`approximate`) when no intersection exists but
+  /// the curves nearly meet, or nullopt (inconsistent delays for this head
+  /// candidate). Each closest-approach scan counts in
+  /// `localizer.fallback.scans`, and one that places nothing also in
+  /// `localizer.fallback.unlocalized`.
   std::optional<PolarFix> locate(double delayLeftSec, double delayRightSec,
                                  double imuAngleDeg) const;
+
+  /// The sensitivity d(angleDeg)/d(a, b, c) (degrees per metre) of an
+  /// exact fix of this localizer's head, by the implicit-function theorem
+  /// rather than a re-solve. The fix (theta, r) solves L(theta, r; E) =
+  /// c tau_L and R(theta, r; E) = c tau_R, so d(theta, r)/dE =
+  /// -J^-1 d(L, R)/dE with J = d(L, R)/d(theta, r). Both factors are
+  /// forward differences of geo::nearFieldPath at the fix: J on this head,
+  /// d(L, R)/dE against `perturbed` (perturbedHeads of this head). nullopt
+  /// for an approximate fix, whose angle does not follow E smoothly, and
+  /// where J is near singular (the two iso-delay curves cross at under
+  /// ~0.06 degrees, so the fix slides along them on any change).
+  std::optional<std::array<double, 3>> angleGradient(
+      const PolarFix& fix, const PerturbedHeads& perturbed) const;
 
  private:
   /// Radius at which the left-ear path length equals `targetLen` along the

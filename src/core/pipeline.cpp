@@ -278,6 +278,9 @@ PersonalHrtf CalibrationPipeline::runFromChannels(
     auto fusionResult = fusion.solveRobust(measurements);
     if (auto* stage = fusionTimer.stage()) {
       stage->set("iterations", static_cast<double>(fusionResult.iterations));
+      stage->set("evals", static_cast<double>(fusionResult.evaluations));
+      stage->set("jacobians",
+                 static_cast<double>(fusionResult.jacobianBuilds));
       stage->set("restarts", static_cast<double>(fusionResult.restartsUsed));
       stage->set("converged", fusionResult.converged ? 1.0 : 0.0);
       stage->set("localized",

@@ -115,8 +115,10 @@ class CalibrationPipeline {
   ///   - "extract"   — wallMs; `stops` (capture stops processed),
   ///                   `tapsDetected` (stops with a first tap in both ears)
   ///   - "fusion"    — wallMs; `iterations` (Levenberg-Marquardt
-  ///                   Jacobian builds of the final solve, over its
-  ///                   restarts), `restarts`, `converged` (0/1),
+  ///                   iterations of the final solve, over its
+  ///                   restarts), `evals` and `jacobians` (objective
+  ///                   evaluations and Jacobian builds of every solve
+  ///                   the stage ran), `restarts`, `converged` (0/1),
   ///                   `localized` (stops the localizer placed),
   ///                   `objectiveDeg2` (final Eq. 2 objective incl. prior),
   ///                   `residualRmsDeg` (RMS IMU-vs-acoustic disagreement),

@@ -8,7 +8,6 @@
 
 #include "common/error.h"
 #include "common/math_util.h"
-#include "common/thread_pool.h"
 #include "dsp/kernels/kernels.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -21,9 +20,11 @@ namespace {
 /// Levenberg-Marquardt iterations per start before it gives up.
 constexpr std::size_t kMaxIterations = 120;
 
-/// Map unconstrained optimizer coordinates into the plausible head-parameter
-/// box via a smooth logistic squashing, so the solver never proposes an
-/// invalid geometry.
+using Box = head::HeadParameters;
+constexpr double kLo[3] = {Box::kMinA, Box::kMinB, Box::kMinC};
+constexpr double kHi[3] = {Box::kMaxA, Box::kMaxB, Box::kMaxC};
+
+/// Logistic squashing of one unconstrained coordinate into [lo, hi].
 double squash(double x, double lo, double hi) {
   return lo + (hi - lo) / (1.0 + std::exp(-x));
 }
@@ -33,19 +34,10 @@ double unsquash(double v, double lo, double hi) {
   return std::log(u / (1.0 - u));
 }
 
-head::HeadParameters decode(const std::vector<double>& x) {
-  head::HeadParameters e;
-  e.a = squash(x[0], head::HeadParameters::kMinA, head::HeadParameters::kMaxA);
-  e.b = squash(x[1], head::HeadParameters::kMinB, head::HeadParameters::kMaxB);
-  e.c = squash(x[2], head::HeadParameters::kMinC, head::HeadParameters::kMaxC);
-  return e;
-}
-
-std::vector<double> encode(const head::HeadParameters& e) {
-  return {
-      unsquash(e.a, head::HeadParameters::kMinA, head::HeadParameters::kMaxA),
-      unsquash(e.b, head::HeadParameters::kMinB, head::HeadParameters::kMaxB),
-      unsquash(e.c, head::HeadParameters::kMinC, head::HeadParameters::kMaxC)};
+/// dE/dx of the squash at the axis value it produced:
+/// (hi - lo) s (1 - s) with s = (E - lo) / (hi - lo).
+double squashSlope(double v, double lo, double hi) {
+  return (v - lo) * (hi - v) / (hi - lo);
 }
 
 double medianOf(std::vector<double> v) {
@@ -56,6 +48,16 @@ double medianOf(std::vector<double> v) {
 }
 
 }  // namespace
+
+head::HeadParameters headFromSquashed(const std::vector<double>& x) {
+  return {squash(x[0], kLo[0], kHi[0]), squash(x[1], kLo[1], kHi[1]),
+          squash(x[2], kLo[2], kHi[2])};
+}
+
+std::vector<double> squashedFromHead(const head::HeadParameters& head) {
+  return {unsquash(head.a, kLo[0], kHi[0]), unsquash(head.b, kLo[1], kHi[1]),
+          unsquash(head.c, kLo[2], kHi[2])};
+}
 
 SensorFusion::SensorFusion(Options opts) : opts_(opts) {}
 
@@ -82,35 +84,83 @@ std::shared_ptr<const SensorFusion::CachedGeometry> SensorFusion::geometryFor(
   return built;
 }
 
+std::optional<PolarFix> SensorFusion::CachedGeometry::locate(
+    const FusionMeasurement& m) const {
+  const auto same = [&m](const auto& entry) {
+    const FusionMeasurement& k = entry.first;
+    return k.delayLeftSec == m.delayLeftSec &&
+           k.delayRightSec == m.delayRightSec &&
+           k.imuAngleDeg == m.imuAngleDeg;
+  };
+  {
+    std::lock_guard<std::mutex> lock(fixesMutex_);
+    const auto it = std::find_if(fixes_.begin(), fixes_.end(), same);
+    if (it != fixes_.end()) return it->second;
+  }
+  const auto fix =
+      localizer.locate(m.delayLeftSec, m.delayRightSec, m.imuAngleDeg);
+  std::lock_guard<std::mutex> lock(fixesMutex_);
+  if (std::find_if(fixes_.begin(), fixes_.end(), same) == fixes_.end())
+    fixes_.emplace_back(m, fix);
+  return fix;
+}
+
+const PerturbedHeads& SensorFusion::CachedGeometry::perturbed() const {
+  std::call_once(perturbedOnce_,
+                 [this] { perturbed_.emplace(perturbedHeads(boundary)); });
+  return *perturbed_;
+}
+
 std::vector<double> SensorFusion::residuals(
     const head::HeadParameters& candidate,
-    const std::vector<FusionMeasurement>& measurements) const {
+    const std::vector<FusionMeasurement>& measurements,
+    optim::Matrix* jacobian) const {
   UNIQ_SPAN("dsf.objective");
   static obs::Counter& evals =
       obs::registry().counter("dsf.objective.evals");
+  static obs::Counter& builds =
+      obs::registry().counter("dsf.jacobian.builds");
+  static obs::Counter& singularRows =
+      obs::registry().counter("dsf.jacobian.singular_rows");
   evals.inc();
   const auto geometry = geometryFor(candidate);
   const Localizer& localizer = geometry->localizer;
-  // Localize every measurement independently across the pool; each writes
-  // only its own entry, so the vector is bitwise identical for any thread
-  // count.
-  const auto count = static_cast<double>(measurements.size());
-  const double scale = 1.0 / std::sqrt(count);
+  const std::size_t n = measurements.size();
+  const double scale = 1.0 / std::sqrt(static_cast<double>(n));
   const double unlocalized = std::sqrt(kUnlocalizedPenaltyDeg2) * scale;
-  std::vector<double> r(measurements.size() + 3);
-  common::parallelFor(
-      0, measurements.size(),
-      [&](std::size_t i) {
-        const auto& m = measurements[i];
-        const auto fix =
-            localizer.locate(m.delayLeftSec, m.delayRightSec, m.imuAngleDeg);
-        r[i] = fix ? (m.imuAngleDeg - fix->angleDeg) * scale : unlocalized;
-      });
+  const double axes[3] = {candidate.a, candidate.b, candidate.c};
+  double slope[3];
+  for (std::size_t j = 0; j < 3; ++j)
+    slope[j] = squashSlope(axes[j], kLo[j], kHi[j]);
+  std::vector<double> r(n + 3);
+  if (jacobian) {
+    builds.inc();
+    *jacobian = optim::Matrix(n + 3, 3);
+  }
+  // One serial pass: an evaluation is ~0.1-0.3 ms, and fanning its stops
+  // out over the pool made a lone calibration no faster and streaming
+  // sessions slower.
+  for (std::size_t i = 0; i < n; ++i) {
+    const auto& m = measurements[i];
+    const auto fix = geometry->locate(m);
+    r[i] = fix ? (m.imuAngleDeg - fix->angleDeg) * scale : unlocalized;
+    if (!jacobian || !fix || fix->approximate) continue;
+    const auto gradient =
+        localizer.angleGradient(*fix, geometry->perturbed());
+    if (!gradient) {
+      singularRows.inc();
+      continue;
+    }
+    for (std::size_t j = 0; j < 3; ++j)
+      jacobian->at(i, j) = -(*gradient)[j] * slope[j] * scale;
+  }
   const auto avg = head::HeadParameters::average();
+  const double avgAxes[3] = {avg.a, avg.b, avg.c};
   const double prior = std::sqrt(opts_.priorWeight);
-  r[measurements.size()] = prior * (candidate.a - avg.a);
-  r[measurements.size() + 1] = prior * (candidate.b - avg.b);
-  r[measurements.size() + 2] = prior * (candidate.c - avg.c);
+  for (std::size_t j = 0; j < 3; ++j) {
+    r[n + j] = prior * (axes[j] - avgAxes[j]);
+    if (jacobian) jacobian->at(n + j, j) = prior * slope[j];
+  }
   return r;
 }
 
@@ -146,8 +196,13 @@ SensorFusionResult SensorFusion::solveIncremental(
 SensorFusionResult SensorFusion::solveWith(
     const std::vector<FusionMeasurement>& measurements,
     std::size_t restarts, const head::HeadParameters* seedStart) const {
-  const auto residualsAt = [&](const std::vector<double>& x) {
-    return residuals(decode(x), measurements);
+  std::size_t evaluations = 0;
+  const auto linearize = [&](const std::vector<double>& x) {
+    ++evaluations;
+    optim::Linearization lin;
+    lin.residuals =
+        residuals(headFromSquashed(x), measurements, &lin.jacobian);
+    return lin;
   };
 
   // Which kernel tier this solve ran on, and how many FFT transforms each
@@ -175,8 +230,8 @@ SensorFusionResult SensorFusion::solveWith(
   optim::MinimizeResult best;
   for (std::size_t r = 0; r < restarts; ++r) {
     UNIQ_SPAN("dsf.restart");
-    auto start = encode(r == 0 && seedStart ? *seedStart
-                                            : head::HeadParameters::average());
+    auto start = squashedFromHead(
+        r == 0 && seedStart ? *seedStart : head::HeadParameters::average());
     // Restart 0 is the canonical average start (or the caller's warm seed);
     // later restarts probe the corners of a small cube around the average
     // (deterministic, no RNG, so the solve stays reproducible).
@@ -184,30 +239,29 @@ SensorFusionResult SensorFusion::solveWith(
       for (std::size_t j = 0; j < start.size(); ++j)
         start[j] += 0.45 * (((r >> j) & 1) ? 1.0 : -1.0);
     }
-    auto min = optim::levenbergMarquardt(residualsAt, start,
-                                         kMaxIterations);
+    auto min = optim::levenbergMarquardt(linearize, start, kMaxIterations);
     iterHist.observe(static_cast<double>(min.iterations));
     result.iterations += min.iterations;
     if (r == 0 || min.fValue < best.fValue) best = std::move(min);
   }
   result.restartsUsed = restarts;
-  result.headParams = decode(best.x);
+  result.evaluations = evaluations;
+  result.jacobianBuilds = evaluations;
+  result.headParams = headFromSquashed(best.x);
   result.converged = best.converged;
   result.finalObjectiveDeg2 = best.fValue;
 
   // Final pass with the optimal parameters: fuse angles per Eq. 3. The
-  // winning point was evaluated a few evaluations ago, so this is usually
-  // a geometry-cache hit.
+  // winning point was evaluated a few evaluations ago, so its geometry and
+  // fixes are usually cached.
   UNIQ_SPAN("dsf.fuse");
   const auto geometry = geometryFor(result.headParams);
-  const Localizer& localizer = geometry->localizer;
   double residual = 0.0;
   for (const auto& m : measurements) {
     FusedStop stop;
     stop.sourceIndex = m.sourceIndex;
     stop.imuAngleDeg = m.imuAngleDeg;
-    const auto fix =
-        localizer.locate(m.delayLeftSec, m.delayRightSec, m.imuAngleDeg);
+    const auto fix = geometry->locate(m);
     if (fix) {
       stop.localized = true;
       stop.acousticAngleDeg = fix->angleDeg;
@@ -252,6 +306,7 @@ SensorFusionResult SensorFusion::solveRobust(
 
   std::vector<FusionMeasurement> kept = measurements;
   result = solveWith(kept, kFusionRestarts);
+  std::size_t evaluations = result.evaluations;
   std::vector<std::size_t> rejected;
   double margin = std::numeric_limits<double>::quiet_NaN();
 
@@ -304,6 +359,7 @@ SensorFusionResult SensorFusion::solveRobust(
     // re-solve from the previous answer.
     const auto previous = result.headParams;
     result = solveWith(kept, kFusionRestarts, &previous);
+    evaluations += result.evaluations;
     result.rejectRounds = round + 1;
   }
 
@@ -313,6 +369,7 @@ SensorFusionResult SensorFusion::solveRobust(
   if (!result.converged) {
     const std::size_t rounds = result.rejectRounds;
     auto widenedResult = solveWith(kept, kWidenedRestarts);
+    evaluations += widenedResult.evaluations;
     if (widenedResult.converged ||
         widenedResult.finalObjectiveDeg2 < result.finalObjectiveDeg2) {
       result = std::move(widenedResult);
@@ -321,6 +378,8 @@ SensorFusionResult SensorFusion::solveRobust(
     result.widened = true;
   }
 
+  result.evaluations = evaluations;
+  result.jacobianBuilds = evaluations;
   result.rejectMarginDeg = margin;
   marginGauge.set(margin);
   std::sort(rejected.begin(), rejected.end());

@@ -9,6 +9,7 @@
 
 #include "core/localizer.h"
 #include "head/head_parameters.h"
+#include "optim/linalg.h"
 
 namespace uniq::core {
 
@@ -42,11 +43,16 @@ struct SensorFusionResult {
   /// actually minimized).
   double finalObjectiveDeg2 = 0.0;
   std::size_t localizedCount = 0;
-  /// Levenberg-Marquardt iterations (Jacobian builds) of the solve that
-  /// produced this result, summed over its restarts. A solveRobust reject
-  /// round replaces the result, so this is the last re-solve's count;
-  /// `dsf.objective.evals` counts every evaluation.
+  /// Levenberg-Marquardt iterations of the solve that produced this
+  /// result, summed over its restarts. A solveRobust reject round replaces
+  /// the result, so this is the last re-solve's count.
   std::size_t iterations = 0;
+  /// Objective evaluations and Jacobian builds of every solve behind this
+  /// result, reject rounds and widened re-solves included. Each evaluation
+  /// returns its Jacobian, so the two are equal; the counters
+  /// `dsf.objective.evals` and `dsf.jacobian.builds` sum them over solves.
+  std::size_t evaluations = 0;
+  std::size_t jacobianBuilds = 0;
   /// Number of optimizer restarts run (kFusionRestarts, or kWidenedRestarts
   /// when the widened re-solve won).
   std::size_t restartsUsed = 0;
@@ -104,6 +110,12 @@ struct SensorFusionOptions {
   std::size_t minMeasurements = 6;
 };
 
+/// The solver's unconstrained coordinates x of a head: each axis E_j =
+/// lo_j + (hi_j - lo_j) / (1 + exp(-x_j)) over the plausible box
+/// HeadParameters::kMin*/kMax*, so no step proposes an invalid geometry.
+head::HeadParameters headFromSquashed(const std::vector<double>& x);
+std::vector<double> squashedFromHead(const head::HeadParameters& head);
+
 /// Diffraction-aware sensor fusion (paper Section 4.1): jointly estimates
 /// the head parameters E = (a, b, c) and the phone locations by minimizing
 /// the disagreement between gyro-integrated phone angles alpha_i and
@@ -153,9 +165,19 @@ class SensorFusion {
   /// for a stop the localizer cannot place; then three prior entries,
   /// sqrt(priorWeight) * (E - E_avg) per axis. Each call is one objective
   /// evaluation (`dsf.objective.evals`).
+  ///
+  /// When `jacobian` is non-null it receives the exact d residual / dx in
+  /// the solver's squashed coordinates (headFromSquashed), one row per
+  /// entry, from the same fixes (`dsf.jacobian.builds`): a localized stop's
+  /// row is -Localizer::angleGradient / sqrt(N), chained through the
+  /// squash; the prior rows are analytic. An unlocalized stop's residual is
+  /// constant and a closest-approach fix is a grid argmin, so their rows
+  /// are zero; so is the row of a fix whose gradient is near singular,
+  /// counted in `dsf.jacobian.singular_rows`.
   std::vector<double> residuals(
       const head::HeadParameters& candidate,
-      const std::vector<FusionMeasurement>& measurements) const;
+      const std::vector<FusionMeasurement>& measurements,
+      optim::Matrix* jacobian = nullptr) const;
 
  private:
   /// Shared solve core: optimize E over `measurements` with `restarts`
@@ -168,11 +190,12 @@ class SensorFusion {
       std::size_t restarts,
       const head::HeadParameters* seedStart = nullptr) const;
 
-  /// A candidate head geometry with its localizer, built once per distinct
-  /// (a, b, c) and reused. The final fuse pass re-evaluates the winning
-  /// point, and a warm-started re-solve begins at the previous answer, so
-  /// keying on the exact parameter bits turns those rebuilds into cache
-  /// hits. Immutable after construction; safe to share across threads.
+  /// A candidate head geometry with its localizer, the fixes it has found
+  /// and the perturbed heads their gradients read, built once per distinct
+  /// (a, b, c) and reused. The final fuse pass revisits the winning point,
+  /// and a warm-started re-solve begins at the previous answer, so keying
+  /// on the exact parameter bits turns those rebuilds and their
+  /// localizations into cache hits. Safe to share across threads.
   struct CachedGeometry {
     geo::HeadBoundary boundary;
     Localizer localizer;
@@ -181,6 +204,21 @@ class SensorFusion {
           localizer(boundary) {}
     CachedGeometry(const CachedGeometry&) = delete;
     CachedGeometry& operator=(const CachedGeometry&) = delete;
+
+    /// localizer.locate for `m`, remembered per (delays, IMU angle) bits:
+    /// the same inputs give the same fix, so a revisit costs a lookup.
+    std::optional<PolarFix> locate(const FusionMeasurement& m) const;
+
+    /// perturbedHeads(boundary), built on first use: only an evaluation
+    /// that builds a Jacobian reads them.
+    const PerturbedHeads& perturbed() const;
+
+   private:
+    mutable std::mutex fixesMutex_;
+    mutable std::vector<std::pair<FusionMeasurement, std::optional<PolarFix>>>
+        fixes_;
+    mutable std::once_flag perturbedOnce_;
+    mutable std::optional<PerturbedHeads> perturbed_;
   };
 
   /// Geometry for `candidate` from the small LRU cache (built on miss).

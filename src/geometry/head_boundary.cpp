@@ -12,21 +12,20 @@ namespace uniq::geo {
 
 namespace {
 
-/// Boundary point for parameter t in [0, 2*pi): front half-ellipse (a, b)
-/// for t in (0, pi), back half-ellipse (a, c) for t in (pi, 2*pi).
-Vec2 boundaryPoint(double a, double b, double c, double t) {
-  const double s = std::sin(t);
+/// Boundary point at parameter t in [0, 2*pi), given s = sin t and
+/// co = cos t: front half-ellipse (a, b) for t in (0, pi), back
+/// half-ellipse (a, c) for t in (pi, 2*pi).
+Vec2 boundaryPoint(double a, double b, double c, double s, double co) {
   const double semiY = s >= 0.0 ? b : c;
-  return {a * std::cos(t), semiY * s};
+  return {a * co, semiY * s};
 }
 
-/// Outward unit normal at parameter t. For an axis-aligned ellipse
+/// Outward unit normal at the same parameter. For an axis-aligned ellipse
 /// (a, e) the (unnormalized) outward normal at (a cos t, e sin t) is
 /// (e cos t, a sin t).
-Vec2 boundaryNormal(double a, double b, double c, double t) {
-  const double s = std::sin(t);
+Vec2 boundaryNormal(double a, double b, double c, double s, double co) {
   const double semiY = s >= 0.0 ? b : c;
-  Vec2 n{semiY * std::cos(t), a * s};
+  Vec2 n{semiY * co, a * s};
   return n.normalized();
 }
 
@@ -51,27 +50,28 @@ HeadBoundary::HeadBoundary(double a, double b, double c,
   points_.resize(resolution);
   normals_.resize(resolution);
   cumArc_.resize(resolution + 1);
+  // sin t and cos t of each sample, shared by its point and its normal.
+  std::vector<double> sines(resolution), cosines(resolution);
   for (std::size_t i = 0; i < resolution; ++i) {
     const double t = kTwoPi * static_cast<double>(i) /
                      static_cast<double>(resolution);
-    Vec2 p = boundaryPoint(a, b, c, t);
+    sines[i] = std::sin(t);
+    cosines[i] = std::cos(t);
+    Vec2 p = boundaryPoint(a, b, c, sines[i], cosines[i]);
     if (!harmonics.empty()) {
       double scale = 1.0;
       for (const auto& h : harmonics)
         scale += h.amplitude * std::cos(h.order * t + h.phaseRad);
       // Fade the perturbation out near the ears (t = 0, pi) so the ear
       // junction points stay exactly at (+/-a, 0).
-      const double window = square(std::sin(t));
+      const double window = square(sines[i]);
       p = p * (1.0 + (scale - 1.0) * window);
     }
     points_[i] = p;
   }
   if (harmonics.empty()) {
-    for (std::size_t i = 0; i < resolution; ++i) {
-      const double t = kTwoPi * static_cast<double>(i) /
-                       static_cast<double>(resolution);
-      normals_[i] = boundaryNormal(a, b, c, t);
-    }
+    for (std::size_t i = 0; i < resolution; ++i)
+      normals_[i] = boundaryNormal(a, b, c, sines[i], cosines[i]);
   } else {
     // Numeric outward normals from central-difference tangents (boundary is
     // counter-clockwise, so outward = rotate tangent by -90 degrees).

@@ -17,11 +17,12 @@ namespace {
 constexpr double kInitialDamping = 1e-3;
 constexpr double kMinDamping = 1e-6;
 constexpr double kMaxDamping = 1e8;
-// Forward-difference step, largest change of one coordinate per step, and
-// the relative cost decrease below which the search stops (see the header).
-constexpr double kJacobianStep = 0.01;
+// Largest change of one coordinate per step, the relative cost decrease
+// below which the search stops, and the smallest step it evaluates (see
+// the header).
 constexpr double kMaxStep = 0.5;
 constexpr double kRelativeTolerance = 1e-6;
+constexpr double kStepTolerance = 1e-4;
 
 double sumOfSquares(const std::vector<double>& r) {
   double s = 0.0;
@@ -29,34 +30,33 @@ double sumOfSquares(const std::vector<double>& r) {
   return s;
 }
 
+void checkShape(const Linearization& lin, std::size_t m, std::size_t n) {
+  UNIQ_CHECK(lin.residuals.size() == m, "residual vector changed size");
+  UNIQ_CHECK(lin.jacobian.rows() == m && lin.jacobian.cols() == n,
+             "Jacobian is not residuals x coordinates");
+}
+
 }  // namespace
 
-MinimizeResult levenbergMarquardt(
-    const std::function<std::vector<double>(const std::vector<double>&)>& r,
-    const std::vector<double>& x0, std::size_t maxIterations) {
+MinimizeResult levenbergMarquardt(const ResidualFunction& f,
+                                  const std::vector<double>& x0,
+                                  std::size_t maxIterations) {
   UNIQ_REQUIRE(!x0.empty(), "levenbergMarquardt needs at least one dimension");
   const std::size_t n = x0.size();
 
   MinimizeResult result;
   result.x = x0;
-  std::vector<double> res = r(x0);
-  const std::size_t m = res.size();
+  Linearization at = f(x0);
+  const std::size_t m = at.residuals.size();
   UNIQ_REQUIRE(m > 0, "residual vector is empty");
-  result.fValue = sumOfSquares(res);
+  checkShape(at, m, n);
+  result.fValue = sumOfSquares(at.residuals);
 
   double lambda = kInitialDamping;
   while (result.iterations < maxIterations) {
     ++result.iterations;
-    // Forward-difference Jacobian, one column per coordinate.
-    Matrix jac(m, n);
-    for (std::size_t j = 0; j < n; ++j) {
-      auto xh = result.x;
-      xh[j] += kJacobianStep;
-      const auto rh = r(xh);
-      UNIQ_CHECK(rh.size() == m, "residual vector changed size");
-      for (std::size_t i = 0; i < m; ++i)
-        jac.at(i, j) = (rh[i] - res[i]) / kJacobianStep;
-    }
+    const std::vector<double>& res = at.residuals;
+    const Matrix& jac = at.jacobian;
     const Matrix jt = jac.transposed();
     const Matrix jtj = jt.multiply(jac);
     std::vector<double> descent = jt.apply(res);
@@ -96,16 +96,18 @@ MinimizeResult levenbergMarquardt(
       for (std::size_t i = 0; i < m; ++i)
         modelCost += (res[i] + predicted[i]) * (res[i] + predicted[i]);
       const double promised = result.fValue - modelCost;
-      if (!(promised > kRelativeTolerance * result.fValue)) break;
+      if (!(promised > kRelativeTolerance * result.fValue) ||
+          !(std::min(longest, kMaxStep) >= kStepTolerance))
+        break;
       auto xn = result.x;
       for (std::size_t j = 0; j < n; ++j) xn[j] += step[j];
-      auto rn = r(xn);
-      UNIQ_CHECK(rn.size() == m, "residual vector changed size");
-      const double fn = sumOfSquares(rn);
+      auto trial = f(xn);
+      checkShape(trial, m, n);
+      const double fn = sumOfSquares(trial.residuals);
       if (fn < result.fValue) {
         decrease = result.fValue - fn;
         result.x = std::move(xn);
-        res = std::move(rn);
+        at = std::move(trial);
         result.fValue = fn;
         lambda = std::max(lambda * 0.1, kMinDamping);
         stepTaken = true;

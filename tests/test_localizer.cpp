@@ -15,6 +15,7 @@
 #include "geometry/polar.h"
 #include "head/head_parameters.h"
 #include "head/subject.h"
+#include "obs/metrics.h"
 
 namespace uniq::core {
 namespace {
@@ -104,10 +105,39 @@ TEST_F(LocalizerTest, ApproximateFallbackOnSlightMismatch) {
   EXPECT_NEAR(fix->angleDeg, 90.0, 8.0);
 }
 
+TEST_F(LocalizerTest, ClosestApproachFixIsMarkedAndCounted) {
+  const auto [tL, tR] = delaysAt(90.0, 0.35);
+  auto& scans = obs::registry().counter("localizer.fallback.scans");
+  auto& unlocalized = obs::registry().counter("localizer.fallback.unlocalized");
+  const auto scansBefore = scans.value();
+  const auto unlocalizedBefore = unlocalized.value();
+  const auto exact = localizer_.locate(tL, tR, 90.0);
+  ASSERT_TRUE(exact.has_value());
+  EXPECT_FALSE(exact->approximate);
+  EXPECT_EQ(scans.value(), scansBefore);
+  EXPECT_TRUE(localizer_.angleGradient(*exact, perturbedHeads(head_)));
+  // +1.4 cm on the right path: the curves no longer meet, but come within
+  // the fallback's 2 cm.
+  const auto fix = localizer_.locate(tL, tR + 40e-6, 90.0);
+  ASSERT_TRUE(fix.has_value());
+  EXPECT_TRUE(fix->approximate);
+  EXPECT_NEAR(fix->angleDeg, 90.0, 8.0);
+  EXPECT_EQ(scans.value(), scansBefore + 1);
+  EXPECT_EQ(unlocalized.value(), unlocalizedBefore);
+  // Its angle is a grid argmin, with no implicit gradient.
+  EXPECT_FALSE(localizer_.angleGradient(*fix, perturbedHeads(head_)));
+}
+
 TEST_F(LocalizerTest, GrossMismatchReturnsNothing) {
   const auto [tL, tR] = delaysAt(60.0, 0.35);
+  auto& scans = obs::registry().counter("localizer.fallback.scans");
+  auto& unlocalized = obs::registry().counter("localizer.fallback.unlocalized");
+  const auto scansBefore = scans.value();
+  const auto unlocalizedBefore = unlocalized.value();
   const auto fix = localizer_.locate(tL, tR + 1.0e-3, 60.0);  // +34 cm
   EXPECT_FALSE(fix.has_value());
+  EXPECT_EQ(scans.value(), scansBefore + 1);
+  EXPECT_EQ(unlocalized.value(), unlocalizedBefore + 1);
 }
 
 TEST_F(LocalizerTest, RejectsNonPositiveDelays) {

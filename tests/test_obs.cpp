@@ -474,6 +474,10 @@ TEST(ObsPipelineIntegration, CalibrateRunReportsAllStages) {
   const auto* fusion = report.find("fusion");
   ASSERT_NE(fusion, nullptr);
   EXPECT_GE(fusion->value("iterations"), 1.0);
+  // Each evaluation brings its Jacobian: one at each search's start, one
+  // per trial step.
+  EXPECT_GE(fusion->value("evals"), fusion->value("iterations"));
+  EXPECT_EQ(fusion->value("jacobians"), fusion->value("evals"));
   EXPECT_GE(fusion->value("restarts"), 1.0);
   EXPECT_TRUE(fusion->has("objectiveDeg2"));
   EXPECT_GE(fusion->value("residualRmsDeg"), 0.0);

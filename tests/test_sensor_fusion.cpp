@@ -5,14 +5,19 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <thread>
 #include <vector>
 
 #include "common/constants.h"
 #include "common/error.h"
 #include "common/random.h"
+#include "core/pipeline.h"
 #include "geometry/diffraction.h"
 #include "geometry/polar.h"
+#include "head/subject.h"
 #include "obs/metrics.h"
+#include "sim/fault_injector.h"
+#include "sim/trajectory.h"
 
 namespace uniq::core {
 namespace {
@@ -232,6 +237,154 @@ TEST(SensorFusion, SolveRobustKeepsEveryCleanStop) {
   // Stops come back sorted by their originating capture index.
   for (std::size_t i = 0; i < result.stops.size(); ++i)
     EXPECT_EQ(result.stops[i].sourceIndex, i);
+}
+
+/// The quality-gated fusion measurements the pipeline solves for a capture
+/// of the `uniq calibrate --seed 42` subject, with `fault` injected at
+/// severity 0.5 unless it is null.
+std::vector<FusionMeasurement> seed42Measurements(const sim::FaultKind* fault) {
+  const auto subject = head::makePopulation(1, 42)[0];
+  auto capture = sim::MeasurementSession().run(subject, sim::defaultGesture());
+  if (fault) {
+    sim::FaultInjector injector;
+    injector.add(*fault, 0.5);
+    capture = injector.apply(capture);
+  }
+  const CalibrationPipeline pipeline;
+  const auto channels = pipeline.extractChannels(capture);
+  auto out = CalibrationPipeline::toFusionMeasurements(capture, channels);
+  std::erase_if(out, [&](const FusionMeasurement& m) {
+    return channels[m.sourceIndex].quality.gated();
+  });
+  return out;
+}
+
+TEST(SensorFusion, RememberedFixesMatchFreshOnes) {
+  // A second evaluation at one head reads the fixes the first one found;
+  // a stop with the same delays but another IMU angle is a new fix (it
+  // may resolve the front/back ambiguity the other way).
+  const auto measurements = seed42Measurements(nullptr);
+  auto turned = measurements;
+  for (auto& m : turned) m.imuAngleDeg = 180.0 - m.imuAngleDeg;
+  const auto head = head::HeadParameters::average();
+  const SensorFusion warm;
+  const auto first = warm.residuals(head, measurements);
+  EXPECT_EQ(warm.residuals(head, measurements), first);
+  EXPECT_EQ(warm.residuals(head, turned), SensorFusion().residuals(head, turned));
+  EXPECT_NE(warm.residuals(head, turned), first);
+}
+
+TEST(SensorFusion, ConcurrentEvaluationsShareTheCachesSafely) {
+  // Four threads evaluate one instance at the same two heads: they race
+  // to build each geometry, its perturbed heads and its remembered fixes,
+  // and every result must equal a fresh instance's.
+  const auto measurements = seed42Measurements(nullptr);
+  const head::HeadParameters heads[] = {head::HeadParameters::average(),
+                                        {0.070, 0.100, 0.085}};
+  std::vector<double> want[2];
+  optim::Matrix wantJacobian[2];
+  for (int h = 0; h < 2; ++h)
+    want[h] = SensorFusion().residuals(heads[h], measurements,
+                                       &wantJacobian[h]);
+  const SensorFusion shared;
+  std::vector<std::thread> threads;
+  std::vector<int> mismatches(4, 0);
+  for (int t = 0; t < 4; ++t) {
+    threads.emplace_back([&, t] {
+      for (int k = 0; k < 6; ++k) {
+        const int h = (t + k) % 2;
+        optim::Matrix jacobian;
+        const auto r = shared.residuals(heads[h], measurements, &jacobian);
+        bool same = r == want[h];
+        for (std::size_t i = 0; i < jacobian.rows(); ++i)
+          for (std::size_t j = 0; j < 3; ++j)
+            same = same && jacobian.at(i, j) == wantJacobian[h].at(i, j);
+        if (!same) ++mismatches[t];
+      }
+    });
+  }
+  for (auto& thread : threads) thread.join();
+  EXPECT_EQ(mismatches, std::vector<int>(4, 0));
+}
+
+TEST(SensorFusion, ImplicitJacobianMatchesCentralDifferences) {
+  // Each localized stop's Jacobian row against central differences of
+  // residuals() at h = 1e-4 in the squashed coordinates, at four heads, on
+  // the seed-42 capture and on a swapped-ears copy (whose swapped stops
+  // mostly land on the closest-approach fallback or nowhere).
+  constexpr double kH = 1e-4;
+  constexpr sim::FaultKind kSwapped = sim::FaultKind::kSwappedEars;
+  const head::HeadParameters heads[] = {head::HeadParameters::average(),
+                                        {0.070, 0.100, 0.085},
+                                        {0.078, 0.110, 0.096},
+                                        {0.073, 0.095, 0.101}};
+  const SensorFusion fusion;
+  std::size_t compared = 0, zeroRows = 0;
+  for (const sim::FaultKind* fault : {(const sim::FaultKind*)nullptr, &kSwapped}) {
+    const auto measurements = seed42Measurements(fault);
+    const std::size_t n = measurements.size();
+    for (const auto& head : heads) {
+      const auto x0 = squashedFromHead(head);
+      const auto at = headFromSquashed(x0);
+      optim::Matrix jacobian;
+      const auto r0 = fusion.residuals(at, measurements, &jacobian);
+      ASSERT_EQ(jacobian.rows(), n + 3);
+      ASSERT_EQ(jacobian.cols(), 3u);
+      // Each stop's fix at the head and at x0 -/+ h e_j, located the way
+      // residuals() locates it.
+      const auto fixesAt = [&](const head::HeadParameters& e) {
+        const geo::HeadBoundary boundary(e.a, e.b, e.c,
+                                         kFusionBoundaryResolution);
+        const Localizer localizer(boundary);
+        std::vector<std::optional<PolarFix>> fixes;
+        for (const auto& m : measurements)
+          fixes.push_back(localizer.locate(m.delayLeftSec, m.delayRightSec,
+                                           m.imuAngleDeg));
+        return fixes;
+      };
+      const auto fixes = fixesAt(at);
+      const geo::HeadBoundary boundary(at.a, at.b, at.c,
+                                       kFusionBoundaryResolution);
+      const Localizer localizer(boundary);
+      const auto perturbed = perturbedHeads(boundary);
+      for (std::size_t j = 0; j < 3; ++j) {
+        auto xm = x0, xp = x0;
+        xm[j] -= kH;
+        xp[j] += kH;
+        const auto rm = fusion.residuals(headFromSquashed(xm), measurements);
+        const auto rp = fusion.residuals(headFromSquashed(xp), measurements);
+        const auto fm = fixesAt(headFromSquashed(xm));
+        const auto fp = fixesAt(headFromSquashed(xp));
+        for (std::size_t i = 0; i < n; ++i) {
+          const auto& fix = fixes[i];
+          if (!fix || fix->approximate ||
+              !localizer.angleGradient(*fix, perturbed)) {
+            EXPECT_EQ(jacobian.at(i, j), 0.0) << "stop " << i;
+            ++zeroRows;
+            continue;
+          }
+          // The same branch on both sides: localized exactly there too,
+          // and no jump to another root (a branch moves ~1e-3 degrees).
+          const bool sameBranch =
+              fm[i] && fp[i] && !fm[i]->approximate && !fp[i]->approximate &&
+              std::fabs(fm[i]->angleDeg - fix->angleDeg) < 0.05 &&
+              std::fabs(fp[i]->angleDeg - fix->angleDeg) < 0.05;
+          if (!sameBranch) continue;
+          const double central = (rp[i] - rm[i]) / (2.0 * kH);
+          EXPECT_NEAR(jacobian.at(i, j), central,
+                      1e-4 + 0.005 * std::fabs(central))
+              << "stop " << i << ", axis " << j << ", residual " << r0[i];
+          ++compared;
+        }
+        // The prior rows are analytic and exact.
+        const double priorCentral = (rp[n + j] - rm[n + j]) / (2.0 * kH);
+        EXPECT_NEAR(jacobian.at(n + j, j), priorCentral,
+                    1e-6 * std::fabs(priorCentral));
+      }
+    }
+  }
+  EXPECT_GT(compared, 200u);
+  EXPECT_GT(zeroRows, 0u);
 }
 
 }  // namespace

@@ -157,8 +157,9 @@ TEST(ThreadPool, GlobalPoolStatsAdvance) {
 
 TEST(ThreadPool, SensorFusionSolveBitwiseIdenticalSerialVsParallel) {
   // End-to-end determinism: the full Levenberg-Marquardt solve must
-  // produce the exact same head parameters whether its residuals are
-  // computed serially or fanned out across the global pool.
+  // produce the exact same head parameters whether it runs nested inside
+  // a parallelFor (as on a serve worker) or at the outermost level (as in
+  // a lone calibration), where the stages around it fan out.
   const head::HeadParameters truth{0.071, 0.104, 0.089};
   const geo::HeadBoundary head(truth.a, truth.b, truth.c, 256);
   std::vector<core::FusionMeasurement> measurements;
@@ -176,13 +177,13 @@ TEST(ThreadPool, SensorFusionSolveBitwiseIdenticalSerialVsParallel) {
     measurements.push_back(m);
   }
 
-  const core::SensorFusion fusion;
-
-  // Nested inside another parallelFor the objective runs inline (serial);
-  // on this thread it is the outermost call and fans out.
+  // Two instances, so the second solve finds no geometry or fix the first
+  // one cached.
   core::SensorFusionResult serial;
-  parallelFor(0, 1, [&](std::size_t) { serial = fusion.solve(measurements); });
-  const auto parallel = fusion.solve(measurements);
+  parallelFor(0, 1, [&](std::size_t) {
+    serial = core::SensorFusion().solve(measurements);
+  });
+  const auto parallel = core::SensorFusion().solve(measurements);
 
   EXPECT_EQ(serial.headParams.a, parallel.headParams.a);
   EXPECT_EQ(serial.headParams.b, parallel.headParams.b);
